@@ -93,7 +93,7 @@ func runExplore(f liveFlags) error {
 	if res.Violation != nil {
 		return errVerdict{fmt.Sprintf("SAFETY VIOLATION [%s]: %s", res.Violation.Kind, res.Violation.Message)}
 	}
-	fmt.Println("safety: no reachable violation (agreement, integrity, apply-once, commit monotonicity, batch GC)")
+	fmt.Println("safety: no reachable violation (agreement, integrity, apply-once, session order, commit monotonicity, batch GC)")
 	return nil
 }
 
@@ -141,6 +141,14 @@ var mutantProbes = []mutantProbe{
 		},
 		desc: "crash recovery discarding the persisted locked vote (split decision)",
 	},
+	{
+		name: "merge-skip",
+		run:  modelcheck.CheckMergeSkip,
+		killed: func(r modelcheck.ProbeResult) bool {
+			return r.Violation != nil && r.Violation.Kind == "session-gap"
+		},
+		desc: "proposal merge dropping a source's first unapplied command (lost command)",
+	},
 }
 
 func hasFinding(r modelcheck.ProbeResult, kind string) bool {
@@ -163,7 +171,7 @@ func runMutants(f liveFlags) error {
 		}
 	}
 	if len(selected) == 0 {
-		return fmt.Errorf("unknown -mutant %q (want locked-vote, drift-livelock, stall-window, forget-vote, or all)", f.mutant)
+		return fmt.Errorf("unknown -mutant %q (want locked-vote, drift-livelock, stall-window, forget-vote, merge-skip, or all)", f.mutant)
 	}
 	survived := 0
 	for _, p := range selected {

@@ -35,8 +35,10 @@
 //   - Replica: a replicated-state-machine service over a sequence of
 //     consensus slots — the live counterpart of internal/rsm. Commands
 //     are disseminated as identified batches (the decided core.Value is a
-//     batch id, unique by construction: proposer ⊕ counter), client
-//     sessions carry (client, seq) identities with high-water-mark dedup
+//     batch id, unique by construction: proposer ⊕ counter; every
+//     proposal merges the commands of ALL replicas its proposer has heard
+//     of, which reach it by best-effort KindForward), client sessions
+//     carry (client, seq) identities with high-water-mark dedup
 //     so every command applies exactly once, and decided slots propagate
 //     to laggards through a pull/push sync protocol that doubles as the
 //     decide-retransmission and crash-rejoin path.
@@ -76,6 +78,11 @@ const (
 	// KindSyncPull asks peers for decisions from a slot on (uvarint
 	// first slot wanted).
 	KindSyncPull
+	// KindForward tells peers which commands the sender has accepted but
+	// cannot propose yet: the BatchCodec encoding of its unapplied pending
+	// prefix (no batch id — a forward is never decided, only merged into
+	// the receivers' next proposals). Best effort and never persisted.
+	KindForward
 )
 
 // Envelope is the unit of transport delivery. Group multiplexes several
@@ -178,7 +185,7 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 		return env, errBadKind
 	}
 	kind := Kind(b[0])
-	if kind < KindRound || kind > KindSyncPull {
+	if kind < KindRound || kind > KindForward {
 		return env, errBadKind
 	}
 	env = Envelope{

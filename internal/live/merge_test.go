@@ -1,0 +1,404 @@
+// Core-level tests of forward + merge proposals (propose/merge in
+// replicacore.go): the session-order rules the merge must keep, the
+// choice among held batches, and exactly-once apply when one command
+// reaches a proposer by three routes.
+
+package live
+
+import (
+	"fmt"
+	"testing"
+
+	"heardof/internal/core"
+	"heardof/internal/lastvoting"
+	"heardof/internal/wal"
+)
+
+// mergeCore builds an idle LastVoting core of a 3-group.
+func mergeCore(t *testing.T, self core.ProcessID, maxBatch int) *ReplicaCore[string] {
+	t.Helper()
+	c, err := NewReplicaCore(CoreConfig[string]{
+		Self: self, N: 3,
+		Algorithm: lastvoting.Algorithm{},
+		Msg:       lastvoting.WireCodec{},
+		Batch:     strCodec{},
+		MaxBatch:  maxBatch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// ents builds entries from (client, seq) pairs; the command names both.
+func ents(pairs ...[2]uint64) []Entry[string] {
+	out := make([]Entry[string], len(pairs))
+	for i, p := range pairs {
+		out[i] = Entry[string]{Client: p[0], Seq: p[1], Cmd: fmt.Sprintf("c%d.%d", p[0], p[1])}
+	}
+	return out
+}
+
+func forwardEnv(from core.ProcessID, entries []Entry[string]) Envelope {
+	return Envelope{Kind: KindForward, From: from, Payload: strCodec{}.AppendEntries(nil, entries)}
+}
+
+func batchEnv(from core.ProcessID, counter int64, entries []Entry[string]) Envelope {
+	payload := strCodec{}.AppendEntries(appendVarint(nil, batchID(from, counter)), entries)
+	return Envelope{Kind: KindBatch, From: from, Payload: payload}
+}
+
+// TestMergeKeepsSessionOrder is the table the issue's safety condition
+// asks for. Each case loads a core (self = p0) with own pending
+// commands, peers' forwards and peers' batches WITHOUT letting it start
+// a slot, then reads what propose() would propose. Besides the exact
+// expected batch, every result is checked against the rule itself: per
+// client, the batch holds seqs hwm+1, hwm+2, … with no hole and no
+// repeat.
+func TestMergeKeepsSessionOrder(t *testing.T) {
+	type kv = [2]uint64
+	cases := []struct {
+		name     string
+		maxBatch int
+		slot     uint64            // next slot (sets the rotation): 1 visits p1, p2, p0
+		hwm      map[uint64]uint64 // applied high-water marks
+		own      []kv              // p0's pending queue
+		forwards map[core.ProcessID][]kv
+		batches  map[int64][]kv // held peer batches, by id
+		want     []kv
+		wantID   int64 // nonzero: no new batch, this held id is proposed
+	}{
+		{
+			name: "sources keep their order, visited from slot mod N",
+			slot: 1,
+			own:  []kv{{10, 1}, {10, 2}},
+			forwards: map[core.ProcessID][]kv{
+				1: {{11, 1}, {21, 1}, {11, 2}},
+			},
+			batches: map[int64][]kv{batchID(2, 4): {{12, 1}}},
+			want:    []kv{{11, 1}, {21, 1}, {11, 2}, {12, 1}, {10, 1}, {10, 2}},
+		},
+		{
+			name: "rotation moves with the slot",
+			slot: 2,
+			own:  []kv{{10, 1}},
+			forwards: map[core.ProcessID][]kv{
+				1: {{11, 1}},
+				2: {{12, 1}},
+			},
+			want: []kv{{12, 1}, {10, 1}, {11, 1}},
+		},
+		{
+			name: "only entries at or below the high-water mark are dropped",
+			slot: 1,
+			hwm:  map[uint64]uint64{11: 2, 12: 1},
+			forwards: map[core.ProcessID][]kv{
+				1: {{11, 1}, {11, 2}, {11, 3}, {11, 4}}, // a stale forward: its head has applied since
+				2: {{12, 1}},                            // fully applied: contributes nothing
+			},
+			own:  []kv{{10, 1}},
+			want: []kv{{11, 3}, {11, 4}, {10, 1}},
+		},
+		{
+			name: "one command by forward, by offered batch and by own pending",
+			slot: 1,
+			own:  []kv{{10, 1}, {10, 2}},
+			// p1 merged our forwarded (10,1) into its batch, and has since
+			// forwarded a longer queue of its own.
+			batches:  map[int64][]kv{batchID(1, 3): {{11, 1}, {10, 1}}},
+			forwards: map[core.ProcessID][]kv{1: {{11, 1}, {11, 2}}},
+			want:     []kv{{11, 1}, {10, 1}, {11, 2}, {10, 2}},
+		},
+		{
+			name:     "MaxBatch cuts at a source's tail, never in front of kept entries",
+			maxBatch: 3,
+			slot:     1,
+			own:      []kv{{10, 1}},
+			forwards: map[core.ProcessID][]kv{
+				1: {{11, 1}, {11, 2}},
+				2: {{12, 1}, {12, 2}},
+			},
+			want: []kv{{11, 1}, {11, 2}, {12, 1}},
+		},
+		{
+			name:     "the cut rotates: next slot it is another source's tail",
+			maxBatch: 3,
+			slot:     2,
+			own:      []kv{{10, 1}},
+			forwards: map[core.ProcessID][]kv{
+				1: {{11, 1}, {11, 2}},
+				2: {{12, 1}, {12, 2}},
+			},
+			want: []kv{{12, 1}, {12, 2}, {10, 1}},
+		},
+		{
+			name:    "newest batch per proposer, by counter",
+			slot:    1,
+			batches: map[int64][]kv{batchID(1, 3): {{11, 1}}, batchID(1, 7): {{11, 1}, {11, 2}}},
+			want:    []kv{{11, 1}, {11, 2}},
+			wantID:  batchID(1, 7),
+		},
+		{
+			name:     "a union that is one held batch proposes its id",
+			slot:     1,
+			hwm:      map[uint64]uint64{11: 1},
+			batches:  map[int64][]kv{batchID(2, 9): {{11, 1}, {12, 1}, {11, 2}}},
+			forwards: map[core.ProcessID][]kv{2: {{12, 1}}},
+			want:     []kv{{12, 1}, {11, 2}},
+			wantID:   batchID(2, 9),
+		},
+		{
+			name:   "nothing to commit proposes the no-op",
+			slot:   1,
+			hwm:    map[uint64]uint64{11: 5},
+			wantID: 0,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mergeCore(t, 0, tc.maxBatch)
+			for s := uint64(1); s < tc.slot; s++ {
+				c.log = append(c.log, 0) // earlier slots decided the no-op
+			}
+			for client, seq := range tc.hwm {
+				c.hwm[client], c.maxSeen[client] = seq, seq
+			}
+			var res StepResult[string]
+			for bid, pairs := range tc.batches {
+				c.handleEnvelope(batchEnv(batchProposer(bid), batchCounter(bid), ents(pairs...)), &res)
+			}
+			for from, pairs := range tc.forwards {
+				c.handleEnvelope(forwardEnv(from, ents(pairs...)), &res)
+			}
+			for _, e := range ents(tc.own...) {
+				if c.Accept(e.Client, e.Seq, e.Cmd) {
+					t.Fatalf("own command %v refused as a duplicate", e)
+				}
+			}
+			created := c.BatchesCreated()
+			bid := c.propose(&res)
+
+			if len(tc.want) == 0 {
+				if bid != 0 {
+					t.Fatalf("proposed %#x, want the no-op", bid)
+				}
+				return
+			}
+			got := c.batches[bid]
+			if tc.wantID != 0 {
+				if bid != tc.wantID || c.BatchesCreated() != created {
+					t.Fatalf("proposed %#x (minted %d), want held batch %#x re-proposed",
+						bid, c.BatchesCreated()-created, tc.wantID)
+				}
+				// A re-proposed batch keeps its applied head; compare what is left.
+				var left []Entry[string]
+				for _, e := range got {
+					if e.Seq > c.hwm[e.Client] {
+						left = append(left, e)
+					}
+				}
+				got = left
+			} else if batchProposer(bid) != 0 || c.BatchesCreated() != created+1 {
+				t.Fatalf("proposed %#x, want one freshly minted batch of p0", bid)
+			}
+			want := ents(tc.want...)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("proposal\n got %v\nwant %v", got, want)
+			}
+			next := map[uint64]uint64{}
+			for _, e := range got {
+				if next[e.Client] == 0 {
+					next[e.Client] = c.hwm[e.Client] + 1
+				}
+				if e.Seq != next[e.Client] {
+					t.Fatalf("client %d: seq %d where %d was due — session order broken in %v",
+						e.Client, e.Seq, next[e.Client], got)
+				}
+				next[e.Client]++
+			}
+		})
+	}
+}
+
+// TestProposeHasNoProposerBias pins the fix for "newest offered":
+// raw batch ids carry the proposer index in their high bits, so
+// max(id) always preferred p2's batch over p1's however old it was.
+// With room for one command only, which held batch is proposed must
+// follow the slot's rotation, not the proposer index — and among one
+// proposer's batches the 40-bit counter decides.
+func TestProposeHasNoProposerBias(t *testing.T) {
+	load := func(slot uint64) *ReplicaCore[string] {
+		c := mergeCore(t, 0, 1)
+		for s := uint64(1); s < slot; s++ {
+			c.log = append(c.log, 0)
+		}
+		var res StepResult[string]
+		c.handleEnvelope(batchEnv(1, 9, ents([2]uint64{11, 1})), &res)
+		c.handleEnvelope(batchEnv(1, 8, ents([2]uint64{11, 1})), &res)
+		c.handleEnvelope(batchEnv(2, 1, ents([2]uint64{12, 1})), &res)
+		return c
+	}
+	var res StepResult[string]
+	if got, want := load(1).propose(&res), batchID(1, 9); got != want {
+		t.Fatalf("slot 1 proposed %#x, want p1's newest batch %#x", got, want)
+	}
+	if got, want := load(2).propose(&res), batchID(2, 1); got != want {
+		t.Fatalf("slot 2 proposed %#x, want p2's batch %#x", got, want)
+	}
+	if len(res.Out) != 0 {
+		t.Fatalf("re-proposing held ids broadcast something: %+v", res.Out)
+	}
+
+	// Recovery re-offers the replica's own durable batches next to the
+	// peers': the recovered proposal covers its own NEWEST batch and p1's
+	// and p2's commands, whatever the ids' high bits say.
+	enc := func(pairs ...[2]uint64) []byte { return strCodec{}.AppendEntries(nil, ents(pairs...)) }
+	rc, err := RestoreReplicaCore(CoreConfig[string]{
+		Self: 0, N: 3,
+		Algorithm: lastvoting.Algorithm{},
+		Msg:       lastvoting.WireCodec{},
+		Batch:     strCodec{},
+	}, &wal.State{
+		BatchSeq: 2,
+		Batches: map[int64][]byte{
+			batchID(0, 1): enc([2]uint64{10, 1}),
+			batchID(0, 2): enc([2]uint64{10, 1}, [2]uint64{10, 2}),
+			batchID(1, 5): enc([2]uint64{11, 1}),
+			batchID(2, 3): enc([2]uint64{12, 1}),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res = StepResult[string]{}
+	got := rc.batches[rc.propose(&res)]
+	want := ents([2]uint64{11, 1}, [2]uint64{12, 1}, [2]uint64{10, 1}, [2]uint64{10, 2})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered proposal\n got %v\nwant %v", got, want)
+	}
+}
+
+// coreNet wires three cores with a lossless FIFO network and records
+// every fresh apply per replica.
+type coreNet struct {
+	t     *testing.T
+	cores []*ReplicaCore[string]
+	queue []Outbound
+	fresh []map[[2]uint64]int
+}
+
+func newCoreNet(t *testing.T) *coreNet {
+	n := &coreNet{t: t}
+	for p := 0; p < 3; p++ {
+		n.cores = append(n.cores, mergeCore(t, core.ProcessID(p), 0))
+		n.fresh = append(n.fresh, map[[2]uint64]int{})
+	}
+	return n
+}
+
+func (n *coreNet) step(p core.ProcessID, ev Event[string]) {
+	res := n.cores[p].Step(ev)
+	for _, ae := range res.Applied {
+		if ae.Fresh {
+			n.fresh[p][[2]uint64{ae.Entry.Client, ae.Entry.Seq}]++
+		}
+	}
+	for _, o := range res.Out {
+		for q := 0; q < len(n.cores); q++ {
+			if to := core.ProcessID(q); to != p && (o.To == AllPeers || o.To == to) {
+				n.queue = append(n.queue, Outbound{To: to, Env: o.Env})
+			}
+		}
+	}
+}
+
+// deliver hands over the messages queued right now (not the ones their
+// delivery produces).
+func (n *coreNet) deliver() {
+	batch := n.queue
+	n.queue = nil
+	for _, o := range batch {
+		n.step(o.To, Event[string]{Kind: EvEnvelope, Env: o.Env})
+	}
+}
+
+func (n *coreNet) drain() {
+	for i := 0; len(n.queue) > 0; i++ {
+		if i > 1000 {
+			n.t.Fatal("network never drained")
+		}
+		n.deliver()
+	}
+}
+
+// TestForwardedCommandAppliesOnce runs the three-route case end to end:
+// p1 accepts two commands while slot 1 is in flight, so they reach p0
+// as a forward, again inside the batch p1 mints for slot 2, and p0 has
+// merged them into its own slot-2 batch by then. Every replica applies
+// each (client, seq) fresh exactly once, slot 2 alone carries all of
+// them, and the counters show the path taken.
+func TestForwardedCommandAppliesOnce(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	n.deliver() // p1, p2 join slot 1
+	n.step(1, Event[string]{Kind: EvSubmit, Client: 11, Seq: 1, Cmd: "b"})
+	n.step(1, Event[string]{Kind: EvSubmit, Client: 11, Seq: 2, Cmd: "c"})
+	n.step(2, Event[string]{Kind: EvSubmit, Client: 12, Seq: 1, Cmd: "d"})
+	n.drain()
+
+	for p, c := range n.cores {
+		st := c.Counters()
+		if st.Applied != 2 || st.Committed != 4 || st.Pending != 0 {
+			t.Fatalf("replica %d: applied %d slots, committed %d, pending %d; want 2, 4, 0",
+				p, st.Applied, st.Committed, st.Pending)
+		}
+		for _, key := range [][2]uint64{{10, 1}, {11, 1}, {11, 2}, {12, 1}} {
+			if n.fresh[p][key] != 1 {
+				t.Fatalf("replica %d applied %v fresh %d times", p, key, n.fresh[p][key])
+			}
+		}
+	}
+	if f := n.cores[1].Counters().Forwards; f != 2 {
+		t.Fatalf("p1 emitted %d forwards, want 2 (one per mid-slot submit)", f)
+	}
+	if f := n.cores[0].Counters().Forwards; f != 0 {
+		t.Fatalf("p0 emitted %d forwards; it could propose its command at once", f)
+	}
+	if m := n.cores[0].Counters().Merged; m != 3 {
+		t.Fatalf("p0 proposed %d commands on its peers' behalf, want 3", m)
+	}
+}
+
+// TestRecoveryNeverReusesAForwardedSeq: a forward is the one way a
+// command leaves a replica with nothing about it on disk. A replica
+// that forwarded (client 11, seq 2), crashed, and handed seq 2 to a NEW
+// command after the restart would see the old command — still in its
+// peers' forward tables — apply under that number and acknowledge the
+// new one's waiter. Recovery therefore numbers new commands past
+// everything a lost forward can have carried.
+func TestRecoveryNeverReusesAForwardedSeq(t *testing.T) {
+	c := mergeCore(t, 1, 0)
+	c.Step(Event[string]{Kind: EvSubmit, Client: 11, Seq: c.NextSeq(11), Cmd: "durable: minted into p1's own batch"})
+	seq := c.NextSeq(11)
+	res := c.Step(Event[string]{Kind: EvSubmit, Client: 11, Seq: seq, Cmd: "forwarded mid-slot, on no disk"})
+	if len(res.Out) != 1 || res.Out[0].Env.Kind != KindForward {
+		t.Fatalf("mid-slot submit emitted %+v, want one forward", res.Out)
+	}
+	sent, err := strCodec{}.DecodeEntries(res.Out[0].Env.Payload)
+	if err != nil || len(sent) != 2 || sent[1].Seq != seq {
+		t.Fatalf("forward carried %v (%v), want both pending commands", sent, err)
+	}
+
+	rc := c.Recover()
+	if got := rc.NextSeq(11); got <= seq {
+		t.Fatalf("recovered replica would reuse seq %d (forwarded up to %d)", got, seq)
+	}
+	// A client the disk has never seen may have had its first commands
+	// forwarded too.
+	if got, floor := rc.NextSeq(99), uint64(rc.cfg.MaxBatch); got <= floor {
+		t.Fatalf("unknown client starts at seq %d, want past %d", got, floor)
+	}
+	if got := mergeCore(t, 1, 0).NextSeq(99); got != 1 {
+		t.Fatalf("a fresh replica starts a client at seq %d, want 1", got)
+	}
+}

@@ -19,14 +19,21 @@
 // What is persisted (and when):
 //
 //	SaveBatch     propose() and handleBatch(): batch contents at first sight
+//	              (every id that can be DECIDED is minted by propose())
 //	SaveVote      transitionRound(): instance state (the locked vote) after
 //	              every undecided transition
 //	SaveDecision  recordDecision(): a slot's decided batch id
 //	SaveApplied   applySlot(): the applied slot and its fresh (client,seq)
 //	              advancements
 //
-// What is NOT: pending submissions (unacknowledged — clients retry),
-// peer commit-index observations (re-learned from traffic), and the
+// What is NOT: pending submissions (unacknowledged — clients retry) and
+// therefore the forwards that advertise them, on either end (a
+// KindForward is a hint about someone's pending queue: the sender
+// re-derives it from that queue, the receiver only ever merges it into a
+// batch that propose() saves as its own; what recovery owes them is
+// only to never REUSE a sequence number a lost forward may have carried
+// — see seqFloor in RestoreReplicaCore), peer commit-index
+// observations (re-learned from traffic), and the
 // round position (volatile by the paper's model; recovery restarts the
 // slot's instance at round 1 with the restored vote and the jump rule
 // re-aligns it with the group).
@@ -96,8 +103,8 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 	}
 	c.stats.Committed = st.Committed
 	for bid, enc := range st.Batches {
-		if bid == 0 {
-			return nil, fmt.Errorf("live: recovered state holds the no-op batch id")
+		if !c.validBatchID(bid) {
+			return nil, fmt.Errorf("live: recovered state holds batch id %#x, which no member of a group of %d minted", bid, c.cfg.N)
 		}
 		entries, err := c.cfg.Batch.DecodeEntries(enc)
 		if err != nil {
@@ -116,9 +123,10 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 	for bid := range c.batches {
 		if !c.batchApplied(bid) {
 			// Re-offer every unapplied recovered batch — including our own:
-			// their pending-queue provenance is volatile and gone, so
-			// adoption is how their commands get committed without a client
-			// retry.
+			// their pending-queue provenance is volatile and gone, so being
+			// merged into the next proposal (propose() reads the newest
+			// offered batch of every proposer, self included) is how their
+			// commands get committed without a client retry.
 			c.offered[bid] = struct{}{}
 		}
 	}
@@ -129,11 +137,23 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 			}
 		}
 	}
+	// Forwards are the one way a command leaves this replica with nothing
+	// about it on disk, so a pre-crash (client, seq) may still sit in the
+	// peers' forward tables — or already in their batches — bound to a
+	// command this incarnation never heard of. Handing that number to a
+	// new command would let the old one apply in its place and
+	// acknowledge the new one's waiter. Skip past every number that can
+	// be out there: a forward carries the first MaxBatch pending entries,
+	// all above marks that were durable before it was sent, so none
+	// exceeds the recovered mark (0 for an unknown client) + MaxBatch.
+	c.seqFloor = uint64(c.cfg.MaxBatch)
+	for client := range c.maxSeen {
+		c.maxSeen[client] += c.seqFloor
+	}
 	c.batchSeq = st.BatchSeq
-	const seqMask = (int64(1) << 40) - 1
 	for bid := range c.batches {
-		if bid>>40 == int64(c.cfg.Self)+1 && bid&seqMask > c.batchSeq {
-			c.batchSeq = bid & seqMask
+		if batchProposer(bid) == c.cfg.Self && batchCounter(bid) > c.batchSeq {
+			c.batchSeq = batchCounter(bid)
 		}
 	}
 	for slot, bid := range st.Decided {

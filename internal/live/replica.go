@@ -5,21 +5,33 @@
 // sees. Live, each replica knows only its own submissions, so the layer
 // splits replication into the two classic halves:
 //
-//   - Dissemination: a proposer packs its pending commands into a BATCH,
-//     assigns it an id that is unique by construction ((proposer+1) in
-//     the high bits, a local counter below — no hashing, no collisions),
-//     and broadcasts the contents best-effort. Batches are re-pulled on
-//     demand, so dissemination only needs fair-lossy links.
+//   - Dissemination: a proposer packs commands into a BATCH, assigns it
+//     an id that is unique by construction ((proposer+1) in the high
+//     bits, a local counter below — no hashing, no collisions), and
+//     broadcasts the contents best-effort. Batches are re-pulled on
+//     demand, so dissemination only needs fair-lossy links. Which
+//     commands: every unapplied one the proposer has heard of. A replica
+//     that accepts a command while it cannot propose (a slot is in
+//     flight) FORWARDS its pending prefix to its peers at once — a hint,
+//     never persisted, latest-per-sender — and every proposal MERGES own
+//     pending ∪ the peers' forwards ∪ the newest unapplied batch held
+//     from each proposer, in per-source order.
 //   - Agreement: each slot runs one core.Instance (LastVoting, OTR, …)
-//     whose proposals are batch IDS (they fit core.Value). A replica
-//     with nothing to propose adopts the newest batch it has heard of,
-//     or proposes 0, the no-op batch. Deciding an id whose contents have
-//     not arrived yet just delays APPLY, never agreement.
+//     whose proposals are batch IDS (they fit core.Value). Whichever
+//     proposal the instance picks — the coordinator's own under
+//     LastVoting, the smallest under OTR — therefore commits every
+//     replica's commands, not one proposer's; a replica whose union is
+//     exactly one held batch proposes that batch's id (equal values are
+//     what OTR decides on), one with nothing proposes 0, the no-op
+//     batch. Deciding an id whose contents have not arrived yet just
+//     delays APPLY, never agreement.
 //
 // Commands carry (client, seq) session identities; apply keeps a
-// high-water mark per client, so overlapping batches (a retried command
-// landing in two proposals) still apply exactly once — the same
-// exactly-once contract rsm's sessions give, enforced at the other end.
+// high-water mark per client, so overlapping batches (merged proposals
+// overlap by design; so does a retried command landing in two) still
+// apply exactly once — the same exactly-once contract rsm's sessions
+// give, enforced at the other end. The mark is also why the merge must
+// keep every source's order: see propose() in replicacore.go.
 //
 // Decided slots spread through a sync protocol that doubles as the
 // decide-retransmission and the crash-rejoin path: any round message for
@@ -124,6 +136,14 @@ type ReplicaStats struct {
 	BatchesHeld int
 	// Malformed counts undecodable inbound payloads (dropped).
 	Malformed int
+	// Forwards counts KindForward broadcasts emitted: steps in which this
+	// replica accepted commands it could not propose yet and told its
+	// peers about them instead.
+	Forwards int
+	// Merged counts commands this replica proposed on a peer's behalf —
+	// entries of the batches it minted that came from a forward or from
+	// a peer's batch rather than from its own pending queue.
+	Merged int
 }
 
 // ReplicaConfig parameterizes one process's replica of one group.

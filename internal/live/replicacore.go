@@ -1,8 +1,10 @@
 // ReplicaCore: the replica protocol as a pure step function. Everything
 // that makes the live replica a PROTOCOL — round-message delivery into
-// the per-slot instance, batch dissemination and adopt-newest-offered
-// proposals, push/pull decision sync, apply-side (client,seq) dedup, and
-// batch GC against the min-peer-applied horizon — lives here as
+// the per-slot instance, command forwarding and merged proposals (every
+// proposal carries every command its proposer has heard of, so a slot
+// commits all replicas' work whichever proposal wins), batch
+// dissemination, push/pull decision sync, apply-side (client,seq) dedup,
+// and batch GC against the min-peer-applied horizon — lives here as
 //
 //	state × event → state′ × outbound envelopes × applied entries
 //
@@ -57,6 +59,13 @@ const (
 	// pre-crash quorum that included its vote already contradicts — the
 	// split decision durability exists to prevent.
 	MutForgetVote
+	// MutMergeSkip makes propose()'s merge drop the first unapplied entry
+	// of every peer-sourced piece (a forward or an offered batch) while
+	// keeping the entries behind it — the session-order bug the merge
+	// rules exist to exclude: the later sequence number applies, the
+	// high-water mark passes the skipped one, and that command is lost
+	// without ever applying (its waiter hangs).
+	MutMergeSkip
 )
 
 // CoreConfig parameterizes one process's protocol core. It is the
@@ -163,11 +172,13 @@ type ReplicaCore[C any] struct {
 	cfg CoreConfig[C]
 
 	pending   []Entry[C]
+	unsent    bool // pending grew since its prefix last left in a batch or a forward
 	batches   map[int64][]Entry[C]
 	inLog     map[int64]bool     // batch ids a log slot decided (retention anchor)
-	offered   map[int64]struct{} // peer batches not yet fully applied
+	offered   map[int64]struct{} // held batches not yet fully applied
 	decided   map[uint64]int64   // slot → batch id, not yet applied
 	maxSeen   map[uint64]uint64  // client → highest accepted seq
+	seqFloor  uint64             // NextSeq's base for clients maxSeen has no entry for (persist.go)
 	log       []int64            // applied decisions; log[i] decided slot i+1
 	logHash   uint64
 	hwm       map[uint64]uint64 // client → highest applied seq
@@ -189,9 +200,40 @@ type ReplicaCore[C any] struct {
 	peerApplied map[core.ProcessID]uint64
 	prunedTo    uint64
 
+	// forwards holds each peer's latest KindForward: its unapplied pending
+	// prefix as of some recent step. Volatile on both ends, replaced
+	// wholesale by the next forward, dropped once fully applied.
+	forwards [][]Entry[C]
+
+	// Merge scratch, reused across slots so propose() allocates only the
+	// batch it mints: the entries under assembly, the highest sequence
+	// number merged so far per client, and the newest offered batch per
+	// proposer.
+	merged     []Entry[C]
+	mergedHigh map[uint64]uint64
+	newest     []int64
+
 	cur *slotRun // non-nil while a slot instance runs
 
 	stats ReplicaStats
+}
+
+// Batch ids are (proposer+1)<<40 | counter: unique by construction, and
+// ordered by age only WITHIN one proposer — comparing raw ids across
+// proposers compares proposer indexes.
+const batchCounterMask = int64(1)<<40 - 1
+
+func batchID(proposer core.ProcessID, counter int64) int64 {
+	return (int64(proposer)+1)<<40 | counter
+}
+func batchProposer(bid int64) core.ProcessID { return core.ProcessID(bid>>40 - 1) }
+func batchCounter(bid int64) int64           { return bid & batchCounterMask }
+
+// validBatchID reports whether bid could have been minted by a member
+// of this group (propose() indexes per-proposer tables with it).
+func (c *ReplicaCore[C]) validBatchID(bid int64) bool {
+	p := batchProposer(bid)
+	return int(p) >= 0 && int(p) < c.cfg.N && batchCounter(bid) > 0
 }
 
 // maxSyncPairs caps decisions per sync push.
@@ -228,6 +270,9 @@ func NewReplicaCore[C any](cfg CoreConfig[C]) (*ReplicaCore[C], error) {
 		maxSeen:     make(map[uint64]uint64),
 		hwm:         make(map[uint64]uint64),
 		peerApplied: make(map[core.ProcessID]uint64),
+		forwards:    make([][]Entry[C], cfg.N),
+		mergedHigh:  make(map[uint64]uint64),
+		newest:      make([]int64, cfg.N),
 		logHash:     14695981039346656037, // FNV-64 offset basis
 	}, nil
 }
@@ -252,6 +297,7 @@ func (c *ReplicaCore[C]) Step(ev Event[C]) StepResult[C] {
 	case EvNudge:
 	}
 	c.advance(&res)
+	c.forwardPending(&res)
 	return res
 }
 
@@ -273,6 +319,7 @@ func (c *ReplicaCore[C]) handleSubmit(ev Event[C], res *StepResult[C]) {
 		}
 	}
 	c.pending = append(c.pending, Entry[C]{Client: ev.Client, Seq: ev.Seq, Cmd: ev.Cmd})
+	c.unsent = true
 }
 
 // Accept records a submission WITHOUT driving the protocol forward — the
@@ -310,6 +357,8 @@ func (c *ReplicaCore[C]) handleEnvelope(env Envelope, res *StepResult[C]) {
 		c.handleRound(env, res)
 	case KindBatch:
 		c.handleBatch(env, res)
+	case KindForward:
+		c.handleForward(env)
 	case KindBatchPull:
 		if bid, n := varint(env.Payload); n > 0 {
 			if entries, ok := c.batches[bid]; ok {
@@ -372,7 +421,7 @@ func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 func (c *ReplicaCore[C]) handleBatch(env Envelope, res *StepResult[C]) {
 	b := env.Payload
 	bid, n := varint(b)
-	if n <= 0 || bid <= 0 {
+	if n <= 0 || !c.validBatchID(bid) {
 		c.stats.Malformed++
 		return
 	}
@@ -390,6 +439,46 @@ func (c *ReplicaCore[C]) handleBatch(env Envelope, res *StepResult[C]) {
 			c.offered[bid] = struct{}{}
 		}
 	}
+}
+
+// handleForward replaces the sender's slot in the forward table with the
+// pending prefix it carries. Nothing is persisted: a forward is a hint
+// about commands whose owner still holds (and will itself propose) them.
+// Duplicated, re-ordered and stale forwards are all harmless — each is a
+// prefix of the sender's pending queue at SOME past step, and propose()
+// filters what has applied since.
+func (c *ReplicaCore[C]) handleForward(env Envelope) {
+	if env.From == c.cfg.Self || int(env.From) < 0 || int(env.From) >= c.cfg.N {
+		return
+	}
+	entries, err := c.cfg.Batch.DecodeEntries(env.Payload)
+	if err != nil {
+		c.stats.Malformed++
+		return
+	}
+	if c.allApplied(entries) {
+		entries = nil
+	}
+	c.forwards[env.From] = entries
+}
+
+// forwardPending is the last act of every step: if commands were
+// accepted that no batch or forward of ours has carried yet, and this
+// replica cannot propose them now (a slot is running, or apply is
+// blocked), tell the peers — whichever of them wins the next slot then
+// commits these commands too, instead of their waiting for a slot this
+// replica wins. Best effort by design: a lost forward costs latency
+// only, because the commands stay in pending and ride our own next
+// proposal regardless.
+func (c *ReplicaCore[C]) forwardPending(res *StepResult[C]) {
+	if !c.unsent || (c.cur == nil && c.blockedOn == 0) {
+		return
+	}
+	c.unsent = false
+	k := min(len(c.pending), c.cfg.MaxBatch)
+	c.stats.Forwards++
+	res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
+		Kind: KindForward, From: c.cfg.Self, Payload: c.cfg.Batch.AppendEntries(nil, c.pending[:k])}})
 }
 
 // handleSync records pushed decisions.
@@ -535,11 +624,16 @@ func (c *ReplicaCore[C]) advance(res *StepResult[C]) {
 }
 
 // hasWork reports whether consensus for the next slot is warranted: a
-// local or offered batch to commit, or peer round traffic showing the
-// group is deciding it.
+// local, forwarded or offered command to commit, or peer round traffic
+// showing the group is deciding it.
 func (c *ReplicaCore[C]) hasWork() bool {
 	if len(c.pending) > 0 || len(c.offered) > 0 {
 		return true
+	}
+	for _, f := range c.forwards {
+		if f != nil {
+			return true
+		}
 	}
 	if _, ok := c.decided[uint64(len(c.log))+1]; ok {
 		return true
@@ -574,38 +668,151 @@ func (c *ReplicaCore[C]) startSlot(res *StepResult[C]) bool {
 	return true
 }
 
-// propose picks this attempt's initial value: a fresh batch of local
-// pending commands, else the newest offered peer batch, else the no-op 0.
+// propose picks this attempt's initial value: one batch covering every
+// unapplied command this replica has heard of — its own pending prefix,
+// each peer's latest forward, and the newest still-unapplied batch it
+// holds from each proposer (itself included: after a crash its own
+// durable batches are the only trace of their commands). Whichever
+// proposal the slot's instance picks, it then commits every replica's
+// work, not one proposer's. The no-op 0 is proposed when there is
+// nothing to commit.
+//
+// Session order is the safety condition. Apply dedups on a per-client
+// high-water mark, so a batch that carried a client's seq s but not its
+// unapplied seq s' < s would lose s' for good (the mark passes it, and
+// its waiter hangs). The merge cannot build such a batch:
+//
+//   - restricted to one client, every piece it reads — the pending
+//     queue, a forward (a prefix of the sender's pending queue), a held
+//     batch (by induction, a merge of such pieces) — is a contiguous run
+//     of that client's submission order, starting no later than the
+//     first seq its builder had not applied. A stale, duplicated or
+//     re-ordered forward is a prefix of an OLDER pending queue: its head
+//     has applied since, nothing else differs;
+//   - merge drops an entry only if it is at or below the high-water mark
+//     or already merged (the run's head), and MaxBatch ends the merge
+//     outright (the run's tail) — so what it keeps of a run is a run;
+//   - a batch can only be decided in a slot past its minter's applied
+//     log, where every mark is at least what the minter filtered by, so
+//     the run still starts at or before the first unapplied seq there.
+//
+// Sources are visited starting at (slot mod N), the same order on every
+// replica, so the truncation point rotates and no source is always the
+// one cut. A new id is minted only if something was merged: a union
+// that is exactly one held batch proposes that batch's id, because
+// algorithms like OneThirdRule decide on EQUAL values and fresh ids for
+// identical contents would never be equal.
 func (c *ReplicaCore[C]) propose(res *StepResult[C]) int64 {
-	if len(c.pending) > 0 {
-		k := len(c.pending)
-		if k > c.cfg.MaxBatch {
-			k = c.cfg.MaxBatch
-		}
-		entries := make([]Entry[C], k)
-		copy(entries, c.pending[:k])
-		c.batchSeq++
-		bid := (int64(c.cfg.Self)+1)<<40 | c.batchSeq
-		c.batches[bid] = entries
-		enc := c.cfg.Batch.AppendEntries(nil, entries)
-		if c.cfg.Persist != nil {
-			// Quorum-durable dissemination: the batch body is on our own
-			// disk (after the shell's sync barrier) before any peer can see
-			// — let alone vote for — its id.
-			c.cfg.Persist.SaveBatch(bid, enc)
-		}
-		payload := append(appendVarint(nil, bid), enc...)
-		res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
-			Kind: KindBatch, From: c.cfg.Self, Payload: payload}})
-		return bid
-	}
-	var best int64
+	clear(c.newest)
 	for id := range c.offered {
-		if id > best {
-			best = id
+		// Newest per proposer: the 40-bit counter orders one proposer's
+		// batches; the proposer index in the high bits orders nothing.
+		if p := batchProposer(id); batchCounter(id) > batchCounter(c.newest[p]) {
+			c.newest[p] = id
 		}
 	}
-	return best
+	c.merged = c.merged[:0]
+	clear(c.mergedHigh)
+	pieces, sole, foreign := 0, int64(0), 0
+	slot := uint64(len(c.log)) + 1
+	for i := 0; i < c.cfg.N && len(c.merged) < c.cfg.MaxBatch; i++ {
+		q := core.ProcessID((slot + uint64(i)) % uint64(c.cfg.N))
+		// Source q is two pieces: the newest batch held from it, then its
+		// live queue — our own pending, or its latest forward.
+		peer, queue := q != c.cfg.Self, c.pending
+		if peer {
+			queue = c.forwards[q]
+		}
+		before := len(c.merged)
+		if bid := c.newest[q]; bid != 0 {
+			held := c.batches[bid]
+			if n := c.merge(held, peer); n > 0 {
+				pieces++
+				if before == 0 && n == c.unapplied(held) {
+					sole = bid // so far the union IS this held batch
+				}
+			}
+		}
+		if c.merge(queue, peer) > 0 {
+			pieces++
+		}
+		if peer {
+			foreign += len(c.merged) - before
+		}
+	}
+	if k := min(len(c.pending), c.cfg.MaxBatch); k == 0 || c.pending[k-1].Seq <= c.mergedHigh[c.pending[k-1].Client] {
+		// The prefix a forward would carry is in the proposed batch, whose
+		// contents the peers hold or are about to be sent.
+		c.unsent = false
+	}
+	switch {
+	case pieces == 0:
+		return 0
+	case pieces == 1 && sole != 0:
+		return sole
+	}
+	entries := make([]Entry[C], len(c.merged))
+	copy(entries, c.merged)
+	c.batchSeq++
+	bid := batchID(c.cfg.Self, c.batchSeq)
+	c.batches[bid] = entries
+	c.stats.Merged += foreign
+	enc := c.cfg.Batch.AppendEntries(nil, entries)
+	if c.cfg.Persist != nil {
+		// Quorum-durable dissemination: the batch body is on our own
+		// disk (after the shell's sync barrier) before any peer can see
+		// — let alone vote for — its id.
+		c.cfg.Persist.SaveBatch(bid, enc)
+	}
+	payload := append(appendVarint(nil, bid), enc...)
+	res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
+		Kind: KindBatch, From: c.cfg.Self, Payload: payload}})
+	return bid
+}
+
+// merge appends to the batch under assembly every entry of piece that
+// is neither applied nor merged already, in piece order, stopping for
+// good at MaxBatch, and returns how many it added. peer marks a piece
+// that arrived from another replica (MutMergeSkip's target).
+func (c *ReplicaCore[C]) merge(piece []Entry[C], peer bool) int {
+	added := 0
+	skip := peer && c.cfg.Mutation&MutMergeSkip != 0
+	for _, e := range piece {
+		if len(c.merged) >= c.cfg.MaxBatch {
+			break
+		}
+		if e.Seq <= c.hwm[e.Client] || e.Seq <= c.mergedHigh[e.Client] {
+			continue
+		}
+		if skip {
+			// SEEDED BUG: drop the piece's first unapplied entry and keep
+			// what follows it.
+			skip = false
+			continue
+		}
+		c.mergedHigh[e.Client] = e.Seq
+		c.merged = append(c.merged, e)
+		added++
+	}
+	return added
+}
+
+// unapplied counts the entries of a piece above their client's
+// high-water mark.
+func (c *ReplicaCore[C]) unapplied(piece []Entry[C]) int {
+	n := 0
+	for _, e := range piece {
+		if e.Seq > c.hwm[e.Client] {
+			n++
+		}
+	}
+	return n
+}
+
+// allApplied reports whether every entry is at or below its client's
+// high-water mark.
+func (c *ReplicaCore[C]) allApplied(entries []Entry[C]) bool {
+	return c.unapplied(entries) == 0
 }
 
 // ---------------------------------------------------------------------
@@ -676,6 +883,11 @@ func (c *ReplicaCore[C]) applySlot(slot uint64, bid int64, res *StepResult[C]) {
 				delete(c.offered, id)
 			}
 		}
+		for q, f := range c.forwards {
+			if f != nil && c.allApplied(f) {
+				c.forwards[q] = nil
+			}
+		}
 	}
 	if c.cfg.Persist != nil {
 		c.cfg.Persist.SaveApplied(slot, bid, c.persistFresh(res.Applied, appliedFrom))
@@ -703,10 +915,10 @@ func (c *ReplicaCore[C]) applySlot(slot uint64, bid int64, res *StepResult[C]) {
 // Undecided batches (losing or superseded proposals — under contention
 // most proposals lose) are dropped as soon as all their entries are at
 // or below the local high-water marks: any replica that could still
-// PROPOSE such a batch is by construction one that retains its
-// contents (adoption only offers ids whose contents arrived, and a
-// replica behind on the entries keeps them), so a later decision of
-// the id can still be served.
+// PROPOSE such a batch's id is by construction one that retains its
+// contents (propose() only re-proposes an id whose contents it holds
+// and finds unapplied, and a replica behind on the entries keeps them),
+// so a later decision of the id can still be served.
 func (c *ReplicaCore[C]) pruneBatches() {
 	horizon := uint64(len(c.log))
 	for q := 0; q < c.cfg.N; q++ {
@@ -752,15 +964,7 @@ func (c *ReplicaCore[C]) notePeerApplied(p core.ProcessID, applied uint64) {
 // below its client's high-water mark.
 func (c *ReplicaCore[C]) batchApplied(bid int64) bool {
 	entries, ok := c.batches[bid]
-	if !ok {
-		return false
-	}
-	for _, e := range entries {
-		if e.Seq > c.hwm[e.Client] {
-			return false
-		}
-	}
-	return true
+	return ok && c.allApplied(entries)
 }
 
 // pushDecisions emits the applied decisions from slot `from` on, to one
@@ -833,11 +1037,30 @@ func (c *ReplicaCore[C]) RoundState() (slot uint64, round core.Round, active boo
 func (c *ReplicaCore[C]) Blocked() int64 { return c.blockedOn }
 
 // NextSeq returns the client's next fresh sequence number.
-func (c *ReplicaCore[C]) NextSeq(client uint64) uint64 { return c.maxSeen[client] + 1 }
+func (c *ReplicaCore[C]) NextSeq(client uint64) uint64 {
+	if seen, ok := c.maxSeen[client]; ok {
+		return seen + 1
+	}
+	return c.seqFloor + 1
+}
 
 // SeqApplied reports whether a client sequence number is at or below the
 // applied high-water mark (i.e. a duplicate).
 func (c *ReplicaCore[C]) SeqApplied(client, seq uint64) bool { return seq <= c.hwm[client] }
+
+// AppliedSeqSum adds up the applied high-water marks of all client
+// sessions. When every client's sequence numbers are submitted
+// contiguously from 1, each fresh apply raises exactly one mark by
+// exactly one, so the sum equals Counters().Committed — unless some
+// apply jumped over an unapplied sequence number (the model checker's
+// session-gap invariant).
+func (c *ReplicaCore[C]) AppliedSeqSum() uint64 {
+	var sum uint64
+	for _, seq := range c.hwm {
+		sum += seq
+	}
+	return sum
+}
 
 // NextSlot returns the first unapplied slot.
 func (c *ReplicaCore[C]) NextSlot() uint64 { return uint64(len(c.log)) + 1 }
@@ -858,5 +1081,5 @@ func (c *ReplicaCore[C]) HoldsBatch(bid int64) bool {
 }
 
 // BatchesCreated returns this proposer's batch counter: ids
-// (Self+1)<<40 | k for 1 ≤ k ≤ BatchesCreated() exist or existed.
+// batchID(Self, k) for 1 ≤ k ≤ BatchesCreated() exist or existed.
 func (c *ReplicaCore[C]) BatchesCreated() int64 { return c.batchSeq }

@@ -23,12 +23,14 @@ type stateAppender interface {
 
 // Clone deep-copies the core. The clone shares nothing mutable with the
 // original: maps, slices, and the running instance (via its
-// core.Recoverable snapshot) are all duplicated. Batch entry slices are
-// shared — they are immutable after creation.
+// core.Recoverable snapshot) are all duplicated. Batch and forward entry
+// slices are shared — they are immutable after creation. The merge
+// scratch is not state and starts empty.
 func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 	d := &ReplicaCore[C]{
 		cfg:       c.cfg,
 		pending:   append([]Entry[C](nil), c.pending...),
+		unsent:    c.unsent,
 		batches:   make(map[int64][]Entry[C], len(c.batches)),
 		inLog:     make(map[int64]bool, len(c.inLog)),
 		offered:   make(map[int64]struct{}, len(c.offered)),
@@ -38,6 +40,7 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 		logHash:   c.logHash,
 		hwm:       make(map[uint64]uint64, len(c.hwm)),
 		batchSeq:  c.batchSeq,
+		seqFloor:  c.seqFloor,
 		poked:     c.poked,
 		blockedOn: c.blockedOn,
 		eagerPush: c.eagerPush,
@@ -46,6 +49,9 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 		restoredVoteSlot: c.restoredVoteSlot,
 		peerApplied:      make(map[core.ProcessID]uint64, len(c.peerApplied)),
 		prunedTo:         c.prunedTo,
+		forwards:         append([][]Entry[C](nil), c.forwards...),
+		mergedHigh:       make(map[uint64]uint64),
+		newest:           make([]int64, c.cfg.N),
 		stats:            c.stats,
 	}
 	for k, v := range c.batches {
@@ -111,7 +117,10 @@ func (c *ReplicaCore[C]) cloneSlotRun(s *slotRun) *slotRun {
 // equal iff they are protocol-equivalent; service counters (Rounds,
 // Committed, …) are deliberately excluded so paths that differ only in
 // bookkeeping merge. inLog is derivable from log and prunedTo and is
-// likewise omitted.
+// likewise omitted. The forward table and the unsent flag ARE state —
+// the first feeds the next proposal, the second decides whether a step
+// emits a forward — so leaving either out would merge states with
+// different futures.
 func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	dst = appendVarint(dst, c.batchSeq)
 	dst = appendVarint(dst, c.blockedOn)
@@ -132,6 +141,14 @@ func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	}
 
 	dst = c.appendEntrySlice(dst, c.pending)
+	if c.unsent {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	for _, f := range c.forwards {
+		dst = c.appendEntrySlice(dst, f)
+	}
 
 	bids := make([]int64, 0, len(c.batches))
 	for bid := range c.batches {
@@ -166,6 +183,7 @@ func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	}
 
 	dst = appendU64Map(dst, c.maxSeen)
+	dst = appendUvarint(dst, c.seqFloor)
 	dst = appendU64Map(dst, c.hwm)
 
 	dst = appendUvarint(dst, uint64(len(c.peerApplied)))

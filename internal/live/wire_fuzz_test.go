@@ -56,6 +56,8 @@ func FuzzReplicaCoreStep(f *testing.F) {
 	f.Add(uint8(KindBatch), uint64(0), uint64(0), uint8(2), []byte(nil))
 	f.Add(uint8(KindSync), uint64(0), uint64(0), uint8(1), []byte{0xFF, 0xFF, 0xFF})
 	f.Add(uint8(99), uint64(0), uint64(0), uint8(1), []byte("junk"))
+	f.Add(uint8(KindForward), uint64(0), uint64(0), uint8(1), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // huge entry count
+	f.Add(uint8(KindForward), uint64(0), uint64(0), uint8(0), strCodec{}.AppendEntries(nil, []Entry[string]{{Client: 9, Seq: 1, Cmd: "self"}}))
 
 	f.Fuzz(func(t *testing.T, kind uint8, slot, round uint64, from uint8, payload []byte) {
 		c := newFuzzCore(t)
@@ -92,12 +94,16 @@ func TestMalformedPayloadsCounted(t *testing.T) {
 		{"round truncated", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound, Payload: []byte{1, 0x80}}},
 		{"batch empty", Envelope{From: 1, Kind: KindBatch}},
 		{"batch id zero", Envelope{From: 1, Kind: KindBatch, Payload: appendVarint(nil, 0)}},
-		{"batch bad entries", Envelope{From: 1, Kind: KindBatch, Payload: appendVarint(nil, 7)}},
+		{"batch bad entries", Envelope{From: 1, Kind: KindBatch, Payload: appendVarint(nil, batchID(1, 7))}},
+		{"batch of no member", Envelope{From: 1, Kind: KindBatch,
+			Payload: strCodec{}.AppendEntries(appendVarint(nil, batchID(3, 1)), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}})}},
 		{"batch pull empty", Envelope{From: 1, Kind: KindBatchPull}},
 		{"sync empty", Envelope{From: 1, Kind: KindSync}},
 		{"sync slot zero", Envelope{From: 1, Kind: KindSync,
 			Payload: appendVarint(appendUvarint(appendUvarint(nil, 1), 0), 5)}},
 		{"sync pull empty", Envelope{From: 1, Kind: KindSyncPull}},
+		{"forward empty", Envelope{From: 1, Kind: KindForward}},
+		{"forward truncated", Envelope{From: 2, Kind: KindForward, Payload: appendUvarint(nil, 3)}},
 		{"unknown kind", Envelope{From: 1, Kind: Kind(42), Payload: []byte("x")}},
 	}
 	for i, tc := range cases {
@@ -108,6 +114,29 @@ func TestMalformedPayloadsCounted(t *testing.T) {
 		if len(res.Out) != 0 || len(res.Applied) != 0 {
 			t.Fatalf("%s: malformed input had effects: %+v", tc.name, res)
 		}
+	}
+}
+
+// TestForwardFromNobodyIgnored: a forward claiming to come from this
+// replica itself, or from a process outside the group, is dropped
+// whole — it is well-formed, so it is not Malformed, but it must never
+// reach the forward table (there is no slot for it) or start a slot.
+func TestForwardFromNobodyIgnored(t *testing.T) {
+	c := newFuzzCore(t)
+	payload := strCodec{}.AppendEntries(nil, []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}})
+	for _, from := range []core.ProcessID{0, 3, 63, -1} {
+		res := c.Step(Event[string]{Kind: EvEnvelope, Env: Envelope{From: from, Kind: KindForward, Payload: payload}})
+		if len(res.Out) != 0 || len(res.Applied) != 0 || c.Counters().Malformed != 0 {
+			t.Fatalf("forward from %d had effects: %+v, malformed=%d", from, res, c.Counters().Malformed)
+		}
+		if _, _, active := c.RoundState(); active {
+			t.Fatalf("forward from %d started a slot", from)
+		}
+	}
+	// The same payload from a real peer is work: it opens slot 1.
+	c.Step(Event[string]{Kind: EvEnvelope, Env: Envelope{From: 2, Kind: KindForward, Payload: payload}})
+	if _, _, active := c.RoundState(); !active {
+		t.Fatal("forward from a peer did not start a slot")
 	}
 }
 
@@ -138,6 +167,7 @@ func coreTraffic(f *testing.F) []Envelope {
 		}
 	}
 	collect(c.Step(Event[string]{Kind: EvSubmit, Client: 1, Seq: 1, Cmd: "put"}))
+	collect(c.Step(Event[string]{Kind: EvSubmit, Client: 1, Seq: 2, Cmd: "get"})) // mid-slot: a KindForward
 	collect(c.Step(Event[string]{Kind: EvRoundTimeout}))
 	collect(c.Step(Event[string]{Kind: EvTick}))
 	if len(envs) == 0 {

@@ -13,6 +13,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{Group: 0, Slot: 1, Round: 1, From: 0, Kind: KindRound, Payload: []byte{1, 2, 3}},
 		{Group: 7, Slot: 1 << 40, Round: 9999, From: 63, Kind: KindSyncPull, Payload: nil},
 		{Group: 1<<32 - 1, Slot: 0, Round: 0, From: 5, Kind: KindBatch, Payload: bytes.Repeat([]byte{0xAB}, 512)},
+		{Group: 3, From: 2, Kind: KindForward, Payload: strCodec{}.AppendEntries(nil, []Entry[string]{{Client: 3, Seq: 9, Cmd: "put"}})},
 	}
 	for _, want := range cases {
 		enc := AppendEnvelope(nil, want)
@@ -30,11 +31,12 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 func TestEnvelopeDecodeRejectsMalformed(t *testing.T) {
 	good := AppendEnvelope(nil, Envelope{Group: 1, Slot: 2, Round: 3, From: 4, Kind: KindRound})
 	cases := map[string][]byte{
-		"empty":      nil,
-		"truncated":  good[:2],
-		"no kind":    good[:len(good)-1],
-		"bad kind":   append(good[:len(good)-1:len(good)-1], 0xFF),
-		"bad sender": AppendEnvelope(nil, Envelope{From: core.ProcessID(core.MaxProcesses), Kind: KindRound}),
+		"empty":             nil,
+		"truncated":         good[:2],
+		"no kind":           good[:len(good)-1],
+		"bad kind":          append(good[:len(good)-1:len(good)-1], 0xFF),
+		"kind past forward": append(good[:len(good)-1:len(good)-1], byte(KindForward)+1),
+		"bad sender":        AppendEnvelope(nil, Envelope{From: core.ProcessID(core.MaxProcesses), Kind: KindRound}),
 	}
 	for name, b := range cases {
 		if _, err := DecodeEnvelope(b); err == nil {

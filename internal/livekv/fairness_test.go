@@ -1,0 +1,96 @@
+package livekv
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// TestEveryNodesClientsRideEverySlot is the proposer-starvation
+// regression. A slot decides one batch, and LastVoting's phase-1
+// coordinator breaks the all-ts=0 tie in its own favour, so when a
+// batch held only its proposer's commands node 0's clients rode every
+// slot and the others' waited for a slot node 0 had nothing for: with
+// this load the least-served node completed about a twentieth of the
+// most-served node's operations. With forward + merge every proposal
+// carries every replica's commands, so the closed-loop clients of all
+// three nodes advance together.
+//
+// The load is hoperf's live_delay in miniature — 16 closed-loop clients
+// pinned to node c mod 3, two groups, a fixed 500 µs one-way delay so a
+// slot takes long enough for commands to queue behind it — run to a
+// fixed operation count. Both assertions are ratios of counts; nothing
+// here depends on how fast the host is.
+func TestEveryNodesClientsRideEverySlot(t *testing.T) {
+	const clients, totalOps = 16, 2400
+	c, err := NewCluster(Config{Replicas: 3, Groups: 2, RoundTimeout: 5 * time.Millisecond}, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.N(); i++ {
+		c.Faults(i).SetDelay(500*time.Microsecond, 500*time.Microsecond)
+	}
+	c.Start()
+	t.Cleanup(c.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	var issued atomic.Int64
+	perNode := make([]atomic.Int64, c.N())
+	var wg sync.WaitGroup
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			node := cl % c.N()
+			for i := 0; issued.Add(1) <= totalOps; i++ {
+				// Eight keys per client spread its operations over both groups.
+				if err := c.Node(node).Put(ctx, fmt.Sprintf("c%d-k%d", cl, i%8), "v"); err != nil {
+					t.Errorf("client %d op %d: %v", cl, i, err)
+					return
+				}
+				perNode[node].Add(1)
+			}
+		}(cl)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := c.ConvergedWithin(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	lo, hi := perNode[0].Load(), perNode[0].Load()
+	for i := range perNode {
+		lo, hi = min(lo, perNode[i].Load()), max(hi, perNode[i].Load())
+	}
+	t.Logf("operations completed per node: %d %d %d", perNode[0].Load(), perNode[1].Load(), perNode[2].Load())
+	if float64(lo) < 0.5*float64(hi) {
+		t.Errorf("least-served node completed %d operations, most-served %d: ratio %.2f < 0.5 — a node's clients are starved",
+			lo, hi, float64(lo)/float64(hi))
+	}
+
+	var committed, slots, forwards, merged int
+	for _, st := range c.Node(0).Status() {
+		committed += st.Stats.Committed
+		slots += int(st.Stats.Applied)
+		forwards += st.Stats.Forwards
+		merged += st.Stats.Merged
+	}
+	t.Logf("node 0: %d commands in %d slots (%.2f per slot), %d forwards sent, %d commands proposed for peers",
+		committed, slots, float64(committed)/float64(slots), forwards, merged)
+	if committed != totalOps {
+		t.Errorf("committed %d commands, want %d", committed, totalOps)
+	}
+	if float64(committed) < 3*float64(slots) {
+		t.Errorf("%d commands in %d slots = %.2f per slot, want ≥ 3: slots are not carrying every node's commands",
+			committed, slots, float64(committed)/float64(slots))
+	}
+	if forwards == 0 || merged == 0 {
+		t.Errorf("forwards sent %d, commands merged %d: the forward + merge path never ran", forwards, merged)
+	}
+}

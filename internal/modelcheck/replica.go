@@ -3,8 +3,8 @@
 // package already verifies. The model is the deployed step function
 // itself, not a re-implementation: each replica is a live.ReplicaCore
 // fed the same events the production shell feeds it, so dissemination,
-// adopt-newest-offered, push/pull sync, apply-side session dedup, and
-// batch GC are all checked as written.
+// command forwarding and merged proposals, push/pull sync, apply-side
+// session dedup, and batch GC are all checked as written.
 //
 // The environment is the classic asynchronous message soup: every
 // envelope a step emits joins a SET of in-flight messages, and the
@@ -144,7 +144,8 @@ type ReplicaModel struct {
 // ReplicaViolation is a reachable safety violation of the replica layer.
 type ReplicaViolation struct {
 	// Kind classifies the broken invariant: "agreement", "integrity",
-	// "double-apply", "commit-regression", "gc-needed-batch".
+	// "double-apply", "commit-regression", "gc-needed-batch",
+	// "session-gap".
 	Kind    string
 	Message string
 }
@@ -172,6 +173,11 @@ type ReplicaResult struct {
 	// explored state — a vacuity guard: a clean run with MaxApplied 0
 	// never exercised decide/apply/GC and proves nothing about them.
 	MaxApplied uint64
+	// MaxMerged is the most commands any replica proposed on a peer's
+	// behalf in any explored state — the same guard for the forward +
+	// merge path: 0 means no proposal ever merged a forward or a peer's
+	// batch into a new one.
+	MaxMerged int
 	// Complete reports whether the reachable space was exhausted. False
 	// means the MaxStates budget cut the run: every visited state was
 	// still checked, so a clean incomplete run is a bounded-verification
@@ -318,6 +324,24 @@ func NewReplicaModel(m ReplicaModel) (*ReplicaModel, error) {
 	if m.MaxStates <= 0 {
 		m.MaxStates = 2_000_000
 	}
+	// The session-gap invariant reads "fresh applies == Σ high-water
+	// marks", which presumes each client's sequence numbers are exactly
+	// 1..k (the same number submitted twice is a retry and fine).
+	seqs := map[uint64]map[uint64]bool{}
+	for _, sub := range m.Workload {
+		if seqs[sub.Client] == nil {
+			seqs[sub.Client] = map[uint64]bool{}
+		}
+		seqs[sub.Client][sub.Seq] = true
+	}
+	//holint:allow nodeterminism validation only; any offending client is an error
+	for client, set := range seqs {
+		for s := uint64(1); s <= uint64(len(set)); s++ {
+			if !set[s] {
+				return nil, fmt.Errorf("modelcheck: client %d's workload sequence numbers are not contiguous from 1", client)
+			}
+		}
+	}
 	return &m, nil
 }
 
@@ -459,6 +483,9 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 		for _, c := range next.cores {
 			if l, _ := c.LogFingerprint(); l > res.MaxApplied {
 				res.MaxApplied = l
+			}
+			if m := c.Counters().Merged; m > res.MaxMerged {
+				res.MaxMerged = m
 			}
 		}
 		f := next.fingerprint()
@@ -671,6 +698,20 @@ func checkReplicaInvariants(n int, cores []*live.ReplicaCore[byte], isLive func(
 			if v := record(p, s, decided[s]); v != nil {
 				return v
 			}
+		}
+	}
+
+	// Session order: no apply may jump over an unapplied sequence number
+	// of its client (the jumped-over command could then never apply — the
+	// high-water mark dedups it). With each client's sequence numbers
+	// contiguous from 1 (NewReplicaModel checks the workload; the probes'
+	// are), every fresh apply raises one mark by exactly one, so the marks
+	// must add up to the fresh-apply count.
+	for p, c := range cores {
+		if sum, fresh := c.AppliedSeqSum(), uint64(c.Counters().Committed); sum != fresh {
+			return &ReplicaViolation{Kind: "session-gap", Message: fmt.Sprintf(
+				"replica %d applied %d commands fresh but its session high-water marks add up to %d: an apply skipped a sequence number",
+				p, fresh, sum)}
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"heardof/internal/lastvoting"
+	"heardof/internal/live"
 	"heardof/internal/otr"
 )
 
@@ -78,6 +79,28 @@ func TestCheckStall(t *testing.T) {
 	for p, applied := range control.Applied {
 		if applied != 1 {
 			t.Fatalf("control: replica %d applied %d slots, want 1 (all: %v)",
+				p, applied, control.Applied)
+		}
+	}
+}
+
+// TestCheckMergeSkip is the merge mutant kill: a merge that drops a
+// source's first unapplied entry but keeps the next commits a session's
+// seq 2 without its seq 1, which only the session-gap invariant
+// notices; the real merge commits both, in order, in one slot.
+func TestCheckMergeSkip(t *testing.T) {
+	mutated := CheckMergeSkip(true)
+	if mutated.Violation == nil || mutated.Violation.Kind != "session-gap" {
+		t.Fatalf("mutant not flagged as session-gap: %+v", mutated)
+	}
+	control := CheckMergeSkip(false)
+	if control.Flagged() {
+		t.Fatalf("control run flagged: violation=%+v findings=%+v",
+			control.Violation, control.Findings)
+	}
+	for p, applied := range control.Applied {
+		if applied != 2 {
+			t.Fatalf("control: replica %d applied %d slots, want 2 (all: %v)",
 				p, applied, control.Applied)
 		}
 	}
@@ -296,4 +319,56 @@ func TestReplicaExploreOTRRecoveryClosure(t *testing.T) {
 	}
 	t.Logf("recovery closure: %d states, %d transitions, maxApplied=%d, findings: %+v",
 		res.States, res.Transitions, res.MaxApplied, res.Findings)
+}
+
+// TestReplicaExploreLastVotingForward closes the scope in which the
+// forward + merge path actually runs: p1's second submission arrives
+// while its slot is in flight, so a KindForward joins the soup, and p0
+// (the phase's coordinator, whose own proposal wins the tie) —
+// depending on what the adversary delivers first — proposes p1's batch
+// id, a merged batch of its own, or nothing. MaxMerged > 0 is the
+// vacuity guard for that path; session-gap (with both of client 1's
+// commands in play) is the invariant it is there to break.
+func TestReplicaExploreLastVotingForward(t *testing.T) {
+	m, err := NewReplicaModel(ReplicaModel{
+		N:           2,
+		Slots:       1,
+		MaxRound:    5,
+		CrashBudget: 1,
+		Algorithm:   lastvoting.Algorithm{},
+		Msg:         lastvoting.WireCodec{},
+		Workload: []Submission{
+			{Replica: 1, Client: 1, Seq: 1, Cmd: 'a'},
+			{Replica: 1, Client: 1, Seq: 2, Cmd: 'b'},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil {
+		t.Fatalf("safety violation in unmutated protocol: %s: %s",
+			res.Violation.Kind, res.Violation.Message)
+	}
+	if !res.Complete {
+		t.Fatalf("expected full closure at this scope, stopped after %d states", res.States)
+	}
+	if res.MaxApplied == 0 || res.MaxMerged == 0 {
+		t.Fatalf("vacuous exploration: maxApplied=%d maxMerged=%d", res.MaxApplied, res.MaxMerged)
+	}
+	t.Logf("forward closure: %d states, %d transitions, maxApplied=%d, maxMerged=%d, findings: %+v",
+		res.States, res.Transitions, res.MaxApplied, res.MaxMerged, res.Findings)
+
+	// The same scope finds the seeded merge bug without a script.
+	m.Mutation = live.MutMergeSkip
+	res, err = m.Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation == nil || res.Violation.Kind != "session-gap" {
+		t.Fatalf("MutMergeSkip not flagged as session-gap: %+v", res.Violation)
+	}
 }

@@ -37,6 +37,17 @@
 //     pulling forever: the availability stall PR 5 documented, surfaced
 //     as a finding. The control run (no crash) recovers via pulls.
 //
+// One probe covers the forward + merge proposal path:
+//
+//   - CheckMergeSkip: live.MutMergeSkip makes propose()'s merge drop the
+//     first unapplied entry of a peer-sourced piece and keep the rest.
+//     Schedule: p1 accepts (client 2, seq 1) and (client 2, seq 2) while
+//     slot 1 is in flight and forwards both; slot 2's coordinator p0
+//     merges the forward. Real core: p0 proposes both, in order. Mutant:
+//     p0 proposes seq 2 alone, it applies, the high-water mark passes
+//     seq 1 and that command is gone — no two replicas disagree, nothing
+//     applies twice, so only the session-gap invariant sees it.
+//
 // Two further probes cover the crash-RECOVERY fault (a kill -9 with
 // stable storage intact, modeled by ReplicaCore.Recover — the
 // production restore path):
@@ -46,8 +57,9 @@
 //     coordinator alone with p1 holding the (x=A, ts=1) lock, p1
 //     crash-recovers, then p1 and p2 run freely. Real core: the
 //     restored lock steers the next phase back to A. Mutant: recovery
-//     comes back lockless, adopt-newest-offered re-proposes B, and the
-//     pair decides B against p0's applied A — the split the paper's
+//     comes back lockless and re-proposes from what it holds — a fresh
+//     merge of the two offered batches, any id but A — and the pair
+//     decides it against p0's applied A — the split the paper's
 //     stable-storage requirement exists to prevent.
 //   - CheckStallRecovery: CheckStall's exact window, but the proposer
 //     crash-RECOVERS instead of crash-stopping. Its batch hit its own
@@ -95,6 +107,11 @@ type scen struct {
 // coordinated algorithm: locked votes and coordinator quorums are what
 // the seeded bugs break.
 func newScen(n int, mut live.Mutation, retryAfter core.Round) *scen {
+	return newScenSlots(n, mut, retryAfter, 1)
+}
+
+// newScenSlots is newScen with a slot budget other than one.
+func newScenSlots(n int, mut live.Mutation, retryAfter core.Round, slots uint64) *scen {
 	s := &scen{n: n}
 	for p := 0; p < n; p++ {
 		c, err := live.NewReplicaCore(live.CoreConfig[byte]{
@@ -106,7 +123,7 @@ func newScen(n int, mut live.Mutation, retryAfter core.Round) *scen {
 			Mutation:   mut,
 			RetryAfter: retryAfter,
 			MaxRound:   64,
-			MaxSlots:   1,
+			MaxSlots:   slots,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("modelcheck: probe config: %v", err))
@@ -250,13 +267,14 @@ func CheckFreshRetry(mutated bool) ProbeResult {
 	s := newScen(3, mut, 10)
 
 	// Workload: p0 proposes batch A = (1<<40)|1, p2 batch B = (3<<40)|1.
-	// B > A, so adopt-newest-offered prefers B — the bait the mutant
-	// takes after forgetting its lock on A.
+	// A replica holding both and no lock proposes their merge under a
+	// fresh id — anything but A, which is all the bait has to be for the
+	// mutant that forgot its lock on A.
 	s.submit(0, 1, 1, 'a')
 	s.submit(2, 3, 1, 'c')
 
 	// Dissemination: contents of A and B reach p1 (it must be able to
-	// adopt B and to apply A); A reaches p2; B never reaches p0.
+	// re-propose B's command and to apply A); A reaches p2; B never reaches p0.
 	s.deliverWhere(kindIs(live.KindBatch))
 
 	// Phase 1 (rounds 1–4, coordinator p0), driven to a decision at p0
@@ -282,8 +300,8 @@ func CheckFreshRetry(mutated bool) ProbeResult {
 	// Starvation: p1 and p2 time out through dead phases (their round
 	// messages all lost). The real cores just climb rounds, keeping
 	// their state; mutated cores hit RetryAfter and restart with FRESH
-	// instances — p1 forgets ts=1 and re-proposes the newest offered
-	// batch (B), p2 re-proposes a new batch entirely.
+	// instances — p1 forgets ts=1 and re-proposes a fresh merge of A and
+	// B, p2 re-proposes a new batch too.
 	for i := 0; i < 12; i++ {
 		s.timeout(1)
 		s.timeout(2)
@@ -294,7 +312,8 @@ func CheckFreshRetry(mutated bool) ProbeResult {
 	// silent — it is done; everything to or from it is dropped). The
 	// real pair completes a p1-coordinated phase with p1's ts=1 lock
 	// steering the vote back to A: agreement holds. The mutated pair,
-	// locks forgotten, decides B — splitting from p0's applied A.
+	// locks forgotten, decides one of those fresh batches — splitting
+	// from p0's applied A.
 	for i := 0; i < 60; i++ {
 		s.deliverWhere(func(to core.ProcessID, env live.Envelope) bool {
 			return env.Kind == live.KindRound && to != 0 && env.From != 0
@@ -399,6 +418,37 @@ func CheckStall(crash bool) ProbeResult {
 	return s.finish()
 }
 
+// CheckMergeSkip runs the forwarded-commands schedule over two slots
+// with every message delivered. With mutated (live.MutMergeSkip) slot 2
+// commits client 2's seq 2 without its seq 1 — a session-gap violation;
+// without, slot 2 commits both in order and the run is clean with every
+// replica at commit index 2.
+func CheckMergeSkip(mutated bool) ProbeResult {
+	var mut live.Mutation
+	if mutated {
+		mut = live.MutMergeSkip
+	}
+	s := newScenSlots(3, mut, 0, 2)
+
+	// p0 opens slot 1 with batch A; its contents and round-1 traffic
+	// bring p1 and p2 into the slot, both proposing A's id.
+	s.submit(0, 1, 1, 'a')
+	s.deliverWhere(anyMsg)
+
+	// p1 accepts two commands of one session mid-slot: it cannot propose
+	// them, so it forwards its pending prefix — [b], then [b c].
+	s.submit(1, 2, 1, 'b')
+	s.submit(1, 2, 2, 'c')
+
+	// Free run, nothing lost: slot 1 decides A everywhere, then slot 2
+	// opens with p0 (phase-1 coordinator, whose own proposal wins the
+	// all-ts=0 tie) proposing the merge of p1's forward.
+	for i := 0; i < 40; i++ {
+		s.deliverWhere(anyMsg)
+	}
+	return s.finish()
+}
+
 // CheckForgetVote runs the recovery-forgets-the-lock schedule. With
 // mutated (live.MutForgetVote) the result must contain an agreement
 // violation; without, the restored vote steers the surviving pair back
@@ -412,8 +462,8 @@ func CheckForgetVote(mutated bool) ProbeResult {
 	s := newScen(3, mut, 0)
 
 	// Workload as in CheckFreshRetry: p0 proposes batch A = (1<<40)|1,
-	// p2 batch B = (3<<40)|1. B > A, so a lockless recovery re-proposing
-	// by adopt-newest-offered picks B — the bait.
+	// p2 batch B = (3<<40)|1. A lockless recovery re-proposes the merge
+	// of the batches it holds under a fresh id — not A: the bait.
 	s.submit(0, 1, 1, 'a')
 	s.submit(2, 3, 1, 'c')
 	s.deliverWhere(kindIs(live.KindBatch))
@@ -441,8 +491,8 @@ func CheckForgetVote(mutated bool) ProbeResult {
 	// is done). The recovered p1 restarts slot 1 from round 1 and jumps
 	// level on p2's future-round traffic. Real pair: a p1-coordinated
 	// phase sees p1's ts=1 estimate and votes A — agreement with p0.
-	// Mutated pair: both estimates carry ts=0 and value B; B decides,
-	// splitting from p0's applied A.
+	// Mutated pair: both estimates carry ts=0 and neither value is A;
+	// what decides splits from p0's applied A.
 	for i := 0; i < 60; i++ {
 		s.deliverWhere(func(to core.ProcessID, env live.Envelope) bool {
 			return env.Kind == live.KindRound && to != 0 && env.From != 0
