@@ -85,8 +85,8 @@ func runExplore(f liveFlags) error {
 	if !res.Complete {
 		closure = fmt.Sprintf("bounded at %d states", f.states)
 	}
-	fmt.Printf("explored: %d states, %d transitions (%s), deepest commit index %d\n",
-		res.States, res.Transitions, closure, res.MaxApplied)
+	fmt.Printf("explored: %d states, %d transitions (%s), deepest commit index %d, most slots in flight %d\n",
+		res.States, res.Transitions, closure, res.MaxApplied, res.MaxOpen)
 	for _, fd := range res.Findings {
 		fmt.Printf("finding: %s (%d states): %s\n", fd.Kind, fd.Count, fd.Message)
 	}
@@ -149,6 +149,22 @@ var mutantProbes = []mutantProbe{
 		},
 		desc: "proposal merge dropping a source's first unapplied command (lost command)",
 	},
+	{
+		name: "window-disjoint",
+		run:  modelcheck.CheckWindowDisjoint,
+		killed: func(r modelcheck.ProbeResult) bool {
+			return r.Violation != nil && r.Violation.Kind == "session-gap"
+		},
+		desc: "open slots proposing disjoint chunks instead of overlapping batches (lost command)",
+	},
+	{
+		name: "prune-open",
+		run:  modelcheck.CheckPruneOpen,
+		killed: func(r modelcheck.ProbeResult) bool {
+			return r.Violation != nil && r.Violation.Kind == "gc-needed-batch"
+		},
+		desc: "pruning a fully applied proposal whose slot is still open (decided id nobody holds)",
+	},
 }
 
 func hasFinding(r modelcheck.ProbeResult, kind string) bool {
@@ -171,7 +187,7 @@ func runMutants(f liveFlags) error {
 		}
 	}
 	if len(selected) == 0 {
-		return fmt.Errorf("unknown -mutant %q (want locked-vote, drift-livelock, stall-window, forget-vote, merge-skip, or all)", f.mutant)
+		return fmt.Errorf("unknown -mutant %q (want locked-vote, drift-livelock, stall-window, forget-vote, merge-skip, window-disjoint, prune-open, or all)", f.mutant)
 	}
 	survived := 0
 	for _, p := range selected {

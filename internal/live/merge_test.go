@@ -176,7 +176,7 @@ func TestMergeKeepsSessionOrder(t *testing.T) {
 				}
 			}
 			created := c.BatchesCreated()
-			bid := c.propose(&res)
+			bid, _ := c.propose(tc.slot, true, &res)
 
 			if len(tc.want) == 0 {
 				if bid != 0 {
@@ -201,22 +201,28 @@ func TestMergeKeepsSessionOrder(t *testing.T) {
 			} else if batchProposer(bid) != 0 || c.BatchesCreated() != created+1 {
 				t.Fatalf("proposed %#x, want one freshly minted batch of p0", bid)
 			}
-			want := ents(tc.want...)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("proposal\n got %v\nwant %v", got, want)
-			}
-			next := map[uint64]uint64{}
-			for _, e := range got {
-				if next[e.Client] == 0 {
-					next[e.Client] = c.hwm[e.Client] + 1
-				}
-				if e.Seq != next[e.Client] {
-					t.Fatalf("client %d: seq %d where %d was due — session order broken in %v",
-						e.Client, e.Seq, next[e.Client], got)
-				}
-				next[e.Client]++
-			}
+			checkRun(t, c, got, tc.want)
 		})
+	}
+}
+
+// checkRun compares a proposal with the expected entries and with the
+// session-order rule itself: per client, seqs hwm+1, hwm+2, … with no
+// hole and no repeat.
+func checkRun(t *testing.T, c *ReplicaCore[string], got []Entry[string], wantPairs [][2]uint64) {
+	t.Helper()
+	if want := ents(wantPairs...); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("proposal\n got %v\nwant %v", got, want)
+	}
+	next := map[uint64]uint64{}
+	for _, e := range got {
+		if next[e.Client] == 0 {
+			next[e.Client] = c.hwm[e.Client] + 1
+		}
+		if e.Seq != next[e.Client] {
+			t.Fatalf("client %d: seq %d where %d was due — session order broken in %v", e.Client, e.Seq, next[e.Client], got)
+		}
+		next[e.Client]++
 	}
 }
 
@@ -239,10 +245,12 @@ func TestProposeHasNoProposerBias(t *testing.T) {
 		return c
 	}
 	var res StepResult[string]
-	if got, want := load(1).propose(&res), batchID(1, 9); got != want {
+	if got, _ := load(1).propose(1, true, &res); got != batchID(1, 9) {
+		want := batchID(1, 9)
 		t.Fatalf("slot 1 proposed %#x, want p1's newest batch %#x", got, want)
 	}
-	if got, want := load(2).propose(&res), batchID(2, 1); got != want {
+	if got, _ := load(2).propose(2, true, &res); got != batchID(2, 1) {
+		want := batchID(2, 1)
 		t.Fatalf("slot 2 proposed %#x, want p2's batch %#x", got, want)
 	}
 	if len(res.Out) != 0 {
@@ -271,7 +279,8 @@ func TestProposeHasNoProposerBias(t *testing.T) {
 		t.Fatal(err)
 	}
 	res = StepResult[string]{}
-	got := rc.batches[rc.propose(&res)]
+	bid, _ := rc.propose(1, true, &res)
+	got := rc.batches[bid]
 	want := ents([2]uint64{11, 1}, [2]uint64{12, 1}, [2]uint64{10, 1}, [2]uint64{10, 2})
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("recovered proposal\n got %v\nwant %v", got, want)
@@ -279,12 +288,13 @@ func TestProposeHasNoProposerBias(t *testing.T) {
 }
 
 // coreNet wires three cores with a lossless FIFO network and records
-// every fresh apply per replica.
+// every fresh apply per replica: how often, and in which slot.
 type coreNet struct {
-	t     *testing.T
-	cores []*ReplicaCore[string]
-	queue []Outbound
-	fresh []map[[2]uint64]int
+	t      *testing.T
+	cores  []*ReplicaCore[string]
+	queue  []Outbound
+	fresh  []map[[2]uint64]int
+	slotOf []map[[2]uint64]uint64
 }
 
 func newCoreNet(t *testing.T) *coreNet {
@@ -292,6 +302,7 @@ func newCoreNet(t *testing.T) *coreNet {
 	for p := 0; p < 3; p++ {
 		n.cores = append(n.cores, mergeCore(t, core.ProcessID(p), 0))
 		n.fresh = append(n.fresh, map[[2]uint64]int{})
+		n.slotOf = append(n.slotOf, map[[2]uint64]uint64{})
 	}
 	return n
 }
@@ -301,6 +312,7 @@ func (n *coreNet) step(p core.ProcessID, ev Event[string]) {
 	for _, ae := range res.Applied {
 		if ae.Fresh {
 			n.fresh[p][[2]uint64{ae.Entry.Client, ae.Entry.Seq}]++
+			n.slotOf[p][[2]uint64{ae.Entry.Client, ae.Entry.Seq}] = ae.Slot
 		}
 	}
 	for _, o := range res.Out {
@@ -331,12 +343,16 @@ func (n *coreNet) drain() {
 	}
 }
 
-// TestForwardedCommandAppliesOnce runs the three-route case end to end:
-// p1 accepts two commands while slot 1 is in flight, so they reach p0
-// as a forward, again inside the batch p1 mints for slot 2, and p0 has
-// merged them into its own slot-2 batch by then. Every replica applies
-// each (client, seq) fresh exactly once, slot 2 alone carries all of
-// them, and the counters show the path taken.
+// TestForwardedCommandAppliesOnce runs the three-route case end to end.
+// p1 accepts two commands while slot 1 is in flight: the first opens
+// slot 2 at once (the window has room), the second finds the window full
+// and leaves as a forward — so it reaches p0 as a forward, again inside
+// the batch p1 mints for slot 3, and p0 has merged it into its own
+// slot-3 batch by then. Every replica applies each (client, seq) fresh
+// exactly once, and the counters show the path taken. Three slots, not
+// the two of the one-slot-at-a-time core: b no longer waits for slot 1
+// to finish before riding slot 2, so c and d, accepted a step later,
+// find slot 2's proposals already made and take slot 3.
 func TestForwardedCommandAppliesOnce(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
@@ -346,26 +362,28 @@ func TestForwardedCommandAppliesOnce(t *testing.T) {
 	n.step(2, Event[string]{Kind: EvSubmit, Client: 12, Seq: 1, Cmd: "d"})
 	n.drain()
 
+	wantSlot := map[[2]uint64]uint64{{10, 1}: 1, {11, 1}: 2, {11, 2}: 3, {12, 1}: 3}
 	for p, c := range n.cores {
 		st := c.Counters()
-		if st.Applied != 2 || st.Committed != 4 || st.Pending != 0 {
-			t.Fatalf("replica %d: applied %d slots, committed %d, pending %d; want 2, 4, 0",
-				p, st.Applied, st.Committed, st.Pending)
+		if st.Applied != 3 || st.Committed != 4 || st.Pending != 0 || st.Open != 0 {
+			t.Fatalf("replica %d: applied %d slots, committed %d, pending %d, open %d; want 3, 4, 0, 0",
+				p, st.Applied, st.Committed, st.Pending, st.Open)
 		}
-		for _, key := range [][2]uint64{{10, 1}, {11, 1}, {11, 2}, {12, 1}} {
-			if n.fresh[p][key] != 1 {
-				t.Fatalf("replica %d applied %v fresh %d times", p, key, n.fresh[p][key])
+		for key, slot := range wantSlot {
+			if n.fresh[p][key] != 1 || n.slotOf[p][key] != slot {
+				t.Fatalf("replica %d applied %v fresh %d times, in slot %d; want once, in slot %d",
+					p, key, n.fresh[p][key], n.slotOf[p][key], slot)
 			}
 		}
 	}
-	if f := n.cores[1].Counters().Forwards; f != 2 {
-		t.Fatalf("p1 emitted %d forwards, want 2 (one per mid-slot submit)", f)
+	if f := n.cores[1].Counters().Forwards; f != 1 {
+		t.Fatalf("p1 emitted %d forwards, want 1 (the submit that found the window full)", f)
 	}
 	if f := n.cores[0].Counters().Forwards; f != 0 {
 		t.Fatalf("p0 emitted %d forwards; it could propose its command at once", f)
 	}
-	if m := n.cores[0].Counters().Merged; m != 3 {
-		t.Fatalf("p0 proposed %d commands on its peers' behalf, want 3", m)
+	if m := n.cores[0].Counters().Merged; m < 3 {
+		t.Fatalf("p0 proposed %d commands on its peers' behalf, want b, c and d at least", m)
 	}
 }
 
@@ -378,15 +396,17 @@ func TestForwardedCommandAppliesOnce(t *testing.T) {
 // everything a lost forward can have carried.
 func TestRecoveryNeverReusesAForwardedSeq(t *testing.T) {
 	c := mergeCore(t, 1, 0)
-	c.Step(Event[string]{Kind: EvSubmit, Client: 11, Seq: c.NextSeq(11), Cmd: "durable: minted into p1's own batch"})
+	for i := 0; i < window; i++ {
+		c.Step(Event[string]{Kind: EvSubmit, Client: 11, Seq: c.NextSeq(11), Cmd: "durable: minted into a batch of p1's own"})
+	}
 	seq := c.NextSeq(11)
-	res := c.Step(Event[string]{Kind: EvSubmit, Client: 11, Seq: seq, Cmd: "forwarded mid-slot, on no disk"})
+	res := c.Step(Event[string]{Kind: EvSubmit, Client: 11, Seq: seq, Cmd: "forwarded with the window full, on no disk"})
 	if len(res.Out) != 1 || res.Out[0].Env.Kind != KindForward {
-		t.Fatalf("mid-slot submit emitted %+v, want one forward", res.Out)
+		t.Fatalf("submit into a full window emitted %+v, want one forward", res.Out)
 	}
 	sent, err := strCodec{}.DecodeEntries(res.Out[0].Env.Payload)
-	if err != nil || len(sent) != 2 || sent[1].Seq != seq {
-		t.Fatalf("forward carried %v (%v), want both pending commands", sent, err)
+	if err != nil || len(sent) != window+1 || sent[window].Seq != seq {
+		t.Fatalf("forward carried %v (%v), want every pending command", sent, err)
 	}
 
 	rc := c.Recover()

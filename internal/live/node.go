@@ -40,9 +40,17 @@ import (
 
 // slotRun is the round-driver state of one consensus slot: the instance,
 // the current round's partial heard-of set, buffered future-round
-// messages, and the highest peer round observed (the jump target).
+// messages, and the highest peer round observed (the jump target). A
+// replica runs up to `window` of them side by side (replicacore.go):
+// rounds are communication-closed per INSTANCE, so nothing orders the
+// rounds of different slots, and each run keeps its own round position,
+// heard set and deadline. prop is the batch id this replica proposed for
+// the slot (0 = the no-op) — the instance's own estimate moves on, but
+// which commands our open proposals carry is what decides whether the
+// next slot is worth opening.
 type slotRun struct {
 	slot   uint64
+	prop   int64
 	inst   core.Instance
 	r      core.Round
 	heard  map[core.ProcessID]core.Message
@@ -51,10 +59,11 @@ type slotRun struct {
 }
 
 // newSlotRun opens a slot's one instance at round 0; the caller advances
-// into round 1 with beginRound.
-func newSlotRun(slot uint64, inst core.Instance) *slotRun {
+// into round 1 with enter.
+func newSlotRun(slot uint64, inst core.Instance, prop int64) *slotRun {
 	return &slotRun{
 		slot:   slot,
+		prop:   prop,
 		inst:   inst,
 		future: make(map[core.Round]map[core.ProcessID]core.Message),
 	}

@@ -4,8 +4,13 @@
 // from a recovered wal.State.
 //
 // Write-ahead discipline, enforced by the shell: every Save* a core
-// step issues is made durable by one Persister.Sync() BEFORE any
-// envelope of that step is transmitted or any submitter acknowledged.
+// step issues is made durable by a Persister.Sync() BEFORE any envelope
+// of that step is transmitted or any submitter acknowledged. The
+// barrier is per GROUP of steps: the shell steps every delivery queued
+// at a wakeup, then syncs once, then lets the group's envelopes and
+// acks out together — and skips the sync when the group produced
+// neither, leaving its saves buffered for the next barrier (nothing
+// un-synced is ever visible, because nothing of that group is).
 // Since all externally visible behavior flows through envelopes and
 // acks, no peer or client can ever have observed state the log does
 // not hold — which is exactly the paper's crash-RECOVERY model (the
@@ -21,7 +26,9 @@
 //	SaveBatch     propose() and handleBatch(): batch contents at first sight
 //	              (every id that can be DECIDED is minted by propose())
 //	SaveVote      transitionRound(): instance state (the locked vote) after
-//	              every undecided transition
+//	              every undecided transition, under the slot it belongs to
+//	              — a replica has a window of slots open, and recovery
+//	              needs the vote of each
 //	SaveDecision  recordDecision(): a slot's decided batch id
 //	SaveApplied   applySlot(): the applied slot and its fresh (client,seq)
 //	              advancements
@@ -33,10 +40,11 @@
 // batch that propose() saves as its own; what recovery owes them is
 // only to never REUSE a sequence number a lost forward may have carried
 // — see seqFloor in RestoreReplicaCore), peer commit-index
-// observations (re-learned from traffic), and the
-// round position (volatile by the paper's model; recovery restarts the
-// slot's instance at round 1 with the restored vote and the jump rule
-// re-aligns it with the group).
+// observations (re-learned from traffic), which slot each held batch
+// was proposed for (recovery assumes the furthest one the window
+// allows), and the round positions (volatile by the paper's model;
+// recovery reopens each slot's instance at round 1 with its restored
+// vote and the jump rule re-aligns it with the group).
 
 package live
 
@@ -52,7 +60,9 @@ import (
 // the model checker byte-identical to a persister-free build.
 //
 // Save* calls buffer; Sync makes everything buffered durable. The
-// byte slices passed to SaveBatch/SaveVote are not retained.
+// byte slices passed to SaveBatch/SaveVote are not retained. SaveVote's
+// slot is the vote's identity: a replica runs a window of slots, and
+// the newest state saved under each slot is that slot's vote.
 type Persister interface {
 	SaveBatch(bid int64, contents []byte)
 	SaveVote(slot uint64, state []byte)
@@ -76,9 +86,10 @@ type statePersistent interface {
 // log (and its hash, recomputed), session high-water marks, retained
 // batches, decided-but-unapplied slots, the batch counter (so new
 // batch ids never collide with durable pre-crash ones), and the newest
-// vote state, which is re-installed into the slot's fresh instance
-// when consensus for it restarts. Everything volatile is gone: pending
-// submissions, peer observations, and the round position.
+// vote state of every slot that was open, each re-installed into its
+// slot's fresh instance when consensus for it reopens. Everything
+// volatile is gone: pending submissions, peer observations, and the
+// round positions.
 //
 // MutForgetVote (model checker only) drops the restored vote — the
 // seeded recovery bug that lets a second attempt contradict a decision
@@ -131,11 +142,17 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 		}
 	}
 	for _, bid := range c.log {
-		if bid != 0 {
-			if _, held := c.batches[bid]; held {
-				c.inLog[bid] = true
-			}
+		if _, held := c.batches[bid]; held {
+			c.logRefs[bid]++
 		}
+	}
+	// Which slot a held batch was proposed for died with the crash, and a
+	// peer may yet vote for its id: hold each as if proposed for the
+	// furthest slot the window allowed. (Everything that made a proposal
+	// of ours visible was synced after the applies before it, so the
+	// recovered log is at least as long as the one it was proposed from.)
+	for bid := range c.batches {
+		c.proposedFor(bid, uint64(len(c.log))+window)
 	}
 	// Forwards are the one way a command leaves this replica with nothing
 	// about it on disk, so a pre-crash (client, seq) may still sit in the
@@ -161,25 +178,28 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 			c.decided[slot] = bid
 		}
 	}
-	next := uint64(len(c.log)) + 1
-	switch {
-	case st.VoteSlot > next:
-		return nil, fmt.Errorf("live: recovered vote for slot %d beyond next slot %d", st.VoteSlot, next)
-	case st.VoteSlot == next && len(st.Vote) > 0 && cfg.Mutation&MutForgetVote == 0:
-		// Validate the encoding now (startSlot cannot return an error).
+	applied := uint64(len(c.log))
+	for slot, vote := range st.Votes {
+		_, decided := c.decided[slot]
+		switch {
+		case slot > applied+window:
+			return nil, fmt.Errorf("live: recovered vote for slot %d beyond the window of %d slots after %d applied", slot, window, applied)
+		case slot <= applied || decided || len(vote) == 0 || cfg.Mutation&MutForgetVote != 0:
+			continue // stale, or the seeded bug
+		}
+		// Validate the encoding now (openSlot cannot return an error).
 		probe := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, 0)
 		sp, ok := probe.(statePersistent)
 		if !ok {
 			return nil, fmt.Errorf("live: algorithm %T cannot restore persisted votes", probe)
 		}
-		if err := sp.RestoreState(st.Vote); err != nil {
-			return nil, fmt.Errorf("live: recovered vote: %w", err)
+		if err := sp.RestoreState(vote); err != nil {
+			return nil, fmt.Errorf("live: recovered vote for slot %d: %w", slot, err)
 		}
-		c.restoredVote = append([]byte(nil), st.Vote...)
-		c.restoredVoteSlot = st.VoteSlot
-		// The slot was mid-consensus: restart it even with nothing else
-		// queued, so the locked vote re-enters the group's next attempt.
-		c.poked = true
+		// The slot was mid-consensus: advance reopens it (and any slot
+		// below it) even with nothing else queued, so the locked vote
+		// re-enters the group's next attempt.
+		c.restoredVotes[slot] = append([]byte(nil), vote...)
 	}
 	return c, nil
 }
@@ -197,6 +217,7 @@ func (c *ReplicaCore[C]) PersistState() *wal.State {
 		BatchSeq:  c.batchSeq,
 		Batches:   make(map[int64][]byte, len(c.batches)),
 		Decided:   make(map[uint64]int64, len(c.decided)),
+		Votes:     make(map[uint64][]byte, len(c.open)+len(c.restoredVotes)),
 	}
 	for client, seq := range c.hwm {
 		st.HWM[client] = seq
@@ -207,13 +228,13 @@ func (c *ReplicaCore[C]) PersistState() *wal.State {
 	for slot, bid := range c.decided {
 		st.Decided[slot] = bid
 	}
-	if c.cur != nil {
-		if sa, ok := c.cur.inst.(stateAppender); ok {
-			st.VoteSlot, st.Vote = c.cur.slot, sa.AppendState(nil)
+	for slot, vote := range c.restoredVotes {
+		st.Votes[slot] = append([]byte(nil), vote...)
+	}
+	for _, run := range c.open {
+		if sa, ok := run.inst.(stateAppender); ok {
+			st.Votes[run.slot] = sa.AppendState(nil)
 		}
-	} else if c.restoredVoteSlot > uint64(len(c.log)) {
-		st.VoteSlot = c.restoredVoteSlot
-		st.Vote = append([]byte(nil), c.restoredVote...)
 	}
 	return st
 }
@@ -239,13 +260,13 @@ func (c *ReplicaCore[C]) EntriesOf(bid int64) ([]Entry[C], bool) {
 	return entries, ok
 }
 
-// persistVote saves the running instance's state after a transition.
-func (c *ReplicaCore[C]) persistVote() {
-	if c.cfg.Persist == nil || c.cur == nil {
+// persistVote saves run's instance state after a transition.
+func (c *ReplicaCore[C]) persistVote(run *slotRun) {
+	if c.cfg.Persist == nil {
 		return
 	}
-	if sa, ok := c.cur.inst.(stateAppender); ok {
-		c.cfg.Persist.SaveVote(c.cur.slot, sa.AppendState(nil))
+	if sa, ok := run.inst.(stateAppender); ok {
+		c.cfg.Persist.SaveVote(run.slot, sa.AppendState(nil))
 	}
 }
 

@@ -347,8 +347,7 @@ func TestRestoredVoteInstalled(t *testing.T) {
 		Batches: map[int64][]byte{},
 		Decided: map[uint64]int64{},
 		// The vote belongs to the next slot (2): mid-consensus crash.
-		VoteSlot: 2,
-		Vote:     vote,
+		Votes: map[uint64][]byte{2: vote},
 	}
 	cfg := CoreConfig[string]{
 		Self: 1, N: 3,
@@ -360,20 +359,20 @@ func TestRestoredVoteInstalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.PersistState(); got.VoteSlot != 2 || !bytes.Equal(got.Vote, vote) {
+	if got := c.PersistState(); len(got.Votes) != 1 || !bytes.Equal(got.Votes[2], vote) {
 		t.Fatalf("restored core does not carry the vote: %+v", got)
 	}
-	// Any step restarts the slot (the restore poked the core); the new
+	// Any step reopens the slot (a recovered vote is work); the new
 	// instance must carry the locked estimate.
 	c.Step(Event[string]{Kind: EvNudge})
-	if slot, _, active := c.RoundState(); !active || slot != 2 {
-		t.Fatalf("consensus did not restart for slot 2 (active=%v slot=%d)", active, slot)
+	if open := c.OpenRounds(nil); len(open) != 1 || open[0].Slot != 2 {
+		t.Fatalf("consensus did not reopen slot 2: open %+v", open)
 	}
 	after := c.PersistState()
-	if after.VoteSlot != 2 {
+	if len(after.Votes) != 1 {
 		t.Fatalf("running instance not persisted: %+v", after)
 	}
-	if x, n := binary.Varint(after.Vote); n <= 0 || x != 4242 {
+	if x, n := binary.Varint(after.Votes[2]); n <= 0 || x != 4242 {
 		t.Fatalf("restored instance lost the locked estimate: x=%d", x)
 	}
 
@@ -383,7 +382,7 @@ func TestRestoredVoteInstalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.PersistState(); got.VoteSlot != 0 || len(got.Vote) != 0 {
+	if got := m.PersistState(); len(got.Votes) != 0 {
 		t.Fatalf("MutForgetVote kept the vote: %+v", got)
 	}
 }
@@ -396,12 +395,11 @@ func TestStaleVoteDropped(t *testing.T) {
 		AppendState(dst []byte) []byte
 	}).AppendState(nil)
 	st := &wal.State{
-		Log:      []int64{9},
-		HWM:      map[uint64]uint64{},
-		Batches:  map[int64][]byte{},
-		Decided:  map[uint64]int64{},
-		VoteSlot: 1, // slot 1 already applied
-		Vote:     vote,
+		Log:     []int64{9},
+		HWM:     map[uint64]uint64{},
+		Batches: map[int64][]byte{},
+		Decided: map[uint64]int64{},
+		Votes:   map[uint64][]byte{1: vote}, // slot 1 already applied
 	}
 	c, err := RestoreReplicaCore(CoreConfig[string]{
 		Self: 0, N: 3,
@@ -412,7 +410,7 @@ func TestStaleVoteDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.PersistState(); got.VoteSlot != 0 {
+	if got := c.PersistState(); len(got.Votes) != 0 {
 		t.Fatalf("stale vote survived restore: %+v", got)
 	}
 }

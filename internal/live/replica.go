@@ -11,13 +11,21 @@
 //     broadcasts the contents best-effort. Batches are re-pulled on
 //     demand, so dissemination only needs fair-lossy links. Which
 //     commands: every unapplied one the proposer has heard of. A replica
-//     that accepts a command while it cannot propose (a slot is in
-//     flight) FORWARDS its pending prefix to its peers at once — a hint,
-//     never persisted, latest-per-sender — and every proposal MERGES own
-//     pending ∪ the peers' forwards ∪ the newest unapplied batch held
-//     from each proposer, in per-source order.
+//     that accepts a command while it cannot propose (its slot window
+//     is full) FORWARDS its pending prefix to its peers at once — a
+//     hint, never persisted, latest-per-sender — and every proposal
+//     MERGES own pending ∪ the peers' forwards ∪ the newest unapplied
+//     batch held from each proposer, in per-source order.
 //   - Agreement: each slot runs one core.Instance (LastVoting, OTR, …)
-//     whose proposals are batch IDS (they fit core.Value). Whichever
+//     whose proposals are batch IDS (they fit core.Value), and a replica
+//     keeps a small WINDOW of slots in flight (replicacore.go's `window`):
+//     rounds are communication-closed per instance, so nothing orders
+//     the instances of different slots — a good period long enough for
+//     one phase serves every instance open in it — and only APPLY is in
+//     slot order. A command accepted while a slot runs therefore opens
+//     the next slot at once instead of waiting the running one out.
+//     Proposals of open slots overlap (each starts at the first
+//     unapplied command; see propose()). Whichever
 //     proposal the instance picks — the coordinator's own under
 //     LastVoting, the smallest under OTR — therefore commits every
 //     replica's commands, not one proposer's; a replica whose union is
@@ -28,8 +36,8 @@
 //
 // Commands carry (client, seq) session identities; apply keeps a
 // high-water mark per client, so overlapping batches (merged proposals
-// overlap by design; so does a retried command landing in two) still
-// apply exactly once — the same exactly-once contract rsm's sessions
+// overlap by design, the proposals of two open slots even more so; so
+// does a retried command landing in two) still apply exactly once — the same exactly-once contract rsm's sessions
 // give, enforced at the other end. The mark is also why the merge must
 // keep every source's order: see propose() in replicacore.go.
 //
@@ -44,19 +52,21 @@
 // file: it is ReplicaCore (replicacore.go), a pure step function that
 // the exhaustive model checker (internal/modelcheck) explores directly.
 // Replica is the production SHELL around that core — one event-loop
-// goroutine that turns transport deliveries, round-timeout fires, pull
-// retries, and heartbeat ticks into core events, transmits the
-// envelopes each step returns (rate-limiting targeted sync traffic),
-// runs the Apply hook for committed entries, and resolves submitter
-// waiters. Time, goroutines, and channels stop at this boundary.
+// goroutine that turns transport deliveries, round-timeout fires (one
+// deadline per open slot), pull retries, and heartbeat ticks into core
+// events, steps every delivery already queued at a wakeup, makes what
+// those steps saved durable with ONE barrier, then transmits the
+// envelopes they returned (rate-limiting targeted sync traffic), runs
+// the Apply hook for committed entries, and resolves submitter waiters.
+// Time, goroutines, and channels stop at this boundary.
 //
 // Fault envelope: transmission faults of any rate and crash-RECOVERY
 // are fully handled — with a Persister configured, kill -9 included:
 // the wal package is the paper's stable storage, the sync-before-send
 // barrier in dispatch makes every externally visible fact durable
-// first, and a restarted replica reloads snapshot+log (locked votes,
-// decisions, dedup high-water marks, batch contents) and rejoins via
-// the ordinary sync path. The PR-5 dissemination-window stall is
+// first, and a restarted replica reloads snapshot+log (the locked vote
+// of every slot that was open, decisions, dedup high-water marks, batch
+// contents) and rejoins via the ordinary sync path. The PR-5 dissemination-window stall is
 // closed for that model: a proposer's batch body is on its own disk
 // before the id is proposed, so a recovered proposer always serves the
 // pull (the model checker's CheckStallRecovery probe proves it).
@@ -144,6 +154,14 @@ type ReplicaStats struct {
 	// entries of the batches it minted that came from a forward or from
 	// a peer's batch rather than from its own pending queue.
 	Merged int
+	// Open counts the slots in flight right now: running consensus
+	// instances of the slot window (at most `window`).
+	Open int
+	// Overlapped counts entries this replica minted into a batch while an
+	// open proposal of its own already carried them — the price of
+	// overlapping proposals: apply-side dedup drops them again unless the
+	// earlier slot decided someone else's batch.
+	Overlapped int
 }
 
 // ReplicaConfig parameterizes one process's replica of one group.
@@ -177,8 +195,9 @@ type ReplicaConfig[C any] struct {
 
 	// Persist, when non-nil, is the durability layer (typically a
 	// wal.Store): every protocol fact a core step saves is made durable
-	// by one Sync before the step's envelopes are transmitted or its
-	// waiters acknowledged. Nil keeps the replica volatile.
+	// by a Sync before the step's envelopes are transmitted or its
+	// waiters acknowledged — one Sync per event-loop wakeup, covering
+	// every step of it. Nil keeps the replica volatile.
 	Persist Persister
 	// Recovered is the state to restart from (the wal.Open result for
 	// Persist's directory). Nil or zero-valued means a fresh replica.
@@ -221,6 +240,11 @@ type Replica[C any] struct {
 
 	lastPush map[core.ProcessID]time.Time // targeted sync-push rate limiter
 	lastPull map[core.ProcessID]time.Time // targeted sync-pull rate limiter
+
+	// One wakeup's joint step output, reused across wakeups. Only the
+	// event loop touches them, under mu while the steps run.
+	out     []Outbound
+	applied []AppliedEntry[C]
 
 	workCh chan struct{}
 }
@@ -443,101 +467,164 @@ func (r *Replica[C]) signalWork() {
 // ---------------------------------------------------------------------
 // The event loop.
 
+// maxDrain bounds how many queued transport deliveries one wakeup steps
+// before its barrier: enough to cover a burst of round traffic for every
+// open slot, small enough that timers and submissions are not starved.
+const maxDrain = 64
+
 // run is the replica's only goroutine: it feeds events into the core and
-// keeps the two shell timers — the per-round collection window and the
-// missing-batch pull retry — consistent with the core's state.
+// keeps the shell timers — one collection-window deadline per open slot,
+// and the missing-batch pull retry — consistent with the core's state.
 func (r *Replica[C]) run() {
 	in := r.cfg.Transport.Recv()
 	hb := time.NewTicker(r.cfg.SyncEvery)
 	defer hb.Stop()
 
+	// One timer serves every open slot: it is armed for the earliest of
+	// their deadlines, and a fire times out each slot whose deadline has
+	// passed. A slot's deadline is set when the core enters a round the
+	// shell has not seen it in, and left alone otherwise.
 	roundTimer := newStoppedTimer()
 	defer roundTimer.Stop()
+	type deadline struct {
+		SlotRound
+		at time.Time
+	}
+	var deadlines, scratch []deadline
+	var open []SlotRound
+	var armedAt time.Time // what roundTimer is set for; zero when stopped
+
+	// The pull retry is armed once per blocked batch, not per event: under
+	// steady traffic a timer re-armed by every reconcile would never fire.
 	retryTimer := newStoppedTimer()
 	defer retryTimer.Stop()
-
-	// The (slot, round) the round timer was last armed for: re-arm
-	// whenever the core enters a different round.
-	var armedSlot uint64
-	var armedRound core.Round
+	var retryFor int64
 
 	reconcile := func() {
 		r.mu.Lock()
-		slot, round, active := r.core.RoundState()
-		blocked := r.core.Blocked() != 0
+		open = r.core.OpenRounds(open[:0])
+		blocked := r.core.Blocked()
 		r.mu.Unlock()
-		if active {
-			if slot != armedSlot || round != armedRound {
-				armedSlot, armedRound = slot, round
-				resetTimer(roundTimer, r.cfg.RoundTimeout)
+		now := time.Now()
+		scratch = scratch[:0]
+		var earliest time.Time
+		for _, sr := range open {
+			d := deadline{SlotRound: sr, at: now.Add(r.cfg.RoundTimeout)}
+			for _, old := range deadlines {
+				if old.SlotRound == sr {
+					d.at = old.at
+				}
 			}
-		} else if armedSlot != 0 || armedRound != 0 {
-			armedSlot, armedRound = 0, 0
-			stopTimer(roundTimer)
+			scratch = append(scratch, d)
+			if earliest.IsZero() || d.at.Before(earliest) {
+				earliest = d.at
+			}
 		}
-		if blocked {
-			resetTimer(retryTimer, pullRetry)
-		} else {
-			stopTimer(retryTimer)
+		deadlines, scratch = scratch, deadlines
+		if !earliest.Equal(armedAt) {
+			armedAt = earliest
+			if earliest.IsZero() {
+				stopTimer(roundTimer)
+			} else {
+				resetTimer(roundTimer, earliest.Sub(now))
+			}
+		}
+		if blocked != retryFor {
+			retryFor = blocked
+			if blocked != 0 {
+				resetTimer(retryTimer, pullRetry)
+			} else {
+				stopTimer(retryTimer)
+			}
 		}
 	}
 	reconcile()
 
+	var evs []Event[C]
 	for {
+		evs = evs[:0]
 		select {
 		case env, ok := <-in:
 			if !ok {
 				return
 			}
-			r.dispatch(Event[C]{Kind: EvEnvelope, Env: env})
+			evs = append(evs, Event[C]{Kind: EvEnvelope, Env: env})
 		case <-r.workCh:
-			r.dispatch(Event[C]{Kind: EvNudge})
+			evs = append(evs, Event[C]{Kind: EvNudge})
 		case <-roundTimer.C:
-			armedSlot, armedRound = 0, 0 // fired: re-arm via reconcile
-			r.dispatch(Event[C]{Kind: EvRoundTimeout})
+			armedAt = time.Time{} // fired: re-arm via reconcile
+			now, kept := time.Now(), deadlines[:0]
+			for _, d := range deadlines {
+				if d.at.After(now) {
+					kept = append(kept, d)
+				} else {
+					evs = append(evs, Event[C]{Kind: EvRoundTimeout, Slot: d.Slot})
+				}
+			}
+			deadlines = kept
 		case <-retryTimer.C:
-			r.dispatch(Event[C]{Kind: EvTick})
+			retryFor = 0 // fired: re-arm via reconcile while still blocked
+			evs = append(evs, Event[C]{Kind: EvTick})
 		case <-hb.C:
-			r.dispatch(Event[C]{Kind: EvTick})
+			evs = append(evs, Event[C]{Kind: EvTick})
 		case <-r.ctx.Done():
 			return
 		}
+		// Whatever woke the loop, step the deliveries already queued behind
+		// it too: they share the wakeup's one durability barrier.
+	drain:
+		for len(evs) < maxDrain {
+			select {
+			case env, ok := <-in:
+				if !ok {
+					break drain // the next blocking receive returns
+				}
+				evs = append(evs, Event[C]{Kind: EvEnvelope, Env: env})
+			default:
+				break drain
+			}
+		}
+		r.dispatch(evs)
 		reconcile()
 	}
 }
 
-// dispatch runs one core step and executes its effects: the durability
-// barrier FIRST (everything the step saved is synced before any of its
-// output becomes visible), then the Apply hook and waiter resolution
-// for committed entries (under mu, in commit order), then transmission
-// of the step's envelopes with targeted sync traffic rate-limited per
-// peer. A durability failure halts the replica — acknowledging or
-// gossiping state the disk refused would turn the next crash into the
-// split-brain the log exists to prevent, so the replica goes silent
-// (crash-stop) instead.
-func (r *Replica[C]) dispatch(ev Event[C]) {
+// dispatch runs one core step per event and then executes their joint
+// effects: the durability barrier FIRST — one Sync makes everything the
+// steps saved durable before any of their output becomes visible — then
+// the Apply hook and waiter resolution for committed entries (under mu,
+// in commit order), then transmission of the steps' envelopes with
+// targeted sync traffic rate-limited per peer. Steps that produced
+// neither envelopes nor applies made nothing visible, so their saves
+// stay buffered for the next barrier. A durability failure halts the
+// replica — acknowledging or gossiping state the disk refused would turn
+// the next crash into the split-brain the log exists to prevent, so the
+// replica goes silent (crash-stop) instead.
+func (r *Replica[C]) dispatch(evs []Event[C]) {
 	r.mu.Lock()
-	res := r.core.Step(ev)
-	if r.cfg.Persist != nil {
-		//holint:allow lockorder the sync-before-send barrier is atomic with the step by design: no envelope or ack of this step may become visible before the fsync, and every other mu path is a step that must serialize behind the barrier anyway (DESIGN.md §11)
+	out, applied := r.out[:0], r.applied[:0]
+	for _, ev := range evs {
+		res := r.core.Step(ev)
+		out = append(out, res.Out...)
+		applied = append(applied, res.Applied...)
+	}
+	r.out, r.applied = out, applied
+	if r.cfg.Persist != nil && len(out)+len(applied) > 0 {
+		//holint:allow lockorder the sync-before-send barrier is atomic with the steps by design: no envelope or ack of theirs may become visible before the fsync, and every other mu path is a step that must serialize behind the barrier anyway (DESIGN.md §11)
 		if err := r.cfg.Persist.Sync(); err != nil {
-			if r.persistErr == nil {
-				r.persistErr = err
-			}
-			r.mu.Unlock()
-			r.cancel()
+			r.halt(err)
 			return
 		}
 	}
-	for _, ae := range res.Applied {
-		out := ApplyResult{Slot: ae.Slot, Dup: !ae.Fresh}
+	for _, ae := range applied {
+		res := ApplyResult{Slot: ae.Slot, Dup: !ae.Fresh}
 		if ae.Fresh && r.cfg.Apply != nil {
-			out.Out = r.cfg.Apply(ae.Slot, ae.Entry)
+			res.Out = r.cfg.Apply(ae.Slot, ae.Entry)
 		}
 		key := waiterKey{ae.Entry.Client, ae.Entry.Seq}
 		if ch, ok := r.waiters[key]; ok {
 			//holint:allow lockorder the waiter channel is buffered(1) and this delete makes it the sole send ever, so the send cannot block
-			ch <- out
+			ch <- res
 			delete(r.waiters, key)
 		}
 	}
@@ -546,20 +633,15 @@ func (r *Replica[C]) dispatch(ev Event[C]) {
 			// The Apply hook just ran for everything in the log, so the
 			// app snapshot lines up with the protocol snapshot.
 			if err := r.checkpointLocked(); err != nil {
-				if r.persistErr == nil {
-					r.persistErr = err
-				}
-				r.mu.Unlock()
-				r.cancel()
+				r.halt(err)
 				return
 			}
 		}
 	}
-	var send []Outbound
-	if len(res.Out) > 0 {
+	send := out[:0]
+	if len(out) > 0 {
 		now := time.Now()
-		send = res.Out[:0]
-		for _, o := range res.Out {
+		for _, o := range out {
 			if o.To != AllPeers {
 				switch o.Env.Kind {
 				case KindSync:
@@ -583,6 +665,16 @@ func (r *Replica[C]) dispatch(ev Event[C]) {
 			r.cfg.Transport.Send(o.To, o.Env)
 		}
 	}
+}
+
+// halt records the first durability failure and stops the replica.
+// Callers hold mu; halt releases it.
+func (r *Replica[C]) halt(err error) {
+	if r.persistErr == nil {
+		r.persistErr = err
+	}
+	r.mu.Unlock()
+	r.cancel()
 }
 
 // broadcast sends env to every peer but self.

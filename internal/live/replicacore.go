@@ -1,10 +1,12 @@
 // ReplicaCore: the replica protocol as a pure step function. Everything
-// that makes the live replica a PROTOCOL — round-message delivery into
-// the per-slot instance, command forwarding and merged proposals (every
-// proposal carries every command its proposer has heard of, so a slot
-// commits all replicas' work whichever proposal wins), batch
-// dissemination, push/pull decision sync, apply-side (client,seq) dedup,
-// and batch GC against the min-peer-applied horizon — lives here as
+// that makes the live replica a PROTOCOL — the slot window (up to
+// `window` consensus instances in flight, applied strictly in order),
+// round-message delivery into each slot's instance, command forwarding
+// and merged proposals (every proposal carries every command its
+// proposer has heard of, so a slot commits all replicas' work whichever
+// proposal wins), batch dissemination, push/pull decision sync,
+// apply-side (client,seq) dedup, and batch GC against the
+// min-peer-applied horizon — lives here as
 //
 //	state × event → state′ × outbound envelopes × applied entries
 //
@@ -21,10 +23,10 @@
 //     the deployed protocol, not a hand-written model of it.
 //
 // Within one Step the core self-drives to a local fixpoint: any event
-// may unblock applying decided slots, which may free the core to start
-// the next slot's consensus, which may (for n=1 or a jumped backlog)
-// close rounds immediately. Events are therefore coarse "something
-// happened" edges; the core owns all protocol sequencing.
+// may unblock applying decided slots, which slides the window and may
+// let the core open further slots, which may (for n=1 or a jumped
+// backlog) close rounds immediately. Events are therefore coarse
+// "something happened" edges; the core owns all protocol sequencing.
 
 package live
 
@@ -66,7 +68,28 @@ const (
 	// high-water mark passes the skipped one, and that command is lost
 	// without ever applying (its waiter hangs).
 	MutMergeSkip
+	// MutWindowDisjoint makes a proposal leave out every command an open
+	// proposal of this replica already carries — disjoint chunks per
+	// slot instead of overlapping ones. If the earlier slot then decides
+	// somebody else's batch, the later one applies a session's seq s+1
+	// while s never committed: the same lost command as MutMergeSkip,
+	// reached through the slot window.
+	MutWindowDisjoint
+	// MutPruneOpen drops the retention rule for proposals of unapplied
+	// slots: a batch whose entries all applied through an overlapping
+	// batch is pruned although a slot it was proposed for can still
+	// decide it — and then decides an id whose contents nobody holds.
+	MutPruneOpen
 )
+
+// window is how many slots a replica keeps in flight: slots
+// applied+1 … applied+window may have a running instance, so a command
+// accepted while a slot runs rides the next one at once instead of
+// waiting the running one out. One constant, chosen from the committed
+// sweep in EXPERIMENTS.md ("Perf trajectory (PR 13)"): deeper windows
+// mostly split the same commands over more slots, and every slot costs
+// a durable replica its syncs.
+const window = 2
 
 // CoreConfig parameterizes one process's protocol core. It is the
 // protocol subset of ReplicaConfig: no transport, no timeouts, no apply
@@ -114,8 +137,9 @@ const (
 	EvEnvelope EventKind = iota + 1
 	// EvSubmit accepts a local command under a client session.
 	EvSubmit
-	// EvRoundTimeout closes the running round's collection window (the
-	// shell's per-round timer fired; the checker schedules it freely).
+	// EvRoundTimeout closes the collection window of the round Event.Slot
+	// is running (the shell's deadline for that slot passed; the checker
+	// schedules it freely). A slot that is no longer open ignores it.
 	EvRoundTimeout
 	// EvTick is the idle anti-entropy edge: re-pull a missing decided
 	// batch, or probe peers for decisions when fully idle.
@@ -130,6 +154,8 @@ type Event[C any] struct {
 	Kind EventKind
 	// Env is EvEnvelope's payload.
 	Env Envelope
+	// Slot is EvRoundTimeout's payload: the open slot whose round timed out.
+	Slot uint64
 	// Client, Seq, Cmd are EvSubmit's payload.
 	Client, Seq uint64
 	Cmd         C
@@ -174,7 +200,7 @@ type ReplicaCore[C any] struct {
 	pending   []Entry[C]
 	unsent    bool // pending grew since its prefix last left in a batch or a forward
 	batches   map[int64][]Entry[C]
-	inLog     map[int64]bool     // batch ids a log slot decided (retention anchor)
+	logRefs   map[int64]int      // held batch id → unpruned log slots that decided it (retention anchor)
 	offered   map[int64]struct{} // held batches not yet fully applied
 	decided   map[uint64]int64   // slot → batch id, not yet applied
 	maxSeen   map[uint64]uint64  // client → highest accepted seq
@@ -183,14 +209,25 @@ type ReplicaCore[C any] struct {
 	logHash   uint64
 	hwm       map[uint64]uint64 // client → highest applied seq
 	batchSeq  int64
-	poked     bool   // round traffic for our next slot arrived while idle
 	blockedOn int64  // decided batch id whose contents are being pulled
-	eagerPush uint64 // own-decided slot to push once applied
+	eagerPush uint64 // lowest own-decided slot to push once applied
 
-	// restoredVote holds a crash-recovered instance encoding until
-	// consensus for its slot restarts and re-installs it (persist.go).
-	restoredVote     []byte
-	restoredVoteSlot uint64
+	// open holds the running instances by ascending slot, all inside the
+	// window applied+1 … applied+window. Slots open in order, so every
+	// slot between the applied log and an open one is open or decided.
+	open []*slotRun
+
+	// batchSlot is the highest unapplied slot a batch id is known to be
+	// proposed for (by this replica, or by the peer whose KindBatch named
+	// it) or decided in. Proposals of open slots overlap, so a proposal's
+	// entries can all apply through ANOTHER batch while its own slot can
+	// still decide it: such a batch is kept until that slot has applied.
+	batchSlot map[int64]uint64
+
+	// restoredVotes holds crash-recovered instance encodings by slot
+	// until consensus for the slot reopens and re-installs them
+	// (persist.go).
+	restoredVotes map[uint64][]byte
 
 	// peerApplied tracks each peer's last observed commit index (their
 	// round messages carry their current slot; their sync pulls carry
@@ -212,8 +249,12 @@ type ReplicaCore[C any] struct {
 	merged     []Entry[C]
 	mergedHigh map[uint64]uint64
 	newest     []int64
-
-	cur *slotRun // non-nil while a slot instance runs
+	// carried is the highest sequence number per client that an open
+	// proposal of ours — or a batch already decided for a window slot —
+	// carries, and uncovered counts the merged entries above it: what the
+	// proposal under assembly adds to them.
+	carried   map[uint64]uint64
+	uncovered int
 
 	stats ReplicaStats
 }
@@ -262,24 +303,28 @@ func NewReplicaCore[C any](cfg CoreConfig[C]) (*ReplicaCore[C], error) {
 		}
 	}
 	return &ReplicaCore[C]{
-		cfg:         cfg,
-		batches:     make(map[int64][]Entry[C]),
-		inLog:       make(map[int64]bool),
-		offered:     make(map[int64]struct{}),
-		decided:     make(map[uint64]int64),
-		maxSeen:     make(map[uint64]uint64),
-		hwm:         make(map[uint64]uint64),
-		peerApplied: make(map[core.ProcessID]uint64),
-		forwards:    make([][]Entry[C], cfg.N),
-		mergedHigh:  make(map[uint64]uint64),
-		newest:      make([]int64, cfg.N),
-		logHash:     14695981039346656037, // FNV-64 offset basis
+		cfg:           cfg,
+		batches:       make(map[int64][]Entry[C]),
+		logRefs:       make(map[int64]int),
+		offered:       make(map[int64]struct{}),
+		decided:       make(map[uint64]int64),
+		maxSeen:       make(map[uint64]uint64),
+		hwm:           make(map[uint64]uint64),
+		batchSlot:     make(map[int64]uint64),
+		restoredVotes: make(map[uint64][]byte),
+		peerApplied:   make(map[core.ProcessID]uint64),
+		forwards:      make([][]Entry[C], cfg.N),
+		mergedHigh:    make(map[uint64]uint64),
+		newest:        make([]int64, cfg.N),
+		carried:       make(map[uint64]uint64),
+		logHash:       14695981039346656037, // FNV-64 offset basis
 	}, nil
 }
 
 // Step applies one event and self-drives to a fixpoint: apply every
-// decided-and-fetchable slot, then start the next slot's consensus if
-// there is work. The returned result is the step's complete effect.
+// decided-and-fetchable slot in order, then open further window slots
+// while there is room and work. The returned result is the step's
+// complete effect.
 func (c *ReplicaCore[C]) Step(ev Event[C]) StepResult[C] {
 	var res StepResult[C]
 	switch ev.Kind {
@@ -288,9 +333,9 @@ func (c *ReplicaCore[C]) Step(ev Event[C]) StepResult[C] {
 	case EvSubmit:
 		c.handleSubmit(ev, &res)
 	case EvRoundTimeout:
-		if c.cur != nil {
-			c.transitionRound(&res)
-			c.closeRounds(&res)
+		if run := c.runFor(ev.Slot); run != nil {
+			c.transitionRound(run, &res)
+			c.closeRounds(run, &res)
 		}
 	case EvTick:
 		c.handleTick(&res)
@@ -332,17 +377,18 @@ func (c *ReplicaCore[C]) Accept(client, seq uint64, cmd C) (dup bool) {
 	return res.SubmitDup
 }
 
-// handleTick is the anti-entropy edge: while consensus runs it is a
-// no-op (round pacing owns the clock); while blocked on decided batch
-// contents it re-pulls them; while idle it probes peers for decisions
-// we may have missed.
+// handleTick is the anti-entropy edge: while blocked on decided batch
+// contents it re-pulls them — whether or not later window slots are
+// running, since nothing applies until they arrive; otherwise, while
+// consensus runs it is a no-op (round pacing owns the clock), and while
+// idle it probes peers for decisions we may have missed.
 func (c *ReplicaCore[C]) handleTick(res *StepResult[C]) {
-	if c.cur != nil {
-		return
-	}
 	if c.blockedOn != 0 {
 		res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
 			Kind: KindBatchPull, From: c.cfg.Self, Payload: appendVarint(nil, c.blockedOn)}})
+		return
+	}
+	if len(c.open) > 0 {
 		return
 	}
 	next := uint64(len(c.log)) + 1
@@ -385,35 +431,43 @@ func (c *ReplicaCore[C]) handleEnvelope(env Envelope, res *StepResult[C]) {
 	}
 }
 
-// handleRound classifies a consensus message by slot: current → the
-// running instance (or a work poke when idle); old → the sender lags,
-// push decisions; future → we lag, pull decisions.
+// handleRound classifies a consensus message by slot: inside the window
+// → that slot's running instance, opened on the spot (with every slot
+// below it) if this replica had no reason to open it yet, so the message
+// that announces a slot is also heard in it; decided here, applied or
+// not → the sender lags, push decisions; beyond the window → we lag,
+// pull decisions.
 func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	msg, err := c.cfg.Msg.Decode(env.Payload)
 	if err != nil {
 		c.stats.Malformed++
 		return
 	}
-	// A round message for slot s says its sender has applied s−1.
-	if env.Slot > 0 {
-		c.notePeerApplied(env.From, env.Slot-1)
+	// A round message for slot s says its sender's window reached s: it
+	// has applied at least s−window.
+	if env.Slot > window {
+		c.notePeerApplied(env.From, env.Slot-window)
 	}
 	next := uint64(len(c.log)) + 1
-	switch {
-	case env.Slot == next:
-		if c.cur != nil {
-			if c.cur.deliver(c.cfg.N, env.From, env.Round, msg, c.cfg.Mutation&MutNoJump != 0) {
-				c.transitionRound(res)
-				c.closeRounds(res)
-			}
-		} else {
-			c.poked = true
-		}
-	case env.Slot < next:
-		c.pushDecisions(env.From, env.Slot, res)
-	default: // env.Slot > next: we lag
+	if env.Slot >= next+window { // we lag
 		res.Out = append(res.Out, Outbound{To: env.From, Env: Envelope{
 			Kind: KindSyncPull, From: c.cfg.Self, Payload: appendUvarint(nil, next)}})
+		return
+	}
+	if _, decided := c.decided[env.Slot]; decided || env.Slot < next {
+		c.pushDecisions(env.From, env.Slot, res)
+		return
+	}
+	run := c.runFor(env.Slot)
+	if run == nil {
+		c.openThrough(env.Slot, res)
+		if run = c.runFor(env.Slot); run == nil {
+			return // beyond the model's slot budget, or decided while opening
+		}
+	}
+	if run.deliver(c.cfg.N, env.From, env.Round, msg, c.cfg.Mutation&MutNoJump != 0) {
+		c.transitionRound(run, res)
+		c.closeRounds(run, res)
 	}
 }
 
@@ -438,6 +492,25 @@ func (c *ReplicaCore[C]) handleBatch(env Envelope, res *StepResult[C]) {
 		if !c.batchApplied(bid) {
 			c.offered[bid] = struct{}{}
 		}
+	}
+	// The proposer stamps the slot it minted the batch for (a pull reply
+	// carries 0): hold the contents until that slot has applied here.
+	c.proposedFor(bid, env.Slot)
+}
+
+// proposedFor records that slot may still decide a held batch id.
+func (c *ReplicaCore[C]) proposedFor(bid int64, slot uint64) {
+	if c.cfg.Mutation&MutPruneOpen != 0 {
+		return // SEEDED BUG: the pruner forgets which slots are still open
+	}
+	c.holdUntil(bid, slot)
+}
+
+// holdUntil keeps a batch id's contents until slot has applied here (see
+// batchSlot).
+func (c *ReplicaCore[C]) holdUntil(bid int64, slot uint64) {
+	if bid != 0 && slot > c.batchSlot[bid] && slot > uint64(len(c.log)) {
+		c.batchSlot[bid] = slot
 	}
 }
 
@@ -464,14 +537,14 @@ func (c *ReplicaCore[C]) handleForward(env Envelope) {
 
 // forwardPending is the last act of every step: if commands were
 // accepted that no batch or forward of ours has carried yet, and this
-// replica cannot propose them now (a slot is running, or apply is
-// blocked), tell the peers — whichever of them wins the next slot then
-// commits these commands too, instead of their waiting for a slot this
-// replica wins. Best effort by design: a lost forward costs latency
-// only, because the commands stay in pending and ride our own next
-// proposal regardless.
+// replica cannot propose them now (the window is full of running or
+// unapplied slots), tell the peers — whichever of them wins the next
+// slot to open then commits these commands too, instead of their
+// waiting for a slot this replica wins. Best effort by design: a lost
+// forward costs latency only, because the commands stay in pending and
+// ride our own next proposal regardless.
 func (c *ReplicaCore[C]) forwardPending(res *StepResult[C]) {
-	if !c.unsent || (c.cur == nil && c.blockedOn == 0) {
+	if !c.unsent || (len(c.open) == 0 && c.blockedOn == 0) {
 		return
 	}
 	c.unsent = false
@@ -513,71 +586,90 @@ func (c *ReplicaCore[C]) handleSync(env Envelope, res *StepResult[C]) {
 // ---------------------------------------------------------------------
 // Consensus round sequencing (state machine in node.go).
 
-// transitionRound closes the current round: apply T_p^r to the heard
+// runFor returns the open run of a slot, or nil.
+func (c *ReplicaCore[C]) runFor(slot uint64) *slotRun {
+	for _, run := range c.open {
+		if run.slot == slot {
+			return run
+		}
+	}
+	return nil
+}
+
+// closeRun retires a slot's run: the slot decided, here or elsewhere.
+// The instance is never restarted — restarting would discard locked
+// algorithm state (see node.go).
+func (c *ReplicaCore[C]) closeRun(run *slotRun) {
+	for i, r := range c.open {
+		if r == run {
+			c.open = append(c.open[:i], c.open[i+1:]...)
+			return
+		}
+	}
+}
+
+// transitionRound closes run's current round: apply T_p^r to the heard
 // set, observe a decision, or (mutated) retry with a fresh instance.
-func (c *ReplicaCore[C]) transitionRound(res *StepResult[C]) {
-	if c.cfg.MaxRound > 0 && c.cur.r >= c.cfg.MaxRound {
+func (c *ReplicaCore[C]) transitionRound(run *slotRun, res *StepResult[C]) {
+	if c.cfg.MaxRound > 0 && run.r >= c.cfg.MaxRound {
 		return // model bound: round MaxRound's window never closes
 	}
-	r := c.cur.r
-	c.cur.inst.Transition(r, c.cur.inbox(c.cfg.N))
+	r := run.r
+	run.inst.Transition(r, run.inbox(c.cfg.N))
 	c.stats.Rounds++
-	if v, ok := c.cur.inst.Decided(); ok {
-		slot := c.cur.slot
-		c.cur = nil
-		c.eagerPush = slot
-		c.recordDecision(slot, int64(v), false)
+	if v, ok := run.inst.Decided(); ok {
+		c.closeRun(run)
+		if c.eagerPush == 0 || run.slot < c.eagerPush {
+			c.eagerPush = run.slot
+		}
+		c.recordDecision(run.slot, int64(v), false)
 		return
 	}
 	// The transition may have adopted or locked a vote: persist the
 	// instance state before the next round's send can reveal it.
-	c.persistVote()
+	c.persistVote(run)
 	if c.cfg.Mutation&MutFreshRetry != 0 && r >= c.cfg.RetryAfter {
 		// SEEDED BUG: discard the instance — and with it any locked
-		// algorithm state — and let advance start a fresh attempt.
-		c.cur = nil
-		c.poked = true
+		// algorithm state — and start a fresh attempt at the slot.
+		c.closeRun(run)
+		c.openSlot(run.slot, true, res)
 		return
 	}
-	c.nextRound(res)
+	c.nextRound(run, res)
 }
 
-// nextRound enters the following round and broadcasts S_p^r.
-func (c *ReplicaCore[C]) nextRound(res *StepResult[C]) {
-	r := c.cur.r + 1
-	payload := c.cur.inst.Send(r)
-	c.cur.enter(c.cfg.N, r, c.cfg.Self, payload)
-	c.emitRound(r, payload, res)
-}
-
-// closeRounds fast-forwards through rounds whose collection window is
-// already closed (jumped backlog, or n=1 hearing itself).
-func (c *ReplicaCore[C]) closeRounds(res *StepResult[C]) {
-	for c.cur != nil && c.cur.closed(c.cfg.N, c.cfg.Mutation&MutNoJump != 0) {
-		if c.cfg.MaxRound > 0 && c.cur.r >= c.cfg.MaxRound {
-			return // model bound (see transitionRound)
-		}
-		c.transitionRound(res)
-	}
-}
-
-// emitRound broadcasts one round message, counting undecodable payloads.
-func (c *ReplicaCore[C]) emitRound(r core.Round, m core.Message, res *StepResult[C]) {
-	b, err := c.cfg.Msg.Encode(m)
+// nextRound enters run's following round and broadcasts S_p^r.
+func (c *ReplicaCore[C]) nextRound(run *slotRun, res *StepResult[C]) {
+	r := run.r + 1
+	payload := run.inst.Send(r)
+	run.enter(c.cfg.N, r, c.cfg.Self, payload)
+	b, err := c.cfg.Msg.Encode(payload)
 	if err != nil {
 		c.stats.Malformed++
 		return
 	}
 	res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
-		Slot: c.cur.slot, Round: r, Kind: KindRound, From: c.cfg.Self, Payload: b}})
+		Slot: run.slot, Round: r, Kind: KindRound, From: c.cfg.Self, Payload: b}})
+}
+
+// closeRounds fast-forwards run through rounds whose collection window
+// is already closed (jumped backlog, or n=1 hearing itself), until it
+// decides or catches up.
+func (c *ReplicaCore[C]) closeRounds(run *slotRun, res *StepResult[C]) {
+	for c.runFor(run.slot) == run && run.closed(c.cfg.N, c.cfg.Mutation&MutNoJump != 0) {
+		if c.cfg.MaxRound > 0 && run.r >= c.cfg.MaxRound {
+			return // model bound (see transitionRound)
+		}
+		c.transitionRound(run, res)
+	}
 }
 
 // ---------------------------------------------------------------------
-// The advance fixpoint: apply, then start.
+// The advance fixpoint: apply in order, then open.
 
-// advance applies every decided slot whose contents are at hand, then
-// starts the next slot's consensus if idle work exists, repeating until
-// nothing changes.
+// advance applies every decided slot whose contents are at hand, in
+// slot order, then opens further window slots while there is room and
+// something to open them for, repeating until nothing changes.
 func (c *ReplicaCore[C]) advance(res *StepResult[C]) {
 	for {
 		progressed := false
@@ -607,15 +699,18 @@ func (c *ReplicaCore[C]) advance(res *StepResult[C]) {
 		}
 		if c.eagerPush != 0 && uint64(len(c.log)) >= c.eagerPush {
 			// Eager push: peers that lost the deciding round learn the
-			// outcome now instead of at the next sync trigger.
+			// outcome now instead of at the next sync trigger — together
+			// with every later slot this replica already knows decided.
 			from := c.eagerPush
 			c.eagerPush = 0
 			c.pushDecisions(AllPeers, from, res)
 		}
-		if c.cur == nil && c.blockedOn == 0 && c.hasWork() {
-			if c.startSlot(res) {
-				progressed = true
+		for c.hasWork() {
+			slot := c.frontier()
+			if slot == 0 || !c.openSlot(slot, c.recoveredFrom(slot), res) {
+				break
 			}
+			progressed = true
 		}
 		if !progressed {
 			return
@@ -623,11 +718,11 @@ func (c *ReplicaCore[C]) advance(res *StepResult[C]) {
 	}
 }
 
-// hasWork reports whether consensus for the next slot is warranted: a
-// local, forwarded or offered command to commit, or peer round traffic
-// showing the group is deciding it.
+// hasWork is the cheap test before a proposal is assembled: is there
+// anything — a local, forwarded or offered command, or a vote recovered
+// from disk — that could warrant opening a slot?
 func (c *ReplicaCore[C]) hasWork() bool {
-	if len(c.pending) > 0 || len(c.offered) > 0 {
+	if len(c.pending) > 0 || len(c.offered) > 0 || len(c.restoredVotes) > 0 {
 		return true
 	}
 	for _, f := range c.forwards {
@@ -635,47 +730,90 @@ func (c *ReplicaCore[C]) hasWork() bool {
 			return true
 		}
 	}
-	if _, ok := c.decided[uint64(len(c.log))+1]; ok {
-		return true
-	}
-	return c.poked
+	return false
 }
 
-// startSlot opens the next slot's one instance and enters round 1.
-func (c *ReplicaCore[C]) startSlot(res *StepResult[C]) bool {
-	slot := uint64(len(c.log)) + 1
-	if c.cfg.MaxSlots > 0 && slot > c.cfg.MaxSlots {
-		return false // model bound: no consensus beyond the slot budget
-	}
-	c.poked = false
-	proposal := c.propose(res)
-	inst := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, core.Value(proposal))
-	if c.restoredVoteSlot != 0 {
-		if c.restoredVoteSlot == slot {
-			// Crash recovery: re-install the persisted instance state —
-			// the locked vote — over the fresh proposal. The encoding was
-			// validated at restore time; the round position restarts at 1
-			// and the jump rule re-aligns us with the group.
-			if sp, ok := inst.(statePersistent); ok {
-				_ = sp.RestoreState(c.restoredVote)
-			}
+// recoveredFrom reports whether a vote recovered from disk waits for
+// slot or a later one: those slots were mid-consensus at the crash, and
+// slots open in order, so slot reopens even with nothing else queued.
+func (c *ReplicaCore[C]) recoveredFrom(slot uint64) bool {
+	for s := range c.restoredVotes {
+		if s >= slot {
+			return true
 		}
-		c.restoredVote, c.restoredVoteSlot = nil, 0
 	}
-	c.cur = newSlotRun(slot, inst)
-	c.nextRound(res)
-	c.closeRounds(res)
+	return false
+}
+
+// frontier returns the lowest window slot that is neither running nor
+// decided — the one slot that may open next — or 0 when the window (or
+// the model's slot budget) has no room.
+func (c *ReplicaCore[C]) frontier() uint64 {
+	next := uint64(len(c.log)) + 1
+	for slot := next; slot < next+window; slot++ {
+		if c.cfg.MaxSlots > 0 && slot > c.cfg.MaxSlots {
+			break // model bound: no consensus beyond the slot budget
+		}
+		if _, known := c.decided[slot]; !known && c.runFor(slot) == nil {
+			return slot
+		}
+	}
+	return 0
+}
+
+// openThrough opens every window slot up to and including slot: a peer's
+// round traffic shows the group is deciding it, and slots open in order.
+func (c *ReplicaCore[C]) openThrough(slot uint64, res *StepResult[C]) {
+	for f := c.frontier(); f != 0 && f <= slot; f = c.frontier() {
+		c.openSlot(f, true, res)
+	}
+}
+
+// openSlot opens slot's one instance and enters round 1. Unasked (no
+// peer traffic for the slot) it does so only if that commits something:
+// it reports false, and opens nothing, when the proposal it would make
+// carries no command beyond what this replica's open proposals carry
+// already — replicas would otherwise spin through empty slots.
+func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) bool {
+	vote, restored := c.restoredVotes[slot]
+	proposal, ok := c.propose(slot, asked || restored, res)
+	if !ok {
+		return false
+	}
+	inst := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, core.Value(proposal))
+	if restored {
+		// Crash recovery: re-install the persisted instance state — the
+		// locked vote — over the fresh proposal. The encoding was
+		// validated at restore time; the round position restarts at 1
+		// and the jump rule re-aligns us with the group.
+		if sp, ok := inst.(statePersistent); ok {
+			_ = sp.RestoreState(vote)
+		}
+		delete(c.restoredVotes, slot)
+	}
+	run := newSlotRun(slot, inst, proposal)
+	i := len(c.open)
+	for i > 0 && c.open[i-1].slot > slot {
+		i--
+	}
+	c.open = append(c.open, nil)
+	copy(c.open[i+1:], c.open[i:])
+	c.open[i] = run
+	c.nextRound(run, res)
+	c.closeRounds(run, res)
 	return true
 }
 
-// propose picks this attempt's initial value: one batch covering every
-// unapplied command this replica has heard of — its own pending prefix,
-// each peer's latest forward, and the newest still-unapplied batch it
-// holds from each proposer (itself included: after a crash its own
-// durable batches are the only trace of their commands). Whichever
+// propose picks the initial value of slot's instance: one batch covering
+// every unapplied command this replica has heard of — its own pending
+// prefix, each peer's latest forward, and the newest still-unapplied
+// batch it holds from each proposer (itself included: after a crash its
+// own durable batches are the only trace of their commands). Whichever
 // proposal the slot's instance picks, it then commits every replica's
 // work, not one proposer's. The no-op 0 is proposed when there is
-// nothing to commit.
+// nothing to commit. Unless asked is set (the group is deciding the slot
+// anyway), ok is false and nothing is proposed when the batch would add
+// no command to what this replica's open proposals already carry.
 //
 // Session order is the safety condition. Apply dedups on a per-client
 // high-water mark, so a batch that carried a client's seq s but not its
@@ -696,13 +834,25 @@ func (c *ReplicaCore[C]) startSlot(res *StepResult[C]) bool {
 //     log, where every mark is at least what the minter filtered by, so
 //     the run still starts at or before the first unapplied seq there.
 //
+// The argument never mentions which slot a proposal is for, and that is
+// what lets the window reuse it word for word: every proposal, whichever
+// open slot it is minted for, is merged against the APPLIED marks, so the
+// proposals of slots s and s+1 OVERLAP — s+1's starts at the first
+// unapplied seq even where our open proposal for s carries it — and the
+// apply-side dedup removes the overlap. Leaving out what the proposal for
+// s carries would be wrong: if s decides another replica's batch, s+1
+// would pass the mark over a command that never committed
+// (MutWindowDisjoint; the session-gap invariant kills it).
+//
 // Sources are visited starting at (slot mod N), the same order on every
 // replica, so the truncation point rotates and no source is always the
 // one cut. A new id is minted only if something was merged: a union
 // that is exactly one held batch proposes that batch's id, because
 // algorithms like OneThirdRule decide on EQUAL values and fresh ids for
-// identical contents would never be equal.
-func (c *ReplicaCore[C]) propose(res *StepResult[C]) int64 {
+// identical contents would never be equal; and a replica asked into a
+// slot with nothing its open proposals lack re-proposes the newest of
+// those instead of minting their contents again.
+func (c *ReplicaCore[C]) propose(slot uint64, asked bool, res *StepResult[C]) (bid int64, ok bool) {
 	clear(c.newest)
 	for id := range c.offered {
 		// Newest per proposer: the 40-bit counter orders one proposer's
@@ -711,10 +861,23 @@ func (c *ReplicaCore[C]) propose(res *StepResult[C]) int64 {
 			c.newest[p] = id
 		}
 	}
+	clear(c.carried)
+	reuse := int64(0)
+	for _, run := range c.open {
+		if run.prop != 0 {
+			reuse = run.prop
+			c.carry(run.prop)
+		}
+	}
+	for s := uint64(len(c.log)) + 1; s <= uint64(len(c.log))+window; s++ {
+		// A decided slot waiting its turn to apply commits its batch for
+		// certain: nothing in it is a reason to open another slot.
+		c.carry(c.decided[s])
+	}
 	c.merged = c.merged[:0]
 	clear(c.mergedHigh)
+	c.uncovered = 0
 	pieces, sole, foreign := 0, int64(0), 0
-	slot := uint64(len(c.log)) + 1
 	for i := 0; i < c.cfg.N && len(c.merged) < c.cfg.MaxBatch; i++ {
 		q := core.ProcessID((slot + uint64(i)) % uint64(c.cfg.N))
 		// Source q is two pieces: the newest batch held from it, then its
@@ -740,6 +903,9 @@ func (c *ReplicaCore[C]) propose(res *StepResult[C]) int64 {
 			foreign += len(c.merged) - before
 		}
 	}
+	if c.uncovered == 0 && !asked {
+		return 0, false
+	}
 	if k := min(len(c.pending), c.cfg.MaxBatch); k == 0 || c.pending[k-1].Seq <= c.mergedHigh[c.pending[k-1].Client] {
 		// The prefix a forward would carry is in the proposed batch, whose
 		// contents the peers hold or are about to be sent.
@@ -747,16 +913,37 @@ func (c *ReplicaCore[C]) propose(res *StepResult[C]) int64 {
 	}
 	switch {
 	case pieces == 0:
-		return 0
+		return 0, true
 	case pieces == 1 && sole != 0:
-		return sole
+		bid = sole
+	case c.uncovered == 0 && reuse != 0:
+		bid = reuse
+	default:
+		bid = c.mint(slot, foreign, res)
 	}
+	c.proposedFor(bid, slot)
+	return bid, true
+}
+
+// carry folds a held batch into carried.
+func (c *ReplicaCore[C]) carry(bid int64) {
+	for _, e := range c.batches[bid] {
+		if e.Seq > c.carried[e.Client] {
+			c.carried[e.Client] = e.Seq
+		}
+	}
+}
+
+// mint turns the merged entries into a new batch of this proposer,
+// saved and broadcast before its id can appear in any round message.
+func (c *ReplicaCore[C]) mint(slot uint64, foreign int, res *StepResult[C]) int64 {
 	entries := make([]Entry[C], len(c.merged))
 	copy(entries, c.merged)
 	c.batchSeq++
 	bid := batchID(c.cfg.Self, c.batchSeq)
 	c.batches[bid] = entries
 	c.stats.Merged += foreign
+	c.stats.Overlapped += len(entries) - c.uncovered
 	enc := c.cfg.Batch.AppendEntries(nil, entries)
 	if c.cfg.Persist != nil {
 		// Quorum-durable dissemination: the batch body is on our own
@@ -764,9 +951,10 @@ func (c *ReplicaCore[C]) propose(res *StepResult[C]) int64 {
 		// — let alone vote for — its id.
 		c.cfg.Persist.SaveBatch(bid, enc)
 	}
-	payload := append(appendVarint(nil, bid), enc...)
+	// Slot tells the receivers which slot may decide this id, so they
+	// hold the contents until it has applied (see batchSlot).
 	res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
-		Kind: KindBatch, From: c.cfg.Self, Payload: payload}})
+		Slot: slot, Kind: KindBatch, From: c.cfg.Self, Payload: append(appendVarint(nil, bid), enc...)}})
 	return bid
 }
 
@@ -777,6 +965,7 @@ func (c *ReplicaCore[C]) propose(res *StepResult[C]) int64 {
 func (c *ReplicaCore[C]) merge(piece []Entry[C], peer bool) int {
 	added := 0
 	skip := peer && c.cfg.Mutation&MutMergeSkip != 0
+	disjoint := c.cfg.Mutation&MutWindowDisjoint != 0
 	for _, e := range piece {
 		if len(c.merged) >= c.cfg.MaxBatch {
 			break
@@ -789,6 +978,13 @@ func (c *ReplicaCore[C]) merge(piece []Entry[C], peer bool) int {
 			// what follows it.
 			skip = false
 			continue
+		}
+		covered := e.Seq <= c.carried[e.Client]
+		if covered && disjoint {
+			continue // SEEDED BUG: an open proposal of ours has it — leave it out
+		}
+		if !covered {
+			c.uncovered++
 		}
 		c.mergedHigh[e.Client] = e.Seq
 		c.merged = append(c.merged, e)
@@ -837,18 +1033,19 @@ func (c *ReplicaCore[C]) recordDecision(slot uint64, bid int64, viaSync bool) {
 		return
 	}
 	c.decided[slot] = bid
+	c.holdUntil(bid, slot)
 	if c.cfg.Persist != nil {
 		c.cfg.Persist.SaveDecision(slot, bid)
 	}
 	if viaSync {
 		c.stats.SyncDecisions++
 	}
-	if c.cur != nil && c.cur.slot == slot {
-		// The running attempt's slot was decided externally: its one
-		// instance is retired undecided (never restarted — restarting
-		// would discard locked algorithm state; see node.go).
-		c.cur = nil
+	if run := c.runFor(slot); run != nil {
+		// An open slot was decided externally: its one instance is
+		// retired undecided.
+		c.closeRun(run)
 	}
+	delete(c.restoredVotes, slot)
 }
 
 // applySlot commits slot's batch: apply fresh entries in order under
@@ -895,7 +1092,7 @@ func (c *ReplicaCore[C]) applySlot(slot uint64, bid int64, res *StepResult[C]) {
 	delete(c.decided, slot)
 	c.log = append(c.log, bid)
 	if bid != 0 {
-		c.inLog[bid] = true
+		c.logRefs[bid]++
 	}
 	const fnvPrime = 1099511628211
 	c.logHash = (c.logHash ^ slot) * fnvPrime
@@ -903,24 +1100,33 @@ func (c *ReplicaCore[C]) applySlot(slot uint64, bid int64, res *StepResult[C]) {
 	c.pruneBatches()
 }
 
-// pruneBatches bounds batch retention with two rules.
+// pruneBatches bounds batch retention. A held batch is kept while any
+// of three things can still make a replica ask for its contents:
 //
-// Decided batches (in the log) are kept until every replica's observed
-// commit index passes their slot: a laggard only ever pulls the batch
-// of the slot it is applying, applied+1 ≤ horizon+1, so nothing past
-// the horizon can be pulled again. A peer that was never heard from —
-// or a long-dead one — pins this horizon, trading memory for its
-// ability to rejoin from the log; bounded-membership GC is future work.
-//
-// Undecided batches (losing or superseded proposals — under contention
-// most proposals lose) are dropped as soon as all their entries are at
-// or below the local high-water marks: any replica that could still
-// PROPOSE such a batch's id is by construction one that retains its
-// contents (propose() only re-proposes an id whose contents it holds
-// and finds unapplied, and a replica behind on the entries keeps them),
-// so a later decision of the id can still be served.
+//   - A log slot past the horizon decided it. Decided batches are kept
+//     until every replica's observed commit index passes their slot: a
+//     laggard only ever pulls the batch of the slot it is applying,
+//     applied+1 ≤ horizon+1, so nothing past the horizon can be pulled
+//     again. A peer that was never heard from — or a long-dead one —
+//     pins this horizon, trading memory for its ability to rejoin from
+//     the log; bounded-membership GC is future work. One id can be
+//     decided in two slots (a replica asked into a slot with nothing new
+//     re-proposes a held id), so the log holds a reference per slot: the
+//     horizon passing the earlier slot must not take the contents the
+//     later one names.
+//   - An unapplied slot may decide it, or already has (batchSlot):
+//     proposals of open slots overlap, so all entries of a proposal can
+//     apply through another batch while its own slot is still running.
+//   - Some entry is unapplied. Losing or superseded proposals — under
+//     contention most proposals lose — go as soon as all their entries
+//     are at or below the local high-water marks and their slot has
+//     applied: any replica that could still PROPOSE such a batch's id is
+//     by construction one that retains its contents (propose() only
+//     re-proposes an id whose contents it holds), so a later decision of
+//     the id can still be served.
 func (c *ReplicaCore[C]) pruneBatches() {
-	horizon := uint64(len(c.log))
+	applied := uint64(len(c.log))
+	horizon := applied
 	for q := 0; q < c.cfg.N; q++ {
 		p := core.ProcessID(q)
 		if p == c.cfg.Self {
@@ -934,16 +1140,21 @@ func (c *ReplicaCore[C]) pruneBatches() {
 		}
 	}
 	for s := c.prunedTo + 1; s <= horizon; s++ {
-		if bid := c.log[s-1]; bid != 0 {
-			delete(c.batches, bid)
-			delete(c.inLog, bid)
+		if bid := c.log[s-1]; c.logRefs[bid] > 1 {
+			c.logRefs[bid]--
+		} else {
+			delete(c.logRefs, bid)
 		}
 	}
 	if horizon > c.prunedTo {
 		c.prunedTo = horizon
 	}
-	for bid := range c.batches {
-		if !c.inLog[bid] && c.batchApplied(bid) {
+	for bid, entries := range c.batches {
+		if c.batchSlot[bid] > applied {
+			continue
+		}
+		delete(c.batchSlot, bid)
+		if c.logRefs[bid] == 0 && c.allApplied(entries) {
 			delete(c.batches, bid)
 			delete(c.offered, bid)
 		}
@@ -967,24 +1178,39 @@ func (c *ReplicaCore[C]) batchApplied(bid int64) bool {
 	return ok && c.allApplied(entries)
 }
 
-// pushDecisions emits the applied decisions from slot `from` on, to one
-// peer or everyone. The shell rate-limits targeted pushes per peer.
+// decisionAt returns the batch id this replica knows slot decided,
+// from the applied log or the decided-but-unapplied map.
+func (c *ReplicaCore[C]) decisionAt(slot uint64) (int64, bool) {
+	if bid, ok := c.LogAt(slot); ok {
+		return bid, true
+	}
+	bid, ok := c.decided[slot]
+	return bid, ok
+}
+
+// pushDecisions emits the decisions known here from slot `from` on —
+// the applied log, then whatever is decided but not yet applied, up to
+// the first slot this replica does not know — to one peer or everyone.
+// The shell rate-limits targeted pushes per peer.
 func (c *ReplicaCore[C]) pushDecisions(to core.ProcessID, from uint64, res *StepResult[C]) {
 	if from == 0 {
 		from = 1
 	}
-	applied := uint64(len(c.log))
-	if from > applied {
-		return
+	count := uint64(0)
+	for count < maxSyncPairs {
+		if _, ok := c.decisionAt(from + count); !ok {
+			break
+		}
+		count++
 	}
-	count := applied - from + 1
-	if count > maxSyncPairs {
-		count = maxSyncPairs
+	if count == 0 {
+		return
 	}
 	payload := appendUvarint(nil, count)
 	for s := from; s < from+count; s++ {
+		bid, _ := c.decisionAt(s)
 		payload = appendUvarint(payload, s)
-		payload = appendVarint(payload, c.log[s-1])
+		payload = appendVarint(payload, bid)
 	}
 	res.Out = append(res.Out, Outbound{To: to, Env: Envelope{
 		Kind: KindSync, From: c.cfg.Self, Payload: payload}})
@@ -1022,15 +1248,23 @@ func (c *ReplicaCore[C]) Counters() ReplicaStats {
 	st.Applied = uint64(len(c.log))
 	st.Pending = len(c.pending)
 	st.BatchesHeld = len(c.batches)
+	st.Open = len(c.open)
 	return st
 }
 
-// RoundState reports the running consensus attempt, if any.
-func (c *ReplicaCore[C]) RoundState() (slot uint64, round core.Round, active bool) {
-	if c.cur == nil {
-		return 0, 0, false
+// SlotRound names the round an open slot is in.
+type SlotRound struct {
+	Slot  uint64
+	Round core.Round
+}
+
+// OpenRounds appends the open slots and their current rounds to dst, in
+// slot order.
+func (c *ReplicaCore[C]) OpenRounds(dst []SlotRound) []SlotRound {
+	for _, run := range c.open {
+		dst = append(dst, SlotRound{Slot: run.slot, Round: run.r})
 	}
-	return c.cur.slot, c.cur.r, true
+	return dst
 }
 
 // Blocked returns the decided batch id apply is waiting for (0 if none).

@@ -22,17 +22,17 @@ type stateAppender interface {
 }
 
 // Clone deep-copies the core. The clone shares nothing mutable with the
-// original: maps, slices, and the running instance (via its
+// original: maps, slices, and every open slot's instance (via its
 // core.Recoverable snapshot) are all duplicated. Batch and forward entry
-// slices are shared — they are immutable after creation. The merge
-// scratch is not state and starts empty.
+// slices and restored vote encodings are shared — they are immutable
+// after creation. The merge scratch is not state and starts empty.
 func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 	d := &ReplicaCore[C]{
 		cfg:       c.cfg,
 		pending:   append([]Entry[C](nil), c.pending...),
 		unsent:    c.unsent,
 		batches:   make(map[int64][]Entry[C], len(c.batches)),
-		inLog:     make(map[int64]bool, len(c.inLog)),
+		logRefs:   make(map[int64]int, len(c.logRefs)),
 		offered:   make(map[int64]struct{}, len(c.offered)),
 		decided:   make(map[uint64]int64, len(c.decided)),
 		maxSeen:   make(map[uint64]uint64, len(c.maxSeen)),
@@ -41,24 +41,30 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 		hwm:       make(map[uint64]uint64, len(c.hwm)),
 		batchSeq:  c.batchSeq,
 		seqFloor:  c.seqFloor,
-		poked:     c.poked,
 		blockedOn: c.blockedOn,
 		eagerPush: c.eagerPush,
 
-		restoredVote:     append([]byte(nil), c.restoredVote...),
-		restoredVoteSlot: c.restoredVoteSlot,
-		peerApplied:      make(map[core.ProcessID]uint64, len(c.peerApplied)),
-		prunedTo:         c.prunedTo,
-		forwards:         append([][]Entry[C](nil), c.forwards...),
-		mergedHigh:       make(map[uint64]uint64),
-		newest:           make([]int64, c.cfg.N),
-		stats:            c.stats,
+		batchSlot:     make(map[int64]uint64, len(c.batchSlot)),
+		restoredVotes: make(map[uint64][]byte, len(c.restoredVotes)),
+		peerApplied:   make(map[core.ProcessID]uint64, len(c.peerApplied)),
+		prunedTo:      c.prunedTo,
+		forwards:      append([][]Entry[C](nil), c.forwards...),
+		mergedHigh:    make(map[uint64]uint64),
+		newest:        make([]int64, c.cfg.N),
+		carried:       make(map[uint64]uint64),
+		stats:         c.stats,
 	}
 	for k, v := range c.batches {
 		d.batches[k] = v
 	}
-	for k, v := range c.inLog {
-		d.inLog[k] = v
+	for k, v := range c.logRefs {
+		d.logRefs[k] = v
+	}
+	for k, v := range c.batchSlot {
+		d.batchSlot[k] = v
+	}
+	for k, v := range c.restoredVotes {
+		d.restoredVotes[k] = v
 	}
 	for k := range c.offered {
 		d.offered[k] = struct{}{}
@@ -75,8 +81,8 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 	for k, v := range c.peerApplied {
 		d.peerApplied[k] = v
 	}
-	if c.cur != nil {
-		d.cur = c.cloneSlotRun(c.cur)
+	for _, run := range c.open {
+		d.open = append(d.open, c.cloneSlotRun(run))
 	}
 	return d
 }
@@ -93,6 +99,7 @@ func (c *ReplicaCore[C]) cloneSlotRun(s *slotRun) *slotRun {
 	rec.Restore(src.Snapshot())
 	d := &slotRun{
 		slot:   s.slot,
+		prop:   s.prop,
 		inst:   inst,
 		r:      s.r,
 		target: s.target,
@@ -116,24 +123,30 @@ func (c *ReplicaCore[C]) cloneSlotRun(s *slotRun) *slotRun {
 // to dst, for the checker's reachable-state dedup. Two cores encode
 // equal iff they are protocol-equivalent; service counters (Rounds,
 // Committed, …) are deliberately excluded so paths that differ only in
-// bookkeeping merge. inLog is derivable from log and prunedTo and is
-// likewise omitted. The forward table and the unsent flag ARE state —
-// the first feeds the next proposal, the second decides whether a step
-// emits a forward — so leaving either out would merge states with
-// different futures.
+// bookkeeping merge. logRefs is derivable from log, batches and prunedTo
+// and is likewise omitted. The forward table and the unsent flag ARE
+// state — the first feeds the next proposal, the second decides whether
+// a step emits a forward — and so are the window's additions: every open
+// run, which unapplied slot each batch id was proposed for (it decides
+// what the pruner may drop), and the votes recovery has yet to
+// re-install. Leaving any of them out would merge states with different
+// futures.
 func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	dst = appendVarint(dst, c.batchSeq)
 	dst = appendVarint(dst, c.blockedOn)
 	dst = appendUvarint(dst, c.eagerPush)
 	dst = appendUvarint(dst, c.prunedTo)
-	if c.poked {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
+	slots := make([]uint64, 0, len(c.restoredVotes)+len(c.decided))
+	for s := range c.restoredVotes {
+		slots = append(slots, s)
 	}
-	dst = appendUvarint(dst, c.restoredVoteSlot)
-	dst = appendUvarint(dst, uint64(len(c.restoredVote)))
-	dst = append(dst, c.restoredVote...)
+	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+	dst = appendUvarint(dst, uint64(len(slots)))
+	for _, s := range slots {
+		dst = appendUvarint(dst, s)
+		dst = appendUvarint(dst, uint64(len(c.restoredVotes[s])))
+		dst = append(dst, c.restoredVotes[s]...)
+	}
 
 	dst = appendUvarint(dst, uint64(len(c.log)))
 	for _, bid := range c.log {
@@ -161,6 +174,21 @@ func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 		dst = c.appendEntrySlice(dst, c.batches[bid])
 	}
 
+	// Stamps at or below the applied log are dead: the pruner reads a
+	// stamp only to compare it with the log length, which never shrinks.
+	bids = bids[:0]
+	for bid, slot := range c.batchSlot {
+		if slot > uint64(len(c.log)) {
+			bids = append(bids, bid)
+		}
+	}
+	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
+	dst = appendUvarint(dst, uint64(len(bids)))
+	for _, bid := range bids {
+		dst = appendVarint(dst, bid)
+		dst = appendUvarint(dst, c.batchSlot[bid])
+	}
+
 	bids = bids[:0]
 	for bid := range c.offered {
 		bids = append(bids, bid)
@@ -171,7 +199,7 @@ func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 		dst = appendVarint(dst, bid)
 	}
 
-	slots := make([]uint64, 0, len(c.decided))
+	slots = slots[:0]
 	for s := range c.decided {
 		slots = append(slots, s)
 	}
@@ -197,10 +225,17 @@ func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 		dst = appendUvarint(dst, c.peerApplied[core.ProcessID(p)])
 	}
 
-	if c.cur == nil {
-		return append(dst, 0)
+	dst = appendUvarint(dst, uint64(len(c.open)))
+	for _, run := range c.open {
+		dst = appendUvarint(dst, run.slot)
+		dst = appendVarint(dst, run.prop)
+		dst = c.appendRun(dst, run)
 	}
+	return dst
+}
 
+// appendRun canonically encodes one open slot's round-driver state.
+func (c *ReplicaCore[C]) appendRun(dst []byte, run *slotRun) []byte {
 	// Frozen-window quotient: once the running round has reached the
 	// MaxRound bound, its collection window never closes again (the
 	// transition is refused by construction), so the heard set, jump
@@ -211,33 +246,31 @@ func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	// of a frozen window into one state — without it, delivering round
 	// messages into frozen windows multiplies the explored space by
 	// each window's 2^(n-1) heard subsets, purely as noise.
-	if c.cfg.MaxRound > 0 && c.cur.r >= c.cfg.MaxRound {
-		dst = append(dst, 2)
-		return appendUvarint(dst, c.cur.slot)
+	if c.cfg.MaxRound > 0 && run.r >= c.cfg.MaxRound {
+		return append(dst, 2)
 	}
 
 	dst = append(dst, 1)
-	dst = appendUvarint(dst, c.cur.slot)
-	dst = appendUvarint(dst, uint64(c.cur.r))
-	target := c.cur.target
+	dst = appendUvarint(dst, uint64(run.r))
+	target := run.target
 	if c.cfg.MaxRound > 0 && target > c.cfg.MaxRound {
 		// Any target beyond the bound behaves identically (closed() only
 		// asks whether it exceeds the current round).
 		target = c.cfg.MaxRound
 	}
 	dst = appendUvarint(dst, uint64(target))
-	if sa, ok := c.cur.inst.(stateAppender); ok {
+	if sa, ok := run.inst.(stateAppender); ok {
 		dst = sa.AppendState(dst)
 	} else {
-		rec, ok := c.cur.inst.(core.Recoverable)
+		rec, ok := run.inst.(core.Recoverable)
 		if !ok {
-			panic(fmt.Sprintf("live: model checking requires a core.Recoverable algorithm, got %T", c.cur.inst))
+			panic(fmt.Sprintf("live: model checking requires a core.Recoverable algorithm, got %T", run.inst))
 		}
 		dst = fmt.Appendf(dst, "%#v", rec.Snapshot())
 	}
-	dst = c.appendHeard(dst, c.cur.heard)
-	rounds := make([]int, 0, len(c.cur.future))
-	for r := range c.cur.future {
+	dst = c.appendHeard(dst, run.heard)
+	rounds := make([]int, 0, len(run.future))
+	for r := range run.future {
 		// Future rounds at or past the bound merge into a frozen window
 		// if ever entered: dead for the same reason.
 		if c.cfg.MaxRound > 0 && core.Round(r) >= c.cfg.MaxRound {
@@ -249,7 +282,7 @@ func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	dst = appendUvarint(dst, uint64(len(rounds)))
 	for _, r := range rounds {
 		dst = appendUvarint(dst, uint64(r))
-		dst = c.appendHeard(dst, c.cur.future[core.Round(r)])
+		dst = c.appendHeard(dst, run.future[core.Round(r)])
 	}
 	return dst
 }

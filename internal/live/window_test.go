@@ -1,0 +1,366 @@
+// Core-level tests of the slot window (replicacore.go): slots opening
+// while earlier ones run, in-order apply of out-of-order decisions,
+// overlapping proposals and what they oblige the pruner to keep, and
+// recovery of one vote per open slot. Everything runs on the lock-step
+// harness of merge_test.go — cores stepped by hand over a lossless FIFO,
+// no clocks.
+
+package live
+
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"heardof/internal/core"
+)
+
+// syncEnv builds a KindSync pushing the given (slot, batch id) pairs.
+func syncEnv(from core.ProcessID, pairs ...[2]int64) Envelope {
+	payload := appendUvarint(nil, uint64(len(pairs)))
+	for _, p := range pairs {
+		payload = appendUvarint(payload, uint64(p[0]))
+		payload = appendVarint(payload, p[1])
+	}
+	return Envelope{Kind: KindSync, From: from, Payload: payload}
+}
+
+// syncPullEnv builds the KindSyncPull of a peer whose next slot is from.
+func syncPullEnv(from core.ProcessID, next uint64) Envelope {
+	return Envelope{Kind: KindSyncPull, From: from, Payload: appendUvarint(nil, next)}
+}
+
+func openSlots(c *ReplicaCore[string]) []uint64 {
+	var slots []uint64
+	for _, sr := range c.OpenRounds(nil) {
+		slots = append(slots, sr.Slot)
+	}
+	return slots
+}
+
+// servesPull reports whether c answers a KindBatchPull for bid.
+func servesPull(c *ReplicaCore[string], bid int64) bool {
+	res := c.Step(Event[string]{Kind: EvEnvelope, Env: Envelope{
+		Kind: KindBatchPull, From: 1, Payload: appendVarint(nil, bid)}})
+	for _, o := range res.Out {
+		if o.Env.Kind == KindBatch && o.To == 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCommandRidesSlotOpenedWhileEarlierRuns is the point of the window:
+// p1 accepts a command while slot 1 is in flight, and instead of waiting
+// slot 1 out it opens slot 2 on the spot — before slot 1 has decided
+// anywhere — and the command applies there.
+func TestCommandRidesSlotOpenedWhileEarlierRuns(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	n.deliver() // p1, p2 join slot 1
+
+	n.step(1, Event[string]{Kind: EvSubmit, Client: 11, Seq: 1, Cmd: "b"})
+	if got := openSlots(n.cores[1]); fmt.Sprint(got) != "[1 2]" {
+		t.Fatalf("p1 has slots %v open after a mid-slot submit, want [1 2]", got)
+	}
+	for p, c := range n.cores {
+		if c.NextSlot() != 1 || len(c.DecidedUnapplied()) != 0 {
+			t.Fatalf("replica %d had decided slot 1 when slot 2 opened", p)
+		}
+	}
+	if f := n.cores[1].Counters().Forwards; f != 0 {
+		t.Fatalf("p1 forwarded a command it could propose itself (%d forwards)", f)
+	}
+	n.drain()
+	for p := range n.cores {
+		if a, b := n.slotOf[p][[2]uint64{10, 1}], n.slotOf[p][[2]uint64{11, 1}]; a != 1 || b != 2 {
+			t.Fatalf("replica %d applied a in slot %d and b in slot %d, want 1 and 2", p, a, b)
+		}
+	}
+	if st := n.cores[1].Counters(); st.Applied != 2 || st.Open != 0 {
+		t.Fatalf("p1 ended with %d slots applied and %d open, want 2 and 0", st.Applied, st.Open)
+	}
+}
+
+// TestDecisionsOutOfOrderApplyInOrder: a later window slot deciding
+// first parks in the decided map; nothing applies until the slot below
+// it decides, then both do, lowest first.
+func TestDecisionsOutOfOrderApplyInOrder(t *testing.T) {
+	c := mergeCore(t, 0, 0)
+	x, y := batchID(1, 1), batchID(2, 1)
+	c.Step(Event[string]{Kind: EvEnvelope, Env: batchEnv(1, 1, ents([2]uint64{11, 1}))})
+	c.Step(Event[string]{Kind: EvEnvelope, Env: batchEnv(2, 1, ents([2]uint64{12, 1}))})
+
+	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{2, y})})
+	if len(res.Applied) != 0 || c.NextSlot() != 1 {
+		t.Fatalf("slot 2 applied before slot 1 decided: %+v", res.Applied)
+	}
+	if d := c.DecidedUnapplied(); len(d) != 1 || d[2] != y {
+		t.Fatalf("decided-unapplied = %v, want slot 2 parked", d)
+	}
+	res = c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, x})})
+	if len(res.Applied) != 2 || res.Applied[0].Slot != 1 || res.Applied[1].Slot != 2 ||
+		res.Applied[0].Entry.Client != 11 || res.Applied[1].Entry.Client != 12 {
+		t.Fatalf("applied %+v, want slot 1's command then slot 2's", res.Applied)
+	}
+	if c.NextSlot() != 3 || c.Counters().Open != 0 {
+		t.Fatalf("next slot %d with %d open, want 3 and none", c.NextSlot(), c.Counters().Open)
+	}
+}
+
+// TestBatchDecidedInTwoSlots: a replica asked into a slot with nothing
+// new re-proposes a held id, so one id can be decided twice. It applies
+// once (the second slot's entries are all stale), and the horizon prune
+// of the earlier slot must leave the contents for whoever still has to
+// apply the later one.
+func TestBatchDecidedInTwoSlots(t *testing.T) {
+	c := mergeCore(t, 0, 0)
+	x := batchID(1, 1)
+	c.Step(Event[string]{Kind: EvEnvelope, Env: batchEnv(1, 1, ents([2]uint64{11, 1}, [2]uint64{11, 2}))})
+	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, x}, [2]int64{2, x})})
+	fresh := 0
+	for _, ae := range res.Applied {
+		if ae.Fresh {
+			fresh++
+			if ae.Slot != 1 {
+				t.Fatalf("%+v applied fresh in slot %d", ae.Entry, ae.Slot)
+			}
+		}
+	}
+	if fresh != 2 || len(res.Applied) != 4 || c.Counters().Committed != 2 || c.NextSlot() != 3 {
+		t.Fatalf("applied %+v (committed %d, next slot %d), want 2 fresh in slot 1, 2 stale in slot 2",
+			res.Applied, c.Counters().Committed, c.NextSlot())
+	}
+
+	// Both peers have applied slot 1, neither slot 2: the horizon passes
+	// the earlier decision only.
+	c.Step(Event[string]{Kind: EvEnvelope, Env: syncPullEnv(1, 2)})
+	c.Step(Event[string]{Kind: EvEnvelope, Env: syncPullEnv(2, 2)})
+	if !servesPull(c, x) {
+		t.Fatal("batch pruned with slot 1 although slot 2 decided it too and a peer has yet to apply it")
+	}
+	c.Step(Event[string]{Kind: EvEnvelope, Env: syncPullEnv(1, 3)})
+	c.Step(Event[string]{Kind: EvEnvelope, Env: syncPullEnv(2, 3)})
+	if c.HoldsBatch(x) {
+		t.Fatal("batch still held after every replica applied both slots that decided it")
+	}
+}
+
+// TestOpenProposalHeldAfterItsEntriesApplied: proposals of open slots
+// overlap, so all of a proposal's entries can apply through another
+// batch while the slot it was minted for still runs — and can still
+// decide it. The pruner must keep it until that slot has applied; the
+// proposal of the slot that HAS applied goes as before.
+func TestOpenProposalHeldAfterItsEntriesApplied(t *testing.T) {
+	c := mergeCore(t, 0, 0)
+	for _, e := range ents([2]uint64{10, 1}, [2]uint64{10, 2}) {
+		c.Step(Event[string]{Kind: EvSubmit, Client: e.Client, Seq: e.Seq, Cmd: e.Cmd})
+	}
+	a, b := batchID(0, 1), batchID(0, 2)
+	if got := fmt.Sprint(c.batches[b]); got != fmt.Sprint(ents([2]uint64{10, 1}, [2]uint64{10, 2})) || c.Counters().Overlapped != 1 {
+		t.Fatalf("slot 2's proposal is %v (overlapped %d), want it to start at the first unapplied seq", got, c.Counters().Overlapped)
+	}
+
+	// p1 merged our forwarded commands into its own slot-1 proposal, and
+	// that is what slot 1 decides.
+	m := batchID(1, 1)
+	env := batchEnv(1, 1, ents([2]uint64{10, 1}, [2]uint64{10, 2}))
+	env.Slot = 1
+	c.Step(Event[string]{Kind: EvEnvelope, Env: env})
+	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, m})})
+	if len(res.Applied) != 2 || c.Counters().Pending != 0 {
+		t.Fatalf("slot 1 applied %+v, pending %d", res.Applied, c.Counters().Pending)
+	}
+	if got := openSlots(c); fmt.Sprint(got) != "[2]" {
+		t.Fatalf("open slots %v, want slot 2 still running", got)
+	}
+	if !c.HoldsBatch(b) || !servesPull(c, b) {
+		t.Fatal("own proposal of open slot 2 pruned once its entries applied through slot 1's batch")
+	}
+	if c.HoldsBatch(a) {
+		t.Fatal("losing proposal of applied slot 1 still held")
+	}
+
+	// Slot 2 decides it after all: every entry is stale, nothing breaks.
+	res = c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{2, b})})
+	for _, ae := range res.Applied {
+		if ae.Fresh {
+			t.Fatalf("%+v applied twice", ae.Entry)
+		}
+	}
+	if c.NextSlot() != 3 || c.Blocked() != 0 {
+		t.Fatalf("next slot %d, blocked on %#x", c.NextSlot(), c.Blocked())
+	}
+}
+
+// TestOverlapKeepsSessionOrder is merge_test.go's session-order table
+// with a slot already open: what does the NEXT slot's proposal hold?
+// Each case lets p0 open slot 1 with its first command, feeds it more by
+// the three routes (own pending, a peer's forward, a peer's batch),
+// optionally lets slot 1 apply somebody's batch, and then reads either
+// the proposal of the last slot the core opened by itself, or — for a
+// slot it had no reason to open — what propose() answers a peer asking.
+func TestOverlapKeepsSessionOrder(t *testing.T) {
+	type kv = [2]uint64
+	cases := []struct {
+		name     string
+		maxBatch int
+		own      []kv // accepted one step at a time; the first opens slot 1
+		forwards map[core.ProcessID][]kv
+		batches  map[int64][]kv
+		decide1  int64    // nonzero: slot 1 decides this held batch
+		wantOpen []uint64 // slots running afterwards
+		want     []kv     // unapplied entries of the last open slot's proposal …
+		asked    bool     // … or, asked into slot 2 by a peer, of what propose() re-proposes
+		wantID   int64    // the id that proposal must have
+	}{
+		{
+			name:     "own second command: the batch restarts at the first unapplied seq",
+			own:      []kv{{10, 1}, {10, 2}},
+			wantOpen: []uint64{1, 2},
+			want:     []kv{{10, 1}, {10, 2}},
+			wantID:   batchID(0, 2),
+		},
+		{
+			name:     "a forward and an offered batch join, own open proposal repeated",
+			own:      []kv{{10, 1}},
+			forwards: map[core.ProcessID][]kv{2: {{12, 1}, {12, 2}}},
+			batches:  map[int64][]kv{batchID(1, 4): {{11, 1}, {10, 1}}},
+			wantOpen: []uint64{1, 2},
+			want:     []kv{{12, 1}, {12, 2}, {10, 1}, {11, 1}},
+			wantID:   batchID(0, 2),
+		},
+		{
+			name:     "nothing our open proposal lacks: no second slot",
+			own:      []kv{{10, 1}},
+			forwards: map[core.ProcessID][]kv{1: {{10, 1}}}, // our own command, echoed back
+			wantOpen: []uint64{1},
+			want:     []kv{{10, 1}},
+			wantID:   batchID(0, 1),
+		},
+		{
+			name:     "asked in with nothing new: the open proposal's id again, no second copy",
+			own:      []kv{{10, 1}},
+			wantOpen: []uint64{1},
+			asked:    true,
+			want:     []kv{{10, 1}},
+			wantID:   batchID(0, 1),
+		},
+		{
+			name:     "MaxBatch cuts the overlap: what fits is all carried already, so no third slot",
+			maxBatch: 2,
+			own:      []kv{{10, 1}, {10, 2}, {10, 3}},
+			wantOpen: []uint64{1, 2},
+			want:     []kv{{10, 1}, {10, 2}},
+			wantID:   batchID(0, 2),
+		},
+		{
+			name:     "slot 1 applied a peer's batch with our head: slot 3 opens with the rest alone",
+			own:      []kv{{10, 1}, {10, 2}, {10, 3}},
+			batches:  map[int64][]kv{batchID(1, 1): {{10, 1}, {10, 2}}},
+			decide1:  batchID(1, 1),
+			wantOpen: []uint64{2, 3},
+			want:     []kv{{10, 3}},
+			wantID:   batchID(0, 3),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mergeCore(t, 0, tc.maxBatch)
+			for _, e := range ents(tc.own...) {
+				c.Step(Event[string]{Kind: EvSubmit, Client: e.Client, Seq: e.Seq, Cmd: e.Cmd})
+			}
+			// Peers' batches and forwards land together, then the core advances.
+			var res StepResult[string]
+			for bid, pairs := range tc.batches {
+				c.handleEnvelope(batchEnv(batchProposer(bid), batchCounter(bid), ents(pairs...)), &res)
+			}
+			for from, pairs := range tc.forwards {
+				c.handleEnvelope(forwardEnv(from, ents(pairs...)), &res)
+			}
+			c.Step(Event[string]{Kind: EvNudge})
+			if tc.decide1 != 0 {
+				c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, tc.decide1})})
+			}
+			if got := openSlots(c); fmt.Sprint(got) != fmt.Sprint(tc.wantOpen) {
+				t.Fatalf("open slots %v, want %v", got, tc.wantOpen)
+			}
+			bid, created := c.open[len(c.open)-1].prop, c.BatchesCreated()
+			if tc.asked {
+				bid, _ = c.propose(2, true, &res)
+			}
+			if bid != tc.wantID || c.BatchesCreated() != created {
+				t.Fatalf("proposal %#x (minted %d more), want %#x and nothing minted", bid, c.BatchesCreated()-created, tc.wantID)
+			}
+			var left []Entry[string]
+			for _, e := range c.batches[bid] {
+				if e.Seq > c.hwm[e.Client] {
+					left = append(left, e)
+				}
+			}
+			checkRun(t, c, left, tc.want)
+		})
+	}
+}
+
+// TestCrashWithTwoSlotsOpenRestoresBothVotes: a replica that voted in
+// two open slots and crashed comes back with both votes, and reopens
+// both slots with them installed — one forgotten vote is one slot in
+// which it could help decide against its own pre-crash quorum.
+func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 2, Cmd: "b"})
+	n.deliver() // p1, p2 join both slots and send their estimates
+	n.deliver() // p0 votes in both
+	n.deliver() // p1, p2 adopt both votes: x locked at ts 1
+	before := n.cores[1].PersistState()
+	if len(before.Votes) != 2 || len(n.cores[1].DecidedUnapplied()) != 0 {
+		t.Fatalf("p1 holds votes for %d slots mid-consensus, want 2", len(before.Votes))
+	}
+
+	rc := n.cores[1].Recover()
+	if rc.Counters().Open != 0 {
+		t.Fatal("round positions survived the crash")
+	}
+	rc.Step(Event[string]{Kind: EvNudge})
+	if got := openSlots(rc); fmt.Sprint(got) != "[1 2]" {
+		t.Fatalf("recovered replica reopened slots %v, want [1 2]", got)
+	}
+	// LastVoting's encoding starts with the locked vote (x, ts); the phase
+	// flags behind it are volatile round state and reset by design.
+	locked := func(state []byte) [2]int64 {
+		x, n := binary.Varint(state)
+		ts, _ := binary.Varint(state[n:])
+		return [2]int64{x, ts}
+	}
+	after := rc.PersistState()
+	for slot, vote := range before.Votes {
+		if got, want := locked(after.Votes[slot]), locked(vote); got != want || want[1] != 1 {
+			t.Fatalf("slot %d reopened with (x, ts) = %v, want the pre-crash lock %v at ts 1", slot, got, want)
+		}
+	}
+
+	// The group finishes both slots with the recovered replica in it:
+	// what was in flight to the old incarnation is gone, so a round of
+	// timeouts restarts the exchange whenever the network falls silent.
+	n.cores[1] = rc
+	n.queue = nil
+	for i := 0; i < 100 && n.cores[1].NextSlot() < 3; i++ {
+		if len(n.queue) > 0 {
+			n.deliver()
+			continue
+		}
+		for _, p := range []core.ProcessID{0, 1, 2} {
+			for _, slot := range openSlots(n.cores[p]) {
+				n.step(p, Event[string]{Kind: EvRoundTimeout, Slot: slot})
+			}
+		}
+	}
+	n.drain()
+	for p, c := range n.cores {
+		if st := c.Counters(); st.Applied != 2 || st.Committed != 2 || st.Divergent != 0 {
+			t.Fatalf("replica %d: applied %d, committed %d, divergent %d; want 2, 2, 0", p, st.Applied, st.Committed, st.Divergent)
+		}
+	}
+}

@@ -129,14 +129,14 @@ func TestForwardFromNobodyIgnored(t *testing.T) {
 		if len(res.Out) != 0 || len(res.Applied) != 0 || c.Counters().Malformed != 0 {
 			t.Fatalf("forward from %d had effects: %+v, malformed=%d", from, res, c.Counters().Malformed)
 		}
-		if _, _, active := c.RoundState(); active {
-			t.Fatalf("forward from %d started a slot", from)
+		if c.Counters().Open != 0 {
+			t.Fatalf("forward from %d opened a slot", from)
 		}
 	}
 	// The same payload from a real peer is work: it opens slot 1.
 	c.Step(Event[string]{Kind: EvEnvelope, Env: Envelope{From: 2, Kind: KindForward, Payload: payload}})
-	if _, _, active := c.RoundState(); !active {
-		t.Fatal("forward from a peer did not start a slot")
+	if c.Counters().Open != 1 {
+		t.Fatal("forward from a peer did not open a slot")
 	}
 }
 
@@ -167,8 +167,9 @@ func coreTraffic(f *testing.F) []Envelope {
 		}
 	}
 	collect(c.Step(Event[string]{Kind: EvSubmit, Client: 1, Seq: 1, Cmd: "put"}))
-	collect(c.Step(Event[string]{Kind: EvSubmit, Client: 1, Seq: 2, Cmd: "get"})) // mid-slot: a KindForward
-	collect(c.Step(Event[string]{Kind: EvRoundTimeout}))
+	collect(c.Step(Event[string]{Kind: EvSubmit, Client: 1, Seq: 2, Cmd: "get"})) // opens slot 2: an overlapping batch
+	collect(c.Step(Event[string]{Kind: EvSubmit, Client: 1, Seq: 3, Cmd: "del"})) // window full: a KindForward
+	collect(c.Step(Event[string]{Kind: EvRoundTimeout, Slot: 1}))
 	collect(c.Step(Event[string]{Kind: EvTick}))
 	if len(envs) == 0 {
 		f.Fatal("seed core emitted no traffic — corpus generator is broken")

@@ -21,8 +21,8 @@ import (
 //
 // The load is hoperf's live_delay in miniature — 16 closed-loop clients
 // pinned to node c mod 3, two groups, a fixed 500 µs one-way delay so a
-// slot takes long enough for commands to queue behind it — run to a
-// fixed operation count. Both assertions are ratios of counts; nothing
+// slot takes long enough for commands to arrive while it runs — run to
+// a fixed operation count. Both assertions are ratios of counts; nothing
 // here depends on how fast the host is.
 func TestEveryNodesClientsRideEverySlot(t *testing.T) {
 	const clients, totalOps = 16, 2400
@@ -86,8 +86,14 @@ func TestEveryNodesClientsRideEverySlot(t *testing.T) {
 	if committed != totalOps {
 		t.Errorf("committed %d commands, want %d", committed, totalOps)
 	}
-	if float64(committed) < 3*float64(slots) {
-		t.Errorf("%d commands in %d slots = %.2f per slot, want ≥ 3: slots are not carrying every node's commands",
+	// This load measures 2.69–2.72 commands per slot, run after run (it was
+	// ≈ 4.3 with one slot at a time): a command that arrives while a slot
+	// runs now opens the next slot at once instead of queueing behind it
+	// with its neighbours, so the same commands spread over nearly twice
+	// the slots — the window's stated cost. The floor sits well below the
+	// measurement and above one node's commands alone riding each slot.
+	if float64(committed) < 2.2*float64(slots) {
+		t.Errorf("%d commands in %d slots = %.2f per slot, want ≥ 2.2: slots are not carrying every node's commands",
 			committed, slots, float64(committed)/float64(slots))
 	}
 	if forwards == 0 || merged == 0 {

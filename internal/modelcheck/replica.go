@@ -30,7 +30,8 @@
 // adversary that for free.
 //
 // Scope bounds that keep the state space finite: MaxSlots stops new
-// consensus attempts past a slot budget, MaxRound freezes a slot's
+// consensus attempts past a slot budget (and with it bounds the slot
+// window: a budget of one slot can never have two in flight), MaxRound freezes a slot's
 // round progression (both are knobs of ReplicaCore itself, zero in
 // production), and the workload is a fixed handful of submissions. The
 // exploration is a plain depth-first reachable-state closure with
@@ -178,6 +179,11 @@ type ReplicaResult struct {
 	// merge path: 0 means no proposal ever merged a forward or a peer's
 	// batch into a new one.
 	MaxMerged int
+	// MaxOpen is the most slots any replica had in flight at once in any
+	// explored state — the guard for the slot window: below 2, no two
+	// consensus instances ever overlapped and nothing about overlapping
+	// proposals, out-of-order decisions or per-slot votes was exercised.
+	MaxOpen int
 	// Complete reports whether the reachable space was exhausted. False
 	// means the MaxStates budget cut the run: every visited state was
 	// still checked, so a clean incomplete run is a bounded-verification
@@ -484,8 +490,12 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 			if l, _ := c.LogFingerprint(); l > res.MaxApplied {
 				res.MaxApplied = l
 			}
-			if m := c.Counters().Merged; m > res.MaxMerged {
-				res.MaxMerged = m
+			st := c.Counters()
+			if st.Merged > res.MaxMerged {
+				res.MaxMerged = st.Merged
+			}
+			if st.Open > res.MaxOpen {
+				res.MaxOpen = st.Open
 			}
 		}
 		f := next.fingerprint()
@@ -520,17 +530,22 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 			if !st.live(pid) {
 				continue
 			}
-			// Round timeouts whenever a round is running (skipped at the
-			// MaxRound bound, where closing is a no-op by construction).
-			if _, r, active := st.cores[p].RoundState(); active && r < m.MaxRound {
-				next, v := m.step(st, pid, live.Event[byte]{Kind: live.EvRoundTimeout})
-				visit(next, v)
+			// A round timeout for every open slot (skipped at the MaxRound
+			// bound, where closing is a no-op by construction): the shell
+			// keeps one deadline per slot, so any of them may fire first.
+			open := st.cores[p].OpenRounds(nil)
+			for _, sr := range open {
+				if sr.Round < m.MaxRound && !halt {
+					next, v := m.step(st, pid, live.Event[byte]{Kind: live.EvRoundTimeout, Slot: sr.Slot})
+					visit(next, v)
+				}
 			}
 			if halt {
 				break
 			}
-			// Anti-entropy ticks whenever idle (re-pull or heartbeat).
-			if _, _, active := st.cores[p].RoundState(); !active {
+			// Anti-entropy ticks whenever they do something: a re-pull
+			// while apply is blocked, the heartbeat while idle.
+			if len(open) == 0 || st.cores[p].Blocked() != 0 {
 				next, v := m.step(st, pid, live.Event[byte]{Kind: live.EvTick})
 				visit(next, v)
 			}

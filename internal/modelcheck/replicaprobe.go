@@ -42,8 +42,8 @@
 //   - CheckMergeSkip: live.MutMergeSkip makes propose()'s merge drop the
 //     first unapplied entry of a peer-sourced piece and keep the rest.
 //     Schedule: p1 accepts (client 2, seq 1) and (client 2, seq 2) while
-//     slot 1 is in flight and forwards both; slot 2's coordinator p0
-//     merges the forward. Real core: p0 proposes both, in order. Mutant:
+//     slots 1 and 2 fill its window and forwards both; slot 3's
+//     coordinator p0 merges the forward. Real core: p0 proposes both, in order. Mutant:
 //     p0 proposes seq 2 alone, it applies, the high-water mark passes
 //     seq 1 and that command is gone — no two replicas disagree, nothing
 //     applies twice, so only the session-gap invariant sees it.
@@ -155,9 +155,16 @@ func (s *scen) stepOn(p core.ProcessID, ev live.Event[byte]) {
 func (s *scen) submit(p core.ProcessID, client, seq uint64, cmd byte) {
 	s.stepOn(p, live.Event[byte]{Kind: live.EvSubmit, Client: client, Seq: seq, Cmd: cmd})
 }
-func (s *scen) timeout(p core.ProcessID) { s.stepOn(p, live.Event[byte]{Kind: live.EvRoundTimeout}) }
-func (s *scen) tick(p core.ProcessID)    { s.stepOn(p, live.Event[byte]{Kind: live.EvTick}) }
-func (s *scen) crash(p core.ProcessID)   { s.dead |= 1 << uint(p) }
+func (s *scen) tick(p core.ProcessID)  { s.stepOn(p, live.Event[byte]{Kind: live.EvTick}) }
+func (s *scen) crash(p core.ProcessID) { s.dead |= 1 << uint(p) }
+
+// timeout closes the current round of every slot p has open, lowest
+// first (one-slot scripts read it as "p's round timer fires").
+func (s *scen) timeout(p core.ProcessID) {
+	for _, sr := range s.cores[p].OpenRounds(nil) {
+		s.stepOn(p, live.Event[byte]{Kind: live.EvRoundTimeout, Slot: sr.Slot})
+	}
+}
 
 // recover models a kill -9 followed by a restart from stable storage:
 // the core is replaced by its production recovery image (volatile round
@@ -418,29 +425,30 @@ func CheckStall(crash bool) ProbeResult {
 	return s.finish()
 }
 
-// CheckMergeSkip runs the forwarded-commands schedule over two slots
-// with every message delivered. With mutated (live.MutMergeSkip) slot 2
+// CheckMergeSkip runs the forwarded-commands schedule over three slots
+// with every message delivered. With mutated (live.MutMergeSkip) slot 3
 // commits client 2's seq 2 without its seq 1 — a session-gap violation;
-// without, slot 2 commits both in order and the run is clean with every
-// replica at commit index 2.
+// without, slot 3 commits both in order and the run is clean with every
+// replica at commit index 3.
 func CheckMergeSkip(mutated bool) ProbeResult {
 	var mut live.Mutation
 	if mutated {
 		mut = live.MutMergeSkip
 	}
-	s := newScenSlots(3, mut, 0, 2)
+	s := newScenSlots(3, mut, 0, 3)
 
-	// p0 opens slot 1 with batch A; its contents and round-1 traffic
-	// bring p1 and p2 into the slot, both proposing A's id.
+	// p0 opens slots 1 and 2 with one command each; their contents and
+	// round-1 traffic bring p1 and p2 into both: every window is full.
 	s.submit(0, 1, 1, 'a')
+	s.submit(0, 1, 2, 'A')
 	s.deliverWhere(anyMsg)
 
-	// p1 accepts two commands of one session mid-slot: it cannot propose
+	// p1 accepts two commands of one session with no slot to open for
 	// them, so it forwards its pending prefix — [b], then [b c].
 	s.submit(1, 2, 1, 'b')
 	s.submit(1, 2, 2, 'c')
 
-	// Free run, nothing lost: slot 1 decides A everywhere, then slot 2
+	// Free run, nothing lost: slots 1 and 2 decide everywhere, then slot 3
 	// opens with p0 (phase-1 coordinator, whose own proposal wins the
 	// all-ts=0 tie) proposing the merge of p1's forward.
 	for i := 0; i < 40; i++ {
@@ -543,5 +551,94 @@ func CheckStallRecovery() ProbeResult {
 	s.tick(2)
 	s.deliverWhere(kindIs(live.KindBatchPull))
 	s.deliverWhere(kindIs(live.KindBatch))
+	return s.finish()
+}
+
+// roundOf matches the round traffic of one slot.
+func roundOf(slot uint64) func(core.ProcessID, live.Envelope) bool {
+	return func(_ core.ProcessID, env live.Envelope) bool {
+		return env.Kind == live.KindRound && env.Slot == slot
+	}
+}
+
+// CheckWindowDisjoint runs the lost-head schedule of the slot window.
+// p0 accepts two commands of one session back to back, so it opens slot
+// 1 with [a] and slot 2 while slot 1 still runs; then everything p0
+// says about slot 1 — A's contents included — is lost, the other two
+// decide slot 1 without it (the no-op), and slot 2 decides p0's
+// proposal. Real core: that proposal OVERLAPS slot 1's, [a b], so both
+// commands commit. With mutated (live.MutWindowDisjoint) it is the
+// disjoint chunk [b]: seq 2 applies, the mark passes seq 1, and a is
+// gone — a session-gap violation, the only invariant that sees it.
+func CheckWindowDisjoint(mutated bool) ProbeResult {
+	var mut live.Mutation
+	if mutated {
+		mut = live.MutWindowDisjoint
+	}
+	s := newScenSlots(3, mut, 0, 2)
+	s.submit(0, 1, 1, 'a')
+	s.submit(0, 1, 2, 'b')
+
+	// Slot 1 is cut off at p0, both ways, for the whole run.
+	lost := func(to core.ProcessID, env live.Envelope) bool {
+		return env.Slot == 1 && (env.Kind == live.KindRound || env.Kind == live.KindBatch) &&
+			(env.From == 0 || to == 0)
+	}
+	s.dropWhere(lost)
+	// Slot 2's round-1 traffic asks p1 and p2 into slots 1 and 2 before
+	// any contents arrive: both propose the no-op for both.
+	s.deliverWhere(kindIs(live.KindRound))
+	// Slot 2 runs with nothing lost (p0, phase-1 coordinator, votes its
+	// own proposal); slot 1 advances at p1 and p2 by timeouts, through a
+	// phase p0 never coordinates into the one p1 does.
+	for i := 0; i < 20; i++ {
+		s.dropWhere(lost)
+		s.deliverWhere(anyMsg)
+		for _, p := range []core.ProcessID{1, 2} {
+			s.stepOn(p, live.Event[byte]{Kind: live.EvRoundTimeout, Slot: 1})
+		}
+	}
+	return s.finish()
+}
+
+// CheckPruneOpen runs the pruned-proposal schedule of the slot window.
+// p1 accepts two commands and opens slot 1 with A = [a] and slot 2 with
+// B = [a b]; B's contents reach p0 and p2 first, so both open slot 1
+// proposing B — and p0 is the phase-1 coordinator, whose own estimate
+// wins the tie — and p1's first round message asks them into slot 2,
+// proposing B again. From there slot 2's rounds are held back while slot
+// 1 decides B and applies both commands; a third command then opens slot
+// 3, whose round traffic tells everyone that everyone has applied slot
+// 1, and the horizon prune lets go of slot 1's reference to B. Real
+// core: B is still held, because slot 2 — open, and proposed B — has not
+// applied. With mutated
+// (live.MutPruneOpen) all three replicas drop it as "fully applied and
+// undecided", slot 2 then decides B, and nobody can serve the pull: a
+// gc-needed-batch violation.
+func CheckPruneOpen(mutated bool) ProbeResult {
+	var mut live.Mutation
+	if mutated {
+		mut = live.MutPruneOpen
+	}
+	s := newScenSlots(3, mut, 0, 3)
+	s.submit(1, 2, 1, 'a')
+	s.submit(1, 2, 2, 'b')
+	s.deliverWhere(func(_ core.ProcessID, env live.Envelope) bool {
+		return env.Kind == live.KindBatch && env.Slot == 2
+	})
+	s.deliverWhere(kindIs(live.KindBatch))
+	s.deliverWhere(kindIs(live.KindRound)) // p0 and p2 join slots 1 and 2
+
+	notSlot2 := func(to core.ProcessID, env live.Envelope) bool { return !roundOf(2)(to, env) }
+	for i := 0; i < 8; i++ {
+		s.deliverWhere(notSlot2) // slot 1 decides B everywhere; slot 2 waits
+	}
+	s.submit(2, 3, 1, 'c')
+	for i := 0; i < 8; i++ {
+		s.deliverWhere(notSlot2) // slot 3 opens everywhere and decides
+	}
+	for i := 0; i < 12; i++ {
+		s.deliverWhere(anyMsg) // slot 2's rounds are released
+	}
 	return s.finish()
 }

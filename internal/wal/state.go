@@ -54,16 +54,25 @@ func appendState(dst []byte, st *State) []byte {
 		dst = binary.AppendVarint(dst, st.Decided[s])
 	}
 
-	dst = binary.AppendUvarint(dst, st.VoteSlot)
-	dst = appendBytes(dst, st.Vote)
+	slots = slots[:0]
+	for s := range st.Votes {
+		slots = append(slots, s)
+	}
+	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+	dst = binary.AppendUvarint(dst, uint64(len(slots)))
+	for _, s := range slots {
+		dst = binary.AppendUvarint(dst, s)
+		dst = appendBytes(dst, st.Votes[s])
+	}
 	dst = appendBytes(dst, st.AppState)
 	return dst
 }
 
-// decodeState parses an appendState encoding into st (whose maps must
-// be non-nil). The Tail and AppSlots fields are recovery-side only and
-// not part of the encoding.
-func decodeState(b []byte, st *State) error {
+// decodeState parses a snapshot body of the given layout (snapVotes is
+// what appendState writes, snapOneVote what builds before the slot
+// window wrote) into st, whose maps must be non-nil. The Tail and
+// AppSlots fields are recovery-side only and not part of the encoding.
+func decodeState(b []byte, st *State, layout byte) error {
 	nlog, n := binary.Uvarint(b)
 	if n <= 0 || nlog > maxRecord {
 		return errors.New("corrupt snapshot: log length")
@@ -148,16 +157,26 @@ func decodeState(b []byte, st *State) error {
 		st.Decided[slot] = bid
 	}
 
-	voteSlot, n := binary.Uvarint(b)
-	if n <= 0 {
-		return errors.New("corrupt snapshot: vote slot")
+	nvotes := uint64(1)
+	if layout == snapVotes {
+		if nvotes, n = binary.Uvarint(b); n <= 0 || nvotes > maxRecord {
+			return errors.New("corrupt snapshot: vote count")
+		}
+		b = b[n:]
 	}
-	b = b[n:]
-	st.VoteSlot = voteSlot
 	var err error
-	st.Vote, b, err = takeBytes(b)
-	if err != nil {
-		return errors.New("corrupt snapshot: vote state")
+	for i := uint64(0); i < nvotes; i++ {
+		slot, m := binary.Uvarint(b)
+		if m <= 0 {
+			return errors.New("corrupt snapshot: vote slot")
+		}
+		var vote []byte
+		if vote, b, err = takeBytes(b[m:]); err != nil {
+			return errors.New("corrupt snapshot: vote state")
+		}
+		if slot != 0 { // the one-vote layout wrote slot 0 for "no vote"
+			st.Votes[slot] = vote
+		}
 	}
 	st.AppState, b, err = takeBytes(b)
 	if err != nil {

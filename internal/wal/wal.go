@@ -7,11 +7,11 @@
 // The paper's fault model is crash-RECOVERY: a process loses its
 // volatile round position but keeps stable storage. This package IS
 // that stable storage for internal/live replicas. The contract with
-// the shell (live.Replica) is write-ahead at step granularity: every
-// Save* issued by a core step is made durable by one Sync() before any
-// envelope of that step is transmitted or any waiter acknowledged, so
-// no external observer can ever have seen state this log does not
-// hold. Quorum-durable dissemination falls out of the same barrier — a
+// the shell (live.Replica) is write-ahead at wakeup granularity: every
+// Save* issued by the core steps of one event-loop wakeup is made
+// durable by one Sync() before any envelope of those steps is
+// transmitted or any waiter acknowledged, so no external observer can
+// ever have seen state this log does not hold. Quorum-durable dissemination falls out of the same barrier — a
 // batch body is on its proposer's disk before the batch id appears in
 // any proposal.
 //
@@ -80,11 +80,11 @@ type State struct {
 	Batches map[int64][]byte
 	// Decided maps decided-but-unapplied slots to their batch ids.
 	Decided map[uint64]int64
-	// VoteSlot/Vote hold the newest persisted consensus-instance state
-	// (the locked vote): the slot it belongs to and the algorithm's
-	// canonical encoding. Stale if VoteSlot ≤ len(Log).
-	VoteSlot uint64
-	Vote     []byte
+	// Votes holds the newest persisted consensus-instance state (the
+	// locked vote, in the algorithm's canonical encoding) of every slot
+	// that was open — a replica runs a window of slots at once — and had
+	// not applied. Entries for decided slots are stale.
+	Votes map[uint64][]byte
 	// AppSlots is the applied-slot count the AppState snapshot covers;
 	// Tail lists the applies recovered from the log beyond it, in
 	// order, for the shell to replay through its Apply hook.
@@ -99,6 +99,7 @@ func newState() *State {
 		HWM:     make(map[uint64]uint64),
 		Batches: make(map[int64][]byte),
 		Decided: make(map[uint64]int64),
+		Votes:   make(map[uint64][]byte),
 	}
 }
 
@@ -113,6 +114,15 @@ const (
 var (
 	logMagic  = []byte("HOWAL\x01\x00\x00")
 	snapMagic = []byte("HOSNAP\x01")
+)
+
+// The snapshot file holds one record whose first body byte names the
+// State layout. Builds before the slot window wrote snapOneVote (the
+// vote of the single running slot); it still opens, as a Votes map of
+// at most one entry. Snapshot always writes snapVotes.
+const (
+	snapOneVote = 0 // … uvarint vote slot ∥ vote ∥ app state
+	snapVotes   = 1 // … uvarint count ∥ (uvarint slot ∥ vote)* ∥ app state
 )
 
 // maxRecord bounds one record body; larger length prefixes are treated
@@ -239,9 +249,10 @@ func (s *Store) SaveBatch(bid int64, contents []byte) {
 	s.endRecord(start)
 }
 
-// SaveVote logs the running instance's state after a transition — the
+// SaveVote logs a running instance's state after a transition — the
 // locked vote the paper's crash-recovery algorithm keeps in stable
-// storage.
+// storage — under its slot: a replica has several slots open, and
+// recovery keeps the newest record of each.
 //
 //holint:hotpath
 func (s *Store) SaveVote(slot uint64, state []byte) {
@@ -351,7 +362,7 @@ func (s *Store) Snapshot(st *State) error {
 	if err := s.Sync(); err != nil {
 		return err
 	}
-	body := appendState([]byte{0}, st) // kind byte 0: the one snapshot record
+	body := appendState([]byte{snapVotes}, st)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, crcTable))
@@ -421,10 +432,13 @@ func readSnapshot(path string, st *State) error {
 		return fmt.Errorf("wal: %s: bad magic", path)
 	}
 	body, n, ok := nextRecord(raw[len(snapMagic):])
-	if !ok || n != len(raw)-len(snapMagic) || len(body) == 0 || body[0] != 0 {
+	if !ok || n != len(raw)-len(snapMagic) || len(body) == 0 {
 		return fmt.Errorf("wal: %s: corrupt snapshot record", path)
 	}
-	if err := decodeState(body[1:], st); err != nil {
+	if body[0] != snapOneVote && body[0] != snapVotes {
+		return fmt.Errorf("wal: %s: snapshot layout %d is not one this build reads", path, body[0])
+	}
+	if err := decodeState(body[1:], st, body[0]); err != nil {
 		return fmt.Errorf("wal: %s: %w", path, err)
 	}
 	st.AppSlots = uint64(len(st.Log))
@@ -494,9 +508,8 @@ func applyRecord(st *State, body []byte) error {
 		if n <= 0 || slot == 0 {
 			return errors.New("corrupt vote record")
 		}
-		if slot >= st.VoteSlot { // later records carry newer state
-			st.VoteSlot = slot
-			st.Vote = append([]byte(nil), b[n:]...)
+		if slot > uint64(len(st.Log)) { // later records carry newer state
+			st.Votes[slot] = append([]byte(nil), b[n:]...)
 		}
 	case recDecision:
 		slot, n1 := binary.Uvarint(b)
@@ -544,6 +557,7 @@ func applyRecord(st *State, body []byte) error {
 		case slot == uint64(len(st.Log))+1:
 			st.Log = append(st.Log, bid)
 			delete(st.Decided, slot)
+			delete(st.Votes, slot)
 			for _, cs := range fresh {
 				if cs.Seq > st.HWM[cs.Client] {
 					st.HWM[cs.Client] = cs.Seq

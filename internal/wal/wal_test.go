@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -25,10 +28,16 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Log) != 0 || len(st.Batches) != 0 || st.VoteSlot != 0 {
+	if len(st.Log) != 0 || len(st.Batches) != 0 || len(st.Votes) != 0 {
 		t.Fatalf("fresh dir recovered non-empty state: %+v", st)
 	}
 	fill(s)
+	// A replica has a window of slots open: votes of two of them, the
+	// earlier one overwritten by a later transition, and a stale vote of
+	// the slot fill() already applied.
+	s.SaveVote(1, []byte{9})
+	s.SaveVote(2, []byte{6})
+	s.SaveVote(3, []byte{8})
 	s.SaveVote(2, []byte{7})
 	s.SaveDecision(2, (3<<40)|1)
 	if err := s.Sync(); err != nil {
@@ -56,8 +65,8 @@ func TestRoundTrip(t *testing.T) {
 		!bytes.Equal(st2.Batches[(3<<40)|1], []byte{0x01, 'c', 'd'}) {
 		t.Fatalf("batches = %v", st2.Batches)
 	}
-	if st2.VoteSlot != 2 || !bytes.Equal(st2.Vote, []byte{7}) {
-		t.Fatalf("vote = (%d, %v), want (2, [7])", st2.VoteSlot, st2.Vote)
+	if want := map[uint64][]byte{2: {7}, 3: {8}}; !reflect.DeepEqual(st2.Votes, want) {
+		t.Fatalf("votes = %v, want %v", st2.Votes, want)
 	}
 	if st2.Decided[2] != (3<<40)|1 || len(st2.Decided) != 1 {
 		t.Fatalf("decided = %v", st2.Decided)
@@ -285,16 +294,102 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	st.BatchSeq = 5
 	st.Batches[(2<<40)|5] = []byte("entries")
 	st.Decided[4] = (1 << 40) | 2
-	st.VoteSlot = 4
-	st.Vote = []byte{1, 2}
+	st.Votes[4] = []byte{1, 2}
+	st.Votes[5] = []byte{3}
 	st.AppState = []byte("sm")
 
 	got := newState()
-	if err := decodeState(appendState(nil, st), got); err != nil {
+	if err := decodeState(appendState(nil, st), got, snapVotes); err != nil {
 		t.Fatal(err)
 	}
 	st.Tail, got.Tail = nil, nil
 	if !reflect.DeepEqual(st, got) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, st)
+	}
+}
+
+// oneVoteBody encodes st in the snapshot layout builds before the slot
+// window wrote: everything as today up to the votes, then ONE
+// (slot, vote) pair — slot 0 for none — and the app state.
+func oneVoteBody(st *State, voteSlot uint64, vote []byte) []byte {
+	votes, app := st.Votes, st.AppState
+	st.Votes, st.AppState = nil, nil
+	b := appendState(nil, st)
+	st.Votes, st.AppState = votes, app
+	b = b[:len(b)-2] // drop the empty vote list and the empty app state
+	b = binary.AppendUvarint(b, voteSlot)
+	b = appendBytes(b, vote)
+	return appendBytes(b, app)
+}
+
+// writeSnapshotFile frames body as the snapshot file of dir.
+func writeSnapshotFile(t *testing.T, dir string, body []byte) {
+	t.Helper()
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, crcTable))
+	raw := append(append(append([]byte{}, snapMagic...), hdr[:]...), body...)
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParentSnapshotStillOpens: a data directory snapshotted by a build
+// from before the slot window (one vote, layout byte 0) opens under this
+// one, its vote as the single entry of Votes; the next snapshot rewrites
+// it in the current layout; a layout byte this build does not know is
+// refused by name instead of being misparsed.
+func TestParentSnapshotStillOpens(t *testing.T) {
+	st := newState()
+	st.Log = []int64{(1 << 40) | 1, 0}
+	st.Committed = 2
+	st.HWM[7] = 2
+	st.BatchSeq = 3
+	st.Batches[(1<<40)|1] = []byte("entries")
+	st.Decided[4] = (2 << 40) | 1
+	st.AppState = []byte("sm")
+
+	for _, tc := range []struct {
+		name     string
+		voteSlot uint64
+		vote     []byte
+		want     map[uint64][]byte
+	}{
+		{"mid-consensus vote", 3, []byte{1, 2}, map[uint64][]byte{3: {1, 2}}},
+		{"no vote", 0, nil, map[uint64][]byte{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeSnapshotFile(t, dir, append([]byte{snapOneVote}, oneVoteBody(st, tc.voteSlot, tc.vote)...))
+			s, got, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("parent snapshot refused: %v", err)
+			}
+			if !reflect.DeepEqual(got.Votes, tc.want) {
+				t.Fatalf("votes = %v, want %v", got.Votes, tc.want)
+			}
+			if !reflect.DeepEqual(got.Log, st.Log) || got.BatchSeq != 3 || got.Decided[4] != st.Decided[4] ||
+				!bytes.Equal(got.AppState, st.AppState) || got.AppSlots != 2 {
+				t.Fatalf("state = %+v", got)
+			}
+			if err := s.Snapshot(got); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			s2, again, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if !reflect.DeepEqual(again.Votes, tc.want) || !reflect.DeepEqual(again.Log, st.Log) {
+				t.Fatalf("rewritten snapshot recovered %+v", again)
+			}
+		})
+	}
+
+	dir := t.TempDir()
+	writeSnapshotFile(t, dir, append([]byte{7}, appendState(nil, st)...))
+	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "snapshot layout 7") {
+		t.Fatalf("unknown snapshot layout: err = %v, want it named", err)
 	}
 }
