@@ -495,7 +495,25 @@ func (c *ReplicaCore[C]) handleBatch(env Envelope, res *StepResult[C]) {
 	}
 	// The proposer stamps the slot it minted the batch for (a pull reply
 	// carries 0): hold the contents until that slot has applied here.
-	c.proposedFor(bid, env.Slot)
+	c.proposedFor(bid, min(env.Slot, c.stampLimit()))
+}
+
+// stampLimit is the highest slot a peer's KindBatch stamp is taken at its
+// word for. The sender minted the batch for a slot of its own window, at
+// most window past what it had applied, and a receiver in step with the
+// group has heard of those decisions give or take a window — so anything
+// further out is clamped to that. A corrupt or bogus stamp then pins its
+// batch for a few slots, not for good; a genuine one from far ahead
+// reaches a laggard, who resyncs through the log anyway and at worst
+// pulls the contents once more.
+func (c *ReplicaCore[C]) stampLimit() uint64 {
+	known := uint64(len(c.log))
+	for s := range c.decided {
+		if s > known {
+			known = s
+		}
+	}
+	return known + 2*window
 }
 
 // proposedFor records that slot may still decide a held batch id.

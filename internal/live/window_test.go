@@ -193,6 +193,34 @@ func TestOpenProposalHeldAfterItsEntriesApplied(t *testing.T) {
 	}
 }
 
+// TestBogusBatchStampDoesNotPinForever: the slot a KindBatch names comes
+// off the wire. One naming a slot no live sender could be minting for is
+// held as far as stampLimit trusts it, not until a slot that never comes.
+func TestBogusBatchStampDoesNotPinForever(t *testing.T) {
+	c := mergeCore(t, 0, 0)
+	bogus := batchEnv(1, 1, ents([2]uint64{11, 1}))
+	bogus.Slot = 1 << 60
+	c.Step(Event[string]{Kind: EvEnvelope, Env: bogus})
+	limit := c.stampLimit()
+	if got := c.batchSlot[batchID(1, 1)]; got != limit {
+		t.Fatalf("stamp %d recorded as slot %d, want it clamped to %d", bogus.Slot, got, limit)
+	}
+	// The same command commits through p2's batch in slot 1; the slots up
+	// to the limit decide the no-op.
+	c.Step(Event[string]{Kind: EvEnvelope, Env: batchEnv(2, 1, ents([2]uint64{11, 1}))})
+	c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(2, [2]int64{1, batchID(2, 1)})})
+	for slot := uint64(2); slot <= limit; slot++ {
+		if !c.HoldsBatch(batchID(1, 1)) {
+			t.Fatalf("batch dropped with slot %d unapplied, inside the slots its stamp is trusted for", slot)
+		}
+		c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(2, [2]int64{int64(slot), 0})})
+	}
+	if c.NextSlot() != limit+1 || c.HoldsBatch(batchID(1, 1)) || len(c.batchSlot) != 0 {
+		t.Fatalf("next slot %d, batch held %v, %d stamps kept; want %d, false, 0",
+			c.NextSlot(), c.HoldsBatch(batchID(1, 1)), len(c.batchSlot), limit+1)
+	}
+}
+
 // TestOverlapKeepsSessionOrder is merge_test.go's session-order table
 // with a slot already open: what does the NEXT slot's proposal hold?
 // Each case lets p0 open slot 1 with its first command, feeds it more by

@@ -58,6 +58,8 @@ func FuzzReplicaCoreStep(f *testing.F) {
 	f.Add(uint8(99), uint64(0), uint64(0), uint8(1), []byte("junk"))
 	f.Add(uint8(KindForward), uint64(0), uint64(0), uint8(1), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // huge entry count
 	f.Add(uint8(KindForward), uint64(0), uint64(0), uint8(0), strCodec{}.AppendEntries(nil, []Entry[string]{{Client: 9, Seq: 1, Cmd: "self"}}))
+	f.Add(uint8(KindBatch), uint64(1<<62), uint64(0), uint8(1), // a stamp for a slot nobody is near
+		strCodec{}.AppendEntries(appendVarint(nil, batchID(1, 1)), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}))
 
 	f.Fuzz(func(t *testing.T, kind uint8, slot, round uint64, from uint8, payload []byte) {
 		c := newFuzzCore(t)
@@ -76,6 +78,11 @@ func FuzzReplicaCoreStep(f *testing.F) {
 		for _, a := range res.Applied {
 			if a.Slot == 0 {
 				t.Fatalf("applied slot 0 from envelope kind=%d payload=%x", kind, payload)
+			}
+		}
+		for bid, s := range c.batchSlot {
+			if s > c.stampLimit() {
+				t.Fatalf("batch %#x held until slot %d on the wire's word (limit %d)", bid, s, c.stampLimit())
 			}
 		}
 	})

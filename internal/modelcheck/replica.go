@@ -188,8 +188,9 @@ type ReplicaResult struct {
 	// means the MaxStates budget cut the run: every visited state was
 	// still checked, so a clean incomplete run is a bounded-verification
 	// result (depth-first order makes the budget cover deep schedules,
-	// not just wide shallow ones), but absence of violations beyond the
-	// budget is not established.
+	// not just wide shallow ones, and Explore's successor order puts the
+	// ones that decide and apply every slot first), but absence of
+	// violations beyond the budget is not established.
 	Complete bool
 }
 
@@ -199,14 +200,17 @@ type ReplicaResult struct {
 // encoding (recomputed only for a stepped core) and keys mirrors the
 // soup as a sorted slice, so fingerprinting a successor is a hash over
 // cached bytes rather than a re-encode — the difference between
-// thousands and tens of thousands of states per second. soup and keys
-// are shared between states until a step actually adds a message
+// thousands and tens of thousands of states per second. sent lists the
+// same keys in the order the messages were sent — the order Explore
+// delivers them in; it is not part of the fingerprint. soup, keys and
+// sent are shared between states until a step actually adds a message
 // (owns tracks copy-on-write).
 type rcState struct {
 	cores      []*live.ReplicaCore[byte]
 	coreFP     [][]byte
 	soup       map[string]soupMsg
 	keys       []string
+	sent       []string
 	owns       bool
 	crashed    uint8
 	crashes    int
@@ -284,6 +288,7 @@ func (s *rcState) put(to core.ProcessID, env live.Envelope) {
 		}
 		s.soup = cp
 		s.keys = append(make([]string, 0, len(s.keys)+4), s.keys...)
+		s.sent = append(make([]string, 0, len(s.sent)+4), s.sent...)
 		s.owns = true
 	}
 	var bid int64
@@ -297,6 +302,7 @@ func (s *rcState) put(to core.ProcessID, env live.Envelope) {
 	s.keys = append(s.keys, "")
 	copy(s.keys[i+1:], s.keys[i:])
 	s.keys[i] = key
+	s.sent = append(s.sent, key)
 }
 
 // forkForStep clones the state for stepping core p: that core is deep-
@@ -308,6 +314,7 @@ func (s *rcState) forkForStep(p core.ProcessID) *rcState {
 		coreFP:     append([][]byte(nil), s.coreFP...),
 		soup:       s.soup,
 		keys:       s.keys,
+		sent:       s.sent,
 		crashed:    s.crashed,
 		crashes:    s.crashes,
 		recoveries: s.recoveries,
@@ -514,11 +521,55 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 		st := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
 
-		// Deliveries: any soup message to any live destination, in
-		// canonical order for determinism.
-		for _, k := range st.keys {
-			msg := st.soup[k]
-			if halt || !st.live(msg.to) {
+		// The walk pops what is pushed last, so the push order decides
+		// which schedules a bounded run spends its budget on — and, through
+		// coverability pruning, what a full closure costs; it cannot change
+		// what a closure proves. Crashes are pushed first and explored
+		// last: a crash only takes behaviour away. Deliveries come back
+		// oldest message first, the order a FIFO network would produce — a
+		// batch before the round message that names it, a forward after
+		// both — so the first deep schedules are the ones that decide and
+		// apply every slot, and the reorderings, losses (a message never
+		// delivered) and crashes are explored around them. Timeouts and
+		// ticks go on top: they make a replica say everything it has to
+		// say, and soup-maximal states first is what lets the pruning cut.
+		for p := 0; p < m.N && !halt; p++ {
+			pid := core.ProcessID(p)
+			if !st.live(pid) {
+				continue
+			}
+			// Crash-stop, within budget.
+			if st.crashes < m.CrashBudget {
+				next := &rcState{cores: st.cores, coreFP: st.coreFP, soup: st.soup, keys: st.keys, sent: st.sent,
+					crashed: st.crashed | 1<<uint(p), crashes: st.crashes + 1, recoveries: st.recoveries}
+				visit(next, nil)
+			}
+			// Crash-RECOVERY, within budget: the replica reboots from its
+			// write-ahead state via the production recovery path. Soup
+			// messages sent to it before the crash stay deliverable —
+			// exactly the duplicate-delivery-after-restart hazard the
+			// invariants must survive.
+			if !halt && st.recoveries < m.RecoveryBudget {
+				next := &rcState{
+					cores:      append([]*live.ReplicaCore[byte](nil), st.cores...),
+					coreFP:     append([][]byte(nil), st.coreFP...),
+					soup:       st.soup,
+					keys:       st.keys,
+					sent:       st.sent,
+					crashed:    st.crashed,
+					crashes:    st.crashes,
+					recoveries: st.recoveries + 1,
+				}
+				next.cores[p] = st.cores[p].Recover()
+				next.coreFP[p] = next.cores[p].AppendFingerprint(nil)
+				visit(next, nil)
+			}
+		}
+
+		// Deliveries: any soup message to any live destination.
+		for i := len(st.sent) - 1; i >= 0 && !halt; i-- {
+			msg := st.soup[st.sent[i]]
+			if !st.live(msg.to) {
 				continue
 			}
 			next, v := m.step(st, msg.to, live.Event[byte]{Kind: live.EvEnvelope, Env: msg.env})
@@ -540,45 +591,11 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 					visit(next, v)
 				}
 			}
-			if halt {
-				break
-			}
 			// Anti-entropy ticks whenever they do something: a re-pull
 			// while apply is blocked, the heartbeat while idle.
-			if len(open) == 0 || st.cores[p].Blocked() != 0 {
+			if !halt && (len(open) == 0 || st.cores[p].Blocked() != 0) {
 				next, v := m.step(st, pid, live.Event[byte]{Kind: live.EvTick})
 				visit(next, v)
-			}
-			if halt {
-				break
-			}
-			// Crash-stop, within budget.
-			if st.crashes < m.CrashBudget {
-				next := &rcState{cores: st.cores, coreFP: st.coreFP, soup: st.soup, keys: st.keys,
-					crashed: st.crashed | 1<<uint(p), crashes: st.crashes + 1, recoveries: st.recoveries}
-				visit(next, nil)
-			}
-			if halt {
-				break
-			}
-			// Crash-RECOVERY, within budget: the replica reboots from its
-			// write-ahead state via the production recovery path. Soup
-			// messages sent to it before the crash stay deliverable —
-			// exactly the duplicate-delivery-after-restart hazard the
-			// invariants must survive.
-			if st.recoveries < m.RecoveryBudget {
-				next := &rcState{
-					cores:      append([]*live.ReplicaCore[byte](nil), st.cores...),
-					coreFP:     append([][]byte(nil), st.coreFP...),
-					soup:       st.soup,
-					keys:       st.keys,
-					crashed:    st.crashed,
-					crashes:    st.crashes,
-					recoveries: st.recoveries + 1,
-				}
-				next.cores[p] = st.cores[p].Recover()
-				next.coreFP[p] = next.cores[p].AppendFingerprint(nil)
-				visit(next, nil)
 			}
 		}
 	}

@@ -68,11 +68,10 @@ func appendState(dst []byte, st *State) []byte {
 	return dst
 }
 
-// decodeState parses a snapshot body of the given layout (snapVotes is
-// what appendState writes, snapOneVote what builds before the slot
-// window wrote) into st, whose maps must be non-nil. The Tail and
-// AppSlots fields are recovery-side only and not part of the encoding.
-func decodeState(b []byte, st *State, layout byte) error {
+// decodeState parses an appendState encoding into st (whose maps must
+// be non-nil). The Tail and AppSlots fields are recovery-side only and
+// not part of the encoding.
+func decodeState(b []byte, st *State) error {
 	nlog, n := binary.Uvarint(b)
 	if n <= 0 || nlog > maxRecord {
 		return errors.New("corrupt snapshot: log length")
@@ -157,25 +156,19 @@ func decodeState(b []byte, st *State, layout byte) error {
 		st.Decided[slot] = bid
 	}
 
-	nvotes := uint64(1)
-	if layout == snapVotes {
-		if nvotes, n = binary.Uvarint(b); n <= 0 || nvotes > maxRecord {
-			return errors.New("corrupt snapshot: vote count")
-		}
-		b = b[n:]
+	nvotes, n := binary.Uvarint(b)
+	if n <= 0 || nvotes > maxRecord {
+		return errors.New("corrupt snapshot: vote count")
 	}
+	b = b[n:]
 	var err error
 	for i := uint64(0); i < nvotes; i++ {
 		slot, m := binary.Uvarint(b)
-		if m <= 0 {
+		if m <= 0 || slot == 0 {
 			return errors.New("corrupt snapshot: vote slot")
 		}
-		var vote []byte
-		if vote, b, err = takeBytes(b[m:]); err != nil {
+		if st.Votes[slot], b, err = takeBytes(b[m:]); err != nil {
 			return errors.New("corrupt snapshot: vote state")
-		}
-		if slot != 0 { // the one-vote layout wrote slot 0 for "no vote"
-			st.Votes[slot] = vote
 		}
 	}
 	st.AppState, b, err = takeBytes(b)

@@ -116,14 +116,12 @@ var (
 	snapMagic = []byte("HOSNAP\x01")
 )
 
-// The snapshot file holds one record whose first body byte names the
-// State layout. Builds before the slot window wrote snapOneVote (the
-// vote of the single running slot); it still opens, as a Votes map of
-// at most one entry. Snapshot always writes snapVotes.
-const (
-	snapOneVote = 0 // … uvarint vote slot ∥ vote ∥ app state
-	snapVotes   = 1 // … uvarint count ∥ (uvarint slot ∥ vote)* ∥ app state
-)
+// snapLayout is the first body byte of the snapshot file's one record:
+// it names the State encoding that follows. Builds before the slot
+// window wrote 0 (a single vote where the Votes list now is); such a
+// snapshot is refused by name rather than read — a data directory is
+// not upgraded in place across that change.
+const snapLayout = 1
 
 // maxRecord bounds one record body; larger length prefixes are treated
 // as corruption (live batch frames are capped well below this).
@@ -362,7 +360,7 @@ func (s *Store) Snapshot(st *State) error {
 	if err := s.Sync(); err != nil {
 		return err
 	}
-	body := appendState([]byte{snapVotes}, st)
+	body := appendState([]byte{snapLayout}, st)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, crcTable))
@@ -435,10 +433,11 @@ func readSnapshot(path string, st *State) error {
 	if !ok || n != len(raw)-len(snapMagic) || len(body) == 0 {
 		return fmt.Errorf("wal: %s: corrupt snapshot record", path)
 	}
-	if body[0] != snapOneVote && body[0] != snapVotes {
-		return fmt.Errorf("wal: %s: snapshot layout %d is not one this build reads", path, body[0])
+	if body[0] != snapLayout {
+		return fmt.Errorf("wal: %s: snapshot layout %d, this build reads only layout %d (0 is a build from before the slot window; data directories are not upgraded in place)",
+			path, body[0], snapLayout)
 	}
-	if err := decodeState(body[1:], st, body[0]); err != nil {
+	if err := decodeState(body[1:], st); err != nil {
 		return fmt.Errorf("wal: %s: %w", path, err)
 	}
 	st.AppSlots = uint64(len(st.Log))

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -299,27 +300,13 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	st.AppState = []byte("sm")
 
 	got := newState()
-	if err := decodeState(appendState(nil, st), got, snapVotes); err != nil {
+	if err := decodeState(appendState(nil, st), got); err != nil {
 		t.Fatal(err)
 	}
 	st.Tail, got.Tail = nil, nil
 	if !reflect.DeepEqual(st, got) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, st)
 	}
-}
-
-// oneVoteBody encodes st in the snapshot layout builds before the slot
-// window wrote: everything as today up to the votes, then ONE
-// (slot, vote) pair — slot 0 for none — and the app state.
-func oneVoteBody(st *State, voteSlot uint64, vote []byte) []byte {
-	votes, app := st.Votes, st.AppState
-	st.Votes, st.AppState = nil, nil
-	b := appendState(nil, st)
-	st.Votes, st.AppState = votes, app
-	b = b[:len(b)-2] // drop the empty vote list and the empty app state
-	b = binary.AppendUvarint(b, voteSlot)
-	b = appendBytes(b, vote)
-	return appendBytes(b, app)
 }
 
 // writeSnapshotFile frames body as the snapshot file of dir.
@@ -334,62 +321,35 @@ func writeSnapshotFile(t *testing.T, dir string, body []byte) {
 	}
 }
 
-// TestParentSnapshotStillOpens: a data directory snapshotted by a build
-// from before the slot window (one vote, layout byte 0) opens under this
-// one, its vote as the single entry of Votes; the next snapshot rewrites
-// it in the current layout; a layout byte this build does not know is
-// refused by name instead of being misparsed.
-func TestParentSnapshotStillOpens(t *testing.T) {
+// TestForeignSnapshotRefused: a snapshot whose layout byte is not this
+// build's — 0, what builds before the slot window wrote with a single
+// vote where the Votes list now is, or anything unknown — is refused
+// with an error that names the byte, instead of being misparsed.
+func TestForeignSnapshotRefused(t *testing.T) {
 	st := newState()
 	st.Log = []int64{(1 << 40) | 1, 0}
 	st.Committed = 2
 	st.HWM[7] = 2
-	st.BatchSeq = 3
-	st.Batches[(1<<40)|1] = []byte("entries")
-	st.Decided[4] = (2 << 40) | 1
+	st.Votes[3] = []byte{1, 2}
 	st.AppState = []byte("sm")
 
-	for _, tc := range []struct {
-		name     string
-		voteSlot uint64
-		vote     []byte
-		want     map[uint64][]byte
-	}{
-		{"mid-consensus vote", 3, []byte{1, 2}, map[uint64][]byte{3: {1, 2}}},
-		{"no vote", 0, nil, map[uint64][]byte{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			writeSnapshotFile(t, dir, append([]byte{snapOneVote}, oneVoteBody(st, tc.voteSlot, tc.vote)...))
-			s, got, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatalf("parent snapshot refused: %v", err)
-			}
-			if !reflect.DeepEqual(got.Votes, tc.want) {
-				t.Fatalf("votes = %v, want %v", got.Votes, tc.want)
-			}
-			if !reflect.DeepEqual(got.Log, st.Log) || got.BatchSeq != 3 || got.Decided[4] != st.Decided[4] ||
-				!bytes.Equal(got.AppState, st.AppState) || got.AppSlots != 2 {
-				t.Fatalf("state = %+v", got)
-			}
-			if err := s.Snapshot(got); err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
-			s2, again, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			if !reflect.DeepEqual(again.Votes, tc.want) || !reflect.DeepEqual(again.Log, st.Log) {
-				t.Fatalf("rewritten snapshot recovered %+v", again)
-			}
-		})
+	for _, layout := range []byte{0, 7} {
+		dir := t.TempDir()
+		writeSnapshotFile(t, dir, appendState([]byte{layout}, st))
+		want := fmt.Sprintf("snapshot layout %d", layout)
+		if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("layout %d: err = %v, want %q named", layout, err, want)
+		}
 	}
 
 	dir := t.TempDir()
-	writeSnapshotFile(t, dir, append([]byte{7}, appendState(nil, st)...))
-	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "snapshot layout 7") {
-		t.Fatalf("unknown snapshot layout: err = %v, want it named", err)
+	writeSnapshotFile(t, dir, appendState([]byte{snapLayout}, st))
+	s, got, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("own layout refused: %v", err)
+	}
+	defer s.Close()
+	if !reflect.DeepEqual(got.Votes, st.Votes) || got.AppSlots != 2 {
+		t.Fatalf("state = %+v", got)
 	}
 }
