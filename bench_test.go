@@ -543,14 +543,17 @@ func BenchmarkMicro_UVRound(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_LastVotingPhase measures one four-round LastVoting phase
-// at n=16.
+// BenchmarkMicro_LastVotingPhase measures one whole LastVoting phase
+// φ ≥ 2 — estimate, vote, ack, decide — at n=16. Phase 1 is the short
+// one (no estimate round, decided after two), so its three rounds run
+// before the clock starts and every iteration is rounds 4φ−4 … 4φ−1.
 func BenchmarkMicro_LastVotingPhase(b *testing.B) {
 	initial := make([]core.Value, 16)
 	ru, err := core.NewRunner(lastvoting.Algorithm{}, initial, adversary.Full{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ru.RunRounds(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ru.RunRounds(4)

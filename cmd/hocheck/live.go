@@ -142,6 +142,14 @@ var mutantProbes = []mutantProbe{
 		desc: "crash recovery discarding the persisted locked vote (split decision)",
 	},
 	{
+		name: "ts-regress",
+		run:  modelcheck.CheckTSRegress,
+		killed: func(r modelcheck.ProbeResult) bool {
+			return r.Violation != nil && r.Violation.Kind == "agreement"
+		},
+		desc: "LastVoting re-adopting an old vote below its timestamp after a restart (lock undone)",
+	},
+	{
 		name: "merge-skip",
 		run:  modelcheck.CheckMergeSkip,
 		killed: func(r modelcheck.ProbeResult) bool {
@@ -187,7 +195,7 @@ func runMutants(f liveFlags) error {
 		}
 	}
 	if len(selected) == 0 {
-		return fmt.Errorf("unknown -mutant %q (want locked-vote, drift-livelock, stall-window, forget-vote, merge-skip, window-disjoint, prune-open, or all)", f.mutant)
+		return fmt.Errorf("unknown -mutant %q (want locked-vote, drift-livelock, stall-window, forget-vote, ts-regress, merge-skip, window-disjoint, prune-open, or all)", f.mutant)
 	}
 	survived := 0
 	for _, p := range selected {

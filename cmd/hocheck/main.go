@@ -43,13 +43,13 @@ func run() error {
 	lf := liveFlags{}
 	flag.IntVar(&lf.n, "n", 3, "live: number of replicas")
 	flag.Uint64Var(&lf.slots, "slots", 2, "live: consensus slots to drive (one submission each)")
-	flag.IntVar(&lf.rounds, "rounds", 2, "live: per-slot round bound (OTR decides at 2, LastVoting needs 5)")
+	flag.IntVar(&lf.rounds, "rounds", 2, "live: per-slot round bound (OTR decides at 2, LastVoting needs 3; 4 adds its decide round)")
 	flag.IntVar(&lf.crash, "crash", 1, "live: crash-stop budget")
 	flag.IntVar(&lf.recover, "recover", 0, "live: crash-recovery budget (reboot a replica from its write-ahead state)")
 	flag.IntVar(&lf.states, "states", 150_000, "live: state budget (0 = the 2M default)")
 	flag.IntVar(&lf.maxBatch, "maxbatch", 1, "live: max entries per batch (0 = core default)")
 	flag.StringVar(&lf.alg, "alg", "otr", "live: consensus algorithm (otr or lastvoting)")
-	flag.StringVar(&lf.mutant, "mutant", "", "live: run seeded-mutant probes (locked-vote, drift-livelock, stall-window, forget-vote, merge-skip, window-disjoint, prune-open, or all)")
+	flag.StringVar(&lf.mutant, "mutant", "", "live: run seeded-mutant probes (locked-vote, drift-livelock, stall-window, forget-vote, ts-regress, merge-skip, window-disjoint, prune-open, or all)")
 	flag.Parse()
 
 	if *liveMode {

@@ -1,18 +1,27 @@
 // Package lastvoting implements the LastVoting algorithm — Paxos
 // expressed in the Heard-Of model, as referenced by §5 of the DSN 2007
 // paper ("a consensus algorithm à la Paxos in the HO model can be found
-// in [6]"). It is a coordinated algorithm with four rounds per phase and
-// majority quorums, tolerating any transmission faults; liveness needs a
-// phase in which the coordinator and a majority hear each other.
+// in [6]"). It is a coordinated algorithm with majority quorums,
+// tolerating any transmission faults; liveness needs a phase in which the
+// coordinator and a majority hear each other.
 //
-// Phase φ (coordinator c = (φ−1) mod n) occupies rounds 4φ−3 … 4φ:
+// Phase φ ≥ 2 (coordinator c = (φ−1) mod n) occupies rounds 4φ−4 … 4φ−1:
 //
-//	round 4φ−3: everyone sends ⟨x_p, ts_p⟩; if c hears a majority it
-//	            selects the value with the highest timestamp as its vote.
-//	round 4φ−2: c sends ⟨vote⟩; receivers adopt it and set ts_p := φ.
-//	round 4φ−1: processes with ts_p = φ send ⟨ack⟩; if c hears a majority
-//	            of acks it becomes ready to decide.
-//	round 4φ:   c sends ⟨decide, vote⟩; receivers decide.
+//	estimate: everyone sends ⟨x_p, ts_p⟩; if c hears a majority it
+//	          selects the value with the highest timestamp as its vote.
+//	vote:     c sends ⟨vote⟩; receivers with ts_p ≤ φ adopt it, ts_p := φ.
+//	ack:      adopters send ⟨ack⟩; whoever adopted and hears a majority
+//	          of acks decides x_p, and c (if it voted) becomes ready.
+//	decide:   a ready c sends ⟨decide, vote⟩; receivers decide.
+//
+// Phase 1 is rounds 1 … 3: vote, ack, decide. Two departures from [6],
+// argued in DESIGN.md §9. Coord(1) is born committed to its own proposal:
+// no earlier phase could have locked a value, so an estimate round has
+// nothing to report. And every adopter, not only c, decides on a majority
+// of acks: they are broadcast anyway, and it is c's own lock argument one
+// round earlier — a fault-free instance decides in two rounds. The decide
+// round stays for processes that missed the vote. ts_p never decreases
+// (recovery re-runs low phases and can meet their old votes).
 package lastvoting
 
 import (
@@ -33,7 +42,11 @@ func (Algorithm) Name() string { return "LastVoting" }
 
 // NewInstance implements core.Algorithm.
 func (Algorithm) NewInstance(p core.ProcessID, n int, initial core.Value) core.Instance {
-	return &Instance{p: p, n: n, x: initial}
+	i := &Instance{p: p, n: n, x: initial}
+	if p == Coord(1, n) {
+		i.vote, i.commit = initial, true
+	}
+	return i
 }
 
 // Coord returns the coordinator of phase φ.
@@ -41,10 +54,11 @@ func Coord(phase core.Round, n int) core.ProcessID {
 	return core.ProcessID(int(phase-1) % n)
 }
 
-// PhaseOf returns the phase of round r and the position 1..4 within it.
+// PhaseOf returns the phase of round r and the position 1..4 within it
+// (estimate, vote, ack, decide); round 1 is (1, 2).
 func PhaseOf(r core.Round) (phase core.Round, pos int) {
-	phase = (r + 3) / 4
-	pos = int(r - 4*(phase-1))
+	phase = (r + 4) / 4
+	pos = int(r + 1 - 4*(phase-1))
 	return phase, pos
 }
 
@@ -146,25 +160,24 @@ func (i *Instance) Transition(r core.Round, msgs []core.IncomingMessage) {
 			if m.From != c {
 				continue
 			}
-			if vm, ok := m.Payload.(voteMsg); ok {
+			if vm, ok := m.Payload.(voteMsg); ok && phase >= i.ts {
 				i.x = vm.V
 				i.ts = phase
 				i.ackable = true
 			}
 		}
 	case 3:
-		if i.p != c {
-			return
-		}
-		i.ready = false
 		acks := 0
 		for _, m := range msgs {
 			if _, ok := m.Payload.(ackMsg); ok {
 				acks++
 			}
 		}
-		if quorum.ExceedsMajority(acks, i.n) {
-			i.ready = true
+		majority := quorum.ExceedsMajority(acks, i.n)
+		// commit: a coordinator restarted since its vote no longer knows it.
+		i.ready = majority && i.p == c && i.commit
+		if majority && i.ackable && !i.decided {
+			i.decided, i.decision = true, i.x // x_p is the vote, and locked
 		}
 	case 4:
 		for _, m := range msgs {
@@ -247,7 +260,8 @@ func (i *Instance) AppendState(dst []byte) []byte {
 // recovered coordinator that rejoined mid-phase with a stale commit
 // would replay a vote formed from an older phase's estimates, and a
 // stale ackable would acknowledge an adoption that never happened at
-// the current phase; either breaks the majority-lock argument.
+// the current phase; either breaks the majority-lock argument. That
+// includes Coord(1)'s birth commit: it may have voted before the crash.
 func (i *Instance) RestoreState(b []byte) error {
 	x, n1 := binary.Varint(b)
 	if n1 <= 0 {

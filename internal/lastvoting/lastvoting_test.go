@@ -22,8 +22,9 @@ func TestPhaseArithmetic(t *testing.T) {
 		phase core.Round
 		pos   int
 	}{
-		{1, 1, 1}, {2, 1, 2}, {3, 1, 3}, {4, 1, 4},
-		{5, 2, 1}, {8, 2, 4}, {9, 3, 1},
+		// Phase 1 has no estimate round: it starts at position 2.
+		{1, 1, 2}, {2, 1, 3}, {3, 1, 4},
+		{4, 2, 1}, {5, 2, 2}, {7, 2, 4}, {8, 3, 1}, {11, 3, 4}, {12, 4, 1},
 	}
 	for _, tt := range tests {
 		phase, pos := PhaseOf(tt.r)
@@ -45,16 +46,15 @@ func TestFaultFreeDecidesInOnePhase(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if tr.NumRounds() != 4 {
-		t.Errorf("decided after %d rounds, want 4 (one phase)", tr.NumRounds())
+	if tr.NumRounds() != 2 {
+		t.Errorf("decided after %d rounds, want 2 (phase 1's vote and ack rounds)", tr.NumRounds())
 	}
 	if err := tr.CheckConsensusSafety(); err != nil {
 		t.Fatal(err)
 	}
-	// All timestamps are 0 in phase 1, so the coordinator picks the
-	// highest-ts (first best) — any initial value; agreement is what
-	// matters, plus it must equal the coordinator's vote.
-	want := tr.Decisions[0].Value
+	// Coord(1) is born committed to its own proposal, everyone adopts it
+	// in round 1 and hears everyone's ack in round 2.
+	want := core.Value(3)
 	for p, d := range tr.Decisions {
 		if !d.Decided || d.Value != want {
 			t.Errorf("p%d decision %v, want %d", p, d, want)
@@ -120,8 +120,8 @@ func TestCoordinatorCrashRotatesToNextPhase(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if tr.MaxDecisionRound() != 8 {
-		t.Errorf("decided at round %d, want 8 (end of phase 2)", tr.MaxDecisionRound())
+	if tr.MaxDecisionRound() != 6 {
+		t.Errorf("decided at round %d, want 6 (phase 2's ack round)", tr.MaxDecisionRound())
 	}
 	if err := tr.CheckConsensusSafety(); err != nil {
 		t.Fatal(err)
@@ -174,12 +174,17 @@ func TestSafetyUnderTransmissionLoss(t *testing.T) {
 }
 
 func TestNullPayloadRounds(t *testing.T) {
-	// Non-coordinators send nil in rounds 2 and 4; nils must be ignored.
+	// Non-coordinators send nil in vote and decide rounds, and so does a
+	// coordinator with nothing to vote for (p1 coordinates phase 2, whose
+	// vote round is 5); nils must be ignored.
 	inst := Algorithm{}.NewInstance(1, 3, 5).(*Instance)
-	if msg := inst.Send(2); msg != nil {
-		t.Errorf("non-committed coordinator round-2 send = %v, want nil", msg)
+	if msg := inst.Send(1); msg != nil {
+		t.Errorf("non-coordinator round-1 send = %v, want nil", msg)
 	}
-	inst.Transition(2, []core.IncomingMessage{
+	if msg := inst.Send(5); msg != nil {
+		t.Errorf("non-committed coordinator round-5 send = %v, want nil", msg)
+	}
+	inst.Transition(5, []core.IncomingMessage{
 		{From: 0, Payload: nil},
 		{From: 2, Payload: nil},
 	})
@@ -189,17 +194,18 @@ func TestNullPayloadRounds(t *testing.T) {
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	inst := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
-	inst.Transition(1, []core.IncomingMessage{
-		{From: 0, Payload: estimateMsg{X: 5, TS: 0}},
-		{From: 1, Payload: estimateMsg{X: 7, TS: 2}},
+	// p1 coordinates phase 2, whose estimate round is 4.
+	inst := Algorithm{}.NewInstance(1, 3, 5).(*Instance)
+	inst.Transition(4, []core.IncomingMessage{
+		{From: 1, Payload: estimateMsg{X: 5, TS: 0}},
+		{From: 2, Payload: estimateMsg{X: 7, TS: 1}},
 	})
 	if !inst.commit || inst.vote != 7 {
 		t.Fatalf("coordinator did not commit to the highest-ts value: commit=%v vote=%d",
 			inst.commit, inst.vote)
 	}
 	snap := inst.Snapshot()
-	fresh := Algorithm{}.NewInstance(0, 3, 0).(*Instance)
+	fresh := Algorithm{}.NewInstance(1, 3, 0).(*Instance)
 	fresh.Restore(snap)
 	if !fresh.commit || fresh.vote != 7 {
 		t.Error("restore incomplete")
@@ -211,26 +217,27 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 func TestRestoreStateKeepsStableDropsPhase(t *testing.T) {
-	// Build a coordinator mid-phase: committed vote, adopted estimate.
-	inst := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
-	inst.Transition(1, []core.IncomingMessage{
-		{From: 0, Payload: estimateMsg{X: 5, TS: 0}},
-		{From: 1, Payload: estimateMsg{X: 7, TS: 2}},
+	// Build a coordinator mid-phase (p1, phase 2 = rounds 4–7): committed
+	// vote, adopted estimate.
+	inst := Algorithm{}.NewInstance(1, 3, 5).(*Instance)
+	inst.Transition(4, []core.IncomingMessage{
+		{From: 1, Payload: estimateMsg{X: 5, TS: 0}},
+		{From: 2, Payload: estimateMsg{X: 7, TS: 1}},
 	})
-	inst.Transition(2, []core.IncomingMessage{
-		{From: 0, Payload: voteMsg{V: 7}},
+	inst.Transition(5, []core.IncomingMessage{
+		{From: 1, Payload: voteMsg{V: 7}},
 	})
-	if !inst.commit || !inst.ackable || inst.ts != 1 {
+	if !inst.commit || !inst.ackable || inst.ts != 2 {
 		t.Fatalf("setup: commit=%v ackable=%v ts=%d", inst.commit, inst.ackable, inst.ts)
 	}
 
-	rec := Algorithm{}.NewInstance(0, 3, 0).(*Instance)
+	rec := Algorithm{}.NewInstance(1, 3, 0).(*Instance)
 	if err := rec.RestoreState(inst.AppendState(nil)); err != nil {
 		t.Fatal(err)
 	}
 	// Stable storage: the locked vote (x, ts) survives the crash.
-	if rec.x != 7 || rec.ts != 1 {
-		t.Errorf("locked vote lost: x=%d ts=%d, want 7/1", rec.x, rec.ts)
+	if rec.x != 7 || rec.ts != 2 {
+		t.Errorf("locked vote lost: x=%d ts=%d, want 7/2", rec.x, rec.ts)
 	}
 	// Phase bookkeeping is volatile: a recovered coordinator must not
 	// replay a pre-crash vote or ack a pre-crash adoption.
@@ -243,8 +250,8 @@ func TestRestoreStateKeepsStableDropsPhase(t *testing.T) {
 	}
 
 	// A decided instance keeps its decision.
-	inst.Transition(4, []core.IncomingMessage{{From: 0, Payload: decideMsg{V: 7}}})
-	rec2 := Algorithm{}.NewInstance(0, 3, 0).(*Instance)
+	inst.Transition(7, []core.IncomingMessage{{From: 1, Payload: decideMsg{V: 7}}})
+	rec2 := Algorithm{}.NewInstance(1, 3, 0).(*Instance)
 	if err := rec2.RestoreState(inst.AppendState(nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -257,5 +264,156 @@ func TestRestoreStateKeepsStableDropsPhase(t *testing.T) {
 		if err := rec2.RestoreState(b); err == nil {
 			t.Errorf("RestoreState(%x) accepted corrupt state", b)
 		}
+	}
+}
+
+func TestFirstCoordinatorIsBornCommittedOnce(t *testing.T) {
+	// Coord(1) votes its own proposal in round 1, unasked.
+	born := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
+	if msg := born.Send(1); msg != (voteMsg{V: 5}) {
+		t.Fatalf("Coord(1) round-1 send = %v, want its own proposal as the vote", msg)
+	}
+	// Nobody else is: p1 coordinates phase 2 and has to ask first.
+	other := Algorithm{}.NewInstance(1, 3, 6).(*Instance)
+	if other.commit {
+		t.Error("a process other than Coord(1) was born committed")
+	}
+	// A RECOVERED Coord(1) is not: its first incarnation may have voted
+	// already, and what it restores over (here a fresh proposal, 9) need
+	// not be what that vote said. It sits phase 1 out.
+	rec := Algorithm{}.NewInstance(0, 3, 9).(*Instance)
+	if err := rec.RestoreState(born.AppendState(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if rec.commit || rec.vote != 0 {
+		t.Errorf("recovered Coord(1) still committed: commit=%v vote=%d", rec.commit, rec.vote)
+	}
+	if msg := rec.Send(1); msg != nil {
+		t.Errorf("recovered Coord(1) voted again in phase 1: %v", msg)
+	}
+	if rec.x != 5 {
+		t.Errorf("recovered estimate %d, want the persisted 5", rec.x)
+	}
+}
+
+func TestAdopterDecidesOnMajorityOfAcks(t *testing.T) {
+	acks := func(from ...core.ProcessID) []core.IncomingMessage {
+		var msgs []core.IncomingMessage
+		for _, q := range from {
+			msgs = append(msgs, core.IncomingMessage{From: q, Payload: ackMsg{}})
+		}
+		return msgs
+	}
+	vote := []core.IncomingMessage{{From: 0, Payload: voteMsg{V: 5}}}
+
+	// p2 adopts phase 1's vote and hears two of three acks: decided, one
+	// round before the coordinator could tell it.
+	adopter := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
+	adopter.Transition(1, vote)
+	adopter.Transition(2, acks(0, 2))
+	if v, ok := adopter.Decided(); !ok || v != 5 {
+		t.Errorf("adopter with a majority of acks: decided (%d, %v), want (5, true)", v, ok)
+	}
+	// One ack is not a majority.
+	lonely := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
+	lonely.Transition(1, vote)
+	lonely.Transition(2, acks(2))
+	if _, ok := lonely.Decided(); ok {
+		t.Error("decided on a minority of acks")
+	}
+	// A process that missed the vote holds its own estimate, not the
+	// locked value: the acks of others tell it THAT something is locked,
+	// not what. It waits for the decide round.
+	missed := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
+	missed.Transition(1, nil)
+	missed.Transition(2, acks(0, 1))
+	if _, ok := missed.Decided(); ok {
+		t.Error("decided on acks for a vote it never adopted")
+	}
+	missed.Transition(3, []core.IncomingMessage{{From: 0, Payload: decideMsg{V: 5}}})
+	if v, ok := missed.Decided(); !ok || v != 5 {
+		t.Errorf("decide round: (%d, %v), want (5, true)", v, ok)
+	}
+	// The coordinator still becomes ready for that round.
+	coord := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
+	coord.Transition(1, vote)
+	coord.Transition(2, acks(0, 1))
+	if msg := coord.Send(3); msg != (decideMsg{V: 5}) {
+		t.Errorf("coordinator decide-round send = %v, want decide 5", msg)
+	}
+}
+
+// recovered returns what a process holding (x, ts) restarts as: stable
+// storage reloaded into a fresh instance, round position back at 1.
+func recovered(t *testing.T, p core.ProcessID, n int, x core.Value, ts core.Round) *Instance {
+	t.Helper()
+	rec := Algorithm{}.NewInstance(p, n, 0).(*Instance)
+	if err := rec.RestoreState((&Instance{p: p, n: n, x: x, ts: ts}).AppendState(nil)); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+func TestRecoveredVoteNeverLowersTimestamp(t *testing.T) {
+	// p2 decided 7 in phase 3 on the acks of p0 and itself and is down;
+	// p0 holds (7, ts 3), and p1 holds (9, ts 2) from phase 2, which it
+	// coordinated. Then p0 and p1 restart: the round position is volatile,
+	// so both re-run the slot from round 1 — phases 1 and 2 happen AGAIN,
+	// and whatever of their first run is still in the network meets them
+	// there. 7 is locked; it has to stay locked.
+	p0 := recovered(t, 0, 3, 7, 3)
+	p1 := recovered(t, 1, 3, 9, 2)
+	insts := []*Instance{p0, p1}
+
+	// Phase 2's first vote, ⟨9⟩, reaches p0 only now, in the re-run vote
+	// round 5. Adopting it would make p0 (9, ts 2): the lock on 7 undone.
+	stale := core.IncomingMessage{From: 1, Payload: voteMsg{V: 9}}
+
+	for r := core.Round(1); r <= 16; r++ {
+		var msgs []core.IncomingMessage
+		for _, in := range insts {
+			if pl := in.Send(r); pl != nil {
+				msgs = append(msgs, core.IncomingMessage{From: in.p, Payload: pl})
+			}
+		}
+		for _, in := range insts {
+			heard := msgs
+			if r == 5 && in == p0 {
+				heard = []core.IncomingMessage{stale} // p1's fresh vote is lost on the way to p0
+			}
+			before := in.ts
+			in.Transition(r, heard)
+			if in.ts < before {
+				t.Fatalf("round %d: p%d lowered its timestamp %d → %d", r, in.p, before, in.ts)
+			}
+		}
+		if r == 5 && (p0.x != 7 || p0.ts != 3 || p0.ackable) {
+			t.Fatalf("p0 re-adopted a phase-2 vote over its phase-3 lock: x=%d ts=%d ackable=%v", p0.x, p0.ts, p0.ackable)
+		}
+	}
+	for _, in := range insts {
+		if v, ok := in.Decided(); !ok || v != 7 {
+			t.Errorf("p%d decided (%d, %v); p2 decided 7 before the restart", in.p, v, ok)
+		}
+	}
+}
+
+func TestRestartedCoordinatorDoesNotDecideBlind(t *testing.T) {
+	// p0 votes 5 in round 1, p1 and p2 adopt it — and p0 restarts. Back in
+	// round 2 it hears their acks: a majority, for a vote it no longer
+	// knows (the vote is round state, gone with the crash; what it holds
+	// is a proposal it may have re-made). It must not announce a decision.
+	born := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
+	rec := Algorithm{}.NewInstance(0, 3, 9).(*Instance)
+	if err := rec.RestoreState(born.AppendState(nil)); err != nil {
+		t.Fatal(err)
+	}
+	rec.Transition(1, nil)
+	rec.Transition(2, []core.IncomingMessage{{From: 1, Payload: ackMsg{}}, {From: 2, Payload: ackMsg{}}})
+	if msg := rec.Send(3); msg != nil {
+		t.Fatalf("restarted coordinator sent %v in the decide round without having voted", msg)
+	}
+	if _, ok := rec.Decided(); ok {
+		t.Fatal("restarted coordinator decided on acks for a vote it never adopted")
 	}
 }

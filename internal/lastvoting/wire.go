@@ -1,8 +1,8 @@
 // Wire encoding of LastVoting round messages for the live runtime
 // (internal/live). The codec lives with the algorithm so the four phase
 // payload types stay unexported; everything is one tag byte plus zigzag
-// varints, cheap enough that the four-rounds-per-phase structure costs a
-// few bytes per process per round on the wire.
+// varints: a fault-free slot is two rounds (vote, ack) of a few bytes
+// per process on the wire.
 
 package lastvoting
 
@@ -15,7 +15,7 @@ import (
 
 // Wire-format tags. Tag 0 is the null message — most LastVoting rounds
 // send nothing relevant from most processes (only the coordinator speaks
-// in rounds 4φ−2 and 4φ), but the null still travels: being heard is
+// in vote and decide rounds), but the null still travels: being heard is
 // membership in HO(p, r), and round progress is visible to peers.
 const (
 	wireNil      = 0

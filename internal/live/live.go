@@ -41,7 +41,10 @@
 //     carry (client, seq) identities with high-water-mark dedup
 //     so every command applies exactly once, and decided slots propagate
 //     to laggards through a pull/push sync protocol that doubles as the
-//     decide-retransmission and crash-rejoin path.
+//     decide-retransmission and crash-rejoin path (and stands in for
+//     LastVoting's decide round: whoever adopted the vote decides on the
+//     acks, two rounds in, and closes its run; whoever missed the vote is
+//     pushed the decision).
 //
 // Everything here is intentionally NOT deterministic: runs race real
 // goroutines against real timers. Tests therefore assert invariants

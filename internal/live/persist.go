@@ -13,9 +13,9 @@
 // un-synced is ever visible, because nothing of that group is).
 // Since all externally visible behavior flows through envelopes and
 // acks, no peer or client can ever have observed state the log does
-// not hold — which is exactly the paper's crash-RECOVERY model (the
-// stable-storage variables survive, the volatile round position does
-// not). Quorum-durable dissemination is a corollary: propose() saves a
+// not hold — the paper's crash-RECOVERY model, with one difference
+// spelled out at the end of this comment: the paper's stable storage
+// holds the round number too, and this one does not. Quorum-durable dissemination is a corollary: propose() saves a
 // batch body in the same step that first broadcasts its id, so by the
 // time any replica can vote for the id, the contents are on the
 // proposer's disk and a recovered proposer still serves batch pulls —
@@ -25,10 +25,12 @@
 //
 //	SaveBatch     propose() and handleBatch(): batch contents at first sight
 //	              (every id that can be DECIDED is minted by propose())
-//	SaveVote      transitionRound(): instance state (the locked vote) after
-//	              every undecided transition, under the slot it belongs to
-//	              — a replica has a window of slots open, and recovery
-//	              needs the vote of each
+//	SaveVote      openSlot() and transitionRound(): instance state (the
+//	              locked vote) when the slot opens — round 1's send
+//	              already speaks from it: LastVoting's first coordinator
+//	              VOTES in round 1 — and after every undecided transition,
+//	              under the slot it belongs to: a replica has a window of
+//	              slots open, and recovery needs the vote of each
 //	SaveDecision  recordDecision(): a slot's decided batch id
 //	SaveApplied   applySlot(): the applied slot and its fresh (client,seq)
 //	              advancements
@@ -42,9 +44,22 @@
 // — see seqFloor in RestoreReplicaCore), peer commit-index
 // observations (re-learned from traffic), which slot each held batch
 // was proposed for (recovery assumes the furthest one the window
-// allows), and the round positions (volatile by the paper's model;
-// recovery reopens each slot's instance at round 1 with its restored
-// vote and the jump rule re-aligns it with the group).
+// allows), and the round positions. That last one is a departure: the
+// paper's crash-recovery algorithms keep r_p on stable storage, so a
+// recovered process resumes the round it was in and no round is ever
+// lived through twice. Here recovery reopens each slot's instance at
+// round 1 with its restored vote and the jump rule re-aligns it with the
+// group — a save per round is the price of the paper's way, and the
+// round number is all it would buy. What the departure costs is that
+// phases are RE-RUN: the recovered replica passes through low phases
+// again, and can meet their old messages there. The algorithm is what
+// makes that safe, not this layer: LastVoting adopts a vote only from a
+// phase at or above its timestamp (a re-run phase can never lower a
+// lock), restores as a coordinator that has neither committed nor is
+// ready (it cannot vote or announce a decision for a phase it no longer
+// remembers), and its first coordinator is born committed only in the
+// incarnation that opened the slot, whose state openSlot saved before
+// the vote left. OneThirdRule keeps no round state at all.
 
 package live
 
@@ -260,13 +275,15 @@ func (c *ReplicaCore[C]) EntriesOf(bid int64) ([]Entry[C], bool) {
 	return entries, ok
 }
 
-// persistVote saves run's instance state after a transition.
+// persistVote saves run's instance state: when its slot opens, and after
+// every transition that left it undecided.
 func (c *ReplicaCore[C]) persistVote(run *slotRun) {
 	if c.cfg.Persist == nil {
 		return
 	}
 	if sa, ok := run.inst.(stateAppender); ok {
-		c.cfg.Persist.SaveVote(run.slot, sa.AppendState(nil))
+		c.voteBuf = sa.AppendState(c.voteBuf[:0])
+		c.cfg.Persist.SaveVote(run.slot, c.voteBuf)
 	}
 }
 

@@ -414,3 +414,77 @@ func TestStaleVoteDropped(t *testing.T) {
 		t.Fatalf("stale vote survived restore: %+v", got)
 	}
 }
+
+// TestCrashBeforeFirstTransitionReopensFromTheSameVote: round 1's send
+// is LastVoting's phase-1 vote, and it leaves before any transition. The
+// state it was sent from must already be on disk, or the restarted
+// coordinator would reopen the slot from scratch — born committed again,
+// to whatever it proposes THEN — and phase 1 would carry two votes.
+func TestCrashBeforeFirstTransitionReopensFromTheSameVote(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := CoreConfig[string]{
+		Self: 0, N: 3,
+		Algorithm: lastvoting.Algorithm{},
+		Msg:       lastvoting.WireCodec{},
+		Batch:     strCodec{},
+		Persist:   store,
+	}
+	c, err := NewReplicaCore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundOne := func(res StepResult[string]) core.Message {
+		t.Helper()
+		for _, o := range res.Out {
+			if o.Env.Kind == KindRound && o.Env.Slot == 1 && o.Env.Round == 1 {
+				msg, err := lastvoting.WireCodec{}.Decode(o.Env.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return msg
+			}
+		}
+		t.Fatal("no round-1 message for slot 1")
+		return nil
+	}
+	if vote := roundOne(c.Step(Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})); vote == nil {
+		t.Fatal("p0 opened slot 1 without voting its proposal in round 1")
+	}
+	if err := store.Sync(); err != nil { // the shell's barrier before that vote leaves
+		t.Fatal(err)
+	}
+	want := c.PersistState().Votes[1]
+	store.Close()
+
+	// kill -9 here: nothing but the open has happened.
+	store2, st, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if !bytes.Equal(st.Votes[1], want) || len(want) == 0 {
+		t.Fatalf("disk holds vote %x for slot 1, the core was speaking from %x", st.Votes[1], want)
+	}
+	cfg.Persist = store2
+	rc, err := RestoreReplicaCore(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A peer's forward makes the proposal the restart would mint differ
+	// from the one it voted for before the crash.
+	// (Any step reopens a slot with a recovered vote — this one does.)
+	res := rc.Step(Event[string]{Kind: EvEnvelope, Env: forwardEnv(1, ents([2]uint64{11, 1}))})
+	if got := openSlots(rc); fmt.Sprint(got) != "[1]" {
+		t.Fatalf("recovered replica reopened slots %v, want [1]", got)
+	}
+	if msg := roundOne(res); msg != nil {
+		t.Fatalf("restarted Coord(1) voted a second time in phase 1: %v", msg)
+	}
+	if x, n := binary.Varint(rc.PersistState().Votes[1]); n <= 0 || x != int64(batchID(0, 1)) {
+		t.Fatalf("reopened slot 1 holding estimate %#x, want the pre-crash proposal %#x", x, batchID(0, 1))
+	}
+}

@@ -24,6 +24,10 @@
 //     one phase serves every instance open in it — and only APPLY is in
 //     slot order. A command accepted while a slot runs therefore opens
 //     the next slot at once instead of waiting the running one out.
+//     Under LastVoting a slot with nothing lost is TWO rounds: the
+//     phase-1 coordinator votes its proposal in round 1 and whoever
+//     adopted it decides on the acks of round 2; a replica that missed
+//     the vote learns the slot from a decider's sync push.
 //     Proposals of open slots overlap (each starts at the first
 //     unapplied command; see propose()). Whichever
 //     proposal the instance picks — the coordinator's own under

@@ -255,6 +255,8 @@ type ReplicaCore[C any] struct {
 	// proposal under assembly adds to them.
 	carried   map[uint64]uint64
 	uncovered int
+	// voteBuf is persistVote's encoding scratch (SaveVote does not retain it).
+	voteBuf []byte
 
 	stats ReplicaStats
 }
@@ -803,7 +805,8 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 		// Crash recovery: re-install the persisted instance state — the
 		// locked vote — over the fresh proposal. The encoding was
 		// validated at restore time; the round position restarts at 1
-		// and the jump rule re-aligns us with the group.
+		// and the jump rule re-aligns us with the group (phases are
+		// re-run: persist.go says why that is safe).
 		if sp, ok := inst.(statePersistent); ok {
 			_ = sp.RestoreState(vote)
 		}
@@ -817,6 +820,11 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 	c.open = append(c.open, nil)
 	copy(c.open[i+1:], c.open[i:])
 	c.open[i] = run
+	// Round 1's send already speaks for the instance (LastVoting's first
+	// coordinator votes in it, OTR sends its proposal): save the state it
+	// speaks from first, so a crash before the first transition reopens
+	// the slot from what the peers were told, not from a new proposal.
+	c.persistVote(run)
 	c.nextRound(run, res)
 	c.closeRounds(run, res)
 	return true

@@ -339,9 +339,8 @@ func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 2, Cmd: "b"})
-	n.deliver() // p1, p2 join both slots and send their estimates
-	n.deliver() // p0 votes in both
-	n.deliver() // p1, p2 adopt both votes: x locked at ts 1
+	n.deliver() // p1, p2 join both slots on p0's votes (round 1 is phase 1's vote round)
+	n.deliver() // round 1 closes everywhere: p1, p2 adopt both votes, x locked at ts 1
 	before := n.cores[1].PersistState()
 	if len(before.Votes) != 2 || len(n.cores[1].DecidedUnapplied()) != 0 {
 		t.Fatalf("p1 holds votes for %d slots mid-consensus, want 2", len(before.Votes))
@@ -390,5 +389,78 @@ func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 		if st := c.Counters(); st.Applied != 2 || st.Committed != 2 || st.Divergent != 0 {
 			t.Fatalf("replica %d: applied %d, committed %d, divergent %d; want 2, 2, 0", p, st.Applied, st.Committed, st.Divergent)
 		}
+	}
+}
+
+// TestFaultFreeSlotTakesTwoRounds: LastVoting's first coordinator votes
+// its proposal unasked in round 1 and every adopter decides on the acks
+// of round 2, so with nothing lost a slot is two rounds at every replica
+// and 20 envelopes in all — the batch and the vote (2 + 2), two replicas
+// joining with their round-1 nulls (4), three acks (6), three eager
+// decision pushes (6).
+func TestFaultFreeSlotTakesTwoRounds(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	envelopes, lastRound := 0, core.Round(0)
+	for len(n.queue) > 0 {
+		envelopes += len(n.queue)
+		for _, o := range n.queue {
+			if o.Env.Kind == KindRound && o.Env.Round > lastRound {
+				lastRound = o.Env.Round
+			}
+		}
+		n.deliver()
+	}
+	for p, c := range n.cores {
+		st := c.Counters()
+		if st.Applied != 1 || st.Committed != 1 || st.Open != 0 {
+			t.Fatalf("replica %d: applied %d, committed %d, open %d; want 1, 1, 0", p, st.Applied, st.Committed, st.Open)
+		}
+		if st.Rounds != 2 || st.SyncDecisions != 0 {
+			t.Fatalf("replica %d closed %d rounds and took %d decisions from a sync; want 2 and its own", p, st.Rounds, st.SyncDecisions)
+		}
+	}
+	if envelopes != 20 || lastRound != 2 {
+		t.Fatalf("slot took %d envelopes and reached round %d, want 20 and 2", envelopes, lastRound)
+	}
+}
+
+// TestMissedVoteLearnsBySyncPush: a decider's run closes — it sends no
+// decide round — so a replica that missed the vote cannot decide in its
+// own instance (it adopted nothing: the acks it hears lock a value it
+// does not hold). It learns the slot from the eager decision push of
+// whoever decided, at network speed: no round timeout fires anywhere in
+// this test.
+func TestMissedVoteLearnsBySyncPush(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	kept := n.queue[:0]
+	for _, o := range n.queue {
+		if !(o.To == 2 && o.Env.Kind == KindRound) {
+			kept = append(kept, o) // p0's round-1 vote never reaches p2
+		}
+	}
+	if len(kept) != len(n.queue)-1 {
+		t.Fatalf("dropped %d messages, want exactly the vote to p2", len(n.queue)-len(kept))
+	}
+	n.queue = kept
+	n.drain()
+	for p, c := range n.cores {
+		st := c.Counters()
+		if st.Applied != 1 || st.Committed != 1 || st.Open != 0 || st.Divergent != 0 {
+			t.Fatalf("replica %d: applied %d, committed %d, open %d, divergent %d; want 1, 1, 0, 0",
+				p, st.Applied, st.Committed, st.Open, st.Divergent)
+		}
+		want := 0
+		if p == 2 {
+			want = 1
+		}
+		if st.SyncDecisions != want {
+			t.Fatalf("replica %d took %d decisions from a sync push, want %d", p, st.SyncDecisions, want)
+		}
+	}
+	// p2 went through the ack round — it heard both acks — undecided.
+	if r := n.cores[2].Counters().Rounds; r < 2 {
+		t.Fatalf("p2 closed %d rounds before the push, want the vote and ack rounds", r)
 	}
 }

@@ -107,8 +107,9 @@ type ReplicaModel struct {
 	Slots uint64
 	// MaxRound freezes each slot's round progression: the transition of
 	// round MaxRound never fires. OTR can decide at the round-1
-	// transition (MaxRound 2 suffices); LastVoting decides at the
-	// round-4 transition of a phase (MaxRound ≥ 5 for phase 1).
+	// transition (MaxRound 2 suffices); LastVoting's adopters decide at
+	// the ack round's transition, round 2 in phase 1 (MaxRound ≥ 3), and
+	// whoever missed the vote at the decide round's (MaxRound ≥ 4).
 	MaxRound core.Round
 	// CrashBudget is the number of crash-STOP events the adversary may
 	// spend (0 = none).

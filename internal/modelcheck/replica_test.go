@@ -3,6 +3,7 @@ package modelcheck
 import (
 	"testing"
 
+	"heardof/internal/core"
 	"heardof/internal/lastvoting"
 	"heardof/internal/live"
 	"heardof/internal/otr"
@@ -212,39 +213,82 @@ func TestReplicaExploreOTR(t *testing.T) {
 		res.States, res.Complete, res.Transitions, res.MaxApplied, res.MaxOpen, res.Findings)
 }
 
-// TestReplicaExploreLastVoting covers the coordinated algorithm
-// exhaustively at the scope where it stays tractable (n=2; at n=3 the
-// four-round phase structure explodes the soup and the scripted probes
-// above take over). MaxRound 5 lets phase 1's round-4 transition fire,
-// where receivers decide.
-func TestReplicaExploreLastVoting(t *testing.T) {
-	m, err := NewReplicaModel(ReplicaModel{
-		N:           2,
-		Slots:       1,
-		MaxRound:    5,
-		CrashBudget: 1,
-		Algorithm:   lastvoting.Algorithm{},
-		Msg:         lastvoting.WireCodec{},
-		Workload: []Submission{
-			{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'},
-		},
-	})
+// lastVotingModel is the scope the LastVoting explorations share: one
+// submission at p0, phase 1's coordinator.
+func lastVotingModel(n int, maxRound int, crashes, recoveries, maxStates int) ReplicaModel {
+	return ReplicaModel{
+		N:              n,
+		Slots:          1,
+		MaxRound:       core.Round(maxRound),
+		CrashBudget:    crashes,
+		RecoveryBudget: recoveries,
+		MaxStates:      maxStates,
+		Algorithm:      lastvoting.Algorithm{},
+		Msg:            lastvoting.WireCodec{},
+		Workload:       []Submission{{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'}},
+	}
+}
+
+// exploreClean explores m and fails on a violation, on a vacuous run, and
+// — when closure is expected — on a bounded one.
+func exploreClean(t *testing.T, m ReplicaModel, wantComplete bool) ReplicaResult {
+	t.Helper()
+	model, err := NewReplicaModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Explore()
+	res, err := model.Explore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Violation != nil {
-		t.Fatalf("safety violation in unmutated protocol: %s: %s",
-			res.Violation.Kind, res.Violation.Message)
+		t.Fatalf("safety violation in unmutated protocol: %s: %s", res.Violation.Kind, res.Violation.Message)
+	}
+	if wantComplete && !res.Complete {
+		t.Fatalf("expected full closure at this scope, stopped after %d states", res.States)
 	}
 	if res.MaxApplied == 0 {
 		t.Fatal("vacuous exploration: no reachable state ever applied a slot")
 	}
-	t.Logf("explored %d states, %d transitions, maxApplied=%d, findings: %+v",
-		res.States, res.Transitions, res.MaxApplied, res.Findings)
+	t.Logf("explored %d states (complete=%v), %d transitions, maxApplied=%d, findings: %+v",
+		res.States, res.Complete, res.Transitions, res.MaxApplied, res.Findings)
+	return res
+}
+
+// TestReplicaExploreLastVoting closes the coordinated algorithm at n=2
+// through two whole phases: MaxRound 8 lets every round of phase 1
+// (rounds 1–3: vote, ack, decide) and of phase 2 (rounds 4–7, the first
+// with an estimate round) transition, under one crash-stop and under one
+// crash-recovery — where a restarted replica re-runs the slot from round
+// 1 with its vote restored, the setting of LastVoting's timestamp guard
+// and of the coordinator that must not be born committed twice.
+func TestReplicaExploreLastVoting(t *testing.T) {
+	exploreClean(t, lastVotingModel(2, 8, 1, 0, 0), true)
+	if testing.Short() || raceDetectorEnabled {
+		return // the reboot closure is 5× the states; the explorer is single-goroutine
+	}
+	exploreClean(t, lastVotingModel(2, 8, 0, 1, 0), true)
+}
+
+// TestReplicaExploreLastVotingThree closes phase 1 at n=3, where a
+// majority is not everybody: MaxRound 4 lets the vote, ack and decide
+// rounds transition, so the closure holds every interleaving of "two
+// adopters decide on each other's acks", "the third misses the vote and
+// learns by decide message or by sync", and one crash-stop anywhere. (With
+// four rounds to a decision this scope did not close; with two it is
+// 632 010 states.) The crash-RECOVERY twin does not close (2M states
+// without closure) and is bounded instead, every state checked: the
+// first 150k states are where the restarted coordinator that announced a
+// decision it no longer knew was found (79k states in).
+func TestReplicaExploreLastVotingThree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=3 closure skipped in -short")
+	}
+	if raceDetectorEnabled {
+		t.Skip("n=3 closure skipped under the race detector (single-goroutine explorer)")
+	}
+	exploreClean(t, lastVotingModel(3, 4, 1, 0, 0), true)
+	exploreClean(t, lastVotingModel(3, 4, 0, 1, 150_000), false)
 }
 
 // TestCheckForgetVote is the recovery-mutant kill: a restart that
@@ -334,7 +378,7 @@ func TestReplicaExploreOTRRecoveryClosure(t *testing.T) {
 // TestReplicaExploreLastVotingForward closes the scope in which the
 // forward + merge path actually runs: p1's second submission arrives
 // while its slot is in flight, so a KindForward joins the soup, and p0
-// (the phase's coordinator, whose own proposal wins the tie) —
+// (phase 1's coordinator, whose vote is its own proposal) —
 // depending on what the adversary delivers first — proposes p1's batch
 // id, a merged batch of its own, or nothing. MaxMerged > 0 is the
 // vacuity guard for that path; session-gap (with both of client 1's
@@ -343,7 +387,7 @@ func TestReplicaExploreLastVotingForward(t *testing.T) {
 	m, err := NewReplicaModel(ReplicaModel{
 		N:           2,
 		Slots:       1,
-		MaxRound:    5,
+		MaxRound:    4,
 		CrashBudget: 1,
 		Algorithm:   lastvoting.Algorithm{},
 		Msg:         lastvoting.WireCodec{},
@@ -440,11 +484,12 @@ func TestReplicaExploreLastVotingWindow(t *testing.T) {
 		t.Skip("two-slot closure skipped under the race detector (single-goroutine explorer)")
 	}
 	m, err := NewReplicaModel(ReplicaModel{
-		N:         2,
-		Slots:     2,
-		MaxRound:  5,
-		Algorithm: lastvoting.Algorithm{},
-		Msg:       lastvoting.WireCodec{},
+		N:           2,
+		Slots:       2,
+		MaxRound:    4,
+		CrashBudget: 1,
+		Algorithm:   lastvoting.Algorithm{},
+		Msg:         lastvoting.WireCodec{},
 		Workload: []Submission{
 			{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'},
 			{Replica: 0, Client: 1, Seq: 2, Cmd: 'b'},
@@ -468,4 +513,23 @@ func TestReplicaExploreLastVotingWindow(t *testing.T) {
 	}
 	t.Logf("window closure: %d states, %d transitions, maxOpen=%d, maxApplied=%d, findings: %+v",
 		res.States, res.Transitions, res.MaxOpen, res.MaxApplied, res.Findings)
+}
+
+// TestCheckTSRegress is the timestamp-guard mutant kill: a restarted
+// replica that re-adopts an old vote of a phase below its lock hands the
+// decision to a straggler; the real vote round refuses it.
+func TestCheckTSRegress(t *testing.T) {
+	mutated := CheckTSRegress(true)
+	if mutated.Violation == nil || mutated.Violation.Kind != "agreement" {
+		t.Fatalf("mutant not flagged as agreement: %+v", mutated)
+	}
+	control := CheckTSRegress(false)
+	if control.Flagged() {
+		t.Fatalf("control run flagged: violation=%+v findings=%+v", control.Violation, control.Findings)
+	}
+	for p, applied := range control.Applied {
+		if applied != 1 {
+			t.Fatalf("control: replica %d applied %d slots, want 1 (all: %v)", p, applied, control.Applied)
+		}
+	}
 }

@@ -19,8 +19,9 @@
 //   - CheckFreshRetry: live.MutFreshRetry restores the pre-review retry
 //     that restarted an undecided slot with a FRESH instance, discarding
 //     LastVoting's locked (x, ts). Schedule: phase 1 decides at the
-//     coordinator alone, the decide and sync messages are lost, the two
-//     survivors starve past the retry budget, then run freely. Real
+//     coordinator alone (the one ack it needs reaches it, its own is
+//     lost), its sync push is lost, the two survivors starve past the
+//     retry budget, then run freely. Real
 //     core: the survivor's ts=1 lock steers phase 2 to the decided
 //     value. Mutant: the restart forgets the lock, phase 2 decides a
 //     different batch — a split decision the invariants flag.
@@ -48,7 +49,7 @@
 //     seq 1 and that command is gone — no two replicas disagree, nothing
 //     applies twice, so only the session-gap invariant sees it.
 //
-// Two further probes cover the crash-RECOVERY fault (a kill -9 with
+// Three further probes cover the crash-RECOVERY fault (a kill -9 with
 // stable storage intact, modeled by ReplicaCore.Recover — the
 // production restore path):
 //
@@ -61,6 +62,16 @@
 //     merge of the two offered batches, any id but A — and the pair
 //     decides it against p0's applied A — the split the paper's
 //     stable-storage requirement exists to prevent.
+//   - CheckTSRegress: the one mutant seeded in the ALGORITHM (tsRegress
+//     below): LastVoting's vote round adopting whatever the coordinator
+//     sent, even from a phase below the one it last adopted in. Round
+//     positions are volatile here, so a restarted replica re-runs the low
+//     phases of its slot and can meet their old votes. Schedule: p1's
+//     phase-2 vote ⟨B⟩ is held up on its way to p0, phase 3 locks A at
+//     p0 and p2 (ts 3) and p2 decides it alone, p0 crash-recovers, and
+//     then the old ⟨B⟩ arrives in p0's re-run round 5. Real core: refused
+//     (2 < 3), and the next phase p0 or p1 coordinates votes A. Mutant:
+//     p0 becomes (B, ts 2) — the lock is gone, the pair decides B.
 //   - CheckStallRecovery: CheckStall's exact window, but the proposer
 //     crash-RECOVERS instead of crash-stopping. Its batch hit its own
 //     disk in the same step that proposed the id (quorum-durable
@@ -112,12 +123,18 @@ func newScen(n int, mut live.Mutation, retryAfter core.Round) *scen {
 
 // newScenSlots is newScen with a slot budget other than one.
 func newScenSlots(n int, mut live.Mutation, retryAfter core.Round, slots uint64) *scen {
+	return newScenAlg(lastvoting.Algorithm{}, n, mut, retryAfter, slots)
+}
+
+// newScenAlg is newScenSlots over a stand-in for LastVoting that speaks
+// its wire format (the algorithm-level mutant).
+func newScenAlg(alg core.Algorithm, n int, mut live.Mutation, retryAfter core.Round, slots uint64) *scen {
 	s := &scen{n: n}
 	for p := 0; p < n; p++ {
 		c, err := live.NewReplicaCore(live.CoreConfig[byte]{
 			Self:       core.ProcessID(p),
 			N:          n,
-			Algorithm:  lastvoting.Algorithm{},
+			Algorithm:  alg,
 			Msg:        lastvoting.WireCodec{},
 			Batch:      ByteBatchCodec{},
 			Mutation:   mut,
@@ -207,24 +224,52 @@ func (s *scen) dropWhere(pred func(to core.ProcessID, env live.Envelope) bool) {
 	s.wire = keep
 }
 
+// take removes matching queued messages and returns them: held up in
+// the network, for the script to hand back to s.wire later.
+func (s *scen) take(pred func(to core.ProcessID, env live.Envelope) bool) []live.Outbound {
+	var held []live.Outbound
+	s.dropWhere(func(to core.ProcessID, env live.Envelope) bool {
+		if pred(to, env) {
+			held = append(held, live.Outbound{To: to, Env: env})
+			return true
+		}
+		return false
+	})
+	return held
+}
+
+// freeRunWithout lets the two replicas other than silent exchange round
+// traffic in lockstep — deliver, time both out, lose everything that is
+// not round traffic between them — for long enough to finish any phase
+// one of them coordinates. silent is done: nothing reaches or leaves it.
+func (s *scen) freeRunWithout(silent core.ProcessID) {
+	between := func(to core.ProcessID, env live.Envelope) bool {
+		return env.Kind == live.KindRound && to != silent && env.From != silent
+	}
+	for i := 0; i < 60; i++ {
+		s.deliverWhere(between)
+		for p := 0; p < s.n; p++ {
+			if pid := core.ProcessID(p); pid != silent {
+				s.timeout(pid)
+			}
+		}
+		s.dropWhere(func(to core.ProcessID, env live.Envelope) bool { return !between(to, env) })
+	}
+}
+
 // Common predicates.
 func anyMsg(core.ProcessID, live.Envelope) bool { return true }
 func kindIs(k live.Kind) func(core.ProcessID, live.Envelope) bool {
 	return func(_ core.ProcessID, env live.Envelope) bool { return env.Kind == k }
-}
-func roundTo(p core.ProcessID) func(core.ProcessID, live.Envelope) bool {
-	return func(to core.ProcessID, env live.Envelope) bool {
-		return env.Kind == live.KindRound && to == p
-	}
 }
 func roundAt(r core.Round) func(core.ProcessID, live.Envelope) bool {
 	return func(_ core.ProcessID, env live.Envelope) bool {
 		return env.Kind == live.KindRound && env.Round == r
 	}
 }
-func roundAtTo(r core.Round, p core.ProcessID) func(core.ProcessID, live.Envelope) bool {
+func roundAtFromTo(r core.Round, from, p core.ProcessID) func(core.ProcessID, live.Envelope) bool {
 	return func(to core.ProcessID, env live.Envelope) bool {
-		return env.Kind == live.KindRound && env.Round == r && to == p
+		return env.Kind == live.KindRound && env.Round == r && env.From == from && to == p
 	}
 }
 
@@ -260,6 +305,38 @@ func (s *scen) finish() ProbeResult {
 	return res
 }
 
+// lockAtCoordinatorAlone is the opening both locked-vote probes share:
+// phase 1 (rounds 1–3, coordinator p0) driven to a decision at p0 ALONE,
+// with p1 holding the lock and p2 in the dark.
+func (s *scen) lockAtCoordinatorAlone() {
+	// Workload: p0 proposes batch A = (1<<40)|1, p2 batch B = (3<<40)|1.
+	// A replica holding both and no lock proposes their merge under a
+	// fresh id — anything but A, which is all the bait has to be for a
+	// mutant that forgot its lock on A.
+	s.submit(0, 1, 1, 'a')
+	s.submit(2, 3, 1, 'c')
+
+	// Dissemination: everyone holds the contents of A and B (p1 must be
+	// able to re-propose B's command and to apply A).
+	s.deliverWhere(kindIs(live.KindBatch))
+
+	// Round 1 is the vote round: p0 was born committed to A, and its vote
+	// reaches p1 only; p2 stays in the dark.
+	s.deliverWhere(roundAtFromTo(1, 0, 1))
+	s.dropWhere(roundAt(1))
+	s.timeout(0) // p0 adopts its own vote: x=A ts=1, acks
+	s.timeout(1) // p1 adopts the vote: x=A ts=1 — THE LOCK — and acks
+	// Round 2: p1's ack reaches p0 — with its own, a majority, and p0
+	// adopted: it decides A there and then, and applies it. p0's ack is
+	// lost, so p1, one ack short, does not; the eager decision push is
+	// lost too.
+	s.deliverWhere(roundAtFromTo(2, 1, 0))
+	s.dropWhere(roundAt(2))
+	s.timeout(0)
+	s.timeout(1)
+	s.dropWhere(anyMsg)
+}
+
 // CheckFreshRetry runs the locked-vote-discard schedule. With mutated
 // (live.MutFreshRetry) the result must contain an agreement violation;
 // without, it must be clean with every replica applying the same batch.
@@ -268,41 +345,11 @@ func CheckFreshRetry(mutated bool) ProbeResult {
 	if mutated {
 		mut = live.MutFreshRetry
 	}
-	// RetryAfter 10: long enough that a full retry phase (rounds 5–8,
+	// RetryAfter 10: long enough that a full retry phase (rounds 4–7,
 	// coordinator p1) can complete before the next restart, short enough
 	// that the starvation stage below triggers it.
 	s := newScen(3, mut, 10)
-
-	// Workload: p0 proposes batch A = (1<<40)|1, p2 batch B = (3<<40)|1.
-	// A replica holding both and no lock proposes their merge under a
-	// fresh id — anything but A, which is all the bait has to be for the
-	// mutant that forgot its lock on A.
-	s.submit(0, 1, 1, 'a')
-	s.submit(2, 3, 1, 'c')
-
-	// Dissemination: contents of A and B reach p1 (it must be able to
-	// re-propose B's command and to apply A); A reaches p2; B never reaches p0.
-	s.deliverWhere(kindIs(live.KindBatch))
-
-	// Phase 1 (rounds 1–4, coordinator p0), driven to a decision at p0
-	// ALONE. Round 1: the survivors' estimates reach p0 — all ts are 0,
-	// so p0 votes its own batch A.
-	s.deliverWhere(roundTo(0))
-	s.dropWhere(roundAt(1))
-	// Round 2: the vote reaches p1 only; p2 stays in the dark.
-	s.deliverWhere(roundAtTo(2, 1))
-	s.dropWhere(roundAt(2))
-	s.timeout(0) // p0 adopts its own vote: x=A ts=1, acks
-	s.timeout(1) // p1 adopts the vote: x=A ts=1 — THE LOCK — and acks
-	// Round 3: p1's ack reaches p0; a self-ack plus it is a majority.
-	s.deliverWhere(roundAtTo(3, 0))
-	s.dropWhere(roundAt(3))
-	s.timeout(0) // p0 ready, sends ⟨decide A⟩
-	// Round 4: both decide messages are LOST; p0 decides alone, applies
-	// A, and its eager decision push is lost too.
-	s.dropWhere(roundAt(4))
-	s.timeout(0)
-	s.dropWhere(kindIs(live.KindSync))
+	s.lockAtCoordinatorAlone()
 
 	// Starvation: p1 and p2 time out through dead phases (their round
 	// messages all lost). The real cores just climb rounds, keeping
@@ -321,16 +368,7 @@ func CheckFreshRetry(mutated bool) ProbeResult {
 	// steering the vote back to A: agreement holds. The mutated pair,
 	// locks forgotten, decides one of those fresh batches — splitting
 	// from p0's applied A.
-	for i := 0; i < 60; i++ {
-		s.deliverWhere(func(to core.ProcessID, env live.Envelope) bool {
-			return env.Kind == live.KindRound && to != 0 && env.From != 0
-		})
-		s.timeout(1)
-		s.timeout(2)
-		s.dropWhere(func(to core.ProcessID, env live.Envelope) bool {
-			return env.Kind != live.KindRound || to == 0 || env.From == 0
-		})
-	}
+	s.freeRunWithout(0)
 	return s.finish()
 }
 
@@ -383,6 +421,16 @@ func CheckDrift(mutated bool) ProbeResult {
 	return res
 }
 
+// decideEverywhere runs the round traffic of a fault-free phase 1 whose
+// coordinator, p0, has opened the slot: two rounds, and all three
+// replicas have decided. Everything else in flight is then lost.
+func (s *scen) decideEverywhere() {
+	s.deliverWhere(kindIs(live.KindRound)) // p0's round-1 vote asks p1, p2 into the slot
+	s.deliverWhere(kindIs(live.KindRound)) // their round-1 messages: round 1 closes everywhere, all adopt and ack
+	s.deliverWhere(kindIs(live.KindRound)) // the acks: all three DECIDE slot 1; p0 applies its own batch, p1 and p2 block pulling the contents
+	s.dropWhere(anyMsg)
+}
+
 // CheckStall runs the dissemination-window schedule: batch contents
 // never leave the proposer, the batch ID decides everywhere anyway, and
 // then the proposer crash-stops. With crash=true the invariant engine
@@ -396,17 +444,7 @@ func CheckStall(crash bool) ProbeResult {
 
 	// Phase 1 runs to a decision at all three replicas — agreement needs
 	// only the batch ID, not its contents.
-	s.deliverWhere(kindIs(live.KindRound)) // p0's estimates poke p1, p2 awake
-	s.deliverWhere(kindIs(live.KindRound)) // estimates reach p0: vote = A
-	s.deliverWhere(kindIs(live.KindRound)) // the vote reaches p1, p2
-	s.timeout(1)
-	s.timeout(2)                           // both adopt and ack
-	s.deliverWhere(kindIs(live.KindRound)) // acks reach p0: ready, sends decide
-	s.deliverWhere(kindIs(live.KindRound)) // decides reach p1, p2
-	s.timeout(1)
-	s.timeout(2) // both DECIDE slot 1 = A, block pulling its contents
-	s.timeout(0) // p0 decides, applies its own batch
-	s.dropWhere(anyMsg)
+	s.decideEverywhere()
 
 	if crash {
 		// Crash-stop the only holder inside the window. The survivors'
@@ -449,8 +487,8 @@ func CheckMergeSkip(mutated bool) ProbeResult {
 	s.submit(1, 2, 2, 'c')
 
 	// Free run, nothing lost: slots 1 and 2 decide everywhere, then slot 3
-	// opens with p0 (phase-1 coordinator, whose own proposal wins the
-	// all-ts=0 tie) proposing the merge of p1's forward.
+	// opens with p0 (phase-1 coordinator, whose vote is its own proposal)
+	// proposing the merge of p1's forward.
 	for i := 0; i < 40; i++ {
 		s.deliverWhere(anyMsg)
 	}
@@ -468,28 +506,10 @@ func CheckForgetVote(mutated bool) ProbeResult {
 		mut = live.MutForgetVote
 	}
 	s := newScen(3, mut, 0)
-
-	// Workload as in CheckFreshRetry: p0 proposes batch A = (1<<40)|1,
-	// p2 batch B = (3<<40)|1. A lockless recovery re-proposes the merge
-	// of the batches it holds under a fresh id — not A: the bait.
-	s.submit(0, 1, 1, 'a')
-	s.submit(2, 3, 1, 'c')
-	s.deliverWhere(kindIs(live.KindBatch))
-
-	// Phase 1 (rounds 1–4, coordinator p0), driven to a decision at p0
-	// ALONE, with p1 adopting the vote: x=A, ts=1 — THE LOCK.
-	s.deliverWhere(roundTo(0))
-	s.dropWhere(roundAt(1))
-	s.deliverWhere(roundAtTo(2, 1))
-	s.dropWhere(roundAt(2))
-	s.timeout(0)
-	s.timeout(1)
-	s.deliverWhere(roundAtTo(3, 0))
-	s.dropWhere(roundAt(3))
-	s.timeout(0)
-	s.dropWhere(roundAt(4))
-	s.timeout(0) // p0 decides alone and applies A
-	s.dropWhere(kindIs(live.KindSync))
+	// p0 decides A alone with p1 holding the lock (x=A, ts=1); a lockless
+	// recovery re-proposes the merge of the batches it holds under a fresh
+	// id — not A: the bait.
+	s.lockAtCoordinatorAlone()
 
 	// kill -9 p1, restart from stable storage. The persisted instance
 	// state is the only memory of the lock; the mutant drops it.
@@ -501,16 +521,127 @@ func CheckForgetVote(mutated bool) ProbeResult {
 	// phase sees p1's ts=1 estimate and votes A — agreement with p0.
 	// Mutated pair: both estimates carry ts=0 and neither value is A;
 	// what decides splits from p0's applied A.
-	for i := 0; i < 60; i++ {
-		s.deliverWhere(func(to core.ProcessID, env live.Envelope) bool {
-			return env.Kind == live.KindRound && to != 0 && env.From != 0
-		})
+	s.freeRunWithout(0)
+	return s.finish()
+}
+
+// tsRegress is LastVoting with the vote round's "adopt only forwards"
+// guard taken out — the seeded bug of CheckTSRegress, and the algorithm
+// as it stood before that guard: a vote from the phase's coordinator is
+// adopted, and ts_p set to the phase, whatever ts_p was. It is built from
+// the exported surface only, so internal/lastvoting carries no switch
+// for it: where the real instance refuses, the transition is replayed on
+// a copy restored with ts_p = 0 (RestoreState drops exactly the phase
+// flags a vote-round transition no longer needs), and the copy is kept
+// if it adopted.
+type tsRegress struct{ lastvoting.Algorithm }
+
+func (a tsRegress) NewInstance(p core.ProcessID, n int, initial core.Value) core.Instance {
+	return &tsRegressInstance{Instance: a.Algorithm.NewInstance(p, n, initial).(*lastvoting.Instance), p: p, n: n}
+}
+
+type tsRegressInstance struct {
+	*lastvoting.Instance
+	p core.ProcessID
+	n int
+}
+
+func (i *tsRegressInstance) Transition(r core.Round, msgs []core.IncomingMessage) {
+	i.Instance.Transition(r, msgs)
+	phase, pos := lastvoting.PhaseOf(r)
+	x, ts, rest := lockedVote(i.AppendState(nil))
+	if pos != 2 || ts <= phase {
+		return // not a vote round, or nothing the guard could have refused
+	}
+	amnesiac := lastvoting.Algorithm{}.NewInstance(i.p, i.n, 0).(*lastvoting.Instance)
+	forgot := binary.AppendVarint(binary.AppendVarint(nil, int64(x)), 0)
+	if amnesiac.RestoreState(append(forgot, rest...)) != nil {
+		return
+	}
+	amnesiac.Transition(r, msgs)
+	if _, ts, _ := lockedVote(amnesiac.AppendState(nil)); ts == phase {
+		i.Instance = amnesiac // SEEDED BUG: adopted from a phase below ts_p
+	}
+}
+
+// lockedVote splits a LastVoting state encoding into (x_p, ts_p) and the
+// bytes behind them.
+func lockedVote(state []byte) (x core.Value, ts core.Round, rest []byte) {
+	xv, n1 := binary.Varint(state)
+	tv, n2 := binary.Varint(state[n1:])
+	return core.Value(xv), core.Round(tv), state[n1+n2:]
+}
+
+// CheckTSRegress runs the stale-vote-after-restart schedule. With
+// mutated (the tsRegress algorithm) the result must contain an agreement
+// violation; without, the recovered replica refuses the old vote and the
+// run is clean with every replica applying the batch p2 decided.
+func CheckTSRegress(mutated bool) ProbeResult {
+	var alg core.Algorithm = lastvoting.Algorithm{}
+	if mutated {
+		alg = tsRegress{}
+	}
+	s := newScenAlg(alg, 3, 0, 0, 1)
+	all := func() {
+		s.timeout(0)
 		s.timeout(1)
 		s.timeout(2)
-		s.dropWhere(func(to core.ProcessID, env live.Envelope) bool {
-			return env.Kind != live.KindRound || to == 0 || env.From == 0
-		})
 	}
+
+	// p0 proposes batch A, p1 batch B; p2, hearing of A first, proposes A.
+	// Everyone holds both contents.
+	s.submit(0, 1, 1, 'a')
+	s.submit(1, 2, 1, 'b')
+	s.deliverWhere(kindIs(live.KindBatch))
+
+	// Phase 1 (rounds 1–3, coordinator p0) is lost whole: p0 adopts its
+	// own vote, (A, ts 1), and nothing else happens.
+	for r := core.Round(1); r <= 3; r++ {
+		s.dropWhere(roundAt(r))
+		all()
+	}
+	// Phase 2 (rounds 4–7, coordinator p1). Round 4: p1 hears p2's
+	// estimate and its own, both ts 0 — not p0's — and votes its own B.
+	s.deliverWhere(roundAtFromTo(4, 2, 1))
+	s.dropWhere(roundAt(4))
+	all()
+	// Round 5: the vote ⟨B⟩ to p0 is HELD UP in the network; the one to
+	// p2 is lost. p1 adopts its own vote: (B, ts 2).
+	stale := s.take(roundAtFromTo(5, 1, 0))
+	for r := core.Round(5); r <= 7; r++ {
+		s.dropWhere(roundAt(r))
+		all()
+	}
+	// Phase 3 (rounds 8–11, coordinator p2). Round 8: p2 hears p0's
+	// estimate (A, ts 1) and its own — not p1's — and votes A. Round 9:
+	// the vote reaches p0; both adopt (A, ts 3) — THE LOCK. Round 10: p0's
+	// ack reaches p2, which decides A on two acks and applies it; p0, one
+	// ack short, does not, and p2's decision push is lost.
+	s.deliverWhere(roundAtFromTo(8, 0, 2))
+	s.dropWhere(roundAt(8))
+	all()
+	s.deliverWhere(roundAtFromTo(9, 2, 0))
+	s.dropWhere(roundAt(9))
+	all()
+	s.deliverWhere(roundAtFromTo(10, 0, 2))
+	s.dropWhere(roundAt(10))
+	all()
+	s.dropWhere(anyMsg)
+
+	// kill -9 p0, restart from stable storage: (A, ts 3) comes back, the
+	// round position does not — slot 1 reopens at round 1. Then the held
+	// vote arrives: p0 jumps to round 5 and hears, in phase 2's vote round,
+	// phase 2's coordinator say ⟨B⟩.
+	s.recover(0)
+	s.wire = append(s.wire, stale...)
+	s.deliverWhere(anyMsg)
+	s.timeout(0)
+
+	// Free run: p0 and p1 exchange round traffic (p2 stays silent — it is
+	// done). Real pair: p0 still holds (A, ts 3) against p1's (B, ts 2),
+	// so whichever of them coordinates next votes A — agreement with p2.
+	// Mutated pair: both hold (B, ts 2), and decide it.
+	s.freeRunWithout(2)
 	return s.finish()
 }
 
@@ -528,17 +659,7 @@ func CheckStallRecovery() ProbeResult {
 	s.dropWhere(kindIs(live.KindBatch))
 
 	// Phase 1 runs to a decision at all three replicas (id only).
-	s.deliverWhere(kindIs(live.KindRound))
-	s.deliverWhere(kindIs(live.KindRound))
-	s.deliverWhere(kindIs(live.KindRound))
-	s.timeout(1)
-	s.timeout(2)
-	s.deliverWhere(kindIs(live.KindRound))
-	s.deliverWhere(kindIs(live.KindRound))
-	s.timeout(1)
-	s.timeout(2)
-	s.timeout(0)
-	s.dropWhere(anyMsg)
+	s.decideEverywhere()
 
 	// kill -9 the only holder inside the window — then reboot it from
 	// its write-ahead state. The batch came back with it.
@@ -604,8 +725,8 @@ func CheckWindowDisjoint(mutated bool) ProbeResult {
 // CheckPruneOpen runs the pruned-proposal schedule of the slot window.
 // p1 accepts two commands and opens slot 1 with A = [a] and slot 2 with
 // B = [a b]; B's contents reach p0 and p2 first, so both open slot 1
-// proposing B — and p0 is the phase-1 coordinator, whose own estimate
-// wins the tie — and p1's first round message asks them into slot 2,
+// proposing B — and p0 is the phase-1 coordinator, whose vote is its
+// own proposal — and p1's first round message asks them into slot 2,
 // proposing B again. From there slot 2's rounds are held back while slot
 // 1 decides B and applies both commands; a third command then opens slot
 // 3, whose round traffic tells everyone that everyone has applied slot
