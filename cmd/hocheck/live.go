@@ -147,7 +147,15 @@ var mutantProbes = []mutantProbe{
 		killed: func(r modelcheck.ProbeResult) bool {
 			return r.Violation != nil && r.Violation.Kind == "agreement"
 		},
-		desc: "LastVoting re-adopting an old vote below its timestamp after a restart (lock undone)",
+		desc: "crash recovery discarding the round saved with the vote: an old vote re-adopted below the lock in a re-run round (lock undone)",
+	},
+	{
+		name: "relive-ack",
+		run:  modelcheck.CheckReliveAck,
+		killed: func(r modelcheck.ProbeResult) bool {
+			return r.Violation != nil && r.Violation.Kind == "agreement"
+		},
+		desc: "crash recovery discarding the round saved with the vote: a phase acked in a re-run round, behind the replica's own later estimate (unlocked value decided)",
 	},
 	{
 		name: "merge-skip",
@@ -195,7 +203,7 @@ func runMutants(f liveFlags) error {
 		}
 	}
 	if len(selected) == 0 {
-		return fmt.Errorf("unknown -mutant %q (want locked-vote, drift-livelock, stall-window, forget-vote, ts-regress, merge-skip, window-disjoint, prune-open, or all)", f.mutant)
+		return fmt.Errorf("unknown -mutant %q (want locked-vote, drift-livelock, stall-window, forget-vote, ts-regress, relive-ack, merge-skip, window-disjoint, prune-open, or all)", f.mutant)
 	}
 	survived := 0
 	for _, p := range selected {

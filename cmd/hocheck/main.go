@@ -49,7 +49,7 @@ func run() error {
 	flag.IntVar(&lf.states, "states", 150_000, "live: state budget (0 = the 2M default)")
 	flag.IntVar(&lf.maxBatch, "maxbatch", 1, "live: max entries per batch (0 = core default)")
 	flag.StringVar(&lf.alg, "alg", "otr", "live: consensus algorithm (otr or lastvoting)")
-	flag.StringVar(&lf.mutant, "mutant", "", "live: run seeded-mutant probes (locked-vote, drift-livelock, stall-window, forget-vote, ts-regress, merge-skip, window-disjoint, prune-open, or all)")
+	flag.StringVar(&lf.mutant, "mutant", "", "live: run seeded-mutant probes (locked-vote, drift-livelock, stall-window, forget-vote, ts-regress, relive-ack, merge-skip, window-disjoint, prune-open, or all)")
 	flag.Parse()
 
 	if *liveMode {

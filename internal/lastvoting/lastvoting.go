@@ -9,7 +9,7 @@
 //
 //	estimate: everyone sends ⟨x_p, ts_p⟩; if c hears a majority it
 //	          selects the value with the highest timestamp as its vote.
-//	vote:     c sends ⟨vote⟩; receivers with ts_p ≤ φ adopt it, ts_p := φ.
+//	vote:     c sends ⟨vote⟩; receivers adopt it and set ts_p := φ.
 //	ack:      adopters send ⟨ack⟩; whoever adopted and hears a majority
 //	          of acks decides x_p, and c (if it voted) becomes ready.
 //	decide:   a ready c sends ⟨decide, vote⟩; receivers decide.
@@ -20,8 +20,9 @@
 // nothing to report. And every adopter, not only c, decides on a majority
 // of acks: they are broadcast anyway, and it is c's own lock argument one
 // round earlier — a fault-free instance decides in two rounds. The decide
-// round stays for processes that missed the vote. ts_p never decreases
-// (recovery re-runs low phases and can meet their old votes).
+// round stays for processes that missed the vote. Like [6], all of it
+// assumes a process lives each round at most once, across crashes too:
+// whoever restores an instance resumes it past the last round it sent in.
 package lastvoting
 
 import (
@@ -160,7 +161,7 @@ func (i *Instance) Transition(r core.Round, msgs []core.IncomingMessage) {
 			if m.From != c {
 				continue
 			}
-			if vm, ok := m.Payload.(voteMsg); ok && phase >= i.ts {
+			if vm, ok := m.Payload.(voteMsg); ok {
 				i.x = vm.V
 				i.ts = phase
 				i.ackable = true

@@ -343,64 +343,9 @@ func TestAdopterDecidesOnMajorityOfAcks(t *testing.T) {
 	}
 }
 
-// recovered returns what a process holding (x, ts) restarts as: stable
-// storage reloaded into a fresh instance, round position back at 1.
-func recovered(t *testing.T, p core.ProcessID, n int, x core.Value, ts core.Round) *Instance {
-	t.Helper()
-	rec := Algorithm{}.NewInstance(p, n, 0).(*Instance)
-	if err := rec.RestoreState((&Instance{p: p, n: n, x: x, ts: ts}).AppendState(nil)); err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
-
-func TestRecoveredVoteNeverLowersTimestamp(t *testing.T) {
-	// p2 decided 7 in phase 3 on the acks of p0 and itself and is down;
-	// p0 holds (7, ts 3), and p1 holds (9, ts 2) from phase 2, which it
-	// coordinated. Then p0 and p1 restart: the round position is volatile,
-	// so both re-run the slot from round 1 — phases 1 and 2 happen AGAIN,
-	// and whatever of their first run is still in the network meets them
-	// there. 7 is locked; it has to stay locked.
-	p0 := recovered(t, 0, 3, 7, 3)
-	p1 := recovered(t, 1, 3, 9, 2)
-	insts := []*Instance{p0, p1}
-
-	// Phase 2's first vote, ⟨9⟩, reaches p0 only now, in the re-run vote
-	// round 5. Adopting it would make p0 (9, ts 2): the lock on 7 undone.
-	stale := core.IncomingMessage{From: 1, Payload: voteMsg{V: 9}}
-
-	for r := core.Round(1); r <= 16; r++ {
-		var msgs []core.IncomingMessage
-		for _, in := range insts {
-			if pl := in.Send(r); pl != nil {
-				msgs = append(msgs, core.IncomingMessage{From: in.p, Payload: pl})
-			}
-		}
-		for _, in := range insts {
-			heard := msgs
-			if r == 5 && in == p0 {
-				heard = []core.IncomingMessage{stale} // p1's fresh vote is lost on the way to p0
-			}
-			before := in.ts
-			in.Transition(r, heard)
-			if in.ts < before {
-				t.Fatalf("round %d: p%d lowered its timestamp %d → %d", r, in.p, before, in.ts)
-			}
-		}
-		if r == 5 && (p0.x != 7 || p0.ts != 3 || p0.ackable) {
-			t.Fatalf("p0 re-adopted a phase-2 vote over its phase-3 lock: x=%d ts=%d ackable=%v", p0.x, p0.ts, p0.ackable)
-		}
-	}
-	for _, in := range insts {
-		if v, ok := in.Decided(); !ok || v != 7 {
-			t.Errorf("p%d decided (%d, %v); p2 decided 7 before the restart", in.p, v, ok)
-		}
-	}
-}
-
 func TestRestartedCoordinatorDoesNotDecideBlind(t *testing.T) {
-	// p0 votes 5 in round 1, p1 and p2 adopt it — and p0 restarts. Back in
-	// round 2 it hears their acks: a majority, for a vote it no longer
+	// p0 votes 5 in round 1, p1 and p2 adopt it — and p0 restarts, resuming
+	// in round 2. It hears their acks: a majority, for a vote it no longer
 	// knows (the vote is round state, gone with the crash; what it holds
 	// is a proposal it may have re-made). It must not announce a decision.
 	born := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
@@ -408,7 +353,6 @@ func TestRestartedCoordinatorDoesNotDecideBlind(t *testing.T) {
 	if err := rec.RestoreState(born.AppendState(nil)); err != nil {
 		t.Fatal(err)
 	}
-	rec.Transition(1, nil)
 	rec.Transition(2, []core.IncomingMessage{{From: 1, Payload: ackMsg{}}, {From: 2, Payload: ackMsg{}}})
 	if msg := rec.Send(3); msg != nil {
 		t.Fatalf("restarted coordinator sent %v in the decide round without having voted", msg)

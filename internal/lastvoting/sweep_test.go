@@ -5,16 +5,22 @@ import (
 	"testing"
 
 	"heardof/internal/core"
+	"heardof/internal/quorum"
 )
 
 // The bounded exhaustive heard-of sweep: three processes, every binary
 // input vector, and in every round EVERY heard-of assignment — each
 // process hears any of the 8 subsets of Π, self included or not — for
 // sweepRounds rounds, with the global state (the three instances; the
-// round is the frontier's) deduplicated per round. It covers what the
-// live model checker cannot reach: phases past the first, coordinators
-// that never hear themselves, a decide round arriving after somebody
-// already decided on acks.
+// round is the frontier's) deduplicated per round. And in every round any
+// process may CRASH after sending and restart from stable storage — any
+// number of them, any number of times — resuming in the next round, as
+// the live core resumes it (past the last round it sent in): its
+// outcome for the round is its state before it, through AppendState and
+// RestoreState. It covers what the live model checker cannot reach:
+// phases past the first, coordinators that never hear themselves, a
+// decide round arriving after somebody already decided on acks, a
+// majority restarting in the middle of a phase.
 
 // sweepRounds is four whole phases, 3 + 4 + 4 + 4: the coordinator role
 // goes once around and comes back to p0, the process born committed.
@@ -74,6 +80,7 @@ func sweep(step transitionFn) (violation error, states int, lateDecision bool) {
 							outs[p] = append(outs[p], inst)
 						}
 					}
+					outs[p] = append(outs[p], restarted(g[p]))
 				}
 				for _, a := range outs[0] {
 					for _, b := range outs[1] {
@@ -107,6 +114,15 @@ func sweep(step transitionFn) (violation error, states int, lateDecision bool) {
 	return nil, states, lateDecision
 }
 
+// restarted is i after a crash: what RestoreState makes of its saved state.
+func restarted(i Instance) Instance {
+	rec := Instance{p: i.p, n: i.n}
+	if err := rec.RestoreState(i.AppendState(nil)); err != nil {
+		panic(err)
+	}
+	return rec
+}
+
 func TestExhaustiveHeardOfSweep(t *testing.T) {
 	violation, states, late := sweep((*Instance).Transition)
 	if violation != nil {
@@ -119,8 +135,8 @@ func TestExhaustiveHeardOfSweep(t *testing.T) {
 }
 
 // TestSweepRejectsTemptingVariants shows the sweep has teeth where the
-// two departures from the four-round algorithm stop: each condition
-// dropped is an agreement violation it finds.
+// two departures from the four-round algorithm stop, and where a restart
+// bites: each condition dropped is an agreement violation it finds.
 func TestSweepRejectsTemptingVariants(t *testing.T) {
 	variants := []struct {
 		name string
@@ -141,6 +157,20 @@ func TestSweepRejectsTemptingVariants(t *testing.T) {
 			i.Transition(r, msgs)
 			if phase, pos := PhaseOf(r); pos == 1 && i.p == Coord(phase, i.n) {
 				i.vote, i.commit = i.x, true
+			}
+		}},
+		// "A majority acked my phase, so I announce my vote": a coordinator
+		// restarted since it voted no longer knows what it voted.
+		{"restarted coordinator announces a decision on the acks alone", func(i *Instance, r core.Round, msgs []core.IncomingMessage) {
+			i.Transition(r, msgs)
+			if phase, pos := PhaseOf(r); pos == 3 && i.p == Coord(phase, i.n) {
+				acks := 0
+				for _, m := range msgs {
+					if _, ok := m.Payload.(ackMsg); ok {
+						acks++
+					}
+				}
+				i.ready = quorum.ExceedsMajority(acks, i.n)
 			}
 		}},
 	}

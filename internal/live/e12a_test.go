@@ -32,8 +32,11 @@ func TestE12ADiskVsEmptyRejoin(t *testing.T) {
 		stallObs = 1200 * time.Millisecond
 	)
 
-	// run builds the common scenario and hands the rejoin to the arm.
-	run := func(t *testing.T, rejoin func(t *testing.T, dir string, net *ChanNetwork, targetLen uint64, targetHash uint64)) {
+	// run builds the common scenario and hands the rejoin to the arm, with
+	// the survivors' log to catch up with. It is read live: the rejoiner's
+	// own round traffic can ask the group into one more slot (the window
+	// lets it open the slot after the one it is still catching up on).
+	run := func(t *testing.T, rejoin func(t *testing.T, dir string, net *ChanNetwork, target func() (length, hash uint64))) {
 		dir := t.TempDir()
 		net, err := NewChanNetwork(n, 0)
 		if err != nil {
@@ -119,7 +122,7 @@ func TestE12ADiskVsEmptyRejoin(t *testing.T) {
 			l0, h0 := reps[0].LogHash()
 			l1, h1 := reps[1].LogHash()
 			if l0 == l1 && h0 == h1 {
-				rejoin(t, dir, net, l0, h0)
+				rejoin(t, dir, net, reps[0].LogHash)
 				return
 			}
 			if time.Now().After(deadline) {
@@ -130,7 +133,7 @@ func TestE12ADiskVsEmptyRejoin(t *testing.T) {
 	}
 
 	t.Run("disk", func(t *testing.T) {
-		run(t, func(t *testing.T, dir string, net *ChanNetwork, targetLen, targetHash uint64) {
+		run(t, func(t *testing.T, dir string, net *ChanNetwork, target func() (length, hash uint64)) {
 			openStart := time.Now()
 			store, st, err := wal.Open(dir, wal.Options{NoSync: true})
 			if err != nil {
@@ -161,6 +164,7 @@ func TestE12ADiskVsEmptyRejoin(t *testing.T) {
 			defer rep.Stop()
 			catchStart := time.Now()
 			deadline := time.Now().Add(10 * time.Second)
+			targetLen, targetHash := target()
 			for {
 				l, h := rep.LogHash()
 				if l == targetLen && h == targetHash {
@@ -170,6 +174,7 @@ func TestE12ADiskVsEmptyRejoin(t *testing.T) {
 					t.Fatalf("disk rejoin never caught up: (%d, %#x) != (%d, %#x)", l, h, targetLen, targetHash)
 				}
 				time.Sleep(time.Millisecond)
+				targetLen, targetHash = target()
 			}
 			catchDur := time.Since(catchStart)
 			st2 := rep.Stats()
@@ -186,7 +191,8 @@ func TestE12ADiskVsEmptyRejoin(t *testing.T) {
 	})
 
 	t.Run("empty", func(t *testing.T) {
-		run(t, func(t *testing.T, dir string, net *ChanNetwork, targetLen, _ uint64) {
+		run(t, func(t *testing.T, dir string, net *ChanNetwork, target func() (length, hash uint64)) {
+			targetLen, _ := target()
 			lg := &applyLog{}
 			rep, err := NewReplica(ReplicaConfig[string]{
 				Self: 2, N: n,

@@ -1,7 +1,9 @@
 // The round driver: pacing of one core.Instance through
 // communication-closed rounds. This is the live counterpart of
 // core.Runner.StepRound — same contract (rounds strictly increasing,
-// every round exactly once, inbox slice call-scoped), different clock:
+// every round at most once — across a crash too: recovery resumes a slot
+// past the last round it sent in, persist.go — inbox slice call-scoped),
+// different clock:
 // instead of an HOProvider choosing heard-of sets, HO(p, r) is whatever
 // arrived before the round closed.
 //
@@ -59,7 +61,8 @@ type slotRun struct {
 }
 
 // newSlotRun opens a slot's one instance at round 0; the caller advances
-// into round 1 with enter.
+// into round 1 with enter (recovery first moves r to the last round the
+// slot sent in).
 func newSlotRun(slot uint64, inst core.Instance, prop int64) *slotRun {
 	return &slotRun{
 		slot:   slot,

@@ -13,9 +13,9 @@
 // un-synced is ever visible, because nothing of that group is).
 // Since all externally visible behavior flows through envelopes and
 // acks, no peer or client can ever have observed state the log does
-// not hold — the paper's crash-RECOVERY model, with one difference
-// spelled out at the end of this comment: the paper's stable storage
-// holds the round number too, and this one does not. Quorum-durable dissemination is a corollary: propose() saves a
+// not hold — the paper's crash-RECOVERY model, round number on stable
+// storage included (the end of this comment).
+// Quorum-durable dissemination is a corollary: propose() saves a
 // batch body in the same step that first broadcasts its id, so by the
 // time any replica can vote for the id, the contents are on the
 // proposer's disk and a recovered proposer still serves batch pulls —
@@ -25,12 +25,13 @@
 //
 //	SaveBatch     propose() and handleBatch(): batch contents at first sight
 //	              (every id that can be DECIDED is minted by propose())
-//	SaveVote      openSlot() and transitionRound(): instance state (the
-//	              locked vote) when the slot opens — round 1's send
-//	              already speaks from it: LastVoting's first coordinator
-//	              VOTES in round 1 — and after every undecided transition,
-//	              under the slot it belongs to: a replica has a window of
-//	              slots open, and recovery needs the vote of each
+//	SaveVote      openSlot() and transitionRound(): the round about to be
+//	              entered and the instance state (the locked vote) it
+//	              sends from, when the slot opens — round 1's send
+//	              already speaks: LastVoting's first coordinator VOTES in
+//	              it — and after every undecided transition, under the
+//	              slot it belongs to: a replica has a window of slots
+//	              open, and recovery needs the vote of each
 //	SaveDecision  recordDecision(): a slot's decided batch id
 //	SaveApplied   applySlot(): the applied slot and its fresh (client,seq)
 //	              advancements
@@ -44,28 +45,37 @@
 // — see seqFloor in RestoreReplicaCore), peer commit-index
 // observations (re-learned from traffic), which slot each held batch
 // was proposed for (recovery assumes the furthest one the window
-// allows), and the round positions. That last one is a departure: the
-// paper's crash-recovery algorithms keep r_p on stable storage, so a
-// recovered process resumes the round it was in and no round is ever
-// lived through twice. Here recovery reopens each slot's instance at
-// round 1 with its restored vote and the jump rule re-aligns it with the
-// group — a save per round is the price of the paper's way, and the
-// round number is all it would buy. What the departure costs is that
-// phases are RE-RUN: the recovered replica passes through low phases
-// again, and can meet their old messages there. The algorithm is what
-// makes that safe, not this layer: LastVoting adopts a vote only from a
-// phase at or above its timestamp (a re-run phase can never lower a
-// lock), restores as a coordinator that has neither committed nor is
-// ready (it cannot vote or announce a decision for a phase it no longer
-// remembers), and its first coordinator is born committed only in the
-// incarnation that opened the slot, whose state openSlot saved before
-// the vote left. OneThirdRule keeps no round state at all.
+// allows), and heard sets.
+//
+// The round position IS persisted, with the vote: the paper's
+// crash-recovery algorithms keep r_p on stable storage, so that no round
+// is ever lived through twice, and the algorithms need exactly that —
+// LastVoting's lock argument has a process that acked phase φ say ts ≥ φ
+// in every LATER estimate, OneThirdRule's has a process say one value per
+// round. (A slot reopened at round 1 would meet, among the old messages
+// still in the network, votes below its lock and acks for phases it has
+// since spoken past; guarding the algorithm's adoption rule does not
+// cover the second. The MutForgetRound probes are those schedules.) A
+// vote record is therefore (the round the saved state sends in, the
+// state). Everything a step emits waits for the sync
+// of that step's saves, so when the newest durable record says round r,
+// round r's send may have left and no later one has: recovery resumes the
+// slot by ENTERING round r+1, with r and everything below it skipped. To
+// the group a skipped round is one in which this process was neither
+// heard nor heard anybody — a transmission fault, which is what the HO
+// model is for — and the jump rule re-aligns it from there. What stays
+// volatile is the algorithm's per-phase bookkeeping: LastVoting restores
+// as a coordinator that has neither committed nor is ready (it cannot
+// vote or announce a decision for a phase it resumes in the middle of),
+// and its first coordinator is born committed only in the incarnation
+// that opened the slot, whose state openSlot saved before the vote left.
 
 package live
 
 import (
 	"fmt"
 
+	"heardof/internal/core"
 	"heardof/internal/wal"
 )
 
@@ -102,13 +112,14 @@ type statePersistent interface {
 // batches, decided-but-unapplied slots, the batch counter (so new
 // batch ids never collide with durable pre-crash ones), and the newest
 // vote state of every slot that was open, each re-installed into its
-// slot's fresh instance when consensus for it reopens. Everything
-// volatile is gone: pending submissions, peer observations, and the
-// round positions.
+// slot's fresh instance when consensus for it reopens, past the round
+// it last sent in. Everything volatile is gone: pending submissions, peer
+// observations, heard sets.
 //
 // MutForgetVote (model checker only) drops the restored vote — the
 // seeded recovery bug that lets a second attempt contradict a decision
-// the first attempt's quorum already fixed.
+// the first attempt's quorum already fixed. MutForgetRound keeps the vote
+// and drops its round (openSlot).
 func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C], error) {
 	c, err := NewReplicaCore(cfg)
 	if err != nil {
@@ -208,7 +219,11 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 		if !ok {
 			return nil, fmt.Errorf("live: algorithm %T cannot restore persisted votes", probe)
 		}
-		if err := sp.RestoreState(vote); err != nil {
+		_, state, ok := splitVote(vote)
+		if !ok {
+			return nil, fmt.Errorf("live: recovered vote for slot %d: corrupt round", slot)
+		}
+		if err := sp.RestoreState(state); err != nil {
 			return nil, fmt.Errorf("live: recovered vote for slot %d: %w", slot, err)
 		}
 		// The slot was mid-consensus: advance reopens it (and any slot
@@ -248,7 +263,7 @@ func (c *ReplicaCore[C]) PersistState() *wal.State {
 	}
 	for _, run := range c.open {
 		if sa, ok := run.inst.(stateAppender); ok {
-			st.Votes[run.slot] = sa.AppendState(nil)
+			st.Votes[run.slot] = sa.AppendState(appendUvarint(nil, uint64(run.r)))
 		}
 	}
 	return st
@@ -275,16 +290,24 @@ func (c *ReplicaCore[C]) EntriesOf(bid int64) ([]Entry[C], bool) {
 	return entries, ok
 }
 
-// persistVote saves run's instance state: when its slot opens, and after
-// every transition that left it undecided.
+// persistVote saves run's vote record — the round it is about to enter
+// and the instance state that round's send speaks from: when its slot
+// opens, and after every transition that left it undecided.
 func (c *ReplicaCore[C]) persistVote(run *slotRun) {
 	if c.cfg.Persist == nil {
 		return
 	}
 	if sa, ok := run.inst.(stateAppender); ok {
-		c.voteBuf = sa.AppendState(c.voteBuf[:0])
+		c.voteBuf = sa.AppendState(appendUvarint(c.voteBuf[:0], uint64(run.r)+1))
 		c.cfg.Persist.SaveVote(run.slot, c.voteBuf)
 	}
+}
+
+// splitVote splits a vote record into the round its state sends in and
+// the state.
+func splitVote(b []byte) (sent core.Round, state []byte, ok bool) {
+	r, n := uvarint(b)
+	return core.Round(r), b[max(n, 0):], n > 0
 }
 
 // persistFresh extracts the fresh (client,seq) advancements of a

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -333,13 +334,15 @@ func TestRecoverMatchesDiskRestore(t *testing.T) {
 }
 
 // TestRestoredVoteInstalled checks the locked-vote mechanics in
-// isolation: a recovered core holding a persisted instance state
+// isolation: a recovered core holding a persisted vote record
 // re-installs it — estimate included — when consensus for the slot
-// restarts, and MutForgetVote (the seeded recovery bug) drops it.
+// resumes, PAST the round the record sent in; MutForgetVote (the seeded
+// recovery bug) drops the vote, MutForgetRound its round.
 func TestRestoredVoteInstalled(t *testing.T) {
 	alg := lastvoting.Algorithm{}
 	locked := alg.NewInstance(1, 3, core.Value(4242))
-	vote := locked.(interface{ AppendState(dst []byte) []byte }).AppendState(nil)
+	// The record of a replica that closed round 5: its state sends in 6.
+	vote := locked.(stateAppender).AppendState(appendUvarint(nil, 6))
 
 	st := &wal.State{
 		Log:     []int64{7},
@@ -363,17 +366,28 @@ func TestRestoredVoteInstalled(t *testing.T) {
 		t.Fatalf("restored core does not carry the vote: %+v", got)
 	}
 	// Any step reopens the slot (a recovered vote is work); the new
-	// instance must carry the locked estimate.
-	c.Step(Event[string]{Kind: EvNudge})
-	if open := c.OpenRounds(nil); len(open) != 1 || open[0].Slot != 2 {
-		t.Fatalf("consensus did not reopen slot 2: open %+v", open)
+	// instance must carry the locked estimate, and enter round 7: round
+	// 6's send may have left before the crash, and no round is lived twice.
+	res := c.Step(Event[string]{Kind: EvNudge})
+	if open := c.OpenRounds(nil); len(open) != 1 || open[0] != (SlotRound{Slot: 2, Round: 7}) {
+		t.Fatalf("consensus did not resume slot 2 in round 7: open %+v", open)
+	}
+	for _, o := range res.Out {
+		if o.Env.Kind == KindRound && o.Env.Round != 7 {
+			t.Fatalf("resumed slot sent in round %d, want only round 7", o.Env.Round)
+		}
 	}
 	after := c.PersistState()
 	if len(after.Votes) != 1 {
 		t.Fatalf("running instance not persisted: %+v", after)
 	}
-	if x, n := binary.Varint(after.Votes[2]); n <= 0 || x != 4242 {
-		t.Fatalf("restored instance lost the locked estimate: x=%d", x)
+	sent, state, _ := splitVote(after.Votes[2])
+	if x, n := binary.Varint(state); n <= 0 || x != 4242 || sent != 7 {
+		t.Fatalf("restored instance: x=%d sending in round %d, want the locked 4242 in round 7", x, sent)
+	}
+	// A record without its round is refused, not read as round 0.
+	if _, err := RestoreReplicaCore(cfg, &wal.State{Votes: map[uint64][]byte{1: {0x80}}}); err == nil {
+		t.Fatal("a vote record with a torn round restored")
 	}
 
 	// The mutant forgets: same state, vote gone.
@@ -385,15 +399,22 @@ func TestRestoredVoteInstalled(t *testing.T) {
 	if got := m.PersistState(); len(got.Votes) != 0 {
 		t.Fatalf("MutForgetVote kept the vote: %+v", got)
 	}
+	// The other mutant keeps the vote and re-runs the slot from round 1.
+	cfg.Mutation = MutForgetRound
+	if m, err = RestoreReplicaCore(cfg, st); err != nil {
+		t.Fatal(err)
+	}
+	m.Step(Event[string]{Kind: EvNudge})
+	if open := m.OpenRounds(nil); len(open) != 1 || open[0] != (SlotRound{Slot: 2, Round: 1}) {
+		t.Fatalf("MutForgetRound resumed at %+v, want slot 2 back in round 1", open)
+	}
 }
 
 // TestStaleVoteDropped: a persisted vote for an already-applied slot is
 // ignored on restore (the decision superseded it).
 func TestStaleVoteDropped(t *testing.T) {
 	alg := otr.Algorithm{}
-	vote := alg.NewInstance(0, 3, core.Value(9)).(interface {
-		AppendState(dst []byte) []byte
-	}).AppendState(nil)
+	vote := alg.NewInstance(0, 3, core.Value(9)).(stateAppender).AppendState(appendUvarint(nil, 1))
 	st := &wal.State{
 		Log:     []int64{9},
 		HWM:     map[uint64]uint64{},
@@ -437,21 +458,31 @@ func TestCrashBeforeFirstTransitionReopensFromTheSameVote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roundOne := func(res StepResult[string]) core.Message {
+	// said returns what res says in slot 1's round r, which must be the
+	// only round it speaks in.
+	said := func(res StepResult[string], r core.Round) core.Message {
 		t.Helper()
+		var msg core.Message
+		found := false
 		for _, o := range res.Out {
-			if o.Env.Kind == KindRound && o.Env.Slot == 1 && o.Env.Round == 1 {
-				msg, err := lastvoting.WireCodec{}.Decode(o.Env.Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return msg
+			if o.Env.Kind != KindRound || o.Env.Slot != 1 {
+				continue
 			}
+			if o.Env.Round != r {
+				t.Fatalf("slot 1 message in round %d, want only round %d", o.Env.Round, r)
+			}
+			var err error
+			if msg, err = (lastvoting.WireCodec{}).Decode(o.Env.Payload); err != nil {
+				t.Fatal(err)
+			}
+			found = true
 		}
-		t.Fatal("no round-1 message for slot 1")
-		return nil
+		if !found {
+			t.Fatalf("no round-%d message for slot 1", r)
+		}
+		return msg
 	}
-	if vote := roundOne(c.Step(Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})); vote == nil {
+	if vote := said(c.Step(Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"}), 1); vote == nil {
 		t.Fatal("p0 opened slot 1 without voting its proposal in round 1")
 	}
 	if err := store.Sync(); err != nil { // the shell's barrier before that vote leaves
@@ -481,10 +512,115 @@ func TestCrashBeforeFirstTransitionReopensFromTheSameVote(t *testing.T) {
 	if got := openSlots(rc); fmt.Sprint(got) != "[1]" {
 		t.Fatalf("recovered replica reopened slots %v, want [1]", got)
 	}
-	if msg := roundOne(res); msg != nil {
-		t.Fatalf("restarted Coord(1) voted a second time in phase 1: %v", msg)
+	// It resumes in round 2 — round 1's send may have left — with nothing
+	// to say there: it never got to adopt its own vote.
+	if msg := said(res, 2); msg != nil {
+		t.Fatalf("restarted Coord(1) resumed phase 1 saying %v", msg)
 	}
-	if x, n := binary.Varint(rc.PersistState().Votes[1]); n <= 0 || x != int64(batchID(0, 1)) {
+	_, state, _ := splitVote(rc.PersistState().Votes[1])
+	if x, n := binary.Varint(state); n <= 0 || x != int64(batchID(0, 1)) {
 		t.Fatalf("reopened slot 1 holding estimate %#x, want the pre-crash proposal %#x", x, batchID(0, 1))
+	}
+}
+
+// barrierProbe is a Persister that keeps nothing but, per slot, the round
+// of the newest vote record — buffered until Sync, durable after — and
+// checks every round message a replica sends against it.
+type barrierProbe struct {
+	mu                sync.Mutex
+	buffered, durable map[uint64]core.Round
+	checked, first    int
+	early             []string
+}
+
+func (b *barrierProbe) SaveBatch(int64, []byte)                    {}
+func (b *barrierProbe) SaveDecision(uint64, int64)                 {}
+func (b *barrierProbe) SaveApplied(uint64, int64, []wal.ClientSeq) {}
+func (b *barrierProbe) Snapshot(*wal.State) error                  { return nil }
+
+func (b *barrierProbe) SaveVote(slot uint64, record []byte) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	sent, _, _ := splitVote(record)
+	b.buffered[slot] = sent
+}
+
+func (b *barrierProbe) Sync() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for slot, sent := range b.buffered {
+		b.durable[slot] = sent
+	}
+	clear(b.buffered)
+	return nil
+}
+
+// probedTransport reports to the probe what is about to leave.
+type probedTransport struct {
+	Transport
+	probe *barrierProbe
+}
+
+func (t probedTransport) Send(to core.ProcessID, env Envelope) {
+	if b := t.probe; env.Kind == KindRound {
+		b.mu.Lock()
+		b.checked++
+		if env.Round == 1 {
+			b.first++
+		}
+		if b.durable[env.Slot] < env.Round {
+			b.early = append(b.early, fmt.Sprintf("slot %d round %d left with the durable vote record at round %d", env.Slot, env.Round, b.durable[env.Slot]))
+		}
+		b.mu.Unlock()
+	}
+	t.Transport.Send(to, env)
+}
+
+// TestRoundSendsWaitForTheirVoteRecord is the write-ahead barrier seen
+// from outside the real shell: whenever a replica sends in round r of a
+// slot, a vote record saying "this state sends in round r" (or later) has
+// been synced — the record recovery resumes past. That includes a
+// slot's FIRST send: LastVoting's first coordinator votes in round 1, so
+// the record openSlot saves must be in the sync group that covers it.
+func TestRoundSendsWaitForTheirVoteRecord(t *testing.T) {
+	const n = 3
+	net, err := NewChanNetwork(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	reps := make([]*Replica[string], n)
+	probes := make([]*barrierProbe, n)
+	for p := range reps {
+		probes[p] = &barrierProbe{buffered: map[uint64]core.Round{}, durable: map[uint64]core.Round{}}
+		reps[p], err = NewReplica(ReplicaConfig[string]{
+			Self: core.ProcessID(p), N: n,
+			Algorithm:    lastvoting.Algorithm{},
+			Msg:          lastvoting.WireCodec{},
+			Batch:        strCodec{},
+			Transport:    probedTransport{net.Transport(core.ProcessID(p)), probes[p]},
+			Persist:      probes[p],
+			RoundTimeout: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[p].Start()
+		defer reps[p].Stop()
+	}
+	for i := 0; i < 30; i++ {
+		p := i % n
+		ch, _ := reps[p].SubmitNext(uint64(p+1), fmt.Sprintf("cmd-%d", i))
+		waitApplied(t, ch, 10*time.Second, fmt.Sprintf("cmd-%d", i))
+	}
+	for p, b := range probes {
+		b.mu.Lock()
+		if len(b.early) > 0 {
+			t.Errorf("replica %d: %d of %d round sends outran their vote record, first: %s", p, len(b.early), b.checked, b.early[0])
+		}
+		if b.first == 0 {
+			t.Errorf("replica %d: vacuous, no round-1 send among %d checked", p, b.checked)
+		}
+		b.mu.Unlock()
 	}
 }

@@ -80,6 +80,12 @@ const (
 	// batch is pruned although a slot it was proposed for can still
 	// decide it — and then decides an id whose contents nobody holds.
 	MutPruneOpen
+	// MutForgetRound makes crash-RECOVERY drop the round saved with a
+	// vote, so the slot reopens at round 1 and every round it already sent
+	// in is lived a second time, among the old messages still in the
+	// network: it re-adopts a vote below its lock, or acks a phase behind
+	// its own later estimate — each enough to decide two values.
+	MutForgetRound
 )
 
 // window is how many slots a replica keeps in flight: slots
@@ -224,9 +230,9 @@ type ReplicaCore[C any] struct {
 	// still decide it: such a batch is kept until that slot has applied.
 	batchSlot map[int64]uint64
 
-	// restoredVotes holds crash-recovered instance encodings by slot
-	// until consensus for the slot reopens and re-installs them
-	// (persist.go).
+	// restoredVotes holds crash-recovered vote records (round, instance
+	// encoding) by slot until consensus for the slot reopens and
+	// re-installs them (persist.go).
 	restoredVotes map[uint64][]byte
 
 	// peerApplied tracks each peer's last observed commit index (their
@@ -789,7 +795,8 @@ func (c *ReplicaCore[C]) openThrough(slot uint64, res *StepResult[C]) {
 	}
 }
 
-// openSlot opens slot's one instance and enters round 1. Unasked (no
+// openSlot opens slot's one instance and enters its first round — round
+// 1, or the round after the last one a recovered vote sent in. Unasked (no
 // peer traffic for the slot) it does so only if that commits something:
 // it reports false, and opens nothing, when the proposal it would make
 // carries no command beyond what this replica's open proposals carry
@@ -801,18 +808,22 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 		return false
 	}
 	inst := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, core.Value(proposal))
+	run := newSlotRun(slot, inst, proposal)
 	if restored {
 		// Crash recovery: re-install the persisted instance state — the
-		// locked vote — over the fresh proposal. The encoding was
-		// validated at restore time; the round position restarts at 1
-		// and the jump rule re-aligns us with the group (phases are
-		// re-run: persist.go says why that is safe).
+		// locked vote — over the fresh proposal, and resume PAST the last
+		// round whose send may have left: no round is lived twice, the
+		// rounds skipped are rounds in which nobody heard us (persist.go).
+		// The encoding was validated at restore time.
+		sent, state, _ := splitVote(vote)
 		if sp, ok := inst.(statePersistent); ok {
-			_ = sp.RestoreState(vote)
+			_ = sp.RestoreState(state)
+		}
+		if c.cfg.Mutation&MutForgetRound == 0 {
+			run.r = sent
 		}
 		delete(c.restoredVotes, slot)
 	}
-	run := newSlotRun(slot, inst, proposal)
 	i := len(c.open)
 	for i > 0 && c.open[i-1].slot > slot {
 		i--
@@ -820,10 +831,11 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 	c.open = append(c.open, nil)
 	copy(c.open[i+1:], c.open[i:])
 	c.open[i] = run
-	// Round 1's send already speaks for the instance (LastVoting's first
-	// coordinator votes in it, OTR sends its proposal): save the state it
-	// speaks from first, so a crash before the first transition reopens
-	// the slot from what the peers were told, not from a new proposal.
+	// The first send already speaks for the instance (in round 1
+	// LastVoting's first coordinator votes, OTR sends its proposal): save
+	// the state it speaks from first, so a crash before the first
+	// transition reopens the slot from what the peers were told, not from
+	// a new proposal.
 	c.persistVote(run)
 	c.nextRound(run, res)
 	c.closeRounds(run, res)

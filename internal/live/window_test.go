@@ -354,9 +354,17 @@ func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 	if got := openSlots(rc); fmt.Sprint(got) != "[1 2]" {
 		t.Fatalf("recovered replica reopened slots %v, want [1 2]", got)
 	}
+	// Both runs had closed round 1, so their records send in round 2 and
+	// the slots resume in round 3.
+	for _, sr := range rc.OpenRounds(nil) {
+		if sr.Round != 3 {
+			t.Fatalf("slot %d resumed in round %d, want 3", sr.Slot, sr.Round)
+		}
+	}
 	// LastVoting's encoding starts with the locked vote (x, ts); the phase
 	// flags behind it are volatile round state and reset by design.
-	locked := func(state []byte) [2]int64 {
+	locked := func(record []byte) [2]int64 {
+		_, state, _ := splitVote(record)
 		x, n := binary.Varint(state)
 		ts, _ := binary.Varint(state[n:])
 		return [2]int64{x, ts}

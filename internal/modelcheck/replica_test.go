@@ -259,13 +259,14 @@ func exploreClean(t *testing.T, m ReplicaModel, wantComplete bool) ReplicaResult
 // through two whole phases: MaxRound 8 lets every round of phase 1
 // (rounds 1–3: vote, ack, decide) and of phase 2 (rounds 4–7, the first
 // with an estimate round) transition, under one crash-stop and under one
-// crash-recovery — where a restarted replica re-runs the slot from round
-// 1 with its vote restored, the setting of LastVoting's timestamp guard
-// and of the coordinator that must not be born committed twice.
+// crash-recovery — where a restarted replica resumes the slot past the
+// last round it sent in with its vote restored, in the middle of whatever
+// phase that is: the setting of the coordinator that must not be born
+// committed twice, nor announce a vote it no longer knows.
 func TestReplicaExploreLastVoting(t *testing.T) {
 	exploreClean(t, lastVotingModel(2, 8, 1, 0, 0), true)
 	if testing.Short() || raceDetectorEnabled {
-		return // the reboot closure is 5× the states; the explorer is single-goroutine
+		return // the reboot closure is 2.5× the states; the explorer is single-goroutine
 	}
 	exploreClean(t, lastVotingModel(2, 8, 0, 1, 0), true)
 }
@@ -276,10 +277,16 @@ func TestReplicaExploreLastVoting(t *testing.T) {
 // adopters decide on each other's acks", "the third misses the vote and
 // learns by decide message or by sync", and one crash-stop anywhere. (With
 // four rounds to a decision this scope did not close; with two it is
-// 632 010 states.) The crash-RECOVERY twin does not close (2M states
-// without closure) and is bounded instead, every state checked: the
-// first 150k states are where the restarted coordinator that announced a
-// decision it no longer knew was found (79k states in).
+// 632 010 states.) The crash-RECOVERY twin closes too since recovery
+// resumes a slot instead of re-running it — 1 391 295 states, 2.5 min:
+// CI's model-check job runs it, here it is bounded, every state checked.
+// The first 150k states are where the restarted coordinator that
+// announced a decision it no longer knew was found (79k states in). A
+// second sample runs the same scope through phase 2 (MaxRound 8), where
+// a recovered replica resumes among estimates, votes and acks of a phase
+// that asked first. Neither sample would find recovery re-running a slot
+// from round 1 (live.MutForgetRound survives 1.5M states of the second):
+// that takes the two scripted schedules below.
 func TestReplicaExploreLastVotingThree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=3 closure skipped in -short")
@@ -289,6 +296,7 @@ func TestReplicaExploreLastVotingThree(t *testing.T) {
 	}
 	exploreClean(t, lastVotingModel(3, 4, 1, 0, 0), true)
 	exploreClean(t, lastVotingModel(3, 4, 0, 1, 150_000), false)
+	exploreClean(t, lastVotingModel(3, 8, 0, 1, 150_000), false)
 }
 
 // TestCheckForgetVote is the recovery-mutant kill: a restart that
@@ -343,12 +351,20 @@ func TestCheckStallRecovery(t *testing.T) {
 // replaced by its production recovery image. Complete=true makes this
 // a proof, within the n=3 / one-slot scope, that rebooting from the
 // write-ahead state preserves agreement, integrity, apply-once, and
-// commit monotonicity no matter where the crash lands.
+// commit monotonicity no matter where the crash lands. Recovery resumes
+// a slot past the last round it sent in, so a replica rebooted in round
+// 1 is next heard in round 2: MaxRound 3 lets that round transition (325k
+// states); at the other closures' bound of 2 (26k states, what -short and
+// -race run) it can only learn the decision by sync.
 func TestReplicaExploreOTRRecoveryClosure(t *testing.T) {
+	maxRound := core.Round(3)
+	if testing.Short() || raceDetectorEnabled {
+		maxRound = 2
+	}
 	m, err := NewReplicaModel(ReplicaModel{
 		N:              3,
 		Slots:          1,
-		MaxRound:       2,
+		MaxRound:       maxRound,
 		RecoveryBudget: 1,
 		Algorithm:      otr.Algorithm{},
 		Msg:            otr.WireCodec{},
@@ -515,15 +531,16 @@ func TestReplicaExploreLastVotingWindow(t *testing.T) {
 		res.States, res.Transitions, res.MaxOpen, res.MaxApplied, res.Findings)
 }
 
-// TestCheckTSRegress is the timestamp-guard mutant kill: a restarted
-// replica that re-adopts an old vote of a phase below its lock hands the
-// decision to a straggler; the real vote round refuses it.
-func TestCheckTSRegress(t *testing.T) {
-	mutated := CheckTSRegress(true)
+// probeKillsAgreement runs a recovery probe both ways: the mutated run
+// must split a decision, the control must be clean with slot 1 applied
+// everywhere.
+func probeKillsAgreement(t *testing.T, probe func(mutated bool) ProbeResult) {
+	t.Helper()
+	mutated := probe(true)
 	if mutated.Violation == nil || mutated.Violation.Kind != "agreement" {
 		t.Fatalf("mutant not flagged as agreement: %+v", mutated)
 	}
-	control := CheckTSRegress(false)
+	control := probe(false)
 	if control.Flagged() {
 		t.Fatalf("control run flagged: violation=%+v findings=%+v", control.Violation, control.Findings)
 	}
@@ -532,4 +549,21 @@ func TestCheckTSRegress(t *testing.T) {
 			t.Fatalf("control: replica %d applied %d slots, want 1 (all: %v)", p, applied, control.Applied)
 		}
 	}
+}
+
+// TestRecoveredVoteNeverLowersTimestamp: a restarted replica that re-runs
+// its slot from round 1 (live.MutForgetRound) re-adopts an old vote of a
+// phase below its lock and hands the decision to a straggler; the real
+// recovery resumes past the last round it sent in, where that vote is a
+// stale round.
+func TestRecoveredVoteNeverLowersTimestamp(t *testing.T) {
+	probeKillsAgreement(t, CheckTSRegress)
+}
+
+// TestRecoveredReplicaNeverAcksBehindItsEstimate: the same mutant, the
+// other half of the lock argument — an ack for phase 1 sent after a
+// phase-2 estimate that said "nothing adopted", counted with a stale ack
+// into a majority for a value nobody locked.
+func TestRecoveredReplicaNeverAcksBehindItsEstimate(t *testing.T) {
+	probeKillsAgreement(t, CheckReliveAck)
 }

@@ -62,16 +62,23 @@
 //     merge of the two offered batches, any id but A — and the pair
 //     decides it against p0's applied A — the split the paper's
 //     stable-storage requirement exists to prevent.
-//   - CheckTSRegress: the one mutant seeded in the ALGORITHM (tsRegress
-//     below): LastVoting's vote round adopting whatever the coordinator
-//     sent, even from a phase below the one it last adopted in. Round
-//     positions are volatile here, so a restarted replica re-runs the low
-//     phases of its slot and can meet their old votes. Schedule: p1's
-//     phase-2 vote ⟨B⟩ is held up on its way to p0, phase 3 locks A at
-//     p0 and p2 (ts 3) and p2 decides it alone, p0 crash-recovers, and
-//     then the old ⟨B⟩ arrives in p0's re-run round 5. Real core: refused
-//     (2 < 3), and the next phase p0 or p1 coordinates votes A. Mutant:
-//     p0 becomes (B, ts 2) — the lock is gone, the pair decides B.
+//   - CheckTSRegress and CheckReliveAck: live.MutForgetRound makes
+//     recovery drop the round saved with the vote, so the restarted
+//     replica re-runs its slot from round 1 and meets whatever of its
+//     first run is still in the network — the recovery this repo had
+//     until PR 15. The real core resumes past the last round it sent
+//     in and never hears them. Two schedules, one per half of the lock
+//     argument. TSRegress: p1's phase-2 vote ⟨B⟩ is held up on its way to
+//     p0, phase 3 locks A at p0 and p2 (ts 3) and p2 decides it alone, p0
+//     crash-recovers, and the old ⟨B⟩ arrives. Real core: a stale round,
+//     and the next phase p0 or p1 coordinates votes A. Mutant: it is
+//     round 5 again, p0 becomes (B, ts 2) — the lock is gone, the pair
+//     decides B. ReliveAck: p0 votes A in phase 1 and adopts it alone,
+//     its vote and ack to p2 held up; p2's ts-0 estimate lets p1 vote B
+//     in phase 2, which p0 and p1 decide; p2 crash-recovers and the held
+//     pair arrives. Real core: stale rounds, p2 learns B by sync. Mutant:
+//     p2 adopts and acks phase 1 AFTER telling phase 2 it had adopted
+//     nothing, and decides A on its own ack and p0's old one.
 //   - CheckStallRecovery: CheckStall's exact window, but the proposer
 //     crash-RECOVERS instead of crash-stopping. Its batch hit its own
 //     disk in the same step that proposed the id (quorum-durable
@@ -123,18 +130,12 @@ func newScen(n int, mut live.Mutation, retryAfter core.Round) *scen {
 
 // newScenSlots is newScen with a slot budget other than one.
 func newScenSlots(n int, mut live.Mutation, retryAfter core.Round, slots uint64) *scen {
-	return newScenAlg(lastvoting.Algorithm{}, n, mut, retryAfter, slots)
-}
-
-// newScenAlg is newScenSlots over a stand-in for LastVoting that speaks
-// its wire format (the algorithm-level mutant).
-func newScenAlg(alg core.Algorithm, n int, mut live.Mutation, retryAfter core.Round, slots uint64) *scen {
 	s := &scen{n: n}
 	for p := 0; p < n; p++ {
 		c, err := live.NewReplicaCore(live.CoreConfig[byte]{
 			Self:       core.ProcessID(p),
 			N:          n,
-			Algorithm:  alg,
+			Algorithm:  lastvoting.Algorithm{},
 			Msg:        lastvoting.WireCodec{},
 			Batch:      ByteBatchCodec{},
 			Mutation:   mut,
@@ -174,6 +175,13 @@ func (s *scen) submit(p core.ProcessID, client, seq uint64, cmd byte) {
 }
 func (s *scen) tick(p core.ProcessID)  { s.stepOn(p, live.Event[byte]{Kind: live.EvTick}) }
 func (s *scen) crash(p core.ProcessID) { s.dead |= 1 << uint(p) }
+
+// timeoutAll fires every replica's round timer, in process order.
+func (s *scen) timeoutAll() {
+	for p := 0; p < s.n; p++ {
+		s.timeout(core.ProcessID(p))
+	}
+}
 
 // timeout closes the current round of every slot p has open, lowest
 // first (one-slot scripts read it as "p's round timer fires").
@@ -525,68 +533,17 @@ func CheckForgetVote(mutated bool) ProbeResult {
 	return s.finish()
 }
 
-// tsRegress is LastVoting with the vote round's "adopt only forwards"
-// guard taken out — the seeded bug of CheckTSRegress, and the algorithm
-// as it stood before that guard: a vote from the phase's coordinator is
-// adopted, and ts_p set to the phase, whatever ts_p was. It is built from
-// the exported surface only, so internal/lastvoting carries no switch
-// for it: where the real instance refuses, the transition is replayed on
-// a copy restored with ts_p = 0 (RestoreState drops exactly the phase
-// flags a vote-round transition no longer needs), and the copy is kept
-// if it adopted.
-type tsRegress struct{ lastvoting.Algorithm }
-
-func (a tsRegress) NewInstance(p core.ProcessID, n int, initial core.Value) core.Instance {
-	return &tsRegressInstance{Instance: a.Algorithm.NewInstance(p, n, initial).(*lastvoting.Instance), p: p, n: n}
-}
-
-type tsRegressInstance struct {
-	*lastvoting.Instance
-	p core.ProcessID
-	n int
-}
-
-func (i *tsRegressInstance) Transition(r core.Round, msgs []core.IncomingMessage) {
-	i.Instance.Transition(r, msgs)
-	phase, pos := lastvoting.PhaseOf(r)
-	x, ts, rest := lockedVote(i.AppendState(nil))
-	if pos != 2 || ts <= phase {
-		return // not a vote round, or nothing the guard could have refused
-	}
-	amnesiac := lastvoting.Algorithm{}.NewInstance(i.p, i.n, 0).(*lastvoting.Instance)
-	forgot := binary.AppendVarint(binary.AppendVarint(nil, int64(x)), 0)
-	if amnesiac.RestoreState(append(forgot, rest...)) != nil {
-		return
-	}
-	amnesiac.Transition(r, msgs)
-	if _, ts, _ := lockedVote(amnesiac.AppendState(nil)); ts == phase {
-		i.Instance = amnesiac // SEEDED BUG: adopted from a phase below ts_p
-	}
-}
-
-// lockedVote splits a LastVoting state encoding into (x_p, ts_p) and the
-// bytes behind them.
-func lockedVote(state []byte) (x core.Value, ts core.Round, rest []byte) {
-	xv, n1 := binary.Varint(state)
-	tv, n2 := binary.Varint(state[n1:])
-	return core.Value(xv), core.Round(tv), state[n1+n2:]
-}
-
 // CheckTSRegress runs the stale-vote-after-restart schedule. With
-// mutated (the tsRegress algorithm) the result must contain an agreement
-// violation; without, the recovered replica refuses the old vote and the
-// run is clean with every replica applying the batch p2 decided.
+// mutated (live.MutForgetRound) the result must contain an agreement
+// violation; without, the recovered replica is past the old vote's round
+// and the run is clean with every replica applying the batch p2 decided.
 func CheckTSRegress(mutated bool) ProbeResult {
-	var alg core.Algorithm = lastvoting.Algorithm{}
+	var mut live.Mutation
 	if mutated {
-		alg = tsRegress{}
+		mut = live.MutForgetRound
 	}
-	s := newScenAlg(alg, 3, 0, 0, 1)
-	all := func() {
-		s.timeout(0)
-		s.timeout(1)
-		s.timeout(2)
-	}
+	s := newScen(3, mut, 0)
+	all := s.timeoutAll
 
 	// p0 proposes batch A, p1 batch B; p2, hearing of A first, proposes A.
 	// Everyone holds both contents.
@@ -628,10 +585,11 @@ func CheckTSRegress(mutated bool) ProbeResult {
 	all()
 	s.dropWhere(anyMsg)
 
-	// kill -9 p0, restart from stable storage: (A, ts 3) comes back, the
-	// round position does not — slot 1 reopens at round 1. Then the held
-	// vote arrives: p0 jumps to round 5 and hears, in phase 2's vote round,
-	// phase 2's coordinator say ⟨B⟩.
+	// kill -9 p0, restart from stable storage: (A, ts 3) comes back, and
+	// slot 1 resumes past round 11 — or, mutated, reopens at round 1.
+	// Then the held vote arrives: a stale round to the real core; the
+	// mutant jumps to round 5, phase 2's vote round, and hears phase 2's
+	// coordinator say ⟨B⟩.
 	s.recover(0)
 	s.wire = append(s.wire, stale...)
 	s.deliverWhere(anyMsg)
@@ -642,6 +600,69 @@ func CheckTSRegress(mutated bool) ProbeResult {
 	// so whichever of them coordinates next votes A — agreement with p2.
 	// Mutated pair: both hold (B, ts 2), and decide it.
 	s.freeRunWithout(2)
+	return s.finish()
+}
+
+// CheckReliveAck runs the ack-after-a-later-estimate schedule. With
+// mutated (live.MutForgetRound) the result must contain an agreement
+// violation; without, the recovered replica is past the rounds it sent
+// in and the run is clean with every replica applying the batch p0 and p2
+// decided.
+func CheckReliveAck(mutated bool) ProbeResult {
+	var mut live.Mutation
+	if mutated {
+		mut = live.MutForgetRound
+	}
+	s := newScen(3, mut, 0)
+	lost := func(from, to core.Round) {
+		for r := from; r <= to; r++ {
+			s.dropWhere(roundAt(r))
+			s.timeoutAll()
+		}
+	}
+
+	// p0 proposes batch A, p1 batch B. Everyone holds both contents.
+	s.submit(0, 1, 1, 'a')
+	s.submit(1, 2, 1, 'b')
+	s.deliverWhere(kindIs(live.KindBatch))
+
+	// Phase 1 (rounds 1–3, coordinator p0). p0's vote ⟨A⟩ and its ack to p2
+	// are HELD UP in the network, the rest is lost: p0 alone adopts
+	// (A, ts 1), one ack short of deciding.
+	held := s.take(roundAtFromTo(1, 0, 2))
+	lost(1, 1)
+	held = append(held, s.take(roundAtFromTo(2, 0, 2))...)
+	lost(2, 3)
+	// Phase 2 (rounds 4–7, coordinator p1). Round 4: p1 hears p2's estimate
+	// — ts 0: p2 adopted nothing in phase 1 — and its own (B, ts 0), not
+	// p0's, and votes B. Round 5: the vote reaches p0, not p2. Round 6: p0
+	// and p1 decide B on each other's acks; their decision pushes are lost.
+	s.deliverWhere(roundAtFromTo(4, 2, 1))
+	lost(4, 4)
+	s.deliverWhere(roundAtFromTo(5, 1, 0))
+	lost(5, 5)
+	s.deliverWhere(func(to core.ProcessID, env live.Envelope) bool {
+		return roundAt(6)(to, env) && to != 2 && env.From != 2
+	})
+	lost(6, 6)
+	s.dropWhere(anyMsg)
+
+	// kill -9 p2, restart from stable storage: its ts-0 estimate comes
+	// back, and slot 1 resumes past round 7 — or, mutated, reopens at
+	// round 1. Then the held pair arrives: stale rounds to the real core;
+	// to the mutant phase 1's vote ⟨A⟩ in re-run round 1 and p0's ack in
+	// re-run round 2. It adopts, acks, and counts two acks of three: A,
+	// against the B its peers applied.
+	s.recover(2)
+	s.wire = append(s.wire, held...)
+	s.deliverWhere(anyMsg)
+	s.timeout(2)
+
+	// Nothing lost from here on: p2's round traffic for a slot its peers
+	// closed is answered with the decision.
+	for i := 0; i < 4; i++ {
+		s.deliverWhere(anyMsg)
+	}
 	return s.finish()
 }
 
