@@ -23,9 +23,9 @@ import (
 	"heardof/internal/ctcs"
 	"heardof/internal/experiments"
 	"heardof/internal/fd"
+	"heardof/internal/hosweep"
 	"heardof/internal/kvstore"
 	"heardof/internal/lastvoting"
-	"heardof/internal/modelcheck"
 	"heardof/internal/otr"
 	"heardof/internal/predicate"
 	"heardof/internal/predimpl"
@@ -698,16 +698,12 @@ func BenchmarkMicro_AtomicBroadcastBatch(b *testing.B) {
 // verification of OneThirdRule.
 func BenchmarkMicro_ModelCheckOTRN3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := modelcheck.New(modelcheck.OTRCoder{}, []core.Value{0, 1, 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := c.Run()
+		res, err := hosweep.Sweep{Alg: otr.Algorithm{}, Inputs: []core.Value{0, 1, 1}, Period: 1}.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res.Violation != nil {
-			b.Fatal(res.Violation.Message)
+			b.Fatal(res.Violation)
 		}
 	}
 }

@@ -24,6 +24,7 @@ var determinismContractPkgs = map[string]bool{
 	"heardof/internal/rsm":         true,
 	"heardof/internal/shard":       true,
 	"heardof/internal/modelcheck":  true,
+	"heardof/internal/hosweep":     true,
 	"heardof/internal/experiments": true,
 	"heardof/internal/predimpl":    true,
 }

@@ -69,3 +69,17 @@ type Recoverable interface {
 	// Restore replaces the instance state with a previously taken snapshot.
 	Restore(s Snapshot)
 }
+
+// Persistent is implemented by instances whose state has a canonical byte
+// encoding, which serves three readers: the live layer's WAL (the vote
+// record saved before the next send), crash recovery (the image a restarted
+// process resumes from) and the model checkers (their state fingerprint).
+type Persistent interface {
+	// AppendState appends the encoding of the whole instance state to
+	// dst: instances that behave alike from here on encode alike.
+	AppendState(dst []byte) []byte
+	// RestoreState loads what stable storage keeps of an encoding: not
+	// always all of it — an algorithm drops here what a crash must lose
+	// (LastVoting's coordinator bookkeeping).
+	RestoreState(b []byte) error
+}

@@ -100,6 +100,7 @@ type Instance struct {
 var (
 	_ core.Instance    = (*Instance)(nil)
 	_ core.Recoverable = (*Instance)(nil)
+	_ core.Persistent  = (*Instance)(nil)
 )
 
 // X returns the current estimate (for tests).
@@ -230,8 +231,9 @@ func (i *Instance) Restore(s core.Snapshot) {
 	i.ready, i.ackable, i.decided, i.decision = sn.ready, sn.ackable, sn.decided, sn.decision
 }
 
-// AppendState appends a canonical byte encoding of the instance state,
-// for model-checker fingerprinting (a fast path avoiding reflection).
+// AppendState implements core.Persistent: the whole state, volatile
+// fields included — the live layer's WAL vote record, the crash image
+// RestoreState reads, and the model checkers' fingerprint.
 func (i *Instance) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(i.x))
 	dst = binary.AppendVarint(dst, int64(i.ts))
@@ -253,10 +255,9 @@ func (i *Instance) AppendState(dst []byte) []byte {
 	return binary.AppendVarint(dst, int64(i.decision))
 }
 
-// RestoreState loads an instance from its AppendState encoding for
-// crash recovery, keeping exactly what the paper's crash-recovery
-// variant keeps in stable storage: the locked vote (x_p, ts_p) and the
-// decision. The coordinator phase bookkeeping (commit, vote, ready,
+// RestoreState implements core.Persistent, keeping exactly what the
+// paper's crash-recovery variant keeps in stable storage: the locked vote
+// (x_p, ts_p) and the decision. The phase bookkeeping (commit, vote, ready,
 // ackable) is volatile ROUND state and is deliberately reset — a
 // recovered coordinator that rejoined mid-phase with a stale commit
 // would replay a vote formed from an older phase's estimates, and a
@@ -274,7 +275,7 @@ func (i *Instance) RestoreState(b []byte) error {
 		return errors.New("lastvoting: corrupt state: ts")
 	}
 	b = b[n2:]
-	vote, n3 := binary.Varint(b)
+	_, n3 := binary.Varint(b) // the vote: decoded to validate, then dropped
 	if n3 <= 0 {
 		return errors.New("lastvoting: corrupt state: vote")
 	}
@@ -287,7 +288,6 @@ func (i *Instance) RestoreState(b []byte) error {
 	if n4 <= 0 || flags > 15 || len(b) != 1+n4 {
 		return errors.New("lastvoting: corrupt state: decision")
 	}
-	_ = vote
 	i.x, i.ts = core.Value(x), core.Round(ts)
 	i.vote, i.commit, i.ready, i.ackable = 0, false, false, false
 	i.decided = flags&8 != 0

@@ -99,13 +99,6 @@ type Persister interface {
 
 var _ Persister = (*wal.Store)(nil)
 
-// statePersistent marks algorithm instances whose state can round-trip
-// through the durability layer (otr and lastvoting qualify).
-type statePersistent interface {
-	stateAppender
-	RestoreState(b []byte) error
-}
-
 // RestoreReplicaCore rebuilds a core from recovered durable state — the
 // crash-RECOVERY transition. Everything stable returns: the applied
 // log (and its hash, recomputed), session high-water marks, retained
@@ -215,7 +208,7 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 		}
 		// Validate the encoding now (openSlot cannot return an error).
 		probe := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, 0)
-		sp, ok := probe.(statePersistent)
+		sp, ok := probe.(core.Persistent)
 		if !ok {
 			return nil, fmt.Errorf("live: algorithm %T cannot restore persisted votes", probe)
 		}
@@ -262,7 +255,7 @@ func (c *ReplicaCore[C]) PersistState() *wal.State {
 		st.Votes[slot] = append([]byte(nil), vote...)
 	}
 	for _, run := range c.open {
-		if sa, ok := run.inst.(stateAppender); ok {
+		if sa, ok := run.inst.(core.Persistent); ok {
 			st.Votes[run.slot] = sa.AppendState(appendUvarint(nil, uint64(run.r)))
 		}
 	}
@@ -297,7 +290,7 @@ func (c *ReplicaCore[C]) persistVote(run *slotRun) {
 	if c.cfg.Persist == nil {
 		return
 	}
-	if sa, ok := run.inst.(stateAppender); ok {
+	if sa, ok := run.inst.(core.Persistent); ok {
 		c.voteBuf = sa.AppendState(appendUvarint(c.voteBuf[:0], uint64(run.r)+1))
 		c.cfg.Persist.SaveVote(run.slot, c.voteBuf)
 	}

@@ -342,7 +342,7 @@ func TestRestoredVoteInstalled(t *testing.T) {
 	alg := lastvoting.Algorithm{}
 	locked := alg.NewInstance(1, 3, core.Value(4242))
 	// The record of a replica that closed round 5: its state sends in 6.
-	vote := locked.(stateAppender).AppendState(appendUvarint(nil, 6))
+	vote := locked.(core.Persistent).AppendState(appendUvarint(nil, 6))
 
 	st := &wal.State{
 		Log:     []int64{7},
@@ -414,7 +414,7 @@ func TestRestoredVoteInstalled(t *testing.T) {
 // ignored on restore (the decision superseded it).
 func TestStaleVoteDropped(t *testing.T) {
 	alg := otr.Algorithm{}
-	vote := alg.NewInstance(0, 3, core.Value(9)).(stateAppender).AppendState(appendUvarint(nil, 1))
+	vote := alg.NewInstance(0, 3, core.Value(9)).(core.Persistent).AppendState(appendUvarint(nil, 1))
 	st := &wal.State{
 		Log:     []int64{9},
 		HWM:     map[uint64]uint64{},

@@ -46,7 +46,7 @@ type Mutation uint16
 
 const (
 	// MutFreshRetry restarts an undecided slot with a fresh instance
-	// after RetryAfter rounds — the pre-PR-5-review bug that discarded
+	// after retryAfter rounds — the pre-PR-5-review bug that discarded
 	// LastVoting's locked vote (x_p, ts_p) and let a second attempt
 	// decide differently from a first-attempt decision it never saw.
 	MutFreshRetry Mutation = 1 << iota
@@ -88,6 +88,11 @@ const (
 	MutForgetRound
 )
 
+// retryAfter is MutFreshRetry's trigger: long enough that a retried
+// LastVoting phase (rounds 4–7) can complete before the next restart,
+// short enough that a dozen starved rounds reach it.
+const retryAfter core.Round = 10
+
 // window is how many slots a replica keeps in flight: slots
 // applied+1 … applied+window may have a running instance, so a command
 // accepted while a slot runs rides the next one at once instead of
@@ -119,9 +124,6 @@ type CoreConfig[C any] struct {
 
 	// Mutation re-enables a seeded protocol bug (model checker only).
 	Mutation Mutation
-	// RetryAfter is MutFreshRetry's trigger: rounds before an undecided
-	// slot is restarted with a fresh instance (default 5 when mutated).
-	RetryAfter core.Round
 
 	// MaxRound, when nonzero, freezes a slot's round progression at that
 	// round: the collection window of round MaxRound never closes. This
@@ -302,11 +304,8 @@ func NewReplicaCore[C any](cfg CoreConfig[C]) (*ReplicaCore[C], error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
-	if cfg.Mutation&MutFreshRetry != 0 && cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 5
-	}
 	if cfg.Persist != nil {
-		if _, ok := cfg.Algorithm.NewInstance(cfg.Self, cfg.N, 0).(statePersistent); !ok {
+		if _, ok := cfg.Algorithm.NewInstance(cfg.Self, cfg.N, 0).(core.Persistent); !ok {
 			return nil, fmt.Errorf("live: algorithm %T cannot persist instance state", cfg.Algorithm)
 		}
 	}
@@ -654,7 +653,7 @@ func (c *ReplicaCore[C]) transitionRound(run *slotRun, res *StepResult[C]) {
 	// The transition may have adopted or locked a vote: persist the
 	// instance state before the next round's send can reveal it.
 	c.persistVote(run)
-	if c.cfg.Mutation&MutFreshRetry != 0 && r >= c.cfg.RetryAfter {
+	if c.cfg.Mutation&MutFreshRetry != 0 && r >= retryAfter {
 		// SEEDED BUG: discard the instance — and with it any locked
 		// algorithm state — and start a fresh attempt at the slot.
 		c.closeRun(run)
@@ -816,7 +815,7 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 		// rounds skipped are rounds in which nobody heard us (persist.go).
 		// The encoding was validated at restore time.
 		sent, state, _ := splitVote(vote)
-		if sp, ok := inst.(statePersistent); ok {
+		if sp, ok := inst.(core.Persistent); ok {
 			_ = sp.RestoreState(state)
 		}
 		if c.cfg.Mutation&MutForgetRound == 0 {

@@ -1,9 +1,9 @@
 // Model-checker support for ReplicaCore: deep cloning (the checker
 // forks a core per explored event) and a canonical state encoding (the
-// checker's fingerprint for reachable-state dedup). Both require the
-// algorithm's instances to implement core.Recoverable — true for every
-// algorithm in this repo — because a running slot's instance state must
-// be copied and serialized. The production shell never calls these.
+// checker's fingerprint for reachable-state dedup). A running slot's
+// instance is copied through core.Recoverable and serialized through
+// core.Persistent; every algorithm in this repo implements both. The
+// production shell never calls these.
 
 package live
 
@@ -13,13 +13,6 @@ import (
 
 	"heardof/internal/core"
 )
-
-// stateAppender is the fast fingerprint path: instances that can append
-// a canonical byte encoding of their state skip the reflective
-// Snapshot-formatting fallback (otr and lastvoting implement it).
-type stateAppender interface {
-	AppendState(dst []byte) []byte
-}
 
 // Clone deep-copies the core. The clone shares nothing mutable with the
 // original: maps, slices, and every open slot's instance (via its
@@ -259,15 +252,7 @@ func (c *ReplicaCore[C]) appendRun(dst []byte, run *slotRun) []byte {
 		target = c.cfg.MaxRound
 	}
 	dst = appendUvarint(dst, uint64(target))
-	if sa, ok := run.inst.(stateAppender); ok {
-		dst = sa.AppendState(dst)
-	} else {
-		rec, ok := run.inst.(core.Recoverable)
-		if !ok {
-			panic(fmt.Sprintf("live: model checking requires a core.Recoverable algorithm, got %T", run.inst))
-		}
-		dst = fmt.Appendf(dst, "%#v", rec.Snapshot())
-	}
+	dst = run.inst.(core.Persistent).AppendState(dst)
 	dst = c.appendHeard(dst, run.heard)
 	rounds := make([]int, 0, len(run.future))
 	for r := range run.future {

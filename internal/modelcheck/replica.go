@@ -1,6 +1,7 @@
-// Exhaustive small-scope model checking of the LIVE replica protocol
-// (live.ReplicaCore) — the layer ABOVE the consensus algorithms this
-// package already verifies. The model is the deployed step function
+// Package modelcheck is exhaustive small-scope model checking of the LIVE
+// replica protocol (live.ReplicaCore) — the layer ABOVE the consensus
+// algorithms, which internal/hosweep checks in lock-step (OTR's and UV's
+// verdicts are this package's tests). The model is the deployed step function
 // itself, not a re-implementation: each replica is a live.ReplicaCore
 // fed the same events the production shell feeds it, so dissemination,
 // command forwarding and merged proposals, push/pull sync, apply-side
@@ -40,7 +41,6 @@
 // first, not breadth: with a state budget, going deep finds the long
 // adversarial schedules seeded mutants need, and for a full closure
 // the order is irrelevant.)
-
 package modelcheck
 
 import (

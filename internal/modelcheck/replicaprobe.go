@@ -121,27 +121,21 @@ type scen struct {
 	dead  uint8
 }
 
-// newScen builds an n-replica LastVoting group. The probes need the
-// coordinated algorithm: locked votes and coordinator quorums are what
-// the seeded bugs break.
-func newScen(n int, mut live.Mutation, retryAfter core.Round) *scen {
-	return newScenSlots(n, mut, retryAfter, 1)
-}
-
-// newScenSlots is newScen with a slot budget other than one.
-func newScenSlots(n int, mut live.Mutation, retryAfter core.Round, slots uint64) *scen {
+// newScen builds an n-replica LastVoting group with a budget of slots.
+// The probes need the coordinated algorithm: locked votes and coordinator
+// quorums are what the seeded bugs break.
+func newScen(n int, mut live.Mutation, slots uint64) *scen {
 	s := &scen{n: n}
 	for p := 0; p < n; p++ {
 		c, err := live.NewReplicaCore(live.CoreConfig[byte]{
-			Self:       core.ProcessID(p),
-			N:          n,
-			Algorithm:  lastvoting.Algorithm{},
-			Msg:        lastvoting.WireCodec{},
-			Batch:      ByteBatchCodec{},
-			Mutation:   mut,
-			RetryAfter: retryAfter,
-			MaxRound:   64,
-			MaxSlots:   slots,
+			Self:      core.ProcessID(p),
+			N:         n,
+			Algorithm: lastvoting.Algorithm{},
+			Msg:       lastvoting.WireCodec{},
+			Batch:     ByteBatchCodec{},
+			Mutation:  mut,
+			MaxRound:  64,
+			MaxSlots:  slots,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("modelcheck: probe config: %v", err))
@@ -353,17 +347,14 @@ func CheckFreshRetry(mutated bool) ProbeResult {
 	if mutated {
 		mut = live.MutFreshRetry
 	}
-	// RetryAfter 10: long enough that a full retry phase (rounds 4–7,
-	// coordinator p1) can complete before the next restart, short enough
-	// that the starvation stage below triggers it.
-	s := newScen(3, mut, 10)
+	s := newScen(3, mut, 1)
 	s.lockAtCoordinatorAlone()
 
 	// Starvation: p1 and p2 time out through dead phases (their round
 	// messages all lost). The real cores just climb rounds, keeping
-	// their state; mutated cores hit RetryAfter and restart with FRESH
-	// instances — p1 forgets ts=1 and re-proposes a fresh merge of A and
-	// B, p2 re-proposes a new batch too.
+	// their state; mutated cores reach the retry round (10) and restart
+	// with FRESH instances — p1 forgets ts=1 and re-proposes a fresh
+	// merge of A and B, p2 re-proposes a new batch too.
 	for i := 0; i < 12; i++ {
 		s.timeout(1)
 		s.timeout(2)
@@ -389,7 +380,7 @@ func CheckDrift(mutated bool) ProbeResult {
 	if mutated {
 		mut = live.MutNoJump
 	}
-	s := newScen(3, mut, 0)
+	s := newScen(3, mut, 1)
 	s.crash(2)
 
 	s.submit(0, 1, 1, 'a')
@@ -445,7 +436,7 @@ func (s *scen) decideEverywhere() {
 // reports the stall finding (availability lost, agreement intact); with
 // crash=false the control run recovers by pulling the batch.
 func CheckStall(crash bool) ProbeResult {
-	s := newScen(3, 0, 0)
+	s := newScen(3, 0, 1)
 	s.submit(0, 1, 1, 'a')
 	// THE WINDOW: batch A's contents never reach anyone.
 	s.dropWhere(kindIs(live.KindBatch))
@@ -481,7 +472,7 @@ func CheckMergeSkip(mutated bool) ProbeResult {
 	if mutated {
 		mut = live.MutMergeSkip
 	}
-	s := newScenSlots(3, mut, 0, 3)
+	s := newScen(3, mut, 3)
 
 	// p0 opens slots 1 and 2 with one command each; their contents and
 	// round-1 traffic bring p1 and p2 into both: every window is full.
@@ -513,7 +504,7 @@ func CheckForgetVote(mutated bool) ProbeResult {
 	if mutated {
 		mut = live.MutForgetVote
 	}
-	s := newScen(3, mut, 0)
+	s := newScen(3, mut, 1)
 	// p0 decides A alone with p1 holding the lock (x=A, ts=1); a lockless
 	// recovery re-proposes the merge of the batches it holds under a fresh
 	// id — not A: the bait.
@@ -542,7 +533,7 @@ func CheckTSRegress(mutated bool) ProbeResult {
 	if mutated {
 		mut = live.MutForgetRound
 	}
-	s := newScen(3, mut, 0)
+	s := newScen(3, mut, 1)
 	all := s.timeoutAll
 
 	// p0 proposes batch A, p1 batch B; p2, hearing of A first, proposes A.
@@ -613,7 +604,7 @@ func CheckReliveAck(mutated bool) ProbeResult {
 	if mutated {
 		mut = live.MutForgetRound
 	}
-	s := newScen(3, mut, 0)
+	s := newScen(3, mut, 1)
 	lost := func(from, to core.Round) {
 		for r := from; r <= to; r++ {
 			s.dropWhere(roundAt(r))
@@ -674,7 +665,7 @@ func CheckReliveAck(mutated bool) ProbeResult {
 // stall finding, no violation. This is the closure proof the
 // live/replica.go fault-envelope note points at.
 func CheckStallRecovery() ProbeResult {
-	s := newScen(3, 0, 0)
+	s := newScen(3, 0, 1)
 	s.submit(0, 1, 1, 'a')
 	// THE WINDOW: batch A's contents never reach anyone over the wire.
 	s.dropWhere(kindIs(live.KindBatch))
@@ -717,7 +708,7 @@ func CheckWindowDisjoint(mutated bool) ProbeResult {
 	if mutated {
 		mut = live.MutWindowDisjoint
 	}
-	s := newScenSlots(3, mut, 0, 2)
+	s := newScen(3, mut, 2)
 	s.submit(0, 1, 1, 'a')
 	s.submit(0, 1, 2, 'b')
 
@@ -762,7 +753,7 @@ func CheckPruneOpen(mutated bool) ProbeResult {
 	if mutated {
 		mut = live.MutPruneOpen
 	}
-	s := newScenSlots(3, mut, 0, 3)
+	s := newScen(3, mut, 3)
 	s.submit(1, 2, 1, 'a')
 	s.submit(1, 2, 2, 'b')
 	s.deliverWhere(func(_ core.ProcessID, env live.Envelope) bool {

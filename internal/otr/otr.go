@@ -53,6 +53,7 @@ type Instance struct {
 var (
 	_ core.Instance    = (*Instance)(nil)
 	_ core.Recoverable = (*Instance)(nil)
+	_ core.Persistent  = (*Instance)(nil)
 )
 
 // X returns the current estimate x_p (for tests and debugging).
@@ -118,13 +119,6 @@ func (i *Instance) Transition(_ core.Round, msgs []core.IncomingMessage) {
 // Decided implements core.Instance.
 func (i *Instance) Decided() (core.Value, bool) { return i.decision, i.decided }
 
-// ForceStateForTest sets the local state directly. It exists for the
-// exhaustive model checker (internal/modelcheck), which reconstructs
-// instances from encoded states.
-func (i *Instance) ForceStateForTest(x core.Value, decided bool, decision core.Value) {
-	i.x, i.decided, i.decision = x, decided, decision
-}
-
 // snapshot is the stable-storage image of an instance.
 type snapshot struct {
 	x        core.Value
@@ -146,8 +140,7 @@ func (i *Instance) Restore(s core.Snapshot) {
 	i.x, i.decided, i.decision = sn.x, sn.decided, sn.decision
 }
 
-// AppendState appends a canonical byte encoding of the instance state,
-// for model-checker fingerprinting (a fast path avoiding reflection).
+// AppendState implements core.Persistent.
 func (i *Instance) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(i.x))
 	if i.decided {
@@ -158,8 +151,8 @@ func (i *Instance) AppendState(dst []byte) []byte {
 	return binary.AppendVarint(dst, int64(i.decision))
 }
 
-// RestoreState is AppendState's inverse: it loads an instance from its
-// canonical encoding, for crash recovery from the durability layer.
+// RestoreState implements core.Persistent. OTR has no round-local state:
+// it is AppendState's exact inverse.
 func (i *Instance) RestoreState(b []byte) error {
 	x, n1 := binary.Varint(b)
 	if n1 <= 0 {

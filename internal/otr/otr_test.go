@@ -331,7 +331,7 @@ func TestRestoreStateRoundTrip(t *testing.T) {
 	// OTR has no phase bookkeeping: the whole instance is stable state
 	// and must round-trip through AppendState/RestoreState exactly.
 	inst := Algorithm{}.NewInstance(0, 4, 9).(*Instance)
-	inst.ForceStateForTest(42, true, 42)
+	inst.x, inst.decided, inst.decision = 42, true, 42
 	rec := Algorithm{}.NewInstance(0, 4, 0).(*Instance)
 	if err := rec.RestoreState(inst.AppendState(nil)); err != nil {
 		t.Fatal(err)

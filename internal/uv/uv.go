@@ -17,6 +17,9 @@
 package uv
 
 import (
+	"encoding/binary"
+	"errors"
+
 	"heardof/internal/core"
 )
 
@@ -59,6 +62,7 @@ type Instance struct {
 var (
 	_ core.Instance    = (*Instance)(nil)
 	_ core.Recoverable = (*Instance)(nil)
+	_ core.Persistent  = (*Instance)(nil)
 )
 
 // X returns the current estimate (for tests).
@@ -148,17 +152,6 @@ func (i *Instance) secondRound(msgs []core.IncomingMessage) {
 // Decided implements core.Instance.
 func (i *Instance) Decided() (core.Value, bool) { return i.decision, i.decided }
 
-// ForceStateForTest sets the local state directly (model checker
-// support, internal/modelcheck).
-func (i *Instance) ForceStateForTest(x, vote core.Value, hasVote, decided bool, decision core.Value) {
-	i.x, i.vote, i.hasVote, i.decided, i.decision = x, vote, hasVote, decided, decision
-}
-
-// StateForTest returns the full local state (model checker support).
-func (i *Instance) StateForTest() (x, vote core.Value, hasVote, decided bool, decision core.Value) {
-	return i.x, i.vote, i.hasVote, i.decided, i.decision
-}
-
 // snapshot is the stable-storage image.
 type snapshot struct {
 	x        core.Value
@@ -180,4 +173,42 @@ func (i *Instance) Restore(s core.Snapshot) {
 		return
 	}
 	i.x, i.vote, i.hasVote, i.decided, i.decision = sn.x, sn.vote, sn.hasVote, sn.decided, sn.decision
+}
+
+// AppendState implements core.Persistent: x, a flags byte (1 = has a
+// vote, 2 = decided), vote, decision. A ⊥ vote is encoded as 0 whatever
+// the vote field still holds from an earlier phase, so instances that
+// behave alike encode alike.
+func (i *Instance) AppendState(dst []byte) []byte {
+	var flags byte
+	var vote core.Value
+	if i.hasVote {
+		flags, vote = 1, i.vote
+	}
+	if i.decided {
+		flags |= 2
+	}
+	dst = append(binary.AppendVarint(dst, int64(i.x)), flags)
+	return binary.AppendVarint(binary.AppendVarint(dst, int64(vote)), int64(i.decision))
+}
+
+// RestoreState implements core.Persistent. It is AppendState's exact
+// inverse: a vote saved after round 2φ−1 is the ballot round 2φ sends.
+func (i *Instance) RestoreState(b []byte) error {
+	x, n1 := binary.Varint(b)
+	if n1 <= 0 || len(b) == n1 || b[n1] > 3 {
+		return errors.New("uv: corrupt state: x or flags")
+	}
+	flags, b := b[n1], b[n1+1:]
+	vote, n2 := binary.Varint(b)
+	if n2 <= 0 || (flags&1 == 0 && vote != 0) {
+		return errors.New("uv: corrupt state: vote")
+	}
+	decision, n3 := binary.Varint(b[n2:])
+	if n3 <= 0 || len(b) != n2+n3 {
+		return errors.New("uv: corrupt state: decision")
+	}
+	i.x, i.vote, i.hasVote = core.Value(x), core.Value(vote), flags&1 != 0
+	i.decided, i.decision = flags&2 != 0, core.Value(decision)
+	return nil
 }

@@ -212,3 +212,35 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Error("garbage restore clobbered state")
 	}
 }
+
+func TestRestoreStateRoundTrip(t *testing.T) {
+	// Every binary-valued state survives AppendState/RestoreState exactly.
+	for bits := 0; bits < 32; bits++ {
+		inst := &Instance{p: 1, n: 3, x: core.Value(bits & 1),
+			hasVote: bits&2 != 0, vote: core.Value(bits >> 2 & 1),
+			decided: bits&8 != 0, decision: core.Value(bits >> 4 & 1)}
+		if (!inst.hasVote && inst.vote != 0) || (!inst.decided && inst.decision != 0) {
+			continue
+		}
+		rec := Algorithm{}.NewInstance(1, 3, 7).(*Instance)
+		if err := rec.RestoreState(inst.AppendState(nil)); err != nil || *rec != *inst {
+			t.Errorf("state %05b restored as %+v (%v), want %+v", bits, *rec, err, *inst)
+		}
+	}
+
+	// ⊥ is canonical: a vote left over from an earlier phase does not show.
+	stale := Algorithm{}.NewInstance(0, 3, 4).(*Instance)
+	stale.Transition(1, []core.IncomingMessage{{From: 0, Payload: proposal{X: 4}}})
+	stale.Transition(2, nil)
+	fresh := Algorithm{}.NewInstance(0, 3, 4).(*Instance)
+	if got, want := stale.AppendState(nil), fresh.AppendState(nil); stale.vote != 4 || string(got) != string(want) {
+		t.Errorf("stale vote %d encodes as %x, a fresh instance as %x", stale.vote, got, want)
+	}
+
+	voted := (&Instance{x: 1, hasVote: true, vote: 1}).AppendState(nil)
+	for _, b := range [][]byte{nil, {0x80}, {2}, {2, 4, 0, 0}, {2, 0, 2, 0}, voted[:3], append(voted, 0)} {
+		if err := fresh.RestoreState(b); err == nil {
+			t.Errorf("RestoreState(%x) accepted corrupt state", b)
+		}
+	}
+}
