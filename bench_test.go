@@ -29,7 +29,9 @@ import (
 	"heardof/internal/otr"
 	"heardof/internal/predicate"
 	"heardof/internal/predimpl"
+	"heardof/internal/rsm"
 	"heardof/internal/runtime"
+	"heardof/internal/shard"
 	"heardof/internal/simtime"
 	"heardof/internal/stable"
 	"heardof/internal/translation"
@@ -223,8 +225,10 @@ func renderSuite(t *testing.T, workers int) []byte {
 	tables := experiments.New(experiments.Config{Seed: 1, Parallel: workers}).
 		All(context.Background())
 	var buf bytes.Buffer
-	if err := experiments.RenderAll(&buf, tables); err != nil {
-		t.Fatal(err)
+	for _, tbl := range tables {
+		if err := tbl.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }
@@ -264,8 +268,8 @@ func BenchmarkSweep_E1Parallel(b *testing.B) { benchSuiteWorkers(b, gort.GOMAXPR
 // iteration (what cmd/hobench does).
 func BenchmarkTables_Eall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tables := experiments.All(uint64(i) + 1)
-		if len(tables) != 10 {
+		tables := experiments.New(experiments.Config{Seed: uint64(i) + 1}).All(context.Background())
+		if len(tables) != len(experiments.IDs()) {
 			b.Fatal("unexpected table count")
 		}
 	}
@@ -712,9 +716,12 @@ func BenchmarkMicro_ModelCheckOTRN3(b *testing.B) {
 // under 20% loss (n=5).
 func BenchmarkMicro_KVStoreSlot(b *testing.B) {
 	rng := xrand.New(1)
-	cluster, err := kvstore.NewCluster(5, otr.Algorithm{}, func(int) core.HOProvider {
-		return &adversary.TransmissionLoss{Rate: 0.2, RNG: rng.Fork()}
-	}, 500)
+	cluster, err := kvstore.NewShardedCluster(shard.Config{Shards: 1}, 5, otr.Algorithm{},
+		func(int) func(int) core.HOProvider {
+			return func(int) core.HOProvider {
+				return &adversary.TransmissionLoss{Rate: 0.2, RNG: rng.Fork()}
+			}
+		}, 500, rsm.Tuning{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -723,7 +730,7 @@ func BenchmarkMicro_KVStoreSlot(b *testing.B) {
 		if err := cluster.Submit(i%5, kvstore.Command{Op: kvstore.OpPut, Key: "k", Value: "v"}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cluster.DecideSlot(); err != nil {
+		if _, err := cluster.DecideWindows(); err != nil {
 			b.Fatal(err)
 		}
 	}

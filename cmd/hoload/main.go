@@ -1,9 +1,10 @@
 // Command hoload is the closed-loop load harness for the replication
-// service layer (internal/rsm under internal/kvstore, and internal/shard
-// above both): a configurable client population drives the batched +
-// pipelined engine — or, with -shards > 1, a sharded fleet of engines —
-// through chosen fault environments and the run reports throughput,
-// slots-per-command amortization, and latency-in-rounds percentiles.
+// service layer (internal/kvstore over internal/shard over internal/rsm):
+// a configurable client population drives -shards independent groups of
+// batched + pipelined engines (default 1, the unsharded service) through
+// chosen fault environments and the run reports each shard's view, then
+// aggregate throughput, slots-per-command amortization, and
+// latency-in-rounds percentiles.
 //
 // All measurements are in simulated rounds, so stdout is byte-identical
 // for a given flag set regardless of host speed or -parallel; wall-clock
@@ -11,7 +12,7 @@
 //
 // Usage:
 //
-//	hoload                                  # defaults: good environment
+//	hoload                                  # defaults: one group, good environment
 //	hoload -env loss -loss 0.3              # sustained 30% transmission loss
 //	hoload -env crash                       # rotating crash-recovery epochs
 //	hoload -clients 64 -ops 2000 -dist zipfian -rate 0.9
@@ -115,46 +116,9 @@ func run() error {
 	}
 	tune := rsm.Tuning{BatchSize: *batch, Pipeline: *pipeline, Parallel: *parallel}
 
-	if *shards > 1 || *shardenvs != "" {
-		return runSharded(*shards, *shardenvs, *env, *n, *lossRate, *parallel,
-			core.Round(*maxRounds), tune, wcfg)
-	}
-
-	provider, err := buildProvider(*env, *n, *lossRate, *seed)
-	if err != nil {
-		return err
-	}
-	cluster, err := kvstore.NewClusterTuned(*n, otr.Algorithm{}, provider, core.Round(*maxRounds), tune)
-	if err != nil {
-		return err
-	}
-
-	start := time.Now()
-	res, err := rsm.RunWorkload(cluster.Engine(), wcfg, kvstore.WorkloadCommand)
-	elapsed := time.Since(start)
-	if err != nil {
-		return err
-	}
-	if !cluster.Converged() {
-		return fmt.Errorf("replicas diverged — impossible if consensus safety holds")
-	}
-
-	fmt.Printf("config env=%s n=%d clients=%d rate=%g writes=%g keys=%d dist=%s ops=%d batch=%d pipeline=%d seed=%d\n",
-		*env, *n, *clients, *rate, *writes, *keys, keyDist, *ops, *batch, *pipeline, *seed)
-	printResult(res)
-	fmt.Fprintf(os.Stderr, "hoload: %d commands in %v (%.0f cmds/sec wall)\n",
-		res.Completed, elapsed.Round(time.Millisecond), float64(res.Completed)/elapsed.Seconds())
-	return nil
-}
-
-// runSharded is the -shards > 1 (or -shardenvs) path: S independent
-// groups with per-shard fault environments, the sharded closed loop, and
-// per-shard + aggregate reporting.
-func runSharded(shards int, shardenvs, defaultEnv string, n int, lossRate float64,
-	parallel int, maxRounds core.Round, tune rsm.Tuning, wcfg rsm.WorkloadConfig) error {
-	envs := []string{defaultEnv}
-	if shardenvs != "" {
-		envs = strings.Split(shardenvs, ",")
+	envs := []string{*env}
+	if *shardenvs != "" {
+		envs = strings.Split(*shardenvs, ",")
 		for i, e := range envs {
 			envs[i] = strings.TrimSpace(e)
 		}
@@ -164,7 +128,7 @@ func runSharded(shards int, shardenvs, defaultEnv string, n int, lossRate float6
 	// unknown names and bad loss rates) — including entries the current
 	// shard count would not reach, so a typo'd list always errors.
 	for _, e := range envs {
-		if _, err := buildProvider(e, n, lossRate, wcfg.Seed); err != nil {
+		if _, err := buildProvider(e, *n, *lossRate, *seed); err != nil {
 			return err
 		}
 	}
@@ -172,14 +136,14 @@ func runSharded(shards int, shardenvs, defaultEnv string, n int, lossRate float6
 		// Seed each shard's environment from (seed, shard) so shard
 		// environments are independent streams and independent of S-1
 		// other shards' consumption.
-		p, err := buildProvider(envOf(s), n, lossRate, wcfg.Seed+uint64(s)*1000003)
+		p, err := buildProvider(envOf(s), *n, *lossRate, *seed+uint64(s)*1000003)
 		if err != nil { // unreachable: validated above
 			panic(err)
 		}
 		return p
 	}
-	cluster, err := kvstore.NewShardedCluster(shard.Config{Shards: shards, Parallel: parallel},
-		n, otr.Algorithm{}, providers, maxRounds, tune)
+	cluster, err := kvstore.NewShardedCluster(shard.Config{Shards: *shards, Parallel: *parallel},
+		*n, otr.Algorithm{}, providers, core.Round(*maxRounds), tune)
 	if err != nil {
 		return err
 	}
@@ -194,30 +158,23 @@ func runSharded(shards int, shardenvs, defaultEnv string, n int, lossRate float6
 	}
 
 	fmt.Printf("config env=%s shards=%d shardenvs=%s n=%d clients=%d rate=%g writes=%g keys=%d dist=%s ops=%d batch=%d pipeline=%d seed=%d\n",
-		defaultEnv, shards, shardenvs, n, wcfg.Clients, wcfg.Rate, wcfg.WriteRatio,
-		wcfg.Keys, wcfg.Dist, wcfg.Ops, tune.BatchSize, tune.Pipeline, wcfg.Seed)
+		*env, *shards, *shardenvs, *n, *clients, *rate, *writes, *keys, keyDist, *ops, *batch, *pipeline, *seed)
 	for s, ps := range res.PerShard {
 		fmt.Printf("shard %d env=%s completed=%d slots=%d wall_rounds=%d lat p50=%d p95=%d p99=%d\n",
 			s, envOf(s), ps.Completed, ps.Slots, ps.WallRounds,
 			ps.LatencyP50, ps.LatencyP95, ps.LatencyP99)
 	}
-	printResult(res.Aggregate)
+	agg := res.Aggregate
+	fmt.Printf("completed %d\n", agg.Completed)
+	fmt.Printf("slots %d\n", agg.Slots)
+	fmt.Printf("slots_per_cmd %.4f\n", agg.SlotsPerCmd)
+	fmt.Printf("cmds_per_round %.4f\n", agg.CmdsPerRound)
+	fmt.Printf("wall_rounds %d\n", agg.WallRounds)
+	fmt.Printf("total_rounds %d\n", agg.TotalRounds)
+	fmt.Printf("latency_rounds p50=%d p95=%d p99=%d\n", agg.LatencyP50, agg.LatencyP95, agg.LatencyP99)
 	fmt.Fprintf(os.Stderr, "hoload: %d commands over %d shards in %v (%.0f cmds/sec wall)\n",
-		res.Aggregate.Completed, shards, elapsed.Round(time.Millisecond),
-		float64(res.Aggregate.Completed)/elapsed.Seconds())
+		agg.Completed, *shards, elapsed.Round(time.Millisecond), float64(agg.Completed)/elapsed.Seconds())
 	return nil
-}
-
-// printResult emits the measurement block shared by the single-group and
-// sharded (aggregate) paths.
-func printResult(res rsm.WorkloadResult) {
-	fmt.Printf("completed %d\n", res.Completed)
-	fmt.Printf("slots %d\n", res.Slots)
-	fmt.Printf("slots_per_cmd %.4f\n", res.SlotsPerCmd)
-	fmt.Printf("cmds_per_round %.4f\n", res.CmdsPerRound)
-	fmt.Printf("wall_rounds %d\n", res.WallRounds)
-	fmt.Printf("total_rounds %d\n", res.TotalRounds)
-	fmt.Printf("latency_rounds p50=%d p95=%d p99=%d\n", res.LatencyP50, res.LatencyP95, res.LatencyP99)
 }
 
 // buildProvider maps an environment name to a per-slot HO provider — the

@@ -19,9 +19,11 @@ import (
 	"log"
 
 	"heardof/internal/adversary"
+	"heardof/internal/core"
 	"heardof/internal/kvstore"
 	"heardof/internal/otr"
 	"heardof/internal/rsm"
+	"heardof/internal/shard"
 )
 
 func main() {
@@ -33,15 +35,17 @@ func main() {
 	// experiment tables and cmd/hoload use.
 	provider := adversary.SlotLoss(0.25, 99)
 
-	cluster, err := kvstore.NewClusterTuned(n, otr.Algorithm{}, provider, 500,
+	// One replication group: the S = 1 case of the sharded store (more
+	// shards partition the keyspace, each under its own environment).
+	cluster, err := kvstore.NewShardedCluster(shard.Config{Shards: 1}, n, otr.Algorithm{},
+		func(int) func(slot int) core.HOProvider { return provider }, 500,
 		rsm.Tuning{BatchSize: 4, Pipeline: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Clients contact different replicas; each contact runs its own
-	// client session (Submit is always a fresh command; Engine().Submit
-	// models retries of an identified one).
+	// client session, so every Submit is a fresh command.
 	workload := []struct {
 		contact int
 		cmd     kvstore.Command
@@ -66,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := cluster.Engine().Stats()
+	st := cluster.Stats()
 	fmt.Printf("%d commands over %d slots (%.2f slots/cmd, %d wall rounds, %d consensus rounds)\n\n",
 		applied, st.Slots, float64(st.Slots)/float64(st.Committed), st.WallRounds, st.TotalRounds)
 
@@ -75,7 +79,7 @@ func main() {
 	}
 	fmt.Println("all replicas converged; replica 0's view:")
 	for _, key := range []string{"alice", "bob", "carol", "dave"} {
-		if v, ok := cluster.Replica(0).SM.Get(key); ok {
+		if v, ok := cluster.Get(key); ok {
 			fmt.Printf("  %s = %s\n", key, v)
 		} else {
 			fmt.Printf("  %s   (absent)\n", key)

@@ -385,18 +385,3 @@ func ablationCell(name string, base predimpl.GoodPeriodExperiment,
 		}, nil
 	})
 }
-
-// E8Uniformity regenerates the uniformity table with default execution.
-func E8Uniformity(seed uint64) *Table {
-	return New(Config{Seed: seed}).E8Uniformity(context.Background())
-}
-
-// E9LossSweep regenerates the loss-sweep table with default execution.
-func E9LossSweep(seed uint64) *Table {
-	return New(Config{Seed: seed}).E9LossSweep(context.Background())
-}
-
-// Ablations regenerates the ablation table with default execution.
-func Ablations(seed uint64) *Table {
-	return New(Config{Seed: seed}).Ablations(context.Background())
-}

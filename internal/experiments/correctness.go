@@ -210,9 +210,3 @@ func (r *Runner) E7SafetyAndLiveness(ctx context.Context) *Table {
 		fmt.Sprintf("liveness successes must equal runs for the Theorem 1/2/8 rows (seed %d)", r.cfg.Seed))
 	return t
 }
-
-// E7SafetyAndLiveness regenerates the correctness table with default
-// execution.
-func E7SafetyAndLiveness(seed uint64) *Table {
-	return New(Config{Seed: seed}).E7SafetyAndLiveness(context.Background())
-}

@@ -7,12 +7,11 @@
 // seed) cells executed through internal/sweep's worker pool and folded
 // back in cell order, so a table is byte-identical whether it was
 // computed on one core or all of them. Use New/Runner to configure
-// parallelism, per-cell timeouts and progress reporting; the free
-// per-experiment functions run with defaults.
+// parallelism, per-cell timeouts and progress reporting;
+// New(Config{Seed: s}) runs with defaults (all cores, no timeout).
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -98,21 +97,4 @@ func (t *Table) Markdown(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// All runs every experiment in order with default execution (all cores,
-// no per-cell timeout). Failures inside an experiment are reported as
-// table notes rather than aborting the suite.
-func All(seed uint64) []*Table {
-	return New(Config{Seed: seed}).All(context.Background())
-}
-
-// RenderAll renders all tables as text.
-func RenderAll(w io.Writer, tables []*Table) error {
-	for _, t := range tables {
-		if err := t.Render(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,6 +20,16 @@ func col(t *testing.T, tbl *Table, name string) int {
 	return -1
 }
 
+// table regenerates one experiment at seed 1 with default execution.
+func table(t *testing.T, id string) *Table {
+	t.Helper()
+	tbl, err := New(Config{Seed: 1}).Run(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 func parseF(t *testing.T, s string) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(s, 64)
@@ -29,7 +40,7 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestE1RatiosBounded(t *testing.T) {
-	tbl := E1Theorem3(1)
+	tbl := table(t, "e1")
 	if len(tbl.Rows) == 0 {
 		t.Fatal("E1 produced no rows")
 	}
@@ -42,7 +53,7 @@ func TestE1RatiosBounded(t *testing.T) {
 }
 
 func TestE2TradeOffDirection(t *testing.T) {
-	tbl := E2Corollary4(1)
+	tbl := table(t, "e2")
 	p2 := col(t, tbl, "P2otr bound")
 	p11 := col(t, tbl, "P11otr bound (each)")
 	twice := col(t, tbl, "2×P11otr")
@@ -55,7 +66,7 @@ func TestE2TradeOffDirection(t *testing.T) {
 }
 
 func TestE3BoundRatioIsThreeHalves(t *testing.T) {
-	tbl := E3InitialVsNonInitial(1)
+	tbl := table(t, "e3")
 	ratio := col(t, tbl, "bound ratio")
 	for _, row := range tbl.Rows {
 		r := parseF(t, row[ratio])
@@ -66,7 +77,7 @@ func TestE3BoundRatioIsThreeHalves(t *testing.T) {
 }
 
 func TestE4E5RatiosBounded(t *testing.T) {
-	for _, tbl := range []*Table{E4Theorem6(1), E5Theorem7(1)} {
+	for _, tbl := range []*Table{table(t, "e4"), table(t, "e5")} {
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s produced no rows", tbl.ID)
 		}
@@ -80,7 +91,7 @@ func TestE4E5RatiosBounded(t *testing.T) {
 }
 
 func TestE6DownRowsRespectBound(t *testing.T) {
-	tbl := E6FullStack(1)
+	tbl := table(t, "e6")
 	mode := col(t, tbl, "outsiders")
 	ratio := col(t, tbl, "ratio")
 	downRows := 0
@@ -99,7 +110,7 @@ func TestE6DownRowsRespectBound(t *testing.T) {
 }
 
 func TestE7ZeroViolationsFullLiveness(t *testing.T) {
-	tbl := E7SafetyAndLiveness(1)
+	tbl := table(t, "e7")
 	viol := col(t, tbl, "safety violations")
 	runs := col(t, tbl, "runs")
 	live := col(t, tbl, "liveness successes")
@@ -117,7 +128,7 @@ func TestE7ZeroViolationsFullLiveness(t *testing.T) {
 }
 
 func TestE8ShowsTheGap(t *testing.T) {
-	tbl := E8Uniformity(1)
+	tbl := table(t, "e8")
 	system := col(t, tbl, "system")
 	model := col(t, tbl, "fault model")
 	decide := col(t, tbl, "all decide")
@@ -146,7 +157,7 @@ func TestE8ShowsTheGap(t *testing.T) {
 }
 
 func TestE9HOAlwaysDecides(t *testing.T) {
-	tbl := E9LossSweep(1)
+	tbl := table(t, "e9")
 	ho := col(t, tbl, "HO stack decided")
 	ct := col(t, tbl, "CT-◇S decided")
 	loss := col(t, tbl, "loss")
@@ -169,7 +180,7 @@ func TestE9HOAlwaysDecides(t *testing.T) {
 }
 
 func TestE10AmortizationAcrossEnvironments(t *testing.T) {
-	tbl := E10Service(1)
+	tbl := table(t, "e10")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("E10 has %d rows, want 4 (notes: %v)", len(tbl.Rows), tbl.Notes)
 	}
@@ -186,6 +197,18 @@ func TestE10AmortizationAcrossEnvironments(t *testing.T) {
 		if v := parseF(t, row[tput]); v <= 0 {
 			t.Errorf("row %v: throughput %v", row, v)
 		}
+	}
+	// The seed-1 rows are pinned (EXPERIMENTS.md quotes them): the table
+	// is deterministic, so a change here is a change in the generator,
+	// the engine or an environment — never noise.
+	want := [][]string{
+		{"good / uniform", "48", "150", "28", "0.19", "9.38", "16", "1", "1", "1"},
+		{"good / zipfian", "48", "150", "24", "0.16", "12.50", "12", "1", "1", "1"},
+		{"loss 20% / zipfian", "48", "150", "26", "0.17", "4.84", "31", "2", "4", "4"},
+		{"crash-recovery / zipfian", "48", "150", "28", "0.19", "10.00", "15", "1", "1", "1"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Errorf("E10 rows at seed 1:\n%v\nwant\n%v", tbl.Rows, want)
 	}
 }
 
@@ -208,7 +231,7 @@ func TestE10DeterministicAcrossParallel(t *testing.T) {
 }
 
 func TestE11ScalingShape(t *testing.T) {
-	tbl := E11Sharding(1)
+	tbl := table(t, "e11")
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("E11 has %d rows, want 8 (notes: %v)", len(tbl.Rows), tbl.Notes)
 	}
@@ -263,7 +286,7 @@ func TestE11DeterministicAcrossParallel(t *testing.T) {
 }
 
 func TestAblationTableShape(t *testing.T) {
-	tbl := Ablations(1)
+	tbl := table(t, "ea")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("ablation table has %d rows, want 3 (notes: %v)", len(tbl.Rows), tbl.Notes)
 	}
@@ -309,7 +332,7 @@ func TestRenderAndMarkdown(t *testing.T) {
 }
 
 func TestAllProducesEveryTable(t *testing.T) {
-	tables := All(1)
+	tables := New(Config{Seed: 1}).All(context.Background())
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "EA"}
 	if len(tables) != len(want) {
 		t.Fatalf("All returned %d tables, want %d", len(tables), len(want))
@@ -322,11 +345,10 @@ func TestAllProducesEveryTable(t *testing.T) {
 			t.Errorf("table %s is empty", tbl.ID)
 		}
 	}
-	var buf bytes.Buffer
-	if err := RenderAll(&buf, tables); err != nil {
-		t.Fatal(err)
+	if got := IDs(); strings.ToUpper(strings.Join(got, ",")) != strings.Join(want, ",") {
+		t.Errorf("IDs() = %v, want the tables' ids in order", got)
 	}
-	if buf.Len() == 0 {
-		t.Error("RenderAll produced no output")
+	if _, err := New(Config{Seed: 1}).Run(context.Background(), "e42"); err == nil {
+		t.Error("unknown experiment id accepted")
 	}
 }

@@ -249,37 +249,3 @@ func (r *Runner) E6FullStack(ctx context.Context) *Table {
 		"requires f < n/3 so that |π0| = n−f exceeds OneThirdRule's 2n/3 quorum")
 	return t
 }
-
-// Sequential wrappers, used by tests and callers that do not need to
-// configure the engine.
-
-// E1Theorem3 regenerates the Theorem 3 table with default execution.
-func E1Theorem3(seed uint64) *Table {
-	return New(Config{Seed: seed}).E1Theorem3(context.Background())
-}
-
-// E2Corollary4 regenerates the Corollary 4 table with default execution.
-func E2Corollary4(seed uint64) *Table {
-	return New(Config{Seed: seed}).E2Corollary4(context.Background())
-}
-
-// E3InitialVsNonInitial regenerates the Theorem 5 vs 3 table with default
-// execution.
-func E3InitialVsNonInitial(seed uint64) *Table {
-	return New(Config{Seed: seed}).E3InitialVsNonInitial(context.Background())
-}
-
-// E4Theorem6 regenerates the Theorem 6 table with default execution.
-func E4Theorem6(seed uint64) *Table {
-	return New(Config{Seed: seed}).E4Theorem6(context.Background())
-}
-
-// E5Theorem7 regenerates the Theorem 7 table with default execution.
-func E5Theorem7(seed uint64) *Table {
-	return New(Config{Seed: seed}).E5Theorem7(context.Background())
-}
-
-// E6FullStack regenerates the §4.2.2(c) table with default execution.
-func E6FullStack(seed uint64) *Table {
-	return New(Config{Seed: seed}).E6FullStack(context.Background())
-}

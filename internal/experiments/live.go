@@ -188,8 +188,3 @@ func e12LiveArm(ctx context.Context, t *Table, env string, loss float64, seed ui
 		safety)
 	return nil
 }
-
-// E12Live regenerates the comparison with default execution.
-func E12Live(seed uint64) *Table {
-	return New(Config{Seed: seed}).E12Live(context.Background())
-}

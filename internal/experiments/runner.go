@@ -46,52 +46,51 @@ func New(cfg Config) *Runner {
 	}
 }
 
+// catalogue lists the byte-reproducible experiments in canonical order
+// (E12 measures real time and is run on request only, see E12Live).
+var catalogue = []struct {
+	id  string
+	run func(*Runner, context.Context) *Table
+}{
+	{"e1", (*Runner).E1Theorem3},
+	{"e2", (*Runner).E2Corollary4},
+	{"e3", (*Runner).E3InitialVsNonInitial},
+	{"e4", (*Runner).E4Theorem6},
+	{"e5", (*Runner).E5Theorem7},
+	{"e6", (*Runner).E6FullStack},
+	{"e7", (*Runner).E7SafetyAndLiveness},
+	{"e8", (*Runner).E8Uniformity},
+	{"e9", (*Runner).E9LossSweep},
+	{"e10", (*Runner).E10Service},
+	{"e11", (*Runner).E11Sharding},
+	{"ea", (*Runner).Ablations},
+}
+
 // IDs returns the experiment identifiers in canonical order.
 func IDs() []string {
-	return []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "ea"}
+	ids := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Run regenerates one experiment table by id (e1..e11, ea).
 func (r *Runner) Run(ctx context.Context, id string) (*Table, error) {
-	switch strings.ToLower(strings.TrimSpace(id)) {
-	case "e1":
-		return r.E1Theorem3(ctx), nil
-	case "e2":
-		return r.E2Corollary4(ctx), nil
-	case "e3":
-		return r.E3InitialVsNonInitial(ctx), nil
-	case "e4":
-		return r.E4Theorem6(ctx), nil
-	case "e5":
-		return r.E5Theorem7(ctx), nil
-	case "e6":
-		return r.E6FullStack(ctx), nil
-	case "e7":
-		return r.E7SafetyAndLiveness(ctx), nil
-	case "e8":
-		return r.E8Uniformity(ctx), nil
-	case "e9":
-		return r.E9LossSweep(ctx), nil
-	case "e10":
-		return r.E10Service(ctx), nil
-	case "e11":
-		return r.E11Sharding(ctx), nil
-	case "ea":
-		return r.Ablations(ctx), nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (want e1..e11 or ea)", id)
+	id = strings.ToLower(strings.TrimSpace(id))
+	for _, e := range catalogue {
+		if e.id == id {
+			return e.run(r, ctx), nil
+		}
 	}
+	return nil, fmt.Errorf("unknown experiment %q (want e1..e11 or ea)", id)
 }
 
 // All regenerates every experiment table in canonical order.
 func (r *Runner) All(ctx context.Context) []*Table {
-	tables := make([]*Table, 0, len(IDs()))
-	for _, id := range IDs() {
-		t, err := r.Run(ctx, id)
-		if err != nil { // unreachable for the canonical ids
-			t = &Table{ID: strings.ToUpper(id), Notes: []string{err.Error()}}
-		}
-		tables = append(tables, t)
+	tables := make([]*Table, len(catalogue))
+	for i, e := range catalogue {
+		tables[i] = e.run(r, ctx)
 	}
 	return tables
 }

@@ -10,6 +10,7 @@ import (
 	"heardof/internal/kvstore"
 	"heardof/internal/otr"
 	"heardof/internal/rsm"
+	"heardof/internal/shard"
 	"heardof/internal/sweep"
 )
 
@@ -47,8 +48,9 @@ func e10Provider(env string, seed uint64) func(slot int) core.HOProvider {
 }
 
 // E10Service measures the service layer end to end: the same closed-loop
-// workload replayed over the batched + pipelined replication engine in a
-// good-period, sustained-loss, and crash-recovery environment. This is
+// workload replayed over one group (the S = 1 case of the sharded
+// assembly E11 scales out) of the batched + pipelined replication engine
+// in a good-period, sustained-loss, and crash-recovery environment. This is
 // the scenario-diversity payoff of the predicate abstraction (Shimi et
 // al.): one stack, many fault environments, directly comparable numbers.
 // One cell per row; throughput and latency are measured in simulated
@@ -80,23 +82,25 @@ func (r *Runner) E10Service(ctx context.Context) *Table {
 	for _, spec := range specs {
 		spec := spec
 		cells = append(cells, rowCell("E10/"+spec.env+"/"+spec.dist.String(), func() (tableOp, error) {
-			cluster, err := kvstore.NewClusterTuned(e10N, otr.Algorithm{},
-				e10Provider(spec.env, seed+spec.off), e10MaxRounds,
+			provider := e10Provider(spec.env, seed+spec.off)
+			cluster, err := kvstore.NewShardedCluster(shard.Config{Shards: 1}, e10N, otr.Algorithm{},
+				func(int) func(slot int) core.HOProvider { return provider }, e10MaxRounds,
 				rsm.Tuning{BatchSize: e10Batch, Pipeline: e10Pipeline})
 			if err != nil {
 				return nil, err
 			}
-			res, err := rsm.RunWorkload(cluster.Engine(), rsm.WorkloadConfig{
+			out, err := shard.RunWorkload(cluster.Sharded(), rsm.WorkloadConfig{
 				Clients: e10Clients, Rate: 0.7, WriteRatio: 0.75,
 				Keys: e10Keys, Dist: spec.dist, ZipfS: 0.99, Ops: e10Ops,
 				MaxSlots: e10MaxSlots, Seed: seed + spec.off + 1,
-			}, kvstore.WorkloadCommand)
+			}, kvstore.WorkloadCommand, kvstore.WorkloadRouteKey)
 			if err != nil {
 				return nil, err
 			}
 			if !cluster.Converged() {
 				return nil, errors.New("replicas diverged")
 			}
+			res := out.Aggregate
 			return func(t *Table) {
 				t.AddRow(spec.env+" / "+spec.dist.String(), e10Keys,
 					res.Completed, res.Slots, res.SlotsPerCmd, res.CmdsPerRound,
@@ -110,9 +114,4 @@ func (r *Runner) E10Service(ctx context.Context) *Table {
 		"slots/cmd < 1 is the batch codec amortizing consensus (the pre-rsm layer paid exactly 1.0); loss and crashes cost rounds per slot, not slots per command",
 	)
 	return t
-}
-
-// E10Service regenerates the service-layer table with default execution.
-func E10Service(seed uint64) *Table {
-	return New(Config{Seed: seed}).E10Service(context.Background())
 }

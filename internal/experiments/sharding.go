@@ -132,8 +132,3 @@ func (r *Runner) E11Sharding(ctx context.Context) *Table {
 	)
 	return t
 }
-
-// E11Sharding regenerates the sharded-scaling table with default execution.
-func E11Sharding(seed uint64) *Table {
-	return New(Config{Seed: seed}).E11Sharding(context.Background())
-}

@@ -3,14 +3,16 @@
 // introduction motivates (consensus "appears when implementing atomic
 // broadcast, group membership, etc.").
 //
-// The replication mechanics live in internal/rsm: each log slot decides a
-// BATCH of commands (bitmask codec, so consensus cost is amortized over
-// bursts), up to Pipeline slots run in flight per window with in-order
-// apply, and submissions ride client sessions with exactly-once dedup.
+// There is one assembly, ShardedCluster: S ≥ 1 independent groups of n
+// replicas over a partitioned keyspace, and the unsharded store is its
+// S = 1 case. The replication mechanics live in internal/rsm (each log
+// slot decides a BATCH of commands, up to Pipeline slots run in flight
+// per window with in-order apply, submissions ride client sessions with
+// exactly-once dedup) and the fan-out over groups in internal/shard.
 // This package supplies the KV state machine and the store-shaped API;
-// all replicas converge to the same state no matter which transmission
-// faults the environment inflicts — provided each slot's instance
-// eventually meets its liveness predicate.
+// all replicas of a group converge to the same state no matter which
+// transmission faults the environment inflicts — provided each slot's
+// instance eventually meets its liveness predicate.
 package kvstore
 
 import (
@@ -192,99 +194,13 @@ type Replica struct {
 	SM *StateMachine
 }
 
-// Cluster replicates a KV store across n replicas through the shared
-// rsm engine (batched slots, optional pipelining, client sessions).
-type Cluster struct {
-	n        int
-	engine   *rsm.Engine[Command]
-	replicas []*Replica
-}
-
 // ErrSlotUndecided is returned when replication cannot complete within
 // its budgets — a slot's consensus instance never decided, or Drain ran
 // out of slots with commands still pending. It is rsm's sentinel, so
 // errors.Is works across the whole service stack.
 var ErrSlotUndecided = rsm.ErrSlotUndecided
 
-// NewCluster creates a cluster of n replicas deciding slots with alg under
-// the per-slot HO provider. maxRounds bounds each slot's instance. Slots
-// batch up to rsm.MaxBatch commands and run unpipelined; use
-// NewClusterTuned for the service-layer knobs.
-func NewCluster(n int, alg core.Algorithm, provider func(slot int) core.HOProvider, maxRounds core.Round) (*Cluster, error) {
-	return NewClusterTuned(n, alg, provider, maxRounds, rsm.Tuning{})
-}
-
-// NewClusterTuned is NewCluster with explicit batch size, pipeline depth
-// and sweep parallelism.
-func NewClusterTuned(n int, alg core.Algorithm, provider func(slot int) core.HOProvider,
-	maxRounds core.Round, tune rsm.Tuning) (*Cluster, error) {
-	c := &Cluster{n: n}
-	engine, err := rsm.New(rsm.Config{
-		N: n, Algorithm: alg, Provider: provider, MaxRounds: maxRounds,
-		BatchSize: tune.BatchSize, Pipeline: tune.Pipeline, Parallel: tune.Parallel,
-	}, func(replica int, cmd Command) {
-		c.replicas[replica].SM.Apply(cmd)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: %w", err)
-	}
-	c.replicas = make([]*Replica, n)
-	for i := range c.replicas {
-		c.replicas[i] = &Replica{ID: core.ProcessID(i), SM: NewStateMachine()}
-	}
-	c.engine = engine
-	return c, nil
-}
-
-// Replica returns replica i.
-func (c *Cluster) Replica(i int) *Replica { return c.replicas[i] }
-
-// Engine exposes the underlying replication engine (stats, latencies,
-// session-level submission).
-func (c *Cluster) Engine() *rsm.Engine[Command] { return c.engine }
-
-// Slots returns the number of decided slots.
-func (c *Cluster) Slots() int { return c.engine.Stats().Slots }
-
-// Submit accepts a command at the contact replica and enters it into the
-// shared replicated log, as Paxos-style replicated state machines forward
-// client commands. The contact must be a valid replica id; each contact
-// runs its own client session, so every Submit is a fresh command (use
-// Engine().Submit to model retries of one command).
-func (c *Cluster) Submit(contact int, cmd Command) error {
-	if contact < 0 || contact >= c.n {
-		return fmt.Errorf("kvstore: contact replica %d out of range [0, %d)", contact, c.n)
-	}
-	c.engine.SubmitNext(rsm.ClientID(contact), cmd)
-	return nil
-}
-
-// PendingTotal counts queued-but-unreplicated commands.
-func (c *Cluster) PendingTotal() int { return c.engine.Pending() }
-
-// DecideSlot decides the next window of slots (a single slot unless the
-// cluster is pipelined) and applies the chosen commands everywhere, in
-// order. It returns the commands applied by this call — empty when the
-// window decided only a no-op batch. On a window failure the returned
-// slice still holds the decided prefix that WAS applied before the
-// failing slot (alongside the error), mirroring Drain's partial count.
-func (c *Cluster) DecideSlot() ([]Command, error) {
-	before := len(c.replicas[0].SM.log)
-	_, err := c.engine.DecideWindow()
-	applied := c.replicas[0].SM.log[before:]
-	out := make([]Command, len(applied))
-	copy(out, applied)
-	return out, err
-}
-
-// Drain decides slots until no commands are pending or the slot budget is
-// exhausted, returning the number of commands applied. Every undecided
-// path satisfies errors.Is(err, ErrSlotUndecided).
-func (c *Cluster) Drain(maxSlots int) (int, error) {
-	return c.engine.Drain(maxSlots)
-}
-
-// WorkloadCommand maps a generated workload operation (rsm.RunWorkload)
+// WorkloadCommand maps a generated workload operation (shard.RunWorkload)
 // to a KV command: reads become linearizable OpGets through the log,
 // writes become puts with an occasional delete. Shared by the E10/E11
 // experiments and cmd/hoload so their workloads stay key-for-key
@@ -305,14 +221,3 @@ func WorkloadCommand(op rsm.Op) Command {
 // WorkloadRouteKey must agree on it so a generated op and the command
 // built from it route to the same shard.
 func workloadKey(k int) string { return fmt.Sprintf("k%03d", k) }
-
-// Converged reports whether all replicas have identical state.
-func (c *Cluster) Converged() bool {
-	want := c.replicas[0].SM.Fingerprint()
-	for _, r := range c.replicas[1:] {
-		if r.SM.Fingerprint() != want {
-			return false
-		}
-	}
-	return true
-}

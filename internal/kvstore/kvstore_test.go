@@ -9,21 +9,29 @@ import (
 	"heardof/internal/core"
 	"heardof/internal/otr"
 	"heardof/internal/rsm"
+	"heardof/internal/shard"
 	"heardof/internal/xrand"
 )
 
 func fullProvider(int) core.HOProvider { return adversary.Full{} }
 
-func newTestCluster(t *testing.T, n int, provider func(int) core.HOProvider) *Cluster {
+// newSingle builds the S = 1 store — the unsharded case of the one
+// assembly — with every slot under the given per-slot provider.
+func newSingle(n int, provider func(int) core.HOProvider, maxRounds core.Round, tune rsm.Tuning) (*ShardedCluster, error) {
+	return NewShardedCluster(shard.Config{Shards: 1}, n, otr.Algorithm{},
+		func(int) func(int) core.HOProvider { return provider }, maxRounds, tune)
+}
+
+func newTestCluster(t *testing.T, n int, provider func(int) core.HOProvider) *ShardedCluster {
 	t.Helper()
-	c, err := NewCluster(n, otr.Algorithm{}, provider, 100)
+	c, err := newSingle(n, provider, 100, rsm.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-func mustSubmit(t *testing.T, c *Cluster, contact int, cmd Command) {
+func mustSubmit(t *testing.T, c *ShardedCluster, contact int, cmd Command) {
 	t.Helper()
 	if err := c.Submit(contact, cmd); err != nil {
 		t.Fatal(err)
@@ -73,10 +81,10 @@ func TestReplicationFaultFree(t *testing.T) {
 	if !c.Converged() {
 		t.Fatal("replicas diverged")
 	}
-	if _, ok := c.Replica(3).SM.Get("x"); ok {
+	if _, ok := c.Replica(0, 3).SM.Get("x"); ok {
 		t.Error("x should be deleted everywhere")
 	}
-	if v, _ := c.Replica(0).SM.Get("y"); v != "2" {
+	if v, _ := c.Replica(0, 0).SM.Get("y"); v != "2" {
 		t.Error("y missing")
 	}
 }
@@ -136,8 +144,8 @@ func TestBatchingAmortizesSlots(t *testing.T) {
 	if applied != cmds {
 		t.Fatalf("applied %d of %d", applied, cmds)
 	}
-	if bound := (cmds+62)/63 + 1; c.Slots() > bound {
-		t.Errorf("used %d slots for %d commands, want ≤ %d", c.Slots(), cmds, bound)
+	if bound := (cmds+62)/63 + 1; c.Stats().Slots > bound {
+		t.Errorf("used %d slots for %d commands, want ≤ %d", c.Stats().Slots, cmds, bound)
 	}
 }
 
@@ -146,8 +154,7 @@ func TestPipelinedClusterConverges(t *testing.T) {
 	provider := func(int) core.HOProvider {
 		return &adversary.TransmissionLoss{Rate: 0.15, RNG: rng.Fork()}
 	}
-	c, err := NewClusterTuned(5, otr.Algorithm{}, provider, 300,
-		rsm.Tuning{BatchSize: 4, Pipeline: 4})
+	c, err := newSingle(5, provider, 300, rsm.Tuning{BatchSize: 4, Pipeline: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,35 +171,35 @@ func TestPipelinedClusterConverges(t *testing.T) {
 	if !c.Converged() {
 		t.Fatal("pipelined replicas diverged")
 	}
-	st := c.Engine().Stats()
+	st := c.Stats()
 	if st.WallRounds >= st.TotalRounds {
 		t.Errorf("pipelining bought nothing: wall %d, total %d", st.WallRounds, st.TotalRounds)
 	}
 }
 
+// An idle store spends nothing: DecideWindows skips groups with no
+// pending commands (the engine's own empty window is rsm's
+// TestEmptyWindowIsNoOpSlot), so no no-op slot is launched.
 func TestNoOpSlots(t *testing.T) {
 	c := newTestCluster(t, 3, fullProvider)
-	cmds, err := c.DecideSlot()
+	applied, err := c.DecideWindows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmds) != 0 {
-		t.Errorf("empty cluster decided real commands: %v", cmds)
-	}
-	if c.Slots() != 1 {
-		t.Errorf("slots = %d, want 1", c.Slots())
+	if st := c.Stats(); applied != 0 || st.Launched != 0 || c.Replica(0, 0).SM.Len() != 0 {
+		t.Errorf("idle cluster applied %d commands over %d launches", applied, st.Launched)
 	}
 }
 
 func TestUndecidedSlotReportsError(t *testing.T) {
-	c, err := NewCluster(3, otr.Algorithm{}, func(int) core.HOProvider {
+	c, err := newSingle(3, func(int) core.HOProvider {
 		return adversary.Silence{}
-	}, 5)
+	}, 5, rsm.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustSubmit(t, c, 0, Command{Op: OpPut, Key: "k", Value: "v"})
-	if _, err := c.DecideSlot(); !errors.Is(err, ErrSlotUndecided) {
+	if _, err := c.DecideWindows(); !errors.Is(err, ErrSlotUndecided) {
 		t.Errorf("error = %v, want ErrSlotUndecided", err)
 	}
 }
@@ -201,7 +208,7 @@ func TestUndecidedSlotReportsError(t *testing.T) {
 // sentinel this PR fixes: Drain's budget-exhausted failure was a bare
 // fmt.Errorf, so errors.Is(err, ErrSlotUndecided) was false on that path.
 func TestDrainBudgetKeepsSentinel(t *testing.T) {
-	c, err := NewClusterTuned(3, otr.Algorithm{}, fullProvider, 50, rsm.Tuning{BatchSize: 1})
+	c, err := newSingle(3, fullProvider, 50, rsm.Tuning{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +225,15 @@ func TestDrainBudgetKeepsSentinel(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := NewCluster(0, otr.Algorithm{}, fullProvider, 10); err == nil {
+	if _, err := newSingle(0, fullProvider, 10, rsm.Tuning{}); err == nil {
 		t.Error("expected error for n=0")
 	}
-	if _, err := NewCluster(3, nil, fullProvider, 10); err == nil {
+	if _, err := NewShardedCluster(shard.Config{Shards: 1}, 3, nil,
+		func(int) func(int) core.HOProvider { return fullProvider }, 10, rsm.Tuning{}); err == nil {
 		t.Error("expected error for nil algorithm")
 	}
-	if _, err := NewCluster(3, otr.Algorithm{}, nil, 10); err == nil {
-		t.Error("expected error for nil provider")
+	if _, err := newSingle(3, nil, 10, rsm.Tuning{}); err == nil {
+		t.Error("expected error for a nil per-slot provider")
 	}
 }
 
@@ -266,9 +274,9 @@ func TestLogsIdenticalAcrossReplicas(t *testing.T) {
 	// Whatever the interleaving, all replicas applied the same commands
 	// in the same order: the final value of "a" is identical (already
 	// covered by Converged) and the logs have equal length and content.
-	l0 := c.Replica(0).SM.log
+	l0 := c.Replica(0, 0).SM.log
 	for r := 1; r < 3; r++ {
-		lr := c.Replica(r).SM.log
+		lr := c.Replica(0, r).SM.log
 		if len(lr) != len(l0) {
 			t.Fatalf("log lengths differ: %d vs %d", len(lr), len(l0))
 		}
@@ -280,18 +288,18 @@ func TestLogsIdenticalAcrossReplicas(t *testing.T) {
 	}
 }
 
-func TestDecideSlotReturnsAppliedBatch(t *testing.T) {
+func TestDecideWindowsAppliesTheBatchInOrder(t *testing.T) {
 	c := newTestCluster(t, 3, fullProvider)
 	mustSubmit(t, c, 0, Command{Op: OpPut, Key: "a", Value: "1"})
 	mustSubmit(t, c, 1, Command{Op: OpPut, Key: "b", Value: "2"})
-	cmds, err := c.DecideSlot()
+	applied, err := c.DecideWindows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmds) != 2 {
-		t.Fatalf("batch = %v, want both commands in one slot", cmds)
+	if applied != 2 || c.Stats().Slots != 1 {
+		t.Fatalf("applied %d commands over %d slots, want both in one slot", applied, c.Stats().Slots)
 	}
-	if cmds[0].Key != "a" || cmds[1].Key != "b" {
+	if cmds := c.Replica(0, 2).SM.log; len(cmds) != 2 || cmds[0].Key != "a" || cmds[1].Key != "b" {
 		t.Errorf("batch order %v, want submission order", cmds)
 	}
 }

@@ -55,10 +55,10 @@
 // round. (A slot reopened at round 1 would meet, among the old messages
 // still in the network, votes below its lock and acks for phases it has
 // since spoken past; guarding the algorithm's adoption rule does not
-// cover the second. The MutForgetRound probes are those schedules.) A
-// vote record is therefore (the round the saved state sends in, the
-// state). Everything a step emits waits for the sync
-// of that step's saves, so when the newest durable record says round r,
+// cover the second. modelcheck's forget-round probes are those
+// schedules.) A vote record is therefore (the round the saved state sends
+// in, the state). Everything a step emits waits for the sync of that
+// step's saves, so when the newest durable record says round r,
 // round r's send may have left and no later one has: recovery resumes the
 // slot by ENTERING round r+1, with r and everything below it skipped. To
 // the group a skipped round is one in which this process was neither
@@ -108,11 +108,6 @@ var _ Persister = (*wal.Store)(nil)
 // slot's fresh instance when consensus for it reopens, past the round
 // it last sent in. Everything volatile is gone: pending submissions, peer
 // observations, heard sets.
-//
-// MutForgetVote (model checker only) drops the restored vote — the
-// seeded recovery bug that lets a second attempt contradict a decision
-// the first attempt's quorum already fixed. MutForgetRound keeps the vote
-// and drops its round (openSlot).
 func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C], error) {
 	c, err := NewReplicaCore(cfg)
 	if err != nil {
@@ -203,8 +198,8 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 		switch {
 		case slot > applied+window:
 			return nil, fmt.Errorf("live: recovered vote for slot %d beyond the window of %d slots after %d applied", slot, window, applied)
-		case slot <= applied || decided || len(vote) == 0 || cfg.Mutation&MutForgetVote != 0:
-			continue // stale, or the seeded bug
+		case slot <= applied || decided || len(vote) == 0:
+			continue // stale
 		}
 		// Validate the encoding now (openSlot cannot return an error).
 		probe := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, 0)

@@ -360,6 +360,11 @@ func (r *Replica[C]) Submit(client, seq uint64, cmd C) (<-chan ApplyResult, erro
 	}
 	ch := make(chan ApplyResult, 1)
 	r.mu.Lock()
+	if r.stopped() {
+		r.mu.Unlock()
+		close(ch)
+		return ch, nil
+	}
 	if r.core.Accept(client, seq, cmd) {
 		r.mu.Unlock()
 		ch <- ApplyResult{Dup: true}
@@ -374,10 +379,16 @@ func (r *Replica[C]) Submit(client, seq uint64, cmd C) (<-chan ApplyResult, erro
 // SubmitNext enters cmd at the client's next fresh sequence number,
 // assigned atomically with enqueueing — the safe path for concurrent
 // submitters sharing a client session (e.g. HTTP handlers of one server
-// process). It returns the waiter and the sequence used.
+// process). It returns the waiter and the sequence used (0, with the
+// waiter already closed, if the replica has stopped).
 func (r *Replica[C]) SubmitNext(client uint64, cmd C) (<-chan ApplyResult, uint64) {
 	ch := make(chan ApplyResult, 1)
 	r.mu.Lock()
+	if r.stopped() {
+		r.mu.Unlock()
+		close(ch)
+		return ch, 0
+	}
 	seq := r.core.NextSeq(client)
 	if r.core.Accept(client, seq, cmd) {
 		r.mu.Unlock()
@@ -389,6 +400,12 @@ func (r *Replica[C]) SubmitNext(client uint64, cmd C) (<-chan ApplyResult, uint6
 	r.signalWork()
 	return ch, seq
 }
+
+// stopped reports whether Stop (or a durability failure) has cancelled the
+// event loop. Callers hold mu: Stop sweeps the waiters under mu after
+// cancelling, so a waiter installed once this reads true would never be
+// closed.
+func (r *Replica[C]) stopped() bool { return r.ctx.Err() != nil }
 
 // supersede installs a waiter, closing any previous waiter of the same
 // submission (a resubmission supersedes it). Callers hold mu.

@@ -306,3 +306,31 @@ func TestReplicaDuplicateSubmissionAppliesOnce(t *testing.T) {
 		t.Fatalf("command applied %d times, want exactly once", count)
 	}
 }
+
+// TestSubmitAfterStopReleasesTheWaiter: Stop sweeps the waiters once, so
+// a submission arriving after it must be handed a channel that is already
+// closed — "closes without a value if the replica stops first" — rather
+// than one nobody is left to close, which blocks a caller without a
+// deadline forever.
+func TestSubmitAfterStopReleasesTheWaiter(t *testing.T) {
+	reps, _, _, stop := newTestGroup(t, 3, 5)
+	stop()
+	next, seq := reps[0].SubmitNext(1, "late")
+	named, err := reps[0].Submit(2, 1, "later")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, ch := range map[string]<-chan ApplyResult{"SubmitNext": next, "Submit": named} {
+		select {
+		case res, ok := <-ch:
+			if ok {
+				t.Errorf("%s after Stop resolved with %+v, want a closed channel", what, res)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s after Stop left its waiter open", what)
+		}
+	}
+	if seq != 0 {
+		t.Errorf("SubmitNext after Stop consumed sequence %d", seq)
+	}
+}

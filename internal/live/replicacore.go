@@ -41,7 +41,10 @@ import (
 // checker's seeded-mutant suite (DESIGN.md §10): each mutant must make
 // the checker report a violation, proving the checker would have caught
 // the original bug. Production configurations MUST leave this zero;
-// NewReplica rejects anything else.
+// NewReplica rejects anything else. (The two crash-recovery mutants are
+// not here: a recovery that forgets is a disk that lies, and the checker
+// builds that outside the core — modelcheck's forget-vote and
+// forget-round mutants edit the state RestoreReplicaCore is handed.)
 type Mutation uint16
 
 const (
@@ -55,12 +58,6 @@ const (
 	// of a larger group can then drift a constant number of rounds apart
 	// forever — the livelock the jump rule was introduced to fix.
 	MutNoJump
-	// MutForgetVote makes crash-RECOVERY drop the persisted locked vote
-	// (RestoreReplicaCore skips re-installing it): the recovered replica
-	// restarts its slot from scratch and can help decide a value a
-	// pre-crash quorum that included its vote already contradicts — the
-	// split decision durability exists to prevent.
-	MutForgetVote
 	// MutMergeSkip makes propose()'s merge drop the first unapplied entry
 	// of every peer-sourced piece (a forward or an offered batch) while
 	// keeping the entries behind it — the session-order bug the merge
@@ -80,12 +77,6 @@ const (
 	// batch is pruned although a slot it was proposed for can still
 	// decide it — and then decides an id whose contents nobody holds.
 	MutPruneOpen
-	// MutForgetRound makes crash-RECOVERY drop the round saved with a
-	// vote, so the slot reopens at round 1 and every round it already sent
-	// in is lived a second time, among the old messages still in the
-	// network: it re-adopts a vote below its lock, or acks a phase behind
-	// its own later estimate — each enough to decide two values.
-	MutForgetRound
 )
 
 // retryAfter is MutFreshRetry's trigger: long enough that a retried
@@ -818,9 +809,7 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 		if sp, ok := inst.(core.Persistent); ok {
 			_ = sp.RestoreState(state)
 		}
-		if c.cfg.Mutation&MutForgetRound == 0 {
-			run.r = sent
-		}
+		run.r = sent
 		delete(c.restoredVotes, slot)
 	}
 	i := len(c.open)

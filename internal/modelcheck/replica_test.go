@@ -285,7 +285,7 @@ func TestReplicaExploreLastVoting(t *testing.T) {
 // second sample runs the same scope through phase 2 (MaxRound 8), where
 // a recovered replica resumes among estimates, votes and acks of a phase
 // that asked first. Neither sample would find recovery re-running a slot
-// from round 1 (live.MutForgetRound survives 1.5M states of the second):
+// from round 1 (MutForgetRound survives 1.5M states of the second):
 // that takes the two scripted schedules below.
 func TestReplicaExploreLastVotingThree(t *testing.T) {
 	if testing.Short() {
@@ -552,7 +552,7 @@ func probeKillsAgreement(t *testing.T, probe func(mutated bool) ProbeResult) {
 }
 
 // TestRecoveredVoteNeverLowersTimestamp: a restarted replica that re-runs
-// its slot from round 1 (live.MutForgetRound) re-adopts an old vote of a
+// its slot from round 1 (MutForgetRound) re-adopts an old vote of a
 // phase below its lock and hands the decision to a straggler; the real
 // recovery resumes past the last round it sent in, where that vote is a
 // stale round.

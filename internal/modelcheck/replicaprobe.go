@@ -50,10 +50,11 @@
 //     applies twice, so only the session-gap invariant sees it.
 //
 // Three further probes cover the crash-RECOVERY fault (a kill -9 with
-// stable storage intact, modeled by ReplicaCore.Recover — the
-// production restore path):
+// stable storage intact: live.RestoreReplicaCore, the production restore
+// path, over the core's own PersistState). Their mutants are not bits in
+// the core but a disk that lies — the state is edited on its way back:
 //
-//   - CheckForgetVote: live.MutForgetVote makes recovery discard the
+//   - CheckForgetVote: MutForgetVote makes recovery discard the
 //     persisted locked vote. Schedule: phase 1 decides at the
 //     coordinator alone with p1 holding the (x=A, ts=1) lock, p1
 //     crash-recovers, then p1 and p2 run freely. Real core: the
@@ -62,7 +63,7 @@
 //     merge of the two offered batches, any id but A — and the pair
 //     decides it against p0's applied A — the split the paper's
 //     stable-storage requirement exists to prevent.
-//   - CheckTSRegress and CheckReliveAck: live.MutForgetRound makes
+//   - CheckTSRegress and CheckReliveAck: MutForgetRound makes
 //     recovery drop the round saved with the vote, so the restarted
 //     replica re-runs its slot from round 1 and meets whatever of its
 //     first run is still in the network — the recovery this repo had
@@ -96,6 +97,7 @@ import (
 	"heardof/internal/core"
 	"heardof/internal/lastvoting"
 	"heardof/internal/live"
+	"heardof/internal/wal"
 )
 
 // ProbeResult is the outcome of one scripted probe run.
@@ -116,9 +118,34 @@ func (r ProbeResult) Flagged() bool { return r.Violation != nil || len(r.Finding
 // per message whether it delivers or drops.
 type scen struct {
 	n     int
+	cfgs  []live.CoreConfig[byte]
 	cores []*live.ReplicaCore[byte]
 	wire  []live.Outbound
 	dead  uint8
+	// disk, when set, edits the durable state a recovering replica reads
+	// back: the seeded crash-recovery bugs.
+	disk func(*wal.State)
+}
+
+// MutForgetVote is the disk that loses every persisted vote: the
+// recovered replica restarts its slot from scratch and can help decide a
+// value a pre-crash quorum that included its vote already contradicts —
+// the split decision durability exists to prevent.
+func MutForgetVote(st *wal.State) { st.Votes = nil }
+
+// MutForgetRound is the disk that keeps each vote and loses the round
+// saved with it (the record's leading uvarint reads 0), so the slot
+// reopens at round 1 and every round it already sent in is lived a second
+// time, among the old messages still in the network: it re-adopts a vote
+// below its lock, or acks a phase behind its own later estimate — each
+// enough to decide two values.
+func MutForgetRound(st *wal.State) {
+	//holint:allow nodeterminism each record is rewritten independently of the others
+	for slot, vote := range st.Votes {
+		if _, n := binary.Uvarint(vote); n > 0 {
+			st.Votes[slot] = append([]byte{0}, vote[n:]...)
+		}
+	}
 }
 
 // newScen builds an n-replica LastVoting group with a budget of slots.
@@ -127,7 +154,7 @@ type scen struct {
 func newScen(n int, mut live.Mutation, slots uint64) *scen {
 	s := &scen{n: n}
 	for p := 0; p < n; p++ {
-		c, err := live.NewReplicaCore(live.CoreConfig[byte]{
+		cfg := live.CoreConfig[byte]{
 			Self:      core.ProcessID(p),
 			N:         n,
 			Algorithm: lastvoting.Algorithm{},
@@ -136,10 +163,12 @@ func newScen(n int, mut live.Mutation, slots uint64) *scen {
 			Mutation:  mut,
 			MaxRound:  64,
 			MaxSlots:  slots,
-		})
+		}
+		c, err := live.NewReplicaCore(cfg)
 		if err != nil {
 			panic(fmt.Sprintf("modelcheck: probe config: %v", err))
 		}
+		s.cfgs = append(s.cfgs, cfg)
 		s.cores = append(s.cores, c)
 	}
 	return s
@@ -186,14 +215,23 @@ func (s *scen) timeout(p core.ProcessID) {
 }
 
 // recover models a kill -9 followed by a restart from stable storage:
-// the core is replaced by its production recovery image (volatile round
-// position, pending submissions, and peer bookkeeping lost; log, dedup
-// state, held batches, and any persisted locked vote kept). Anything a
-// preceding crash(p) swallowed stays lost — exactly the messages a down
-// process never receives.
+// the core is replaced by what the production restore path builds from
+// its durable state (volatile round position, pending submissions, and
+// peer bookkeeping lost; log, dedup state, held batches, and any
+// persisted locked vote kept) — read back through s.disk, if one is set.
+// Anything a preceding crash(p) swallowed stays lost — exactly the
+// messages a down process never receives.
 func (s *scen) recover(p core.ProcessID) {
 	s.dead &^= 1 << uint(p)
-	s.cores[p] = s.cores[p].Recover()
+	st := s.cores[p].PersistState()
+	if s.disk != nil {
+		s.disk(st)
+	}
+	c, err := live.RestoreReplicaCore(s.cfgs[p], st)
+	if err != nil {
+		panic(fmt.Sprintf("modelcheck: recovery of p%d failed: %v", p, err))
+	}
+	s.cores[p] = c
 }
 
 // deliverWhere removes every CURRENTLY queued message matching pred, in
@@ -495,16 +533,15 @@ func CheckMergeSkip(mutated bool) ProbeResult {
 }
 
 // CheckForgetVote runs the recovery-forgets-the-lock schedule. With
-// mutated (live.MutForgetVote) the result must contain an agreement
+// mutated (MutForgetVote) the result must contain an agreement
 // violation; without, the restored vote steers the surviving pair back
 // to the decided batch and the run is clean with every replica applying
 // slot 1.
 func CheckForgetVote(mutated bool) ProbeResult {
-	var mut live.Mutation
+	s := newScen(3, 0, 1)
 	if mutated {
-		mut = live.MutForgetVote
+		s.disk = MutForgetVote
 	}
-	s := newScen(3, mut, 1)
 	// p0 decides A alone with p1 holding the lock (x=A, ts=1); a lockless
 	// recovery re-proposes the merge of the batches it holds under a fresh
 	// id — not A: the bait.
@@ -525,15 +562,14 @@ func CheckForgetVote(mutated bool) ProbeResult {
 }
 
 // CheckTSRegress runs the stale-vote-after-restart schedule. With
-// mutated (live.MutForgetRound) the result must contain an agreement
+// mutated (MutForgetRound) the result must contain an agreement
 // violation; without, the recovered replica is past the old vote's round
 // and the run is clean with every replica applying the batch p2 decided.
 func CheckTSRegress(mutated bool) ProbeResult {
-	var mut live.Mutation
+	s := newScen(3, 0, 1)
 	if mutated {
-		mut = live.MutForgetRound
+		s.disk = MutForgetRound
 	}
-	s := newScen(3, mut, 1)
 	all := s.timeoutAll
 
 	// p0 proposes batch A, p1 batch B; p2, hearing of A first, proposes A.
@@ -595,16 +631,15 @@ func CheckTSRegress(mutated bool) ProbeResult {
 }
 
 // CheckReliveAck runs the ack-after-a-later-estimate schedule. With
-// mutated (live.MutForgetRound) the result must contain an agreement
+// mutated (MutForgetRound) the result must contain an agreement
 // violation; without, the recovered replica is past the rounds it sent
 // in and the run is clean with every replica applying the batch p0 and p2
 // decided.
 func CheckReliveAck(mutated bool) ProbeResult {
-	var mut live.Mutation
+	s := newScen(3, 0, 1)
 	if mutated {
-		mut = live.MutForgetRound
+		s.disk = MutForgetRound
 	}
-	s := newScen(3, mut, 1)
 	lost := func(from, to core.Round) {
 		for r := from; r <= to; r++ {
 			s.dropWhere(roundAt(r))

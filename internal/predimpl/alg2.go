@@ -19,13 +19,6 @@ type RoundMsg struct {
 // reception policy.
 func (m RoundMsg) RoundNumber() core.Round { return m.R }
 
-// Stable-storage keys shared by Algorithms 2 and 3: the paper stores the
-// round number r_p and the HO-algorithm state s_p.
-const (
-	keyRound = "rp"
-	keyState = "sp"
-)
-
 // Alg2 is Algorithm 2 of the paper: it ensures P_su(π0, ·, ·) in a
 // "π0-down" good period. Each round consists of one send step followed by
 // receive steps until ⌈2δ+(n+2)φ⌉ of them have been taken (timeout) or a
@@ -36,20 +29,13 @@ const (
 // r_p and s_p live on stable storage; msgsRcv, next_r and i_p are volatile
 // and reinitialized on recovery, exactly as in the paper.
 type Alg2 struct {
-	p       core.ProcessID
-	n       int
+	roundKeeper
 	timeout float64 // 2δ + (n+2)φ, in receive steps
-	inst    core.Instance
-	store   *stable.Store
-	rec     *Recorder
 	policy  simtime.ReceptionPolicy
 
-	// Volatile state.
+	// Volatile state (with the keeper's).
 	sending bool
-	rp      core.Round
-	nextR   core.Round
 	ip      int
-	msgsRcv map[core.Round]map[core.ProcessID]core.Message
 }
 
 var _ simtime.Proto = (*Alg2)(nil)
@@ -63,38 +49,11 @@ func Alg2Timeout(n int, phi, delta float64) float64 {
 // inst. The recorder may be nil.
 func NewAlg2(p core.ProcessID, n int, phi, delta float64, inst core.Instance,
 	store *stable.Store, rec *Recorder) *Alg2 {
-	a := &Alg2{
-		p:       p,
-		n:       n,
-		timeout: Alg2Timeout(n, phi, delta),
-		inst:    inst,
-		store:   store,
-		rec:     rec,
-		policy:  simtime.HighestRoundFirst{},
-	}
-	a.resetVolatile()
-	a.rp = 1
-	a.nextR = 1
-	a.persist()
-	return a
-}
-
-// Instance returns the HO-layer instance driven by this protocol.
-func (a *Alg2) Instance() core.Instance { return a.inst }
-
-// Round returns the current round r_p (for tests).
-func (a *Alg2) Round() core.Round { return a.rp }
-
-func (a *Alg2) resetVolatile() {
-	a.sending = true
-	a.ip = 0
-	a.msgsRcv = make(map[core.Round]map[core.ProcessID]core.Message)
-}
-
-func (a *Alg2) persist() {
-	a.store.Save(keyRound, a.rp)
-	if rec, ok := a.inst.(core.Recoverable); ok {
-		a.store.Save(keyState, rec.Snapshot())
+	return &Alg2{
+		roundKeeper: newRoundKeeper(p, inst, store, rec),
+		timeout:     Alg2Timeout(n, phi, delta),
+		policy:      simtime.HighestRoundFirst{},
+		sending:     true,
 	}
 }
 
@@ -103,11 +62,7 @@ func (a *Alg2) persist() {
 func (a *Alg2) Step(ctx *simtime.StepContext) {
 	if a.sending {
 		// Lines 7–9: send ⟨S_p^rp(s_p), rp⟩ to all.
-		msg := a.inst.Send(a.rp)
-		ctx.Broadcast(RoundMsg{R: a.rp, M: msg})
-		if a.rec != nil {
-			a.rec.RecordSend(a.p, a.rp, ctx.Now())
-		}
+		ctx.Broadcast(RoundMsg{R: a.rp, M: a.sendRound(ctx.Now())})
 		a.ip = 0
 		a.sending = false
 		return
@@ -133,57 +88,9 @@ func (a *Alg2) Step(ctx *simtime.StepContext) {
 	}
 
 	if a.nextR != a.rp {
+		// Lines 19–22.
 		a.finishRounds(ctx.Now())
-	}
-}
-
-func (a *Alg2) record(rd core.Round, from core.ProcessID, m core.Message, now simtime.Time) {
-	byFrom, ok := a.msgsRcv[rd]
-	if !ok {
-		byFrom = make(map[core.ProcessID]core.Message)
-		a.msgsRcv[rd] = byFrom
-	}
-	if _, dup := byFrom[from]; !dup {
-		byFrom[from] = m
-		if a.rec != nil {
-			a.rec.RecordReception(a.p, rd, from, now)
-		}
-	}
-}
-
-// finishRounds runs lines 19–22: T_p^rp with the received round-rp
-// messages, empty transitions for skipped rounds, then advances to next_r.
-func (a *Alg2) finishRounds(now simtime.Time) {
-	inbox, ho := collectInbox(a.msgsRcv[a.rp])
-	a.inst.Transition(a.rp, inbox)
-	a.observe(a.rp, ho, now)
-
-	for rd := a.rp + 1; rd < a.nextR; rd++ {
-		a.inst.Transition(rd, nil)
-		a.observe(rd, core.EmptySet, now)
-	}
-
-	// Discard messages for rounds below the new round (the space
-	// optimization the paper notes is safe).
-	//holint:allow nodeterminism conditional delete-all; each key is judged independently
-	for rd := range a.msgsRcv {
-		if rd < a.nextR {
-			delete(a.msgsRcv, rd)
-		}
-	}
-
-	a.rp = a.nextR
-	a.persist()
-	a.sending = true
-}
-
-func (a *Alg2) observe(rd core.Round, ho core.PIDSet, now simtime.Time) {
-	if a.rec == nil {
-		return
-	}
-	a.rec.RecordTransition(a.p, rd, ho, now)
-	if v, ok := a.inst.Decided(); ok {
-		a.rec.RecordDecision(a.p, v, rd, now)
+		a.sending = true
 	}
 }
 
@@ -196,43 +103,9 @@ func (a *Alg2) OnCrash() {
 // storage; msgsRcv and next_r are reinitialized and the algorithm restarts
 // at its loop head (line 6), i.e. by sending its round-r_p message.
 func (a *Alg2) OnRecover() {
-	a.resetVolatile()
-	if v, ok := a.store.Load(keyRound); ok {
-		if rd, isRound := v.(core.Round); isRound {
-			a.rp = rd
-		}
-	}
-	a.nextR = a.rp
-	if v, ok := a.store.Load(keyState); ok {
-		if rec, isRec := a.inst.(core.Recoverable); isRec {
-			rec.Restore(v)
-		}
-	}
-}
-
-func maxRound(a, b core.Round) core.Round {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// collectInbox converts a per-sender message map into a deterministic
-// inbox slice plus its heard-of set.
-func collectInbox(byFrom map[core.ProcessID]core.Message) ([]core.IncomingMessage, core.PIDSet) {
-	if len(byFrom) == 0 {
-		return nil, core.EmptySet
-	}
-	var ho core.PIDSet
-	//holint:allow nodeterminism commutative set fold; the inbox below is built in PIDSet order
-	for from := range byFrom {
-		ho = ho.Add(from)
-	}
-	inbox := make([]core.IncomingMessage, 0, len(byFrom))
-	ho.ForEach(func(from core.ProcessID) {
-		inbox = append(inbox, core.IncomingMessage{From: from, Payload: byFrom[from]})
-	})
-	return inbox, ho
+	a.sending = true
+	a.ip = 0
+	a.reload()
 }
 
 // Theorem3GoodPeriodBound is the closed-form bound of Theorem 3: the

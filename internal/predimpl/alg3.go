@@ -37,13 +37,10 @@ func (m InitMsg) RoundNumber() core.Round { return m.R }
 // (lost INITs from bad periods must eventually be replaced or the system
 // would stall).
 type Alg3 struct {
-	p       core.ProcessID
+	roundKeeper
 	n       int
 	f       int
 	timeout float64 // τ0 = 2δ + (2n+1)φ, in receive steps
-	inst    core.Instance
-	store   *stable.Store
-	rec     *Recorder
 	policy  *simtime.RoundRobinHighest
 
 	// Ablation knobs (zero values = paper-faithful behaviour).
@@ -52,14 +49,11 @@ type Alg3 struct {
 	initQuorum     int
 	disableCatchup bool
 
-	// Volatile state.
+	// Volatile state (with the keeper's).
 	phase    int // alg3Send, alg3Recv, alg3SendInit
-	rp       core.Round
-	nextR    core.Round
 	i        int
 	nextInit float64
 	lastMsg  core.Message
-	msgsRcv  map[core.Round]map[core.ProcessID]core.Message
 	initFrom map[core.Round]core.PIDSet
 }
 
@@ -81,35 +75,21 @@ func Alg3Timeout(n int, phi, delta float64) float64 {
 func NewAlg3(p core.ProcessID, n, f int, phi, delta float64, inst core.Instance,
 	store *stable.Store, rec *Recorder) *Alg3 {
 	a := &Alg3{
-		p:          p,
-		n:          n,
-		f:          f,
-		timeout:    Alg3Timeout(n, phi, delta),
-		inst:       inst,
-		store:      store,
-		rec:        rec,
-		policy:     &simtime.RoundRobinHighest{N: n},
-		initQuorum: f + 1,
+		roundKeeper: newRoundKeeper(p, inst, store, rec),
+		n:           n,
+		f:           f,
+		timeout:     Alg3Timeout(n, phi, delta),
+		initQuorum:  f + 1,
 	}
 	a.resetVolatile()
-	a.rp = 1
-	a.nextR = 1
-	a.persist()
 	return a
 }
-
-// Instance returns the HO-layer instance driven by this protocol.
-func (a *Alg3) Instance() core.Instance { return a.inst }
-
-// Round returns the current round r_p.
-func (a *Alg3) Round() core.Round { return a.rp }
 
 func (a *Alg3) resetVolatile() {
 	a.phase = alg3Send
 	a.i = 0
 	a.nextInit = a.timeout
 	a.lastMsg = nil
-	a.msgsRcv = make(map[core.Round]map[core.ProcessID]core.Message)
 	a.initFrom = make(map[core.Round]core.PIDSet)
 	if a.policyOverride != nil {
 		a.policy = nil
@@ -128,23 +108,13 @@ func (a *Alg3) receptionPolicy() simtime.ReceptionPolicy {
 	return a.policy
 }
 
-func (a *Alg3) persist() {
-	a.store.Save(keyRound, a.rp)
-	if rec, ok := a.inst.(core.Recoverable); ok {
-		a.store.Save(keyState, rec.Snapshot())
-	}
-}
-
 // Step implements simtime.Proto (one atomic step of Algorithm 3's loop).
 func (a *Alg3) Step(ctx *simtime.StepContext) {
 	switch a.phase {
 	case alg3Send:
 		// Lines 7–9: send ⟨ROUND, rp, S_p^rp(s_p)⟩ to all.
-		a.lastMsg = a.inst.Send(a.rp)
+		a.lastMsg = a.sendRound(ctx.Now())
 		ctx.Broadcast(RoundMsg{R: a.rp, M: a.lastMsg})
-		if a.rec != nil {
-			a.rec.RecordSend(a.p, a.rp, ctx.Now())
-		}
 		a.i = 0
 		a.nextInit = a.timeout
 		a.phase = alg3Recv
@@ -207,57 +177,17 @@ func (a *Alg3) receiveStep(ctx *simtime.StepContext) {
 	}
 }
 
-func (a *Alg3) record(rd core.Round, from core.ProcessID, m core.Message, now simtime.Time) {
-	byFrom, ok := a.msgsRcv[rd]
-	if !ok {
-		byFrom = make(map[core.ProcessID]core.Message)
-		a.msgsRcv[rd] = byFrom
-	}
-	if _, dup := byFrom[from]; !dup {
-		byFrom[from] = m
-		if a.rec != nil {
-			a.rec.RecordReception(a.p, rd, from, now)
-		}
-	}
-}
-
-// finishRounds runs lines 21–24.
+// finishRounds runs lines 21–24: Algorithm 2's, plus forgetting the INITs
+// of the rounds left behind.
 func (a *Alg3) finishRounds(now simtime.Time) {
-	inbox, ho := collectInbox(a.msgsRcv[a.rp])
-	a.inst.Transition(a.rp, inbox)
-	a.observe(a.rp, ho, now)
-
-	for rd := a.rp + 1; rd < a.nextR; rd++ {
-		a.inst.Transition(rd, nil)
-		a.observe(rd, core.EmptySet, now)
-	}
-
-	//holint:allow nodeterminism conditional delete-all; each key is judged independently
-	for rd := range a.msgsRcv {
-		if rd < a.nextR {
-			delete(a.msgsRcv, rd)
-		}
-	}
+	a.roundKeeper.finishRounds(now)
 	//holint:allow nodeterminism conditional delete-all; each key is judged independently
 	for rd := range a.initFrom {
-		if rd <= a.nextR {
+		if rd <= a.rp {
 			delete(a.initFrom, rd)
 		}
 	}
-
-	a.rp = a.nextR
-	a.persist()
 	a.phase = alg3Send
-}
-
-func (a *Alg3) observe(rd core.Round, ho core.PIDSet, now simtime.Time) {
-	if a.rec == nil {
-		return
-	}
-	a.rec.RecordTransition(a.p, rd, ho, now)
-	if v, ok := a.inst.Decided(); ok {
-		a.rec.RecordDecision(a.p, v, rd, now)
-	}
 }
 
 // OnCrash implements simtime.Proto.
@@ -270,17 +200,7 @@ func (a *Alg3) OnCrash() {
 // volatile state, restart at the loop head.
 func (a *Alg3) OnRecover() {
 	a.resetVolatile()
-	if v, ok := a.store.Load(keyRound); ok {
-		if rd, isRound := v.(core.Round); isRound {
-			a.rp = rd
-		}
-	}
-	a.nextR = a.rp
-	if v, ok := a.store.Load(keyState); ok {
-		if rec, isRec := a.inst.(core.Recoverable); isRec {
-			rec.Restore(v)
-		}
-	}
+	a.reload()
 }
 
 // Theorem6GoodPeriodBound is the closed-form bound of Theorem 6: minimal

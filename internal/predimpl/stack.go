@@ -51,6 +51,7 @@ type Stack struct {
 	Stores   *stable.Registry
 	Protos   []simtime.Proto
 	Initial  []core.Value
+	insts    []core.Instance
 }
 
 // BuildStack wires the three layers together.
@@ -69,9 +70,11 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 	rec := NewRecorder(n)
 	stores := stable.NewRegistry()
 	protos := make([]simtime.Proto, n)
+	insts := make([]core.Instance, n)
 
 	sim, err := simtime.New(cfg.Sim, func(p core.ProcessID) simtime.Proto {
 		inst := cfg.Algorithm.NewInstance(p, n, cfg.Initial[p])
+		insts[p] = inst
 		var proto simtime.Proto
 		switch cfg.Kind {
 		case UseAlg3:
@@ -91,20 +94,11 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 	}
 	initial := make([]core.Value, n)
 	copy(initial, cfg.Initial)
-	return &Stack{Sim: sim, Recorder: rec, Stores: stores, Protos: protos, Initial: initial}, nil
+	return &Stack{Sim: sim, Recorder: rec, Stores: stores, Protos: protos, Initial: initial, insts: insts}, nil
 }
 
 // Instance returns the HO-layer instance of process p.
-func (s *Stack) Instance(p core.ProcessID) core.Instance {
-	switch proto := s.Protos[p].(type) {
-	case *Alg2:
-		return proto.Instance()
-	case *Alg3:
-		return proto.Instance()
-	default:
-		return nil
-	}
-}
+func (s *Stack) Instance(p core.ProcessID) core.Instance { return s.insts[p] }
 
 // Trace converts the recorded history to a core.Trace for predicate
 // checking.

@@ -1,7 +1,6 @@
 package rsm
 
 import (
-	"fmt"
 	"testing"
 
 	"heardof/internal/adversary"
@@ -68,28 +67,6 @@ func BenchmarkRSM_DrainPipelinedLossy(b *testing.B) {
 			e.Submit(ClientID(j%8), uint64(j/8+1), "put k=v")
 		}
 		if _, err := e.Drain(cmds); err != nil {
-			b.Fatal(err)
-		}
-		st = e.Stats()
-	}
-	reportServiceMetrics(b, cmds, st)
-}
-
-// BenchmarkRSM_ClosedLoopWorkload runs the E10-shaped closed loop: 16
-// zipfian clients completing 150 commands, fault-free.
-func BenchmarkRSM_ClosedLoopWorkload(b *testing.B) {
-	const cmds = 150
-	var st Stats
-	for i := 0; i < b.N; i++ {
-		e := benchEngine(b, func(int) core.HOProvider { return adversary.Full{} },
-			Tuning{BatchSize: 8, Pipeline: 4})
-		_, err := RunWorkload(e, WorkloadConfig{
-			Clients: 16, Rate: 0.7, WriteRatio: 0.75, Keys: 48,
-			Dist: Zipfian, ZipfS: 0.99, Ops: cmds, MaxSlots: 2000, Seed: uint64(i) + 1,
-		}, func(op Op) string {
-			return fmt.Sprintf("c%d#%d k%d", op.Client, op.Seq, op.Key)
-		})
-		if err != nil {
 			b.Fatal(err)
 		}
 		st = e.Stats()

@@ -22,8 +22,8 @@
 // Faults live where they always do in this repo: each slot's consensus
 // instance runs against a per-slot core.HOProvider, so the same service
 // stack can be driven through fault-free, lossy, and crash-recovery
-// environments (package adversary) and measured — see RunWorkload and
-// experiments E10.
+// environments (package adversary) and measured — see shard.RunWorkload
+// and experiments E10.
 package rsm
 
 import (

@@ -1,6 +1,8 @@
-// Closed-loop workload generation over an Engine: a configurable client
-// population drives the replication service and the run reports
-// throughput, slot amortization, and latency-in-rounds percentiles.
+// The closed-loop workload vocabulary: the generator's configuration and
+// operations, and the mapping from engine counters to service-level
+// numbers (throughput, slot amortization, latency-in-rounds
+// percentiles). The one harness that runs a closed loop over Engines is
+// shard.RunWorkload — S ≥ 1 groups, one group being the unsharded case.
 // Everything is deterministic in (engine config, WorkloadConfig), so the
 // same workload can be replayed across fault environments — the scenario
 // diversity that Shimi et al. argue is the payoff of the predicate
@@ -9,13 +11,11 @@
 package rsm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"heardof/internal/core"
-	"heardof/internal/xrand"
 )
 
 // KeyDist selects the key-popularity distribution of a workload.
@@ -99,9 +99,7 @@ type WorkloadResult struct {
 	LatencyP50, LatencyP95, LatencyP99 core.Round
 }
 
-// Validate checks the generator parameters — the part of the
-// configuration shared by every workload harness (this package's
-// RunWorkload and internal/shard's).
+// Validate checks the generator parameters.
 func (cfg WorkloadConfig) Validate() error {
 	if cfg.Clients < 1 {
 		return fmt.Errorf("workload needs ≥ 1 client, got %d", cfg.Clients)
@@ -124,8 +122,8 @@ func (cfg WorkloadConfig) Validate() error {
 
 // ResultFromStats derives a WorkloadResult from engine counters and the
 // (not necessarily sorted) latencies of the same run — the one mapping
-// from raw counters to service-level numbers, shared by this harness and
-// the per-shard views of internal/shard. lats is sorted in place.
+// from raw counters to service-level numbers, used for each group's view
+// by shard.RunWorkload. lats is sorted in place.
 func ResultFromStats(st Stats, lats []core.Round) WorkloadResult {
 	var res WorkloadResult
 	res.Completed = st.Committed
@@ -146,87 +144,12 @@ func ResultFromStats(st Stats, lats []core.Round) WorkloadResult {
 	return res
 }
 
-// RunWorkload drives a closed loop over a fresh engine. makeCmd turns a
-// generated operation into the engine's command type. The engine must be
-// unused (zero committed commands); reusing one would fold the previous
-// run into the reported counters.
-func RunWorkload[C any](e *Engine[C], cfg WorkloadConfig, makeCmd func(Op) C) (WorkloadResult, error) {
-	var res WorkloadResult
-	if e.stats.Launched != 0 || e.Pending() != 0 {
-		return res, errors.New("rsm: RunWorkload needs a fresh engine")
-	}
-	if err := cfg.Validate(); err != nil {
-		return res, fmt.Errorf("rsm: %w", err)
-	}
-	if makeCmd == nil {
-		return res, errors.New("rsm: nil command constructor")
-	}
-
-	rng := xrand.New(cfg.Seed)
-	var zipf *xrand.Zipf
-	if cfg.Dist == Zipfian {
-		zipf = xrand.NewZipf(rng.Fork(), cfg.ZipfS, cfg.Keys)
-	}
-	nextKey := func() int {
-		if zipf != nil {
-			return zipf.Next()
-		}
-		return rng.Intn(cfg.Keys)
-	}
-
-	nextSeq := make([]uint64, cfg.Clients) // last sequence submitted per client
-	submitted := 0
-	finish := func(err error) (WorkloadResult, error) {
-		res = ResultFromStats(e.Stats(), e.Latencies())
-		return res, err
-	}
-
-	// The loop always terminates: every pass either submits (bounded by
-	// Ops), launches slots (bounded by MaxSlots), or advances the RNG
-	// toward the next arrival; the guard catches a pathological Rate.
-	guard := 1000 * (cfg.MaxSlots + cfg.Ops + 1)
-	for iter := 0; e.Stats().Committed < cfg.Ops; iter++ {
-		if iter > guard {
-			return finish(fmt.Errorf("rsm: workload stalled after %d passes (rate %v too low?)", iter, cfg.Rate))
-		}
-		for c := 0; c < cfg.Clients && submitted < cfg.Ops; c++ {
-			client := ClientID(c)
-			if nextSeq[c] > e.AppliedSeq(client) {
-				continue // closed loop: one outstanding command per client
-			}
-			if !rng.Bool(cfg.Rate) {
-				continue
-			}
-			nextSeq[c]++
-			op := Op{Client: client, Seq: nextSeq[c], Write: rng.Bool(cfg.WriteRatio), Key: nextKey()}
-			if ok, err := e.Submit(client, op.Seq, makeCmd(op)); err != nil || !ok {
-				return finish(fmt.Errorf("rsm: workload submit rejected (ok=%v): %w", ok, err))
-			}
-			submitted++
-		}
-		if e.Pending() == 0 {
-			continue // nothing arrived this pass; no slot to spend
-		}
-		remaining := cfg.MaxSlots - e.Stats().Launched
-		if remaining <= 0 {
-			return finish(fmt.Errorf("rsm: workload slot budget exhausted with %d of %d committed: %w",
-				e.Stats().Committed, cfg.Ops, ErrSlotUndecided))
-		}
-		// Clamp the window so MaxSlots is a hard launch bound.
-		if _, err := e.decideWindow(remaining); err != nil {
-			return finish(fmt.Errorf("rsm: workload window failed: %w", err))
-		}
-	}
-	return finish(nil)
-}
-
 // Percentile returns the q-quantile of an already-sorted latency slice
 // using the nearest-rank definition — index ⌈q·n⌉−1 — or 0 for an empty
 // slice. (An earlier version rounded q·n half-up, which picks the rank
 // BELOW the nearest rank whenever q·n falls strictly between two
 // integers by less than 0.5 — e.g. n=39, q=0.95: ⌈37.05⌉−1 = 37, but
-// round-half-up gave 36.) Shared by the per-group and sharded workload
-// harnesses.
+// round-half-up gave 36.)
 func Percentile(sorted []core.Round, q float64) core.Round {
 	if len(sorted) == 0 {
 		return 0

@@ -1,23 +1,70 @@
-package rsm
+// The closed-loop cases drive the one workload harness, shard.RunWorkload,
+// over a single group — from an external test package, because shard
+// imports rsm.
+package rsm_test
 
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"heardof/internal/adversary"
 	"heardof/internal/core"
+	"heardof/internal/otr"
+	"heardof/internal/rsm"
+	"heardof/internal/shard"
 	"heardof/internal/xrand"
 )
 
-func workloadEngine(t *testing.T, provider func(int) core.HOProvider, pipeline int) (*Engine[string], *logs) {
-	t.Helper()
-	l := newLogs(5)
-	e := newEngine(t, Config{N: 5, Provider: provider, BatchSize: 8, Pipeline: pipeline, MaxRounds: 500}, l)
-	return e, l
+func fullProvider(int) core.HOProvider { return adversary.Full{} }
+
+// replicaLogs holds what each of the one group's five replicas applied,
+// in order.
+type replicaLogs [][]string
+
+func newLogs() replicaLogs { return make(replicaLogs, 5) }
+
+func (l replicaLogs) apply(replica int, cmd string) { l[replica] = append(l[replica], cmd) }
+
+func (l replicaLogs) converged() bool {
+	for _, lg := range l[1:] {
+		if !reflect.DeepEqual(lg, l[0]) {
+			return false
+		}
+	}
+	return true
 }
 
-func opCmd(op Op) string {
+func (l replicaLogs) firstDuplicate() (string, bool) {
+	seen := make(map[string]bool)
+	for _, cmd := range l[0] {
+		if seen[cmd] {
+			return cmd, true
+		}
+		seen[cmd] = true
+	}
+	return "", false
+}
+
+// singleGroup builds the S = 1 service: one 5-replica engine with
+// 8-command batches under the given per-slot environment.
+func singleGroup(t testing.TB, provider func(int) core.HOProvider, pipeline int,
+	apply func(replica int, cmd string)) *shard.Sharded[string] {
+	t.Helper()
+	s, err := shard.New[string](shard.Config{Shards: 1},
+		func(int) rsm.Config {
+			return rsm.Config{N: 5, Algorithm: otr.Algorithm{}, Provider: provider,
+				MaxRounds: 500, BatchSize: 8, Pipeline: pipeline}
+		},
+		func(_, replica int, cmd string) { apply(replica, cmd) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func opCmd(op rsm.Op) string {
 	kind := "r"
 	if op.Write {
 		kind = "w"
@@ -26,14 +73,16 @@ func opCmd(op Op) string {
 }
 
 func TestWorkloadClosedLoopCompletes(t *testing.T) {
-	e, l := workloadEngine(t, fullProvider, 4)
-	res, err := RunWorkload(e, WorkloadConfig{
+	l := newLogs()
+	s := singleGroup(t, fullProvider, 4, l.apply)
+	out, err := shard.RunWorkload(s, rsm.WorkloadConfig{
 		Clients: 10, Rate: 0.8, WriteRatio: 0.7, Keys: 32,
-		Dist: Zipfian, ZipfS: 0.99, Ops: 120, MaxSlots: 400, Seed: 3,
-	}, opCmd)
+		Dist: rsm.Zipfian, ZipfS: 0.99, Ops: 120, MaxSlots: 400, Seed: 3,
+	}, opCmd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Aggregate
 	if res.Completed != 120 {
 		t.Errorf("completed %d of 120", res.Completed)
 	}
@@ -46,6 +95,10 @@ func TestWorkloadClosedLoopCompletes(t *testing.T) {
 	if res.LatencyP50 < 1 || res.LatencyP95 < res.LatencyP50 || res.LatencyP99 < res.LatencyP95 {
 		t.Errorf("latency percentiles out of order: p50=%d p95=%d p99=%d",
 			res.LatencyP50, res.LatencyP95, res.LatencyP99)
+	}
+	// One group: its own view IS the aggregate, clock included.
+	if len(out.PerShard) != 1 || out.PerShard[0] != res {
+		t.Errorf("S=1 per-shard view %+v differs from the aggregate %+v", out.PerShard, res)
 	}
 	if !l.converged() {
 		t.Error("replicas diverged")
@@ -60,16 +113,17 @@ func TestWorkloadUnderLossStillExactlyOnce(t *testing.T) {
 	provider := func(int) core.HOProvider {
 		return &adversary.TransmissionLoss{Rate: 0.25, RNG: rng.Fork()}
 	}
-	e, l := workloadEngine(t, provider, 4)
-	res, err := RunWorkload(e, WorkloadConfig{
+	l := newLogs()
+	s := singleGroup(t, provider, 4, l.apply)
+	out, err := shard.RunWorkload(s, rsm.WorkloadConfig{
 		Clients: 6, Rate: 0.9, WriteRatio: 0.5, Keys: 16,
-		Dist: Uniform, Ops: 60, MaxSlots: 600, Seed: 5,
-	}, opCmd)
+		Dist: rsm.Uniform, Ops: 60, MaxSlots: 600, Seed: 5,
+	}, opCmd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != 60 {
-		t.Errorf("completed %d of 60", res.Completed)
+	if out.Aggregate.Completed != 60 {
+		t.Errorf("completed %d of 60", out.Aggregate.Completed)
 	}
 	if !l.converged() {
 		t.Error("replicas diverged under loss")
@@ -80,38 +134,42 @@ func TestWorkloadUnderLossStillExactlyOnce(t *testing.T) {
 }
 
 func TestWorkloadDeterministic(t *testing.T) {
-	run := func() (WorkloadResult, string) {
+	run := func() (rsm.WorkloadResult, replicaLogs) {
 		provider := func(slot int) core.HOProvider {
 			return &adversary.TransmissionLoss{Rate: 0.15, RNG: xrand.New(5000 + uint64(slot))}
 		}
-		e, l := workloadEngine(t, provider, 4)
-		res, err := RunWorkload(e, WorkloadConfig{
+		l := newLogs()
+		s := singleGroup(t, provider, 4, l.apply)
+		out, err := shard.RunWorkload(s, rsm.WorkloadConfig{
 			Clients: 8, Rate: 0.7, WriteRatio: 0.6, Keys: 24,
-			Dist: Zipfian, ZipfS: 0.99, Ops: 80, MaxSlots: 500, Seed: 11,
-		}, opCmd)
+			Dist: rsm.Zipfian, ZipfS: 0.99, Ops: 80, MaxSlots: 500, Seed: 11,
+		}, opCmd, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, fingerprint(e, l)
+		return out.Aggregate, l
 	}
-	r1, f1 := run()
-	r2, f2 := run()
+	r1, l1 := run()
+	r2, l2 := run()
 	if r1 != r2 {
 		t.Errorf("results differ: %+v vs %+v", r1, r2)
 	}
-	if f1 != f2 {
-		t.Error("engine fingerprints differ between identical runs")
+	if !reflect.DeepEqual(l1, l2) {
+		t.Error("applied logs differ between identical runs")
 	}
 }
 
 func TestWorkloadBudgetExhaustion(t *testing.T) {
-	e, _ := workloadEngine(t, fullProvider, 1)
-	_, err := RunWorkload(e, WorkloadConfig{
+	s := singleGroup(t, fullProvider, 1, func(int, string) {})
+	_, err := shard.RunWorkload(s, rsm.WorkloadConfig{
 		Clients: 4, Rate: 1, WriteRatio: 1, Keys: 4,
 		Ops: 500, MaxSlots: 3, Seed: 1,
-	}, opCmd)
-	if !errors.Is(err, ErrSlotUndecided) {
+	}, opCmd, nil)
+	if !errors.Is(err, rsm.ErrSlotUndecided) {
 		t.Errorf("error = %v, want ErrSlotUndecided", err)
+	}
+	if launched := s.Stats().Launched; launched != 3 {
+		t.Errorf("launched %d consensus instances, budget was 3", launched)
 	}
 }
 
@@ -146,11 +204,11 @@ func TestPercentileNearestRank(t *testing.T) {
 		{100, 0.07, 6},
 	}
 	for _, tt := range tests {
-		if got := Percentile(seq(tt.n), tt.q); got != tt.want {
+		if got := rsm.Percentile(seq(tt.n), tt.q); got != tt.want {
 			t.Errorf("Percentile(n=%d, q=%v) = %d, want %d", tt.n, tt.q, got, tt.want)
 		}
 	}
-	if got := Percentile(nil, 0.5); got != 0 {
+	if got := rsm.Percentile(nil, 0.5); got != 0 {
 		t.Errorf("Percentile(empty) = %d, want 0", got)
 	}
 }
@@ -160,19 +218,19 @@ func TestZipfExponentZeroIsHonored(t *testing.T) {
 	// explicit `-zipf 0` silently ran the YCSB default. Now an explicit 0
 	// runs s = 0 (uniform through the Zipf sampler) and must generate a
 	// different key sequence than s = 0.99.
-	keysFor := func(s float64) []string {
-		e, _ := workloadEngine(t, fullProvider, 1)
+	keysFor := func(zipfS float64) []string {
+		s := singleGroup(t, fullProvider, 1, func(int, string) {})
 		var keys []string
-		_, err := RunWorkload(e, WorkloadConfig{
+		_, err := shard.RunWorkload(s, rsm.WorkloadConfig{
 			Clients: 4, Rate: 0.9, WriteRatio: 1, Keys: 64,
-			Dist: Zipfian, ZipfS: s, Ops: 80, MaxSlots: 400, Seed: 9,
-		}, func(op Op) string {
+			Dist: rsm.Zipfian, ZipfS: zipfS, Ops: 80, MaxSlots: 400, Seed: 9,
+		}, func(op rsm.Op) string {
 			k := fmt.Sprintf("k%d", op.Key)
 			keys = append(keys, k)
 			return k
-		})
+		}, nil)
 		if err != nil {
-			t.Fatalf("s=%v: %v", s, err)
+			t.Fatalf("s=%v: %v", zipfS, err)
 		}
 		return keys
 	}
@@ -182,55 +240,68 @@ func TestZipfExponentZeroIsHonored(t *testing.T) {
 	}
 	// s = 0 is uniform: with 80 draws over 64 keys no key should dominate
 	// the way a 0.99-skewed stream's hottest key does.
-	count := func(keys []string) map[string]int {
-		m := make(map[string]int)
+	hottest := func(keys []string) int {
+		count, best := make(map[string]int), 0
 		for _, k := range keys {
-			m[k]++
-		}
-		return m
-	}
-	max := func(m map[string]int) int {
-		best := 0
-		for _, c := range m {
-			if c > best {
-				best = c
+			count[k]++
+			if count[k] > best {
+				best = count[k]
 			}
 		}
 		return best
 	}
-	if mz, my := max(count(zero)), max(count(ycsb)); mz >= my {
+	if mz, my := hottest(zero), hottest(ycsb); mz >= my {
 		t.Errorf("hottest-key count under s=0 (%d) not below s=0.99 (%d) — s=0 should be uniform", mz, my)
 	}
 }
 
+// TestWorkloadValidation checks the generator parameters where they are
+// declared; that the harness refuses them (and a nil constructor, and a
+// used service) is shard's TestShardedWorkloadValidation.
 func TestWorkloadValidation(t *testing.T) {
-	good := WorkloadConfig{Clients: 1, Rate: 0.5, WriteRatio: 0.5, Keys: 1, Ops: 1, MaxSlots: 10, Seed: 1}
-	mutations := []func(*WorkloadConfig){
-		func(c *WorkloadConfig) { c.Clients = 0 },
-		func(c *WorkloadConfig) { c.Rate = 0 },
-		func(c *WorkloadConfig) { c.Rate = 1.5 },
-		func(c *WorkloadConfig) { c.WriteRatio = -0.1 },
-		func(c *WorkloadConfig) { c.Keys = 0 },
-		func(c *WorkloadConfig) { c.Ops = 0 },
-		func(c *WorkloadConfig) { c.MaxSlots = 0 },
-		func(c *WorkloadConfig) { c.ZipfS = -0.5 },
+	good := rsm.WorkloadConfig{Clients: 1, Rate: 0.5, WriteRatio: 0.5, Keys: 1, Ops: 1, MaxSlots: 10, Seed: 1}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid configuration rejected: %v", err)
+	}
+	mutations := []func(*rsm.WorkloadConfig){
+		func(c *rsm.WorkloadConfig) { c.Clients = 0 },
+		func(c *rsm.WorkloadConfig) { c.Rate = 0 },
+		func(c *rsm.WorkloadConfig) { c.Rate = 1.5 },
+		func(c *rsm.WorkloadConfig) { c.WriteRatio = -0.1 },
+		func(c *rsm.WorkloadConfig) { c.Keys = 0 },
+		func(c *rsm.WorkloadConfig) { c.Ops = 0 },
+		func(c *rsm.WorkloadConfig) { c.MaxSlots = 0 },
+		func(c *rsm.WorkloadConfig) { c.ZipfS = -0.5 },
 	}
 	for i, mut := range mutations {
-		e, _ := workloadEngine(t, fullProvider, 1)
 		cfg := good
 		mut(&cfg)
-		if _, err := RunWorkload(e, cfg, opCmd); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted: %+v", i, cfg)
 		}
 	}
-	e, _ := workloadEngine(t, fullProvider, 1)
-	if _, err := RunWorkload[string](e, good, nil); err == nil {
-		t.Error("nil makeCmd accepted")
+}
+
+// BenchmarkRSM_ClosedLoopWorkload runs the E10-shaped closed loop: 16
+// zipfian clients completing 150 commands over one group, fault-free
+// (scripts/bench.sh parses it into BENCH_kv.json with the rest of the
+// BenchmarkRSM_* suite in bench_test.go).
+func BenchmarkRSM_ClosedLoopWorkload(b *testing.B) {
+	const cmds = 150
+	var st rsm.Stats
+	for i := 0; i < b.N; i++ {
+		s := singleGroup(b, fullProvider, 4, func(int, string) {})
+		_, err := shard.RunWorkload(s, rsm.WorkloadConfig{
+			Clients: 16, Rate: 0.7, WriteRatio: 0.75, Keys: 48,
+			Dist: rsm.Zipfian, ZipfS: 0.99, Ops: cmds, MaxSlots: 2000, Seed: uint64(i) + 1,
+		}, func(op rsm.Op) string {
+			return fmt.Sprintf("c%d#%d k%d", op.Client, op.Seq, op.Key)
+		}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st = s.Stats()
 	}
-	// A used engine is rejected.
-	e2, _ := workloadEngine(t, fullProvider, 1)
-	e2.Submit(1, 1, "x")
-	if _, err := RunWorkload(e2, good, opCmd); err == nil {
-		t.Error("non-fresh engine accepted")
-	}
+	b.ReportMetric(float64(cmds*b.N)/b.Elapsed().Seconds(), "cmds/sec")
+	b.ReportMetric(float64(st.Slots)/float64(st.Committed), "slots/cmd")
 }

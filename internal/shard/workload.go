@@ -1,5 +1,6 @@
-// Sharded closed-loop workload generation: the same client population and
-// arrival process as rsm.RunWorkload, with every operation routed to the
+// Closed-loop workload generation — the one harness that drives
+// rsm.Engines, for any S ≥ 1 (S = 1 is the unsharded service): a
+// configurable client population submits operations, each routed to the
 // shard owning its key. Each pass submits arrivals, then drives one
 // consensus window on EVERY shard with pending commands concurrently —
 // the aggregate wall clock of a pass is the slowest shard's window, which
@@ -41,12 +42,13 @@ type Result struct {
 	PerShard []rsm.WorkloadResult
 }
 
-// RunWorkload drives a closed loop over a fresh sharded service. The
-// configuration is rsm.WorkloadConfig read with two sharded twists:
-// MaxSlots is the GLOBAL consensus-launch budget summed across shards
-// (a hard bound, allocated to shards in shard-index order each pass), and
-// each generated op's Seq is the per-(shard, client) sequence number used
-// for dedup on the owning shard.
+// RunWorkload drives a closed loop over a fresh sharded service: each of
+// cfg.Clients clients keeps at most one command outstanding and, while
+// idle, submits a new one with probability cfg.Rate per pass, until
+// cfg.Ops commands are committed. MaxSlots is the GLOBAL consensus-launch
+// budget summed across shards (a hard bound, allocated to shards in
+// shard-index order each pass), and each generated op's Seq is the
+// per-(shard, client) sequence number used for dedup on the owning shard.
 //
 // keyOf maps a generated operation to the uint64 routing key; nil means
 // uint64(op.Key). Pass the application's own mapping whenever commands
@@ -144,10 +146,9 @@ func RunWorkload[C any](s *Sharded[C], cfg rsm.WorkloadConfig, makeCmd func(rsm.
 		return total
 	}
 
-	// Termination mirrors rsm.RunWorkload: every pass either submits
-	// (bounded by Ops), launches slots (bounded by MaxSlots), or advances
-	// the RNG toward the next arrival; the guard catches pathological
-	// rates.
+	// The loop always terminates: every pass either submits (bounded by
+	// Ops), launches slots (bounded by MaxSlots), or advances the RNG
+	// toward the next arrival; the guard catches a pathological Rate.
 	guard := 1000 * (cfg.MaxSlots + cfg.Ops + 1)
 	for iter := 0; committed() < cfg.Ops; iter++ {
 		if iter > guard {

@@ -7,7 +7,6 @@ import (
 
 	"heardof/internal/adversary"
 	"heardof/internal/core"
-	"heardof/internal/otr"
 	"heardof/internal/rsm"
 )
 
@@ -115,47 +114,6 @@ func TestShardedWorkloadDeterministicAndParallelInvisible(t *testing.T) {
 	r3, f3 := run(1, 1)
 	if fmt.Sprintf("%+v", r1) != fmt.Sprintf("%+v", r3) || f1 != f3 {
 		t.Error("identical runs diverged")
-	}
-}
-
-func TestShardedWorkloadSingleShardMatchesRSM(t *testing.T) {
-	// With S = 1 every op routes to the one group, per-shard sequence
-	// numbers coincide with global ones, and the generator consumes its
-	// RNG in the same order as rsm.RunWorkload — so the sharded harness
-	// must reproduce the unsharded one exactly, op for op.
-	cfg := rsm.WorkloadConfig{
-		Clients: 8, Rate: 0.75, WriteRatio: 0.7, Keys: 32,
-		Dist: rsm.Zipfian, ZipfS: 0.99, Ops: 90, MaxSlots: 1000, Seed: 13,
-	}
-	s, sl := newSharded(t, Config{Shards: 1}, 5, allGood, rsm.Tuning{BatchSize: 8, Pipeline: 4})
-	sres, err := RunWorkload(s, cfg, opCmd, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The reference: the plain rsm harness over one engine with the same
-	// tuning and the same fault-free environment.
-	var rlog []string
-	ref, err := rsm.New(rsm.Config{
-		N: 5, Algorithm: otr.Algorithm{}, Provider: adversary.SlotFull(), MaxRounds: 500,
-		BatchSize: 8, Pipeline: 4,
-	}, func(replica int, cmd string) {
-		if replica == 0 {
-			rlog = append(rlog, cmd)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rres, err := rsm.RunWorkload(ref, cfg, opCmd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", sres.Aggregate) != fmt.Sprintf("%+v", rres) {
-		t.Errorf("S=1 aggregate differs from rsm.RunWorkload:\n%+v\nvs\n%+v", sres.Aggregate, rres)
-	}
-	if fmt.Sprint(sl.byShard[0][0]) != fmt.Sprint(rlog) {
-		t.Error("S=1 applied log differs from the unsharded engine's")
 	}
 }
 
