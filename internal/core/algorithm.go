@@ -83,3 +83,22 @@ type Persistent interface {
 	// (LastVoting's coordinator bookkeeping).
 	RestoreState(b []byte) error
 }
+
+// Decisive is an optional capability of an Instance for implementation
+// layers that choose when a round's collection window closes (the live
+// round driver): its one method answers, from a partial vector msgs of
+// round-r messages, whether waiting for more is pointless. The contract:
+//
+//   - true only if Transition(r, m) leaves the instance decided, on one
+//     and the same value, for msgs and for EVERY round-r vector m that
+//     extends it — the answer may never depend on what is yet to arrive;
+//   - free of observable side effects, like Send: AppendState reads the
+//     same before and after, and the call may be repeated or skipped.
+//
+// false is always a correct answer. Safety never rests on the method: a
+// layer that closes a round on a true answer only hands Transition a
+// smaller HO(p, r), which every HO algorithm tolerates by construction;
+// a wrong true costs liveness alone, exactly as a short timeout would.
+type Decisive interface {
+	DecidesOn(r Round, msgs []IncomingMessage) bool
+}

@@ -198,6 +198,37 @@ func (i *Instance) Transition(r core.Round, msgs []core.IncomingMessage) {
 	}
 }
 
+// Implements core.Decisive for the two rounds whose transition decides on
+// something a larger vector cannot take back: the ack round once this
+// process has adopted the phase's vote and msgs holds a majority of acks
+// (more messages are more acks at most, and x_p is fixed), and the decide
+// round once msgs holds the coordinator's decide message (a vector has one
+// message per sender). The vote round is deliberately absent: hearing the
+// coordinator fixes the adoption, but adopting decides nothing.
+//
+//holint:hotpath
+func (i *Instance) DecidesOn(r core.Round, msgs []core.IncomingMessage) bool {
+	phase, pos := PhaseOf(r)
+	switch pos {
+	case 3:
+		acks := 0
+		for _, m := range msgs {
+			if _, ok := m.Payload.(ackMsg); ok {
+				acks++
+			}
+		}
+		return i.ackable && quorum.ExceedsMajority(acks, i.n)
+	case 4:
+		c := Coord(phase, i.n)
+		for _, m := range msgs {
+			if _, ok := m.Payload.(decideMsg); ok && m.From == c {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Decided implements core.Instance.
 func (i *Instance) Decided() (core.Value, bool) { return i.decision, i.decided }
 

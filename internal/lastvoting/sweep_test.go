@@ -1,6 +1,7 @@
 package lastvoting
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -72,10 +73,18 @@ func TestExhaustiveHeardOfSweep(t *testing.T) {
 		// The vacuity guard for the later phases: some run has all three
 		// decide in one round after phase 1, nobody having decided before.
 		states, late := 0, false
+		// DecidesOn is held to core.Decisive's contract from every state of
+		// the larger sweep (it contains the other's): that one also has the
+		// processes that resumed mid-phase, having adopted nothing.
+		contract := &decisive{alg: Algorithm{}}
 		for in := core.Value(0); in < 8; in++ {
-			res := sweep(t, hosweep.Sweep{Alg: Algorithm{}, Inputs: []core.Value{in & 1, in >> 1 & 1, in >> 2},
+			contract.inputs = []core.Value{in & 1, in >> 1 & 1, in >> 2}
+			res := sweep(t, hosweep.Sweep{Alg: Algorithm{}, Inputs: contract.inputs,
 				Rounds: sweepRounds, Restarts: tc.restarts, Visit: func(r core.Round, from, to []core.Instance) {
 					late = late || (r > 3 && decidedCount(from) == 0 && decidedCount(to) == 3)
+					if tc.restarts {
+						contract.visit(r, from, to)
+					}
 				}})
 			if res.Violation != nil {
 				t.Fatal(res.Violation)
@@ -84,6 +93,12 @@ func TestExhaustiveHeardOfSweep(t *testing.T) {
 		}
 		if states != tc.states || !late {
 			t.Errorf("restarts %v: %d global states, want %d; some run first decides after phase 1: %v", tc.restarts, states, tc.states, late)
+		}
+		// Its own vacuity guard: the ack and the decide round both answered
+		// true on less than everybody, the other two rounds never.
+		if e := contract.early; tc.restarts && (contract.violation != nil || e[1] != 0 || e[2] != 0 || e[3] == 0 || e[4] == 0) {
+			t.Errorf("DecidesOn: violation %v; true on a partial vector, by position in the phase: %v, want the ack and decide rounds only",
+				contract.violation, e[1:])
 		}
 	}
 
@@ -157,6 +172,128 @@ func TestSweepRejectsTemptingVariants(t *testing.T) {
 		res := sweep(t, hosweep.Sweep{Alg: v.step, Inputs: []core.Value{1, 0, 0}, Rounds: sweepRounds, Restarts: true})
 		if fmt.Sprint(res.Violation) != v.want {
 			t.Errorf("%s:\n got %v\nwant %s", v.name, res.Violation, v.want)
+		}
+	}
+}
+
+// decisive checks core.Decisive's contract along a sweep: visit is a
+// hosweep Visit, and holds the contract for the round after every state it
+// sees. Whatever process and heard-of set the answer is true for, T_p^r
+// decides on that set and on every superset of it, the same value each
+// time, and asking changed nothing.
+type decisive struct {
+	alg    core.Algorithm
+	inputs []core.Value
+	// early counts the true answers on less than everybody by position in
+	// the phase: the ones the live driver closes a round on before its
+	// all-heard rule would.
+	early     [5]int
+	violation error // the first one met
+
+	sent          []core.Message
+	msgs          []core.IncomingMessage
+	before, after []byte
+}
+
+func (d *decisive) visit(r core.Round, _, g []core.Instance) {
+	if r++; d.violation != nil {
+		return
+	}
+	n := len(g)
+	d.sent = d.sent[:0]
+	for _, inst := range g {
+		d.sent = append(d.sent, inst.Send(r))
+	}
+	vector := func(ho core.PIDSet) []core.IncomingMessage {
+		d.msgs = d.msgs[:0]
+		ho.ForEach(func(q core.ProcessID) { d.msgs = append(d.msgs, core.IncomingMessage{From: q, Payload: d.sent[q]}) })
+		return d.msgs
+	}
+	_, pos := PhaseOf(r)
+	for p, inst := range g {
+		d.before = inst.(core.Persistent).AppendState(d.before[:0])
+		for ho := core.PIDSet(0); ho < 1<<n; ho++ {
+			if !inst.(core.Decisive).DecidesOn(r, vector(ho)) {
+				continue
+			}
+			if ho != core.FullSet(n) {
+				d.early[pos]++
+			}
+			var first core.Value
+			for sup := ho; sup < 1<<n; sup++ {
+				if !sup.Contains(ho) {
+					continue
+				}
+				after := d.alg.NewInstance(core.ProcessID(p), n, d.inputs[p])
+				after.(core.Recoverable).Restore(inst.(core.Recoverable).Snapshot())
+				after.Transition(r, vector(sup))
+				v, ok := after.Decided()
+				switch {
+				case !ok:
+					d.violation = fmt.Errorf("decisive: inputs %v round %d: p%d says %v decides, and is undecided after hearing %v", d.inputs, r, p, ho, sup)
+					return
+				case sup == ho:
+					first = v
+				case v != first:
+					d.violation = fmt.Errorf("decisive: inputs %v round %d: p%d says %v decides, and decides %d on it but %d on %v", d.inputs, r, p, ho, first, v, sup)
+					return
+				}
+			}
+		}
+		if d.after = inst.(core.Persistent).AppendState(d.after[:0]); !bytes.Equal(d.before, d.after) {
+			d.violation = fmt.Errorf("decisive: inputs %v round %d: asking p%d changed its state", d.inputs, r, p)
+			return
+		}
+	}
+}
+
+// hasty is an Instance whose DecidesOn is replaced by decides.
+type hasty struct {
+	wrapped
+	decides hastyAlg
+}
+
+func (i *hasty) DecidesOn(r core.Round, msgs []core.IncomingMessage) bool {
+	return i.decides(&i.Instance, r, msgs)
+}
+
+// hastyAlg is the core.Algorithm of Instances answering DecidesOn with it.
+type hastyAlg func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool
+
+func (hastyAlg) Name() string { return "LastVoting, hasty" }
+
+func (h hastyAlg) NewInstance(p core.ProcessID, n int, initial core.Value) core.Instance {
+	return &hasty{wrapped{Instance: *Algorithm{}.NewInstance(p, n, initial).(*Instance), step: (*Instance).Transition}, h}
+}
+
+// TestSweepRejectsHastyDecidesOn: the contract check that
+// TestExhaustiveHeardOfSweep holds DecidesOn to has teeth. The live
+// driver's fourth closing rule (live/node.go) trusts a true answer to be
+// one no later message of the round can take back; each of the two
+// conditions one is tempted to drop fails that, at a pinned place.
+func TestSweepRejectsHastyDecidesOn(t *testing.T) {
+	for _, twin := range []struct {
+		name    string
+		decides hastyAlg
+		want    string
+	}{
+		// "A majority acked, that decides": a process that missed the vote
+		// hears the same acks and decides nothing on them.
+		{"without having adopted", func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool {
+			adopted := *i
+			adopted.ackable = true
+			return adopted.DecidesOn(r, msgs)
+		}, "decisive: inputs [1 0 0] round 2: p0 says {1,2} decides, and is undecided after hearing {1,2}"},
+		// "My own ack is as good as a majority": the second may never come.
+		{"on a single ack", func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool {
+			_, pos := PhaseOf(r)
+			return pos == 3 && i.ackable && len(msgs) > 0 && msgs[0].Payload == ackMsg{}
+		}, "decisive: inputs [1 0 0] round 2: p2 says {2} decides, and is undecided after hearing {2}"},
+	} {
+		check := &decisive{alg: twin.decides, inputs: []core.Value{1, 0, 0}}
+		sweep(t, hosweep.Sweep{Alg: check.alg, Inputs: check.inputs, Rounds: 3, Restarts: true, Visit: check.visit})
+		if got := fmt.Sprint(check.violation); got != twin.want {
+			t.Errorf("DecidesOn %s:\n got %s\nwant %s", twin.name, got, twin.want)
 		}
 	}
 }

@@ -25,11 +25,13 @@
 //     deployments). WithFaults wraps any transport with message loss,
 //     delay, and process pause injection — faults are a property of the
 //     environment, never of the algorithm.
-//   - Round driver (runSlot): paces one core.Instance through rounds.
+//   - Round driver (slotRun): paces one core.Instance through rounds.
 //     Each round broadcasts S_p^r, collects round-r messages until all n
-//     arrived, any peer is observed already past r (the jump rule that
-//     keeps processes round-aligned — see node.go), or the timeout
-//     fires, then applies T_p^r. Messages for future rounds are buffered;
+//     arrived, those heard already decide (core.Decisive: LastVoting's
+//     majority of acks — a slot commits at the fastest quorum), any peer
+//     is observed already past r (the jump rule that keeps processes
+//     round-aligned — see node.go), or the timeout fires, then applies
+//     T_p^r. Messages for future rounds are buffered;
 //     rounds are delivered to the instance in strictly increasing order,
 //     as the core.Instance contract requires.
 //   - Replica: a replicated-state-machine service over a sequence of

@@ -334,6 +334,21 @@ func (n *coreNet) deliver() {
 	}
 }
 
+// take removes the queued messages match picks and returns them: lost, if
+// the caller drops them; slow, if it steps them in later by hand.
+func (n *coreNet) take(match func(Outbound) bool) (taken []Outbound) {
+	kept := n.queue[:0]
+	for _, o := range n.queue {
+		if match(o) {
+			taken = append(taken, o)
+		} else {
+			kept = append(kept, o)
+		}
+	}
+	n.queue = kept
+	return taken
+}
+
 func (n *coreNet) drain() {
 	for i := 0; len(n.queue) > 0; i++ {
 		if i > 1000 {

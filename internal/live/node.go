@@ -7,11 +7,25 @@
 // instead of an HOProvider choosing heard-of sets, HO(p, r) is whatever
 // arrived before the round closed.
 //
-// A round closes when the first of these happens:
+// A round closes when the first of these FOUR happens:
 //
 //   - all n round-r messages arrived (the good-period fast path: in a
 //     synchronous spell every round closes at network speed, not at the
 //     timeout — the live realization of the paper's good periods);
+//   - the messages heard so far already decide (core.Decisive): the
+//     instance says that T_p^r decides, and decides the same value, on
+//     what was heard and on every larger round-r vector, so nothing still
+//     in flight can matter. Under LastVoting that is the ack round at a
+//     process that adopted the vote, from a majority of acks on, and the
+//     decide round from the coordinator's message on: a slot commits at
+//     the pace of the fastest quorum, not of the slowest replica or the
+//     unluckiest message, and a silent replica costs a slot ONE timeout
+//     (the vote round's), not two. A decider sends nothing further in the
+//     slot, so this rule makes nobody jump. The VOTE round is not closed
+//     early on hearing the coordinator, although its outcome is as fixed:
+//     the process would go on to SEND — its ack — and a fast replica's
+//     ack then overtakes the vote at a slow one, whose jump rule closes
+//     the vote round without the vote (measured: no gain under loss);
 //   - any peer was observed already past round r (it closed r without
 //     us; a round-r message can no longer reach it, so the driver
 //     transitions immediately and fast-forwards to the highest round
@@ -26,7 +40,10 @@
 //
 // Cutting a round short only shrinks HO(p, r), which the algorithm layer
 // already tolerates by construction — that is the entire point of the
-// abstraction.
+// abstraction. It is also why safety does not depend on what a Decisive
+// instance answers: like a timeout that is too short, a wrong answer can
+// only cost liveness (its contract has its own exhaustive check,
+// internal/lastvoting/sweep_test.go).
 //
 // The driver is a pure state machine (slotRun): it advances on delivered
 // messages and timeout EVENTS, never on a clock of its own, so the same
@@ -49,32 +66,38 @@ import (
 // heard set and deadline. prop is the batch id this replica proposed for
 // the slot (0 = the no-op) — the instance's own estimate moves on, but
 // which commands our open proposals carry is what decides whether the
-// next slot is worth opening.
+// next slot is worth opening. decisive is the instance again if it can
+// say when the heard set already decides (nil otherwise), and msgs the
+// one backing array every inbox of the run is assembled in.
 type slotRun struct {
-	slot   uint64
-	prop   int64
-	inst   core.Instance
-	r      core.Round
-	heard  map[core.ProcessID]core.Message
-	future map[core.Round]map[core.ProcessID]core.Message
-	target core.Round
+	slot     uint64
+	prop     int64
+	inst     core.Instance
+	decisive core.Decisive
+	r        core.Round
+	heard    map[core.ProcessID]core.Message
+	future   map[core.Round]map[core.ProcessID]core.Message
+	target   core.Round
+	msgs     []core.IncomingMessage
 }
 
-// newSlotRun opens a slot's one instance at round 0; the caller advances
-// into round 1 with enter (recovery first moves r to the last round the
-// slot sent in).
-func newSlotRun(slot uint64, inst core.Instance, prop int64) *slotRun {
+// newSlotRun opens a slot's one instance, of a group of n, at round 0; the
+// caller advances into round 1 with enter (recovery first moves r to the
+// last round the slot sent in).
+func newSlotRun(n int, slot uint64, inst core.Instance, prop int64) *slotRun {
+	decisive, _ := inst.(core.Decisive)
 	return &slotRun{
-		slot:   slot,
-		prop:   prop,
-		inst:   inst,
-		future: make(map[core.Round]map[core.ProcessID]core.Message),
+		slot:     slot,
+		prop:     prop,
+		inst:     inst,
+		decisive: decisive,
+		future:   make(map[core.Round]map[core.ProcessID]core.Message),
+		msgs:     make([]core.IncomingMessage, 0, n),
 	}
 }
 
 // deliver records one decoded round message. It reports whether the
-// current round's collection window is now closed (all heard, or — unless
-// the jump rule is mutated out — a peer was seen past the current round).
+// current round's collection window is now closed (see closed).
 func (s *slotRun) deliver(n int, from core.ProcessID, round core.Round, payload core.Message, noJump bool) (closed bool) {
 	if round > s.target {
 		s.target = round
@@ -100,25 +123,32 @@ func (s *slotRun) deliver(n int, from core.ProcessID, round core.Round, payload 
 }
 
 // closed reports whether the current round's collection window is over:
-// every process heard, or (jump rule) a peer observed past this round.
+// every process heard, or (jump rule, unless mutated out) a peer observed
+// past this round, or the heard set already decides. It runs after every
+// delivery and after every enter, so it must not allocate.
+//
+//holint:hotpath
 func (s *slotRun) closed(n int, noJump bool) bool {
-	if len(s.heard) >= n {
+	if len(s.heard) >= n || (!noJump && s.target > s.r) {
 		return true
 	}
-	return !noJump && s.target > s.r
+	return s.decisive != nil && s.decisive.DecidesOn(s.r, s.inbox(n))
 }
 
-// inbox assembles the closed round's messages in process order:
+// inbox assembles the current round's messages in process order:
 // deterministic given the heard set, mirroring the simulator's
-// presentation.
+// presentation. The slice is the run's scratch, valid until the next call
+// — the lifetime core.Instance gives a Transition argument anyway.
+//
+//holint:hotpath
 func (s *slotRun) inbox(n int) []core.IncomingMessage {
-	msgs := make([]core.IncomingMessage, 0, len(s.heard))
+	s.msgs = s.msgs[:0]
 	for q := 0; q < n; q++ {
 		if pl, ok := s.heard[core.ProcessID(q)]; ok {
-			msgs = append(msgs, core.IncomingMessage{From: core.ProcessID(q), Payload: pl})
+			s.msgs = append(s.msgs, core.IncomingMessage{From: core.ProcessID(q), Payload: pl})
 		}
 	}
-	return msgs
+	return s.msgs
 }
 
 // enter moves to round r: adopt its buffered future messages as the heard

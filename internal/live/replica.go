@@ -46,11 +46,13 @@
 // keep every source's order: see propose() in replicacore.go.
 //
 // Decided slots spread through a sync protocol that doubles as the
-// decide-retransmission and the crash-rejoin path: any round message for
-// an old slot reveals a laggard, and any for a future slot reveals that
-// WE lag; both trigger a (rate-limited) push or pull of the decision
-// log. A replica paused mid-round therefore rejoins by replaying
-// decisions, not consensus.
+// decide-retransmission and the crash-rejoin path: a round message for
+// an old slot reveals a laggard (unless it is of the round this replica
+// decided the slot in: that sender is no further behind than the eager
+// push on its way to it), and any for a future slot reveals that WE lag;
+// both trigger a push or pull of the decision log, rate-limited where it
+// repeats itself. A replica paused mid-round therefore rejoins by
+// replaying decisions, not consensus.
 //
 // ALL of the above is protocol logic, and none of it lives in this
 // file: it is ReplicaCore (replicacore.go), a pure step function that
@@ -218,8 +220,15 @@ type ReplicaConfig[C any] struct {
 }
 
 // syncRateLimit is the minimum interval between targeted sync messages
-// to one peer.
+// to one peer that tell it nothing new (see rateLimited).
 const syncRateLimit = 20 * time.Millisecond
+
+// syncSent is one peer's limiter state for one kind of targeted sync
+// message: the highest first slot sent to it, and when the last one left.
+type syncSent struct {
+	slot uint64
+	at   time.Time
+}
 
 // pullRetry paces re-pulls of a decided batch whose contents are missing.
 const pullRetry = 50 * time.Millisecond
@@ -242,8 +251,8 @@ type Replica[C any] struct {
 	snapLast   uint64 // applied-slot count at the last snapshot
 	persistErr error  // first durability failure; the replica halts on it
 
-	lastPush map[core.ProcessID]time.Time // targeted sync-push rate limiter
-	lastPull map[core.ProcessID]time.Time // targeted sync-pull rate limiter
+	lastPush map[core.ProcessID]syncSent // targeted sync-push rate limiter
+	lastPull map[core.ProcessID]syncSent // targeted sync-pull rate limiter
 
 	// One wakeup's joint step output, reused across wakeups. Only the
 	// event loop touches them, under mu while the steps run.
@@ -292,8 +301,8 @@ func NewReplica[C any](cfg ReplicaConfig[C]) (*Replica[C], error) {
 		cfg: cfg, ctx: ctx, cancel: cancel,
 		core:     rc,
 		waiters:  make(map[waiterKey]chan ApplyResult),
-		lastPush: make(map[core.ProcessID]time.Time),
-		lastPull: make(map[core.ProcessID]time.Time),
+		lastPush: make(map[core.ProcessID]syncSent),
+		lastPull: make(map[core.ProcessID]syncSent),
 		workCh:   make(chan struct{}, 1),
 	}
 	if cfg.Recovered != nil {
@@ -615,7 +624,7 @@ func (r *Replica[C]) run() {
 // steps saved durable before any of their output becomes visible — then
 // the Apply hook and waiter resolution for committed entries (under mu,
 // in commit order), then transmission of the steps' envelopes with
-// targeted sync traffic rate-limited per peer. Steps that produced
+// repeated targeted sync traffic rate-limited per peer. Steps that produced
 // neither envelopes nor applies made nothing visible, so their saves
 // stay buffered for the next barrier. A durability failure halts the
 // replica — acknowledging or gossiping state the disk refused would turn
@@ -666,11 +675,11 @@ func (r *Replica[C]) dispatch(evs []Event[C]) {
 			if o.To != AllPeers {
 				switch o.Env.Kind {
 				case KindSync:
-					if r.rateLimited(r.lastPush, o.To, now) {
+					if rateLimited(r.lastPush, o.To, o.Env.Slot, now) {
 						continue
 					}
 				case KindSyncPull:
-					if r.rateLimited(r.lastPull, o.To, now) {
+					if rateLimited(r.lastPull, o.To, o.Env.Slot, now) {
 						continue
 					}
 				}
@@ -707,12 +716,20 @@ func (r *Replica[C]) broadcast(env Envelope) {
 	}
 }
 
-// rateLimited updates and checks a per-peer limiter. Callers hold mu.
-func (r *Replica[C]) rateLimited(m map[core.ProcessID]time.Time, p core.ProcessID, now time.Time) bool {
-	if now.Sub(m[p]) < syncRateLimit {
+// rateLimited checks and updates a per-peer limiter for a targeted sync
+// message whose first slot is slot (the core stamps it on the envelope).
+// It is keyed on progress, not on the clock alone: a message that starts
+// beyond everything sent to the peer so far is news — a straggler that
+// lost the eager push of two slots inside one interval is answered for
+// both — and only a repeat for the same or an earlier slot waits out
+// syncRateLimit: per peer, one message per interval plus one per slot of
+// progress. Callers hold mu.
+func rateLimited(m map[core.ProcessID]syncSent, p core.ProcessID, slot uint64, now time.Time) bool {
+	last := m[p]
+	if slot <= last.slot && now.Sub(last.at) < syncRateLimit {
 		return true
 	}
-	m[p] = now
+	m[p] = syncSent{slot: max(slot, last.slot), at: now}
 	return false
 }
 

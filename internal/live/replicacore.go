@@ -211,6 +211,16 @@ type ReplicaCore[C any] struct {
 	blockedOn int64  // decided batch id whose contents are being pulled
 	eagerPush uint64 // lowest own-decided slot to push once applied
 
+	// ownRound remembers the round this replica's OWN run decided a slot
+	// in, for the last few such slots (slot s at index s mod its length). A
+	// round message of the slot from that round or an earlier one is no
+	// laggard's: its sender was in the deciding round with us (a quorum
+	// closes it here while the last ack is in flight) and gets the eager
+	// push. Slots learned by sync or overwritten here are not remembered,
+	// nor is a run that cannot close on a quorum (core.Decisive): short of
+	// everybody it decides on a jump or the timer, and who is late then lags.
+	ownRound [2 * window]SlotRound
+
 	// open holds the running instances by ascending slot, all inside the
 	// window applied+1 … applied+window. Slots open in order, so every
 	// slot between the applied log and an open one is open or decided.
@@ -433,8 +443,10 @@ func (c *ReplicaCore[C]) handleEnvelope(env Envelope, res *StepResult[C]) {
 // → that slot's running instance, opened on the spot (with every slot
 // below it) if this replica had no reason to open it yet, so the message
 // that announces a slot is also heard in it; decided here, applied or
-// not → the sender lags, push decisions; beyond the window → we lag,
-// pull decisions.
+// not → the sender lags, push decisions — unless the message is of the
+// round our own run decided the slot in, or an earlier one (ownRound):
+// only a LATER round says its sender went on without the decision;
+// beyond the window → we lag, pull decisions.
 func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	msg, err := c.cfg.Msg.Decode(env.Payload)
 	if err != nil {
@@ -449,11 +461,13 @@ func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	next := uint64(len(c.log)) + 1
 	if env.Slot >= next+window { // we lag
 		res.Out = append(res.Out, Outbound{To: env.From, Env: Envelope{
-			Kind: KindSyncPull, From: c.cfg.Self, Payload: appendUvarint(nil, next)}})
+			Slot: next, Kind: KindSyncPull, From: c.cfg.Self, Payload: appendUvarint(nil, next)}})
 		return
 	}
 	if _, decided := c.decided[env.Slot]; decided || env.Slot < next {
-		c.pushDecisions(env.From, env.Slot, res)
+		if own := c.ownRound[env.Slot%uint64(len(c.ownRound))]; own.Slot != env.Slot || env.Round > own.Round {
+			c.pushDecisions(env.From, env.Slot, res)
+		}
 		return
 	}
 	run := c.runFor(env.Slot)
@@ -635,6 +649,9 @@ func (c *ReplicaCore[C]) transitionRound(run *slotRun, res *StepResult[C]) {
 	c.stats.Rounds++
 	if v, ok := run.inst.Decided(); ok {
 		c.closeRun(run)
+		if run.decisive != nil {
+			c.ownRound[run.slot%uint64(len(c.ownRound))] = SlotRound{Slot: run.slot, Round: r}
+		}
 		if c.eagerPush == 0 || run.slot < c.eagerPush {
 			c.eagerPush = run.slot
 		}
@@ -798,7 +815,7 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 		return false
 	}
 	inst := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, core.Value(proposal))
-	run := newSlotRun(slot, inst, proposal)
+	run := newSlotRun(c.cfg.N, slot, inst, proposal)
 	if restored {
 		// Crash recovery: re-install the persisted instance state — the
 		// locked vote — over the fresh proposal, and resume PAST the last
@@ -1217,7 +1234,9 @@ func (c *ReplicaCore[C]) decisionAt(slot uint64) (int64, bool) {
 // pushDecisions emits the decisions known here from slot `from` on —
 // the applied log, then whatever is decided but not yet applied, up to
 // the first slot this replica does not know — to one peer or everyone.
-// The shell rate-limits targeted pushes per peer.
+// The shell rate-limits targeted pushes per peer by the first slot they
+// carry, the envelope's Slot (no receiver reads it; a pull's names the
+// slot it asks from, for the same reader).
 func (c *ReplicaCore[C]) pushDecisions(to core.ProcessID, from uint64, res *StepResult[C]) {
 	if from == 0 {
 		from = 1
@@ -1239,7 +1258,7 @@ func (c *ReplicaCore[C]) pushDecisions(to core.ProcessID, from uint64, res *Step
 		payload = appendVarint(payload, bid)
 	}
 	res.Out = append(res.Out, Outbound{To: to, Env: Envelope{
-		Kind: KindSync, From: c.cfg.Self, Payload: payload}})
+		Slot: from, Kind: KindSync, From: c.cfg.Self, Payload: payload}})
 }
 
 // ---------------------------------------------------------------------

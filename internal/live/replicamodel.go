@@ -36,6 +36,7 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 		seqFloor:  c.seqFloor,
 		blockedOn: c.blockedOn,
 		eagerPush: c.eagerPush,
+		ownRound:  c.ownRound,
 
 		batchSlot:     make(map[int64]uint64, len(c.batchSlot)),
 		restoredVotes: make(map[uint64][]byte, len(c.restoredVotes)),
@@ -90,15 +91,9 @@ func (c *ReplicaCore[C]) cloneSlotRun(s *slotRun) *slotRun {
 		panic(fmt.Sprintf("live: model checking requires a core.Recoverable algorithm, got %T", s.inst))
 	}
 	rec.Restore(src.Snapshot())
-	d := &slotRun{
-		slot:   s.slot,
-		prop:   s.prop,
-		inst:   inst,
-		r:      s.r,
-		target: s.target,
-		heard:  make(map[core.ProcessID]core.Message, len(s.heard)),
-		future: make(map[core.Round]map[core.ProcessID]core.Message, len(s.future)),
-	}
+	d := newSlotRun(c.cfg.N, s.slot, inst, s.prop)
+	d.r, d.target = s.r, s.target
+	d.heard = make(map[core.ProcessID]core.Message, len(s.heard))
 	for p, m := range s.heard {
 		d.heard[p] = m
 	}
@@ -121,14 +116,19 @@ func (c *ReplicaCore[C]) cloneSlotRun(s *slotRun) *slotRun {
 // state — the first feeds the next proposal, the second decides whether
 // a step emits a forward — and so are the window's additions: every open
 // run, which unapplied slot each batch id was proposed for (it decides
-// what the pruner may drop), and the votes recovery has yet to
-// re-install. Leaving any of them out would merge states with different
-// futures.
+// what the pruner may drop), the votes recovery has yet to re-install,
+// and the rounds own runs decided in (they decide which late round
+// message is answered). Leaving any of them out would merge states with
+// different futures.
 func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	dst = appendVarint(dst, c.batchSeq)
 	dst = appendVarint(dst, c.blockedOn)
 	dst = appendUvarint(dst, c.eagerPush)
 	dst = appendUvarint(dst, c.prunedTo)
+	for _, own := range c.ownRound {
+		dst = appendUvarint(dst, own.Slot)
+		dst = appendUvarint(dst, uint64(own.Round))
+	}
 	slots := make([]uint64, 0, len(c.restoredVotes)+len(c.decided))
 	for s := range c.restoredVotes {
 		slots = append(slots, s)

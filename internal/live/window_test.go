@@ -472,3 +472,157 @@ func TestMissedVoteLearnsBySyncPush(t *testing.T) {
 		t.Fatalf("p2 closed %d rounds before the push, want the vote and ack rounds", r)
 	}
 }
+
+// The tests below are the round driver's fourth closing rule (node.go) —
+// a round closes the moment its heard set decides — and the late-message
+// rule that rides with it (handleRound).
+
+// wantOwnDecision fails unless replica p committed the one command of a
+// one-slot test in `rounds` rounds of its own instance.
+func wantOwnDecision(t *testing.T, n *coreNet, p core.ProcessID, rounds int64) {
+	t.Helper()
+	st := n.cores[p].Counters()
+	if st.Applied != 1 || st.Committed != 1 || st.Open != 0 || st.Divergent != 0 {
+		t.Fatalf("replica %d: applied %d, committed %d, open %d, divergent %d; want 1, 1, 0, 0",
+			p, st.Applied, st.Committed, st.Open, st.Divergent)
+	}
+	if st.Rounds != rounds || st.SyncDecisions != 0 {
+		t.Fatalf("replica %d closed %d rounds and took %d decisions from a sync; want %d and its own",
+			p, st.Rounds, st.SyncDecisions, rounds)
+	}
+}
+
+// TestLostAckDecidesOnTheQuorum: p1's ack to p0 is lost. p0 holds its own
+// ack and p2's — a majority, and it adopted the vote — so it decides in
+// its own instance there and then. No round timeout is stepped anywhere
+// in this test and nobody learns the slot by sync. (Waiting for all n, p0
+// sat in the ack round until a decider's push arrived.)
+func TestLostAckDecidesOnTheQuorum(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	n.deliver() // p1, p2 join slot 1
+	n.deliver() // round 1 closes everywhere: three acks on their way
+	lost := n.take(func(o Outbound) bool {
+		return o.To == 0 && o.Env.From == 1 && o.Env.Kind == KindRound && o.Env.Round == 2
+	})
+	if len(lost) != 1 {
+		t.Fatalf("dropped %d messages, want exactly p1's ack to p0", len(lost))
+	}
+	n.drain()
+	for p := range n.cores {
+		wantOwnDecision(t, n, core.ProcessID(p), 2)
+	}
+}
+
+// TestSilentReplicaCostsOneTimeoutPerSlot: p2 neither hears nor is heard
+// for the whole slot. The vote round has to time out at p0 and p1 — there
+// is no telling a silent replica from a slow one — but the ack round
+// closes on the two acks there are. (It used to wait for p2's as well: two
+// timers per slot.)
+func TestSilentReplicaCostsOneTimeoutPerSlot(t *testing.T) {
+	n := newCoreNet(t)
+	silence := func() {
+		n.take(func(o Outbound) bool { return o.To == 2 || o.Env.From == 2 })
+	}
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	timeouts := 0
+	for i := 0; i < 20 && (n.cores[0].NextSlot() < 2 || n.cores[1].NextSlot() < 2); i++ {
+		if silence(); len(n.queue) > 0 {
+			n.deliver()
+			continue
+		}
+		for _, p := range []core.ProcessID{0, 1} {
+			for _, sr := range n.cores[p].OpenRounds(nil) {
+				if sr.Round != 1 {
+					t.Fatalf("replica %d is stuck in round %d of slot %d: only the vote round may need its timer", p, sr.Round, sr.Slot)
+				}
+				timeouts++
+				n.step(p, Event[string]{Kind: EvRoundTimeout, Slot: sr.Slot})
+			}
+		}
+	}
+	if timeouts != 2 {
+		t.Fatalf("%d round timeouts stepped, want one each at p0 and p1", timeouts)
+	}
+	wantOwnDecision(t, n, 0, 2)
+	wantOwnDecision(t, n, 1, 2)
+}
+
+// TestJumpIntoAckRoundDecidesOnEnter: p1 is still in the vote round — it
+// has the vote, p2's round-1 message is slow — when p0's ack arrives. The
+// jump rule closes the vote round (p1 adopts), and the ack round it enters
+// holds the buffered ack and its own: a majority. p1 decides inside that
+// one step, before the second ack is delivered.
+func TestJumpIntoAckRoundDecidesOnEnter(t *testing.T) {
+	n := newCoreNet(t)
+	toP1 := func(o Outbound) bool { return o.To == 1 }
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	n.deliver() // p1, p2 join slot 1
+	slow := n.take(toP1)
+	n.deliver() // p0 and p2 close round 1 and ack
+	acks := n.take(toP1)
+	if len(slow) != 1 || len(acks) != 2 || acks[0].Env.Round != 2 || n.cores[1].OpenRounds(nil)[0].Round != 1 {
+		t.Fatalf("held back %d round-1 messages and %d acks for p1, in rounds %v; want 1 and 2, p1 in round 1",
+			len(slow), len(acks), n.cores[1].OpenRounds(nil))
+	}
+	n.step(1, Event[string]{Kind: EvEnvelope, Env: acks[0].Env})
+	wantOwnDecision(t, n, 1, 2)
+
+	n.queue = append(n.queue, slow[0], acks[1])
+	n.drain()
+	for p := range n.cores {
+		wantOwnDecision(t, n, core.ProcessID(p), 2)
+	}
+}
+
+// TestLateRoundMessageOfTheDecidingRoundDrawsNoPush: with rounds closing
+// on a quorum, the last ack of a slot routinely reaches a replica that
+// has just decided it. That is no laggard — it was in the deciding round
+// with us and the eager push is on its way to it — so it is not answered;
+// a message of a LATER round (its sender went on without the decision)
+// is, and so is any round of a slot this replica did not decide itself.
+func TestLateRoundMessageOfTheDecidingRoundDrawsNoPush(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	var ack Envelope // some round-2 message of slot 1, for its payload
+	for len(n.queue) > 0 {
+		for _, o := range n.queue {
+			if o.Env.Kind == KindRound && o.Env.Round == 2 {
+				ack = o.Env
+			}
+		}
+		n.deliver()
+	}
+	wantOwnDecision(t, n, 0, 2)
+	pushes := func(c *ReplicaCore[string], round core.Round) int {
+		env := ack
+		env.From, env.Round = 2, round
+		k := 0
+		for _, o := range c.Step(Event[string]{Kind: EvEnvelope, Env: env}).Out {
+			if o.Env.Kind == KindSync && o.To == 2 && o.Env.Slot == 1 {
+				k++
+			}
+		}
+		return k
+	}
+	for _, tc := range []struct {
+		round core.Round
+		want  int
+	}{{1, 0}, {2, 0}, {3, 1}, {7, 1}} {
+		if got := pushes(n.cores[0], tc.round); got != tc.want {
+			t.Errorf("a round-%d message of a slot decided in round 2 drew %d decision pushes, want %d", tc.round, got, tc.want)
+		}
+	}
+	// A replica that learned the slot by sync cannot tell where the sender
+	// stands: it answers whatever the round. So does one that has decided
+	// enough slots since to have forgotten.
+	learner := mergeCore(t, 1, 0)
+	learner.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, [2]int64{1, 0})})
+	forgot := n.cores[0].Clone()
+	forgot.ownRound[1] = SlotRound{Slot: 1 + uint64(len(forgot.ownRound)), Round: 2}
+	for name, c := range map[string]*ReplicaCore[string]{"learned by sync": learner, "no longer remembered": forgot} {
+		if got := pushes(c, 2); got != 1 {
+			t.Errorf("slot %s: a round-2 message drew %d decision pushes, want 1", name, got)
+		}
+	}
+}

@@ -277,8 +277,9 @@ func TestReplicaExploreLastVoting(t *testing.T) {
 // adopters decide on each other's acks", "the third misses the vote and
 // learns by decide message or by sync", and one crash-stop anywhere. (With
 // four rounds to a decision this scope did not close; with two it is
-// 632 010 states.) The crash-RECOVERY twin closes too since recovery
-// resumes a slot instead of re-running it — 1 391 295 states, 2.5 min:
+// 607 828 states — 632 010 before an ack round closed on its first
+// majority.) The crash-RECOVERY twin closes too since recovery
+// resumes a slot instead of re-running it — 1 410 106 states, 2.6 min:
 // CI's model-check job runs it, here it is bounded, every state checked.
 // The first 150k states are where the restarted coordinator that
 // announced a decision it no longer knew was found (79k states in). A
