@@ -85,8 +85,8 @@ func runExplore(f liveFlags) error {
 	if !res.Complete {
 		closure = fmt.Sprintf("bounded at %d states", f.states)
 	}
-	fmt.Printf("explored: %d states, %d transitions (%s), deepest commit index %d, most slots in flight %d\n",
-		res.States, res.Transitions, closure, res.MaxApplied, res.MaxOpen)
+	fmt.Printf("explored: %d states, %d transitions (%s), deepest commit index %d, most slots in flight %d, most round messages held early %d\n",
+		res.States, res.Transitions, closure, res.MaxApplied, res.MaxOpen, res.MaxHeld)
 	for _, fd := range res.Findings {
 		fmt.Printf("finding: %s (%d states): %s\n", fd.Kind, fd.Count, fd.Message)
 	}

@@ -76,24 +76,55 @@ type slotRun struct {
 	decisive core.Decisive
 	r        core.Round
 	heard    map[core.ProcessID]core.Message
-	future   map[core.Round]map[core.ProcessID]core.Message
+	future   roundBuffer
 	target   core.Round
 	msgs     []core.IncomingMessage
 }
 
+// roundBuffer keeps decoded round messages of rounds not entered yet, the
+// first per (round, sender) — the paper's msgsRcv, which never discards a
+// message of a round r_p has not reached: a run's future rounds and, before
+// the run exists, what a slot ahead of the window was sent
+// (ReplicaCore.held).
+type roundBuffer map[core.Round]map[core.ProcessID]core.Message
+
+// add buffers a message and reports whether it is the first of its round
+// and sender.
+func (b roundBuffer) add(n int, from core.ProcessID, round core.Round, payload core.Message) bool {
+	fr := b[round]
+	if fr == nil {
+		fr = make(map[core.ProcessID]core.Message, n)
+		b[round] = fr
+	}
+	if _, dup := fr[from]; dup {
+		return false
+	}
+	fr[from] = payload
+	return true
+}
+
 // newSlotRun opens a slot's one instance, of a group of n, at round 0; the
 // caller advances into round 1 with enter (recovery first moves r to the
-// last round the slot sent in).
-func newSlotRun(n int, slot uint64, inst core.Instance, prop int64) *slotRun {
+// last round the slot sent in). held is what arrived for the slot while it
+// was ahead of the window (nil if nothing did): the run's future rounds,
+// the highest of them its jump target — as if delivered now, in one go.
+func newSlotRun(n int, slot uint64, inst core.Instance, prop int64, held roundBuffer) *slotRun {
 	decisive, _ := inst.(core.Decisive)
-	return &slotRun{
+	run := &slotRun{
 		slot:     slot,
 		prop:     prop,
 		inst:     inst,
 		decisive: decisive,
-		future:   make(map[core.Round]map[core.ProcessID]core.Message),
+		future:   held,
 		msgs:     make([]core.IncomingMessage, 0, n),
 	}
+	if held == nil {
+		run.future = make(roundBuffer)
+	}
+	for r := range held {
+		run.target = max(run.target, r)
+	}
+	return run
 }
 
 // deliver records one decoded round message. It reports whether the
@@ -110,14 +141,7 @@ func (s *slotRun) deliver(n int, from core.ProcessID, round core.Round, payload 
 			s.heard[from] = payload
 		}
 	default:
-		fr := s.future[round]
-		if fr == nil {
-			fr = make(map[core.ProcessID]core.Message, n)
-			s.future[round] = fr
-		}
-		if _, dup := fr[from]; !dup {
-			fr[from] = payload
-		}
+		s.future.add(n, from, round, payload)
 	}
 	return s.closed(n, noJump)
 }

@@ -49,8 +49,9 @@
 // decide-retransmission and the crash-rejoin path: a round message for
 // an old slot reveals a laggard (unless it is of the round this replica
 // decided the slot in: that sender is no further behind than the eager
-// push on its way to it), and any for a future slot reveals that WE lag;
-// both trigger a push or pull of the decision log, rate-limited where it
+// push on its way to it), and any for a future slot reveals that WE lag
+// (the message itself is kept if its slot is the next window's); both
+// trigger a push or pull of the decision log, rate-limited where it
 // repeats itself. A replica paused mid-round therefore rejoins by
 // replaying decisions, not consensus.
 //
@@ -59,7 +60,8 @@
 // the exhaustive model checker (internal/modelcheck) explores directly.
 // Replica is the production SHELL around that core — one event-loop
 // goroutine that turns transport deliveries, round-timeout fires (one
-// deadline per open slot), pull retries, and heartbeat ticks into core
+// deadline per open slot), pull retries (at round pace, backing off to the
+// heartbeat's), and heartbeat ticks into core
 // events, steps every delivery already queued at a wakeup, makes what
 // those steps saved durable with ONE barrier, then transmits the
 // envelopes they returned (rate-limiting targeted sync traffic), runs
@@ -168,6 +170,9 @@ type ReplicaStats struct {
 	// overlapping proposals: apply-side dedup drops them again unless the
 	// earlier slot decided someone else's batch.
 	Overlapped int
+	// HeldEarly counts round messages that arrived for a slot one window
+	// ahead of this replica's and were held for it instead of dropped.
+	HeldEarly int
 }
 
 // ReplicaConfig parameterizes one process's replica of one group.
@@ -229,9 +234,6 @@ type syncSent struct {
 	slot uint64
 	at   time.Time
 }
-
-// pullRetry paces re-pulls of a decided batch whose contents are missing.
-const pullRetry = 50 * time.Millisecond
 
 // waiterKey identifies a submission.
 type waiterKey struct{ client, seq uint64 }
@@ -524,11 +526,16 @@ func (r *Replica[C]) run() {
 	var open []SlotRound
 	var armedAt time.Time // what roundTimer is set for; zero when stopped
 
-	// The pull retry is armed once per blocked batch, not per event: under
-	// steady traffic a timer re-armed by every reconcile would never fire.
+	// The pull retry is armed once per pull, not per event: under steady
+	// traffic a timer re-armed by every reconcile would never fire. It runs
+	// at round pace — a pull and its reply are one round trip, which is what
+	// RoundTimeout bounds — and doubles per consecutive re-pull of one batch
+	// until it reaches SyncEvery: from there the heartbeat's tick re-pulls.
 	retryTimer := newStoppedTimer()
 	defer retryTimer.Stop()
-	var retryFor int64
+	var retryFor int64 // the blocked batch retryWait belongs to
+	var retryWait time.Duration
+	retryArmed := false
 
 	reconcile := func() {
 		r.mu.Lock()
@@ -560,12 +567,12 @@ func (r *Replica[C]) run() {
 			}
 		}
 		if blocked != retryFor {
-			retryFor = blocked
-			if blocked != 0 {
-				resetTimer(retryTimer, pullRetry)
-			} else {
-				stopTimer(retryTimer)
-			}
+			retryFor, retryWait, retryArmed = blocked, r.cfg.RoundTimeout, false
+			stopTimer(retryTimer)
+		}
+		if blocked != 0 && !retryArmed && retryWait < r.cfg.SyncEvery {
+			retryArmed = true
+			resetTimer(retryTimer, retryWait)
 		}
 	}
 	reconcile()
@@ -593,7 +600,8 @@ func (r *Replica[C]) run() {
 			}
 			deadlines = kept
 		case <-retryTimer.C:
-			retryFor = 0 // fired: re-arm via reconcile while still blocked
+			retryArmed = false // fired: re-arm via reconcile while still blocked
+			retryWait *= 2
 			evs = append(evs, Event[C]{Kind: EvTick})
 		case <-hb.C:
 			evs = append(evs, Event[C]{Kind: EvTick})

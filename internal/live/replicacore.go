@@ -1,7 +1,8 @@
 // ReplicaCore: the replica protocol as a pure step function. Everything
 // that makes the live replica a PROTOCOL — the slot window (up to
 // `window` consensus instances in flight, applied strictly in order),
-// round-message delivery into each slot's instance, command forwarding
+// round-message delivery into each slot's instance (one that arrives a
+// window early is held for its slot, not dropped), command forwarding
 // and merged proposals (every proposal carries every command its
 // proposer has heard of, so a slot commits all replicas' work whichever
 // proposal wins), batch dissemination, push/pull decision sync,
@@ -226,6 +227,16 @@ type ReplicaCore[C any] struct {
 	// slot between the applied log and an open one is open or decided.
 	open []*slotRun
 
+	// held keeps the round messages of slots one window AHEAD of the window
+	// (next+window … next+2·window−1: a peer is a hop ahead of this replica)
+	// until advance slides the window over the slot and opens it with them —
+	// Algorithm 2 never discards a message of a round not reached yet, and
+	// dropping the vote of the slot the peers just opened would make this
+	// replica late for that slot and so for the next. Volatile like a run's
+	// future rounds; at most heldRounds·(N−1) messages per slot; a slot
+	// decided first (by sync) releases its set.
+	held map[uint64]roundBuffer
+
 	// batchSlot is the highest unapplied slot a batch id is known to be
 	// proposed for (by this replica, or by the peer whose KindBatch named
 	// it) or decided in. Proposals of open slots overlap, so a proposal's
@@ -288,6 +299,11 @@ func (c *ReplicaCore[C]) validBatchID(bid int64) bool {
 	return int(p) >= 0 && int(p) < c.cfg.N && batchCounter(bid) > 0
 }
 
+// heldRounds is the highest round held for a slot ahead of the window: a
+// slot with nothing lost is two rounds, and twice that is all a sender can
+// park here per slot.
+const heldRounds core.Round = 4
+
 // maxSyncPairs caps decisions per sync push.
 const maxSyncPairs = 128
 
@@ -318,6 +334,7 @@ func NewReplicaCore[C any](cfg CoreConfig[C]) (*ReplicaCore[C], error) {
 		decided:       make(map[uint64]int64),
 		maxSeen:       make(map[uint64]uint64),
 		hwm:           make(map[uint64]uint64),
+		held:          make(map[uint64]roundBuffer),
 		batchSlot:     make(map[int64]uint64),
 		restoredVotes: make(map[uint64][]byte),
 		peerApplied:   make(map[core.ProcessID]uint64),
@@ -446,7 +463,8 @@ func (c *ReplicaCore[C]) handleEnvelope(env Envelope, res *StepResult[C]) {
 // not → the sender lags, push decisions — unless the message is of the
 // round our own run decided the slot in, or an earlier one (ownRound):
 // only a LATER round says its sender went on without the decision;
-// beyond the window → we lag, pull decisions.
+// beyond the window → we lag, pull decisions — and keep the message if its
+// slot is the next window's (hold).
 func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	msg, err := c.cfg.Msg.Decode(env.Payload)
 	if err != nil {
@@ -460,6 +478,7 @@ func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	}
 	next := uint64(len(c.log)) + 1
 	if env.Slot >= next+window { // we lag
+		c.hold(env, msg, next)
 		res.Out = append(res.Out, Outbound{To: env.From, Env: Envelope{
 			Slot: next, Kind: KindSyncPull, From: c.cfg.Self, Payload: appendUvarint(nil, next)}})
 		return
@@ -480,6 +499,26 @@ func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	if run.deliver(c.cfg.N, env.From, env.Round, msg, c.cfg.Mutation&MutNoJump != 0) {
 		c.transitionRound(run, res)
 		c.closeRounds(run, res)
+	}
+}
+
+// hold keeps a round message of an undecided slot in the window after the
+// current one: the first per (slot, sender, round), rounds 1 … heldRounds,
+// senders of the group — which is the bound. Holding is only delay: the
+// message is heard when its slot opens exactly as if it arrived then.
+func (c *ReplicaCore[C]) hold(env Envelope, msg core.Message, next uint64) {
+	if _, decided := c.decided[env.Slot]; decided || env.Slot >= next+2*window ||
+		env.Round < 1 || env.Round > heldRounds ||
+		env.From == c.cfg.Self || int(env.From) < 0 || int(env.From) >= c.cfg.N {
+		return
+	}
+	h := c.held[env.Slot]
+	if h == nil {
+		h = make(roundBuffer)
+		c.held[env.Slot] = h
+	}
+	if h.add(c.cfg.N, env.From, env.Round, msg) {
+		c.stats.HeldEarly++
 	}
 }
 
@@ -738,9 +777,9 @@ func (c *ReplicaCore[C]) advance(res *StepResult[C]) {
 			c.eagerPush = 0
 			c.pushDecisions(AllPeers, from, res)
 		}
-		for c.hasWork() {
+		for c.hasWork() || c.heldFrom(uint64(len(c.log))+1) {
 			slot := c.frontier()
-			if slot == 0 || !c.openSlot(slot, c.recoveredFrom(slot), res) {
+			if slot == 0 || !c.openSlot(slot, c.recoveredFrom(slot) || c.heldFrom(slot), res) {
 				break
 			}
 			progressed = true
@@ -772,6 +811,18 @@ func (c *ReplicaCore[C]) hasWork() bool {
 func (c *ReplicaCore[C]) recoveredFrom(slot uint64) bool {
 	for s := range c.restoredVotes {
 		if s >= slot {
+			return true
+		}
+	}
+	return false
+}
+
+// heldFrom reports whether round messages are held for slot or a later
+// slot of the window: the group is deciding it, so it opens asked — as a
+// round message arriving now would have it (openThrough).
+func (c *ReplicaCore[C]) heldFrom(slot uint64) bool {
+	for ; slot <= uint64(len(c.log))+window; slot++ {
+		if c.held[slot] != nil {
 			return true
 		}
 	}
@@ -815,7 +866,8 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 		return false
 	}
 	inst := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, core.Value(proposal))
-	run := newSlotRun(c.cfg.N, slot, inst, proposal)
+	run := newSlotRun(c.cfg.N, slot, inst, proposal, c.held[slot])
+	delete(c.held, slot)
 	if restored {
 		// Crash recovery: re-install the persisted instance state — the
 		// locked vote — over the fresh proposal, and resume PAST the last
@@ -1089,6 +1141,7 @@ func (c *ReplicaCore[C]) recordDecision(slot uint64, bid int64, viaSync bool) {
 		c.closeRun(run)
 	}
 	delete(c.restoredVotes, slot)
+	delete(c.held, slot)
 }
 
 // applySlot commits slot's batch: apply fresh entries in order under

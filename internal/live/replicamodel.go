@@ -9,6 +9,7 @@ package live
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"heardof/internal/core"
@@ -38,6 +39,7 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 		eagerPush: c.eagerPush,
 		ownRound:  c.ownRound,
 
+		held:          make(map[uint64]roundBuffer, len(c.held)),
 		batchSlot:     make(map[int64]uint64, len(c.batchSlot)),
 		restoredVotes: make(map[uint64][]byte, len(c.restoredVotes)),
 		peerApplied:   make(map[core.ProcessID]uint64, len(c.peerApplied)),
@@ -53,6 +55,9 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 	}
 	for k, v := range c.logRefs {
 		d.logRefs[k] = v
+	}
+	for k, v := range c.held {
+		d.held[k] = v.clone()
 	}
 	for k, v := range c.batchSlot {
 		d.batchSlot[k] = v
@@ -91,18 +96,16 @@ func (c *ReplicaCore[C]) cloneSlotRun(s *slotRun) *slotRun {
 		panic(fmt.Sprintf("live: model checking requires a core.Recoverable algorithm, got %T", s.inst))
 	}
 	rec.Restore(src.Snapshot())
-	d := newSlotRun(c.cfg.N, s.slot, inst, s.prop)
-	d.r, d.target = s.r, s.target
-	d.heard = make(map[core.ProcessID]core.Message, len(s.heard))
-	for p, m := range s.heard {
-		d.heard[p] = m
-	}
-	for r, fr := range s.future {
-		cp := make(map[core.ProcessID]core.Message, len(fr))
-		for p, m := range fr {
-			cp[p] = m
-		}
-		d.future[r] = cp
+	d := newSlotRun(c.cfg.N, s.slot, inst, s.prop, s.future.clone())
+	d.r, d.target, d.heard = s.r, s.target, maps.Clone(s.heard)
+	return d
+}
+
+// clone deep-copies the buffered rounds (the messages are immutable).
+func (b roundBuffer) clone() roundBuffer {
+	d := make(roundBuffer, len(b))
+	for r, fr := range b {
+		d[r] = maps.Clone(fr)
 	}
 	return d
 }
@@ -117,9 +120,10 @@ func (c *ReplicaCore[C]) cloneSlotRun(s *slotRun) *slotRun {
 // a step emits a forward — and so are the window's additions: every open
 // run, which unapplied slot each batch id was proposed for (it decides
 // what the pruner may drop), the votes recovery has yet to re-install,
-// and the rounds own runs decided in (they decide which late round
-// message is answered). Leaving any of them out would merge states with
-// different futures.
+// the rounds own runs decided in (they decide which late round message
+// is answered), and the round messages held for slots ahead of the window
+// (they are heard when the slot opens). Leaving any of them out would
+// merge states with different futures.
 func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	dst = appendVarint(dst, c.batchSeq)
 	dst = appendVarint(dst, c.blockedOn)
@@ -224,6 +228,19 @@ func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 		dst = appendVarint(dst, run.prop)
 		dst = c.appendRun(dst, run)
 	}
+
+	// Held rounds are encoded whole: the highest one becomes the run's jump
+	// target, whatever the round bound.
+	slots = slots[:0]
+	for s := range c.held {
+		slots = append(slots, s)
+	}
+	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+	dst = appendUvarint(dst, uint64(len(slots)))
+	for _, s := range slots {
+		dst = appendUvarint(dst, s)
+		dst = c.appendRounds(dst, c.held[s], 0)
+	}
 	return dst
 }
 
@@ -254,20 +271,25 @@ func (c *ReplicaCore[C]) appendRun(dst []byte, run *slotRun) []byte {
 	dst = appendUvarint(dst, uint64(target))
 	dst = run.inst.(core.Persistent).AppendState(dst)
 	dst = c.appendHeard(dst, run.heard)
-	rounds := make([]int, 0, len(run.future))
-	for r := range run.future {
-		// Future rounds at or past the bound merge into a frozen window
-		// if ever entered: dead for the same reason.
-		if c.cfg.MaxRound > 0 && core.Round(r) >= c.cfg.MaxRound {
-			continue
+	// Future rounds at or past the bound merge into a frozen window if
+	// ever entered: dead for the same reason.
+	return c.appendRounds(dst, run.future, c.cfg.MaxRound)
+}
+
+// appendRounds canonically encodes buffered rounds, those at or past a
+// nonzero bound left out.
+func (c *ReplicaCore[C]) appendRounds(dst []byte, b roundBuffer, bound core.Round) []byte {
+	rounds := make([]int, 0, len(b))
+	for r := range b {
+		if bound == 0 || r < bound {
+			rounds = append(rounds, int(r))
 		}
-		rounds = append(rounds, int(r))
 	}
 	sort.Ints(rounds)
 	dst = appendUvarint(dst, uint64(len(rounds)))
 	for _, r := range rounds {
 		dst = appendUvarint(dst, uint64(r))
-		dst = c.appendHeard(dst, run.future[core.Round(r)])
+		dst = c.appendHeard(dst, b[core.Round(r)])
 	}
 	return dst
 }

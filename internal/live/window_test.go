@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"heardof/internal/core"
+	"heardof/internal/lastvoting"
 )
 
 // syncEnv builds a KindSync pushing the given (slot, batch id) pairs.
@@ -624,5 +625,179 @@ func TestLateRoundMessageOfTheDecidingRoundDrawsNoPush(t *testing.T) {
 		if got := pushes(c, 2); got != 1 {
 			t.Errorf("slot %s: a round-2 message drew %d decision pushes, want 1", name, got)
 		}
+	}
+}
+
+// The tests below are the hold: a round message for a slot one window
+// ahead of this replica's is kept for the slot instead of dropped
+// (handleRound, hold), and heard when the window reaches it.
+
+// roundEnv builds a round message (the null payload) of a slot.
+func roundEnv(from core.ProcessID, slot uint64, round core.Round) Envelope {
+	payload, _ := lastvoting.WireCodec{}.Encode(nil)
+	return Envelope{Slot: slot, Round: round, Kind: KindRound, From: from, Payload: payload}
+}
+
+// pulls counts the KindSyncPulls a step addressed to peer.
+func pulls(res StepResult[string], peer core.ProcessID) int {
+	k := 0
+	for _, o := range res.Out {
+		if o.Env.Kind == KindSyncPull && o.To == peer {
+			k++
+		}
+	}
+	return k
+}
+
+// TestEarlyVoteIsHeldUntilTheWindowReachesIt: p0 and p1 have decided
+// slots 1 and 2 and opened slot 3 while their acks to p2 are still in
+// flight, so slot 3's vote and p1's round-1 message reach p2 one slot
+// beyond its window. p2 pulls — it does lag — but keeps both, and when
+// its own run of slot 1 decides and the window slides, slot 3 opens with
+// them heard: p2 closes the vote round on the spot, acks, and decides
+// slot 3 in two rounds of its OWN instance. Every decision push to p2 is
+// lost in this test; dropping the vote instead (the parent) left p2 with
+// nothing adopted in slot 3 and only a push to learn it from.
+func TestEarlyVoteIsHeldUntilTheWindowReachesIt(t *testing.T) {
+	n := newCoreNet(t)
+	toP2 := func(o Outbound) bool { return o.To == 2 }
+	losePushes := func() {
+		n.take(func(o Outbound) bool { return o.To == 2 && o.Env.Kind == KindSync })
+	}
+	for i, cmd := range []string{"a", "b", "c"} {
+		n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: uint64(i + 1), Cmd: cmd})
+	}
+	n.deliver() // p1, p2 join slots 1 and 2 on p0's votes; c waits as a forward
+	n.deliver() // round 1 closes everywhere: the acks of both slots are on their way
+	slow := n.take(toP2)
+	n.deliver() // p0, p1 decide and apply both slots and open slot 3 for c
+	losePushes()
+	early := n.take(toP2)
+	for _, o := range early {
+		if o.Env.Kind == KindRound && o.Env.Slot != 3 {
+			t.Fatalf("unexpected round message for p2: slot %d round %d", o.Env.Slot, o.Env.Round)
+		}
+		n.step(2, Event[string]{Kind: EvEnvelope, Env: o.Env})
+	}
+	if pulled := n.take(func(o Outbound) bool { return o.Env.From == 2 && o.Env.Kind == KindSyncPull }); len(pulled) == 0 {
+		t.Fatal("p2 kept the early messages without pulling: it does lag")
+	}
+	if st := n.cores[2].Counters(); st.HeldEarly != 2 || st.Applied != 0 || fmt.Sprint(openSlots(n.cores[2])) != "[1 2]" {
+		t.Fatalf("p2 holds %d early messages with %d applied and slots %v open; want p0's and p1's round 1 of slot 3, 0, [1 2]",
+			st.HeldEarly, st.Applied, openSlots(n.cores[2]))
+	}
+
+	for _, o := range slow {
+		n.step(2, Event[string]{Kind: EvEnvelope, Env: o.Env})
+	}
+	for i := 0; len(n.queue) > 0; i++ {
+		if i > 100 {
+			t.Fatal("network never drained")
+		}
+		losePushes()
+		n.deliver()
+	}
+	for p, c := range n.cores {
+		st := c.Counters()
+		if st.Applied != 3 || st.Committed != 3 || st.Open != 0 || st.Divergent != 0 {
+			t.Fatalf("replica %d: applied %d, committed %d, open %d, divergent %d; want 3, 3, 0, 0",
+				p, st.Applied, st.Committed, st.Open, st.Divergent)
+		}
+		if st.Rounds != 6 || st.SyncDecisions != 0 {
+			t.Fatalf("replica %d closed %d rounds and took %d decisions from a sync; want two rounds per slot, all its own",
+				p, st.Rounds, st.SyncDecisions)
+		}
+	}
+}
+
+// TestEarlyHoldIsBounded: what is held is the first message per (slot,
+// sender, round) for the window after this one, rounds 1 … heldRounds,
+// from a peer of the group — at most window·N·heldRounds in all, whatever
+// arrives. A slot decided by sync first releases its set, and the set is
+// volatile: nothing of it survives a restart.
+func TestEarlyHoldIsBounded(t *testing.T) {
+	c := mergeCore(t, 2, 0)
+	held := func() int { return c.Counters().HeldEarly }
+	step := func(env Envelope) StepResult[string] {
+		t.Helper()
+		res := c.Step(Event[string]{Kind: EvEnvelope, Env: env})
+		if pulls(res, env.From) != 1 {
+			t.Fatalf("slot %d round %d from %d drew %d sync pulls, want 1: early or not, this replica lags", env.Slot, env.Round, env.From, pulls(res, env.From))
+		}
+		return res
+	}
+	step(roundEnv(0, 1+2*window, 1)) // two windows out
+	step(roundEnv(7, 1+window, 1))   // nobody of this group
+	step(roundEnv(2, 1+window, 1))   // "ourselves"
+	if held() != 0 {
+		t.Fatalf("%d messages held, want none of those", held())
+	}
+	step(roundEnv(0, 1+window, 1))
+	step(roundEnv(0, 1+window, 1)) // a duplicate
+	if held() != 1 {
+		t.Fatalf("%d messages held after a message and its duplicate, want 1", held())
+	}
+	for r := core.Round(0); r < 50; r++ { // a flood from one sender
+		step(roundEnv(1, 2+window, r))
+	}
+	if want := 1 + int(heldRounds); held() != want {
+		t.Fatalf("%d messages held after one sender's flood, want %d: rounds 1 … %d of it", held(), want, heldRounds)
+	}
+	for slot := uint64(1); slot < 10; slot++ {
+		for from := core.ProcessID(-1); from < 5; from++ {
+			for r := core.Round(0); r < 10; r++ {
+				c.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(from, slot, r)})
+			}
+		}
+	}
+	total := 0
+	for _, rounds := range c.held {
+		for _, fr := range rounds {
+			total += len(fr)
+		}
+	}
+	if bound := window * (c.cfg.N - 1) * int(heldRounds); total != bound || len(c.open) != window {
+		t.Fatalf("%d messages held with %d slots open, want the bound of %d (every peer, every held round, both slots) and %d",
+			total, len(c.open), bound, window)
+	}
+
+	// Slot 3 is decided by sync before the window reaches it.
+	c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, [2]int64{1 + window, 0})})
+	if c.held[1+window] != nil || c.held[2+window] == nil {
+		t.Fatalf("held slots after slot %d was decided by sync: %d's set %v, %d's set %v; want released, kept",
+			1+window, 1+window, c.held[1+window], 2+window, c.held[2+window])
+	}
+	before := held()
+	step(roundEnv(0, 1+window, 1))
+	if held() != before {
+		t.Fatal("a round message of a decided slot was held")
+	}
+	if rc := c.Recover(); len(rc.held) != 0 || rc.Counters().Open != 0 {
+		t.Fatalf("%d held slots and %d open runs survived the crash", len(rc.held), rc.Counters().Open)
+	}
+}
+
+// TestCloneCopiesHeldMessages: the checker forks a core per explored
+// event, so a clone must own its held set — and the fingerprint must tell
+// two held sets apart.
+func TestCloneCopiesHeldMessages(t *testing.T) {
+	c := mergeCore(t, 2, 0)
+	c.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(0, 1+window, 1)})
+	fp := string(c.AppendFingerprint(nil))
+	d := c.Clone()
+	if got := string(d.AppendFingerprint(nil)); got != fp {
+		t.Fatal("a clone's fingerprint differs from the original's")
+	}
+	d.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(1, 1+window, 1)})
+	if got := string(d.AppendFingerprint(nil)); got == fp {
+		t.Fatal("a second held message left the fingerprint unchanged")
+	}
+	// Slide the clone's window over the slot: it opens, the set is consumed.
+	d.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, [2]int64{1, 0})})
+	if got := fmt.Sprint(openSlots(d)); got != "[2 3]" || len(d.held) != 0 {
+		t.Fatalf("clone has slots %s open and %d held sets after slot 1 applied, want [2 3] (opened through the held slot) and 0", got, len(d.held))
+	}
+	if got := string(c.AppendFingerprint(nil)); got != fp || len(c.held[1+window][1]) != 1 {
+		t.Fatal("stepping the clone changed the original")
 	}
 }

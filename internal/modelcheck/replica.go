@@ -185,6 +185,10 @@ type ReplicaResult struct {
 	// consensus instances ever overlapped and nothing about overlapping
 	// proposals, out-of-order decisions or per-slot votes was exercised.
 	MaxOpen int
+	// MaxHeld is the most round messages any replica had held for slots
+	// ahead of its window by any explored state — the guard for the hold:
+	// 0 (any scope with Slots ≤ the window) means no state kept one.
+	MaxHeld int
 	// Complete reports whether the reachable space was exhausted. False
 	// means the MaxStates budget cut the run: every visited state was
 	// still checked, so a clean incomplete run is a bounded-verification
@@ -504,6 +508,9 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 			}
 			if st.Open > res.MaxOpen {
 				res.MaxOpen = st.Open
+			}
+			if st.HeldEarly > res.MaxHeld {
+				res.MaxHeld = st.HeldEarly
 			}
 		}
 		f := next.fingerprint()

@@ -532,6 +532,33 @@ func TestReplicaExploreLastVotingWindow(t *testing.T) {
 		res.States, res.Transitions, res.MaxOpen, res.MaxApplied, res.Findings)
 }
 
+// TestReplicaExploreOTRThreeSlotClosure is the hold's scope. Every scope
+// above has Slots ≤ the window, so none of their states can receive a
+// round message for a slot ahead of it; with three slots, a replica still
+// on slot 1 gets slot 3's round messages from a peer that has applied
+// slot 1, keeps them (live.ReplicaCore's held set: cloned, fingerprinted,
+// heard when the slot opens) and later opens slot 3 with them. n=2 closes
+// this in seconds, under a crash; MaxHeld is the vacuity guard.
+func TestReplicaExploreOTRThreeSlotClosure(t *testing.T) {
+	res := exploreClean(t, ReplicaModel{
+		N:           2,
+		Slots:       3,
+		MaxRound:    2,
+		CrashBudget: 1,
+		MaxBatch:    1,
+		Algorithm:   otr.Algorithm{},
+		Msg:         otr.WireCodec{},
+		Workload: []Submission{
+			{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'},
+			{Replica: 0, Client: 2, Seq: 1, Cmd: 'b'},
+			{Replica: 0, Client: 3, Seq: 1, Cmd: 'c'},
+		},
+	}, true)
+	if res.MaxHeld < 1 || res.MaxApplied != 3 || res.MaxOpen != 2 {
+		t.Fatalf("vacuous exploration: maxHeld=%d maxApplied=%d maxOpen=%d, want ≥ 1, 3 and 2", res.MaxHeld, res.MaxApplied, res.MaxOpen)
+	}
+}
+
 // probeKillsAgreement runs a recovery probe both ways: the mutated run
 // must split a decision, the control must be clean with slot 1 applied
 // everywhere.
