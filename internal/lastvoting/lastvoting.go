@@ -14,15 +14,20 @@
 //	          of acks decides x_p, and c (if it voted) becomes ready.
 //	decide:   a ready c sends ⟨decide, vote⟩; receivers decide.
 //
-// Phase 1 is rounds 1 … 3: vote, ack, decide. Two departures from [6],
-// argued in DESIGN.md §9. Coord(1) is born committed to its own proposal:
-// no earlier phase could have locked a value, so an estimate round has
-// nothing to report. And every adopter, not only c, decides on a majority
-// of acks: they are broadcast anyway, and it is c's own lock argument one
-// round earlier — a fault-free instance decides in two rounds. The decide
-// round stays for processes that missed the vote. Like [6], all of it
-// assumes a process lives each round at most once, across crashes too:
-// whoever restores an instance resumes it past the last round it sent in.
+// Phase 1 is rounds 1 … 3: vote, ack, decide. Four departures from [6],
+// argued in DESIGN.md §9. Coord(1) is born locked to its own proposal,
+// (x, ts) = (proposal, 1), and votes it unasked: no earlier phase could have
+// locked a value, so an estimate round has nothing to report. Every
+// adopter, not only c, decides on a majority of acks: they are broadcast
+// anyway, and it is c's own lock argument one round earlier. In phase 1 c
+// is counted among those acks whether its ack arrived or not — born
+// locked, it is an acceptor of its own vote — so at n ≤ 3 an adopter
+// decides on its own ack, one hop after the vote. And c's ack is its vote
+// sent again: a process that missed the vote adopts it there, counts
+// itself beside c, and decides. The decide round stays for processes that
+// missed both. Like [6], all of it assumes a process lives each round at
+// most once, across crashes too: whoever restores an instance resumes it
+// past the last round it sent in.
 package lastvoting
 
 import (
@@ -45,7 +50,7 @@ func (Algorithm) Name() string { return "LastVoting" }
 func (Algorithm) NewInstance(p core.ProcessID, n int, initial core.Value) core.Instance {
 	i := &Instance{p: p, n: n, x: initial}
 	if p == Coord(1, n) {
-		i.vote, i.commit = initial, true
+		i.ts, i.vote, i.commit = 1, initial, true
 	}
 	return i
 }
@@ -118,6 +123,9 @@ func (i *Instance) Send(r core.Round) core.Message {
 			return voteMsg{V: i.vote}
 		}
 	case 3:
+		if phase == 1 && i.p == c && i.commit {
+			return voteMsg{V: i.vote} // its ack, naming the vote for whoever missed it
+		}
 		if i.ackable {
 			return ackMsg{}
 		}
@@ -169,16 +177,14 @@ func (i *Instance) Transition(r core.Round, msgs []core.IncomingMessage) {
 			}
 		}
 	case 3:
-		acks := 0
-		for _, m := range msgs {
-			if _, ok := m.Payload.(ackMsg); ok {
-				acks++
-			}
+		acks, vote, late := i.ackCount(phase, c, msgs)
+		if late {
+			i.x, i.ts = vote.V, phase
 		}
 		majority := quorum.ExceedsMajority(acks, i.n)
 		// commit: a coordinator restarted since its vote no longer knows it.
 		i.ready = majority && i.p == c && i.commit
-		if majority && i.ackable && !i.decided {
+		if majority && (i.ackable || late) && !i.decided {
 			i.decided, i.decision = true, i.x // x_p is the vote, and locked
 		}
 	case 4:
@@ -200,24 +206,23 @@ func (i *Instance) Transition(r core.Round, msgs []core.IncomingMessage) {
 
 // Implements core.Decisive for the two rounds whose transition decides on
 // something a larger vector cannot take back: the ack round once this
-// process has adopted the phase's vote and msgs holds a majority of acks
-// (more messages are more acks at most, and x_p is fixed), and the decide
-// round once msgs holds the coordinator's decide message (a vector has one
-// message per sender). The vote round is deliberately absent: hearing the
-// coordinator fixes the adoption, but adopting decides nothing.
+// process has adopted the phase's vote — in the vote round, or in phase 1
+// from the coordinator's ack — and ackCount reaches a majority (more
+// messages are more acks at most, and x_p is fixed: phase 1 has one vote);
+// and the decide round once msgs holds the coordinator's decide message (a
+// vector has one message per sender). The vote round is deliberately
+// absent: hearing the coordinator fixes the adoption, but adopting decides
+// nothing. At n ≤ 3 the phase-1 ack round decides the moment an adopter
+// enters it, on its own ack, and the moment one that missed the vote hears
+// the coordinator's.
 //
 //holint:hotpath
 func (i *Instance) DecidesOn(r core.Round, msgs []core.IncomingMessage) bool {
 	phase, pos := PhaseOf(r)
 	switch pos {
 	case 3:
-		acks := 0
-		for _, m := range msgs {
-			if _, ok := m.Payload.(ackMsg); ok {
-				acks++
-			}
-		}
-		return i.ackable && quorum.ExceedsMajority(acks, i.n)
+		acks, _, late := i.ackCount(phase, Coord(phase, i.n), msgs)
+		return (i.ackable || late) && quorum.ExceedsMajority(acks, i.n)
 	case 4:
 		c := Coord(phase, i.n)
 		for _, m := range msgs {
@@ -227,6 +232,35 @@ func (i *Instance) DecidesOn(r core.Round, msgs []core.IncomingMessage) bool {
 		}
 	}
 	return false
+}
+
+// ackCount counts the acks of phase φ's ack round in msgs. In phase 1 the
+// coordinator c is counted whether its ack arrived or not — it was born
+// locked to its vote, durably before the vote left — and its ack is that
+// vote again (c sends no ackMsg in phase 1): late reports that msgs holds
+// it and this process missed the vote round. Such a process adopts the
+// vote from it, and counts itself too: it sent no ack, but it holds the
+// vote at ts 1 in the very state that decides on the count.
+//
+//holint:hotpath
+func (i *Instance) ackCount(phase core.Round, c core.ProcessID, msgs []core.IncomingMessage) (acks int, vote voteMsg, late bool) {
+	for _, m := range msgs {
+		switch pl := m.Payload.(type) {
+		case ackMsg:
+			acks++
+		case voteMsg:
+			if phase == 1 && m.From == c && !i.ackable {
+				vote, late = pl, true
+			}
+		}
+	}
+	if phase == 1 {
+		acks++
+		if late && i.p != c {
+			acks++
+		}
+	}
+	return acks, vote, late
 }
 
 // Decided implements core.Instance.
@@ -295,6 +329,9 @@ func (i *Instance) AppendState(dst []byte) []byte {
 // stale ackable would acknowledge an adoption that never happened at
 // the current phase; either breaks the majority-lock argument. That
 // includes Coord(1)'s birth commit: it may have voted before the crash.
+// Its birth LOCK is stable and stays, also in a record of a build that
+// bore Coord(1) at ts 0: there ts 0 means x is still the proposal it was
+// born voting for, and adopters count it as locked.
 func (i *Instance) RestoreState(b []byte) error {
 	x, n1 := binary.Varint(b)
 	if n1 <= 0 {
@@ -320,6 +357,9 @@ func (i *Instance) RestoreState(b []byte) error {
 		return errors.New("lastvoting: corrupt state: decision")
 	}
 	i.x, i.ts = core.Value(x), core.Round(ts)
+	if ts == 0 && i.p == Coord(1, i.n) {
+		i.ts = 1
+	}
 	i.vote, i.commit, i.ready, i.ackable = 0, false, false, false
 	i.decided = flags&8 != 0
 	i.decision = core.Value(decision)

@@ -1,6 +1,7 @@
 package lastvoting
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"heardof/internal/adversary"
@@ -89,8 +90,10 @@ func TestMajorityHOSufficesUnlikeOTR(t *testing.T) {
 }
 
 func TestNoDecisionWithoutMajority(t *testing.T) {
-	// HO sets of size 2 of n=5: below majority, the coordinator never
-	// commits and nobody ever decides.
+	// HO sets of size 2 of n=5: below majority. The two heard are the most
+	// a decision could lean on — Coord(1), born committed, and an adopter —
+	// but Coord(1) counted plus one ack is two of five, no later
+	// coordinator ever commits, and nobody ever decides.
 	prov := core.HOProviderFunc(func(r core.Round, n int) []core.PIDSet {
 		out := make([]core.PIDSet, n)
 		for p := range out {
@@ -268,15 +271,20 @@ func TestRestoreStateKeepsStableDropsPhase(t *testing.T) {
 }
 
 func TestFirstCoordinatorIsBornCommittedOnce(t *testing.T) {
-	// Coord(1) votes its own proposal in round 1, unasked.
+	// Coord(1) votes its own proposal in round 1, unasked, and is born
+	// locked to it: (x, ts) = (proposal, 1), in the state a vote record
+	// carries.
 	born := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
 	if msg := born.Send(1); msg != (voteMsg{V: 5}) {
 		t.Fatalf("Coord(1) round-1 send = %v, want its own proposal as the vote", msg)
 	}
+	if born.x != 5 || born.ts != 1 {
+		t.Errorf("Coord(1) born at (x, ts) = (%d, %d), want (5, 1)", born.x, born.ts)
+	}
 	// Nobody else is: p1 coordinates phase 2 and has to ask first.
 	other := Algorithm{}.NewInstance(1, 3, 6).(*Instance)
-	if other.commit {
-		t.Error("a process other than Coord(1) was born committed")
+	if other.commit || other.ts != 0 {
+		t.Errorf("a process other than Coord(1) was born committed (%v) or locked (ts %d)", other.commit, other.ts)
 	}
 	// A RECOVERED Coord(1) is not: its first incarnation may have voted
 	// already, and what it restores over (here a fresh proposal, 9) need
@@ -291,8 +299,17 @@ func TestFirstCoordinatorIsBornCommittedOnce(t *testing.T) {
 	if msg := rec.Send(1); msg != nil {
 		t.Errorf("recovered Coord(1) voted again in phase 1: %v", msg)
 	}
-	if rec.x != 5 {
-		t.Errorf("recovered estimate %d, want the persisted 5", rec.x)
+	// Its lock is stable state and comes back: phase 2's coordinator,
+	// hearing it beside a ts-0 estimate listed first, votes the lock.
+	if rec.x != 5 || rec.ts != 1 {
+		t.Errorf("recovered (x, ts) = (%d, %d), want the persisted lock (5, 1)", rec.x, rec.ts)
+	}
+	other.Transition(4, []core.IncomingMessage{
+		{From: 2, Payload: estimateMsg{X: 7, TS: 0}},
+		{From: 0, Payload: rec.Send(4)},
+	})
+	if !other.commit || other.vote != 5 {
+		t.Errorf("phase-2 coordinator voted (%v, %d), want the locked 5", other.commit, other.vote)
 	}
 }
 
@@ -306,27 +323,27 @@ func TestAdopterDecidesOnMajorityOfAcks(t *testing.T) {
 	}
 	vote := []core.IncomingMessage{{From: 0, Payload: voteMsg{V: 5}}}
 
-	// p2 adopts phase 1's vote and hears two of three acks: decided, one
-	// round before the coordinator could tell it.
-	adopter := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
+	// p2 of five adopts phase 1's vote and hears three acks, Coord(1)'s
+	// counted: decided, one round before the coordinator could tell it.
+	adopter := Algorithm{}.NewInstance(2, 5, 8).(*Instance)
 	adopter.Transition(1, vote)
-	adopter.Transition(2, acks(0, 2))
+	adopter.Transition(2, acks(1, 2))
 	if v, ok := adopter.Decided(); !ok || v != 5 {
 		t.Errorf("adopter with a majority of acks: decided (%d, %v), want (5, true)", v, ok)
 	}
-	// One ack is not a majority.
-	lonely := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
+	// Its own ack and Coord(1)'s are not a majority of five.
+	lonely := Algorithm{}.NewInstance(2, 5, 8).(*Instance)
 	lonely.Transition(1, vote)
 	lonely.Transition(2, acks(2))
 	if _, ok := lonely.Decided(); ok {
 		t.Error("decided on a minority of acks")
 	}
-	// A process that missed the vote holds its own estimate, not the
-	// locked value: the acks of others tell it THAT something is locked,
-	// not what. It waits for the decide round.
+	// A process that missed the vote, and the coordinator's ack with it,
+	// holds its own estimate, not the locked value: the acks of others tell
+	// it THAT something is locked, not what. It waits for the decide round.
 	missed := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
 	missed.Transition(1, nil)
-	missed.Transition(2, acks(0, 1))
+	missed.Transition(2, acks(1))
 	if _, ok := missed.Decided(); ok {
 		t.Error("decided on acks for a vote it never adopted")
 	}
@@ -334,10 +351,11 @@ func TestAdopterDecidesOnMajorityOfAcks(t *testing.T) {
 	if v, ok := missed.Decided(); !ok || v != 5 {
 		t.Errorf("decide round: (%d, %v), want (5, true)", v, ok)
 	}
-	// The coordinator still becomes ready for that round.
+	// The coordinator still becomes ready for that round, on its own count
+	// and one ack.
 	coord := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
 	coord.Transition(1, vote)
-	coord.Transition(2, acks(0, 1))
+	coord.Transition(2, acks(1))
 	if msg := coord.Send(3); msg != (decideMsg{V: 5}) {
 		t.Errorf("coordinator decide-round send = %v, want decide 5", msg)
 	}
@@ -359,5 +377,118 @@ func TestRestartedCoordinatorDoesNotDecideBlind(t *testing.T) {
 	}
 	if _, ok := rec.Decided(); ok {
 		t.Fatal("restarted coordinator decided on acks for a vote it never adopted")
+	}
+}
+
+func TestRestoreLocksCoordinatorOfAnUnlockedRecord(t *testing.T) {
+	// A vote record of Coord(1) as a build that bore it at ts 0 wrote it:
+	// x 5, ts 0, vote 5, commit, nothing decided. x is still the proposal
+	// it was born voting for, so it restores locked, as if born now.
+	var old []byte
+	old = binary.AppendVarint(old, 5)
+	old = binary.AppendVarint(old, 0)
+	old = binary.AppendVarint(old, 5)
+	old = append(old, 1)
+	old = binary.AppendVarint(old, 0)
+	rec := Algorithm{}.NewInstance(0, 3, 9).(*Instance)
+	if err := rec.RestoreState(old); err != nil {
+		t.Fatal(err)
+	}
+	if rec.x != 5 || rec.ts != 1 {
+		t.Errorf("Coord(1) restored at (x, ts) = (%d, %d), want (5, 1)", rec.x, rec.ts)
+	}
+	// Only Coord(1): anyone else at ts 0 adopted nothing.
+	other := Algorithm{}.NewInstance(1, 3, 9).(*Instance)
+	if err := other.RestoreState(old); err != nil {
+		t.Fatal(err)
+	}
+	if other.ts != 0 {
+		t.Errorf("p1 restored at ts %d from a ts-0 record, want 0", other.ts)
+	}
+}
+
+func TestVoteCountsAsCoordinatorAck(t *testing.T) {
+	// An adopter of phase 1's vote counts Coord(1) among the acks
+	// whether its ack arrived or not. At n = 3 its own ack completes the
+	// majority, so the ack round decides on the adopter's own message.
+	own := []core.IncomingMessage{{From: 1, Payload: ackMsg{}}}
+	p1 := Algorithm{}.NewInstance(1, 3, 8).(*Instance)
+	p1.Transition(1, []core.IncomingMessage{{From: 0, Payload: voteMsg{V: 5}}})
+	if !p1.DecidesOn(2, own) {
+		t.Error("DecidesOn(ack round, own ack) = false at n = 3, want true")
+	}
+	p1.Transition(2, own)
+	if v, ok := p1.Decided(); !ok || v != 5 {
+		t.Errorf("adopter on its own ack: (%d, %v), want (5, true)", v, ok)
+	}
+	// At n = 4 the majority is three: own ack and Coord(1) need a third.
+	q := Algorithm{}.NewInstance(1, 4, 8).(*Instance)
+	q.Transition(1, []core.IncomingMessage{{From: 0, Payload: voteMsg{V: 5}}})
+	if q.DecidesOn(2, own) {
+		t.Error("DecidesOn at n = 4 on own ack and Coord(1)'s, want false")
+	}
+	third := append(own, core.IncomingMessage{From: 2, Payload: ackMsg{}})
+	if !q.DecidesOn(2, third) {
+		t.Error("DecidesOn at n = 4 on two acks and Coord(1)'s, want true")
+	}
+	// Phase 2 is as in [6]: its coordinator (p1) is counted only by its ack.
+	p2 := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
+	p2.Transition(5, []core.IncomingMessage{{From: 1, Payload: voteMsg{V: 5}}})
+	if p2.DecidesOn(6, []core.IncomingMessage{{From: 2, Payload: ackMsg{}}}) {
+		t.Error("phase-2 adopter decides on its own ack alone")
+	}
+}
+
+func TestCoordinatorAckNamesItsVote(t *testing.T) {
+	// Coord(1)'s round-2 message is its vote again. A process that missed
+	// the vote adopts it (ts 1) from that ack and counts itself beside
+	// Coord(1): at n = 3 it decides there, on that one message.
+	c := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
+	c.Transition(1, []core.IncomingMessage{{From: 0, Payload: c.Send(1)}})
+	ack := c.Send(2)
+	if ack != (voteMsg{V: 5}) {
+		t.Fatalf("Coord(1) ack-round send = %v, want its vote 5", ack)
+	}
+	heard := []core.IncomingMessage{{From: 0, Payload: ack}}
+	missed := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
+	missed.Transition(1, nil)
+	if !missed.DecidesOn(2, heard) {
+		t.Error("DecidesOn(ack round, Coord(1)'s ack) = false for a process that missed the vote")
+	}
+	missed.Transition(2, heard)
+	if v, ok := missed.Decided(); !ok || v != 5 || missed.x != 5 || missed.ts != 1 {
+		t.Errorf("missed the vote, heard the ack: decided (%d, %v) at (x, ts) = (%d, %d), want 5 at (5, 1)",
+			v, ok, missed.x, missed.ts)
+	}
+	// At n = 4 the two are no majority: it adopts, and needs an ack beside.
+	wide := Algorithm{}.NewInstance(2, 4, 8).(*Instance)
+	wide.Transition(1, nil)
+	if !wide.DecidesOn(2, append(heard, core.IncomingMessage{From: 1, Payload: ackMsg{}})) {
+		t.Error("DecidesOn at n = 4 on Coord(1)'s ack and p1's, having missed the vote, want true")
+	}
+	wide.Transition(2, heard)
+	if _, ok := wide.Decided(); ok || wide.x != 5 || wide.ts != 1 {
+		t.Errorf("n = 4, heard only Coord(1)'s ack: decided %v at (x, ts) = (%d, %d), want undecided at (5, 1)", ok, wide.x, wide.ts)
+	}
+	// Coord(1) is counted once: if it missed its own vote and hears only
+	// its own ack, it has no majority.
+	deaf := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
+	deaf.Transition(1, nil)
+	if deaf.DecidesOn(2, []core.IncomingMessage{{From: 0, Payload: deaf.Send(2)}}) {
+		t.Error("Coord(1) decides on its own ack alone")
+	}
+	// A restarted Coord(1) has no vote to name; a later coordinator acks
+	// as in [6].
+	rec := Algorithm{}.NewInstance(0, 3, 9).(*Instance)
+	if err := rec.RestoreState(c.AppendState(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if msg := rec.Send(2); msg != nil {
+		t.Errorf("restarted Coord(1) ack-round send = %v, want nil", msg)
+	}
+	c2 := Algorithm{}.NewInstance(1, 3, 6).(*Instance)
+	c2.Transition(5, []core.IncomingMessage{{From: 1, Payload: voteMsg{V: 6}}})
+	if msg := c2.Send(6); msg != (ackMsg{}) {
+		t.Errorf("phase-2 coordinator ack-round send = %v, want an ack", msg)
 	}
 }

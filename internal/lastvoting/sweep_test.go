@@ -3,6 +3,7 @@ package lastvoting
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"heardof/internal/core"
@@ -69,7 +70,7 @@ func TestExhaustiveHeardOfSweep(t *testing.T) {
 	for _, tc := range []struct {
 		restarts bool
 		states   int
-	}{{true, 288_368}, {false, 101_358}} {
+	}{{true, 251_336}, {false, 87_432}} {
 		// The vacuity guard for the later phases: some run has all three
 		// decide in one round after phase 1, nobody having decided before.
 		states, late := 0, false
@@ -114,6 +115,34 @@ func TestExhaustiveHeardOfSweep(t *testing.T) {
 		}})
 	if res.Violation != nil || !decidedAfterRestart {
 		t.Errorf("restarts marked: violation %v, some restarted process later decides: %v", res.Violation, decidedAfterRestart)
+	}
+}
+
+// TestExhaustiveHeardOfSweepFourProcesses is the scope where Coord(1)
+// counted is not yet a majority with one ack: at n = 4 an adopter needs two
+// acks beside it. Phases 1 and 2, restarts, every input vector, DecidesOn
+// held to its contract throughout.
+func TestExhaustiveHeardOfSweepFourProcesses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n = 4 sweep: seconds")
+	}
+	states, phase1 := 0, false
+	contract := &decisive{alg: Algorithm{}}
+	for in := core.Value(0); in < 16; in++ {
+		contract.inputs = []core.Value{in & 1, in >> 1 & 1, in >> 2 & 1, in >> 3}
+		res := sweep(t, hosweep.Sweep{Alg: Algorithm{}, Inputs: contract.inputs, Rounds: 7, Restarts: true,
+			Visit: func(r core.Round, from, to []core.Instance) {
+				phase1 = phase1 || (r == 2 && decidedCount(to) == 4)
+				contract.visit(r, from, to)
+			}})
+		if res.Violation != nil {
+			t.Fatal(res.Violation)
+		}
+		states += res.States - 1
+	}
+	if states != 161_068 || !phase1 || contract.violation != nil {
+		t.Errorf("%d global states, want 161068; some run has all four decide in phase 1's ack round: %v; DecidesOn: %v",
+			states, phase1, contract.violation)
 	}
 }
 
@@ -167,6 +196,22 @@ func TestSweepRejectsTemptingVariants(t *testing.T) {
 				i.ready = quorum.ExceedsMajority(acks, i.n)
 			}
 		}, "agreement: inputs [1 0 0] round 3: p1 decided 0, p2 decided 1"},
+		// "Coord(1)'s vote is its ack, so it need not be born locked": then
+		// its estimate in phase 2 reports ts 0, and a phase-2 coordinator that
+		// hears it beside another ts-0 estimate may pick the other one. Ties
+		// broken toward the lowest index mask this at n = 3 — the tie always
+		// includes p0 = Coord(1), still holding its vote — so the twin breaks
+		// them toward the highest.
+		{"Coord(1) counted without its birth lock", func(i *Instance, r core.Round, msgs []core.IncomingMessage) {
+			if r == 1 && i.p == Coord(1, i.n) {
+				i.ts = 0
+			}
+			if _, pos := PhaseOf(r); pos == 1 {
+				msgs = slices.Clone(msgs)
+				slices.Reverse(msgs)
+			}
+			i.Transition(r, msgs)
+		}, "agreement: inputs [1 0 0] round 6: p1 decided 0, p2 decided 1"},
 	}
 	for _, v := range variants {
 		res := sweep(t, hosweep.Sweep{Alg: v.step, Inputs: []core.Value{1, 0, 0}, Rounds: sweepRounds, Restarts: true})
@@ -283,15 +328,18 @@ func TestSweepRejectsHastyDecidesOn(t *testing.T) {
 			adopted := *i
 			adopted.ackable = true
 			return adopted.DecidesOn(r, msgs)
-		}, "decisive: inputs [1 0 0] round 2: p0 says {1,2} decides, and is undecided after hearing {1,2}"},
-		// "My own ack is as good as a majority": the second may never come.
+		}, "decisive: inputs [1 0 0] round 2: p0 says {2} decides, and is undecided after hearing {2}"},
+		// "My own ack is as good as a majority": with Coord(1) counted it is,
+		// in phase 1 at n = 3. Not in phase 2 — only Coord(1) is born locked,
+		// a later coordinator's ack is what says it adopted its own vote, and
+		// the second ack may never come.
 		{"on a single ack", func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool {
 			_, pos := PhaseOf(r)
 			return pos == 3 && i.ackable && len(msgs) > 0 && msgs[0].Payload == ackMsg{}
-		}, "decisive: inputs [1 0 0] round 2: p2 says {2} decides, and is undecided after hearing {2}"},
+		}, "decisive: inputs [1 0 0] round 6: p2 says {2} decides, and is undecided after hearing {2}"},
 	} {
 		check := &decisive{alg: twin.decides, inputs: []core.Value{1, 0, 0}}
-		sweep(t, hosweep.Sweep{Alg: check.alg, Inputs: check.inputs, Rounds: 3, Restarts: true, Visit: check.visit})
+		sweep(t, hosweep.Sweep{Alg: check.alg, Inputs: check.inputs, Rounds: 7, Restarts: true, Visit: check.visit})
 		if got := fmt.Sprint(check.violation); got != twin.want {
 			t.Errorf("DecidesOn %s:\n got %s\nwant %s", twin.name, got, twin.want)
 		}

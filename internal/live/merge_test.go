@@ -364,10 +364,14 @@ func (n *coreNet) drain() {
 // and leaves as a forward — so it reaches p0 as a forward, again inside
 // the batch p1 mints for slot 3, and p0 has merged it into its own
 // slot-3 batch by then. Every replica applies each (client, seq) fresh
-// exactly once, and the counters show the path taken. Three slots, not
-// the two of the one-slot-at-a-time core: b no longer waits for slot 1
-// to finish before riding slot 2, so c and d, accepted a step later,
-// find slot 2's proposals already made and take slot 3.
+// exactly once, and the counters show the path taken. Three slots carry
+// the commands, not the two of the one-slot-at-a-time core: b no longer
+// waits for slot 1 to finish before riding slot 2, so c and d, accepted a
+// step later, find slot 2's proposals already made and take slot 3. A
+// fourth slot decides nothing fresh: p1 decides slot 1 the moment its vote
+// round closes — on its own ack and Coord(1)'s vote — and opens slot 3 for
+// c before p2's batch with d reaches it, so d opens slot 4 at p1 once slot
+// 2 applies, while p0's slot-3 batch is already committing d.
 func TestForwardedCommandAppliesOnce(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
@@ -380,8 +384,8 @@ func TestForwardedCommandAppliesOnce(t *testing.T) {
 	wantSlot := map[[2]uint64]uint64{{10, 1}: 1, {11, 1}: 2, {11, 2}: 3, {12, 1}: 3}
 	for p, c := range n.cores {
 		st := c.Counters()
-		if st.Applied != 3 || st.Committed != 4 || st.Pending != 0 || st.Open != 0 {
-			t.Fatalf("replica %d: applied %d slots, committed %d, pending %d, open %d; want 3, 4, 0, 0",
+		if st.Applied != 4 || st.Committed != 4 || st.Pending != 0 || st.Open != 0 {
+			t.Fatalf("replica %d: applied %d slots, committed %d, pending %d, open %d; want 4, 4, 0, 0",
 				p, st.Applied, st.Committed, st.Pending, st.Open)
 		}
 		for key, slot := range wantSlot {

@@ -20,12 +20,16 @@
 //     decide round from the coordinator's message on: a slot commits at
 //     the pace of the fastest quorum, not of the slowest replica or the
 //     unluckiest message, and a silent replica costs a slot ONE timeout
-//     (the vote round's), not two. A decider sends nothing further in the
-//     slot, so this rule makes nobody jump. The VOTE round is not closed
-//     early on hearing the coordinator, although its outcome is as fixed:
-//     the process would go on to SEND — its ack — and a fast replica's
-//     ack then overtakes the vote at a slow one, whose jump rule closes
-//     the vote round without the vote (measured: no gain under loss);
+//     (the vote round's), not two. In phase 1 the coordinator's vote
+//     counts as its ack, so at n = 3 an adopter's own ack is a majority
+//     and its ack round closes the moment it is entered: a non-coordinator
+//     decides one hop after the vote, the coordinator on the first ack. A
+//     decider sends nothing further in the slot, so this rule makes nobody
+//     jump — but its ack still leaves as it decides, and at a slow replica
+//     it can overtake the vote, whose round the jump rule then closes
+//     without it. The coordinator's ack therefore names its vote again, so
+//     that replica adopts it in the ack round and decides there (measured:
+//     without that, the one-hop decision lost throughput on live_delay);
 //   - any peer was observed already past round r (it closed r without
 //     us; a round-r message can no longer reach it, so the driver
 //     transitions immediately and fast-forwards to the highest round

@@ -10,6 +10,7 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"heardof/internal/core"
@@ -335,19 +336,21 @@ func TestOverlapKeepsSessionOrder(t *testing.T) {
 // TestCrashWithTwoSlotsOpenRestoresBothVotes: a replica that voted in
 // two open slots and crashed comes back with both votes, and reopens
 // both slots with them installed — one forgotten vote is one slot in
-// which it could help decide against its own pre-crash quorum.
+// which it could help decide against its own pre-crash quorum. The
+// replica is p0, Coord(1) of every slot: born locked to its proposal, it
+// is counted among the acks of every adopter of its vote, so its lock must
+// survive like an adopter's. (At n = 3 an adopter decides as it adopts,
+// so no other replica holds an undecided vote at ts 1.)
 func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 2, Cmd: "b"})
-	n.deliver() // p1, p2 join both slots on p0's votes (round 1 is phase 1's vote round)
-	n.deliver() // round 1 closes everywhere: p1, p2 adopt both votes, x locked at ts 1
-	before := n.cores[1].PersistState()
-	if len(before.Votes) != 2 || len(n.cores[1].DecidedUnapplied()) != 0 {
-		t.Fatalf("p1 holds votes for %d slots mid-consensus, want 2", len(before.Votes))
+	before := n.cores[0].PersistState() // both votes are out: x locked at ts 1
+	if len(before.Votes) != 2 || len(n.cores[0].DecidedUnapplied()) != 0 {
+		t.Fatalf("p0 holds votes for %d slots mid-consensus, want 2", len(before.Votes))
 	}
 
-	rc := n.cores[1].Recover()
+	rc := n.cores[0].Recover()
 	if rc.Counters().Open != 0 {
 		t.Fatal("round positions survived the crash")
 	}
@@ -355,11 +358,11 @@ func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 	if got := openSlots(rc); fmt.Sprint(got) != "[1 2]" {
 		t.Fatalf("recovered replica reopened slots %v, want [1 2]", got)
 	}
-	// Both runs had closed round 1, so their records send in round 2 and
-	// the slots resume in round 3.
+	// Both runs had sent in round 1, the vote round, so the slots resume in
+	// round 2.
 	for _, sr := range rc.OpenRounds(nil) {
-		if sr.Round != 3 {
-			t.Fatalf("slot %d resumed in round %d, want 3", sr.Slot, sr.Round)
+		if sr.Round != 2 {
+			t.Fatalf("slot %d resumed in round %d, want 2", sr.Slot, sr.Round)
 		}
 	}
 	// LastVoting's encoding starts with the locked vote (x, ts); the phase
@@ -378,11 +381,11 @@ func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 	}
 
 	// The group finishes both slots with the recovered replica in it:
-	// what was in flight to the old incarnation is gone, so a round of
+	// what was in flight from the old incarnation is gone, so a round of
 	// timeouts restarts the exchange whenever the network falls silent.
-	n.cores[1] = rc
+	n.cores[0] = rc
 	n.queue = nil
-	for i := 0; i < 100 && n.cores[1].NextSlot() < 3; i++ {
+	for i := 0; i < 100 && n.cores[0].NextSlot() < 3; i++ {
 		if len(n.queue) > 0 {
 			n.deliver()
 			continue
@@ -403,10 +406,11 @@ func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 
 // TestFaultFreeSlotTakesTwoRounds: LastVoting's first coordinator votes
 // its proposal unasked in round 1 and every adopter decides on the acks
-// of round 2, so with nothing lost a slot is two rounds at every replica
-// and 20 envelopes in all — the batch and the vote (2 + 2), two replicas
-// joining with their round-1 nulls (4), three acks (6), three eager
-// decision pushes (6).
+// of round 2 — the coordinator's counted, so p1 and p2 decide on entering
+// it — so with nothing lost a slot is two rounds at every replica and 20
+// envelopes in all — the batch and the vote (2 + 2), two replicas joining
+// with their round-1 nulls (4), three acks, p0's naming its vote (6), three
+// eager decision pushes (6).
 func TestFaultFreeSlotTakesTwoRounds(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
@@ -434,43 +438,37 @@ func TestFaultFreeSlotTakesTwoRounds(t *testing.T) {
 	}
 }
 
-// TestMissedVoteLearnsBySyncPush: a decider's run closes — it sends no
-// decide round — so a replica that missed the vote cannot decide in its
-// own instance (it adopted nothing: the acks it hears lock a value it
-// does not hold). It learns the slot from the eager decision push of
-// whoever decided, at network speed: no round timeout fires anywhere in
-// this test.
-func TestMissedVoteLearnsBySyncPush(t *testing.T) {
-	n := newCoreNet(t)
-	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
-	kept := n.queue[:0]
-	for _, o := range n.queue {
-		if !(o.To == 2 && o.Env.Kind == KindRound) {
-			kept = append(kept, o) // p0's round-1 vote never reaches p2
+// TestMissedVoteAdoptsFromTheCoordinatorsAck: a replica that missed the
+// vote hears it again — Coord(1)'s ack names its vote — adopts it in the
+// ack round and decides there, counting itself beside Coord(1), in its own
+// instance: no decision is taken from a sync push, and no round timeout
+// fires anywhere in this test. When both p1 and p2 miss it, neither sends an ack, so their count is
+// themselves and Coord(1) — and p0, which hears no ack, learns the slot
+// from their push.
+func TestMissedVoteAdoptsFromTheCoordinatorsAck(t *testing.T) {
+	for _, missed := range [][]core.ProcessID{{2}, {1, 2}} {
+		n := newCoreNet(t)
+		n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+		lost := n.take(func(o Outbound) bool { return o.Env.Kind == KindRound && slices.Contains(missed, o.To) })
+		if len(lost) != len(missed) {
+			t.Fatalf("%v missing the vote: dropped %d messages, want exactly the vote to each", missed, len(lost))
 		}
-	}
-	if len(kept) != len(n.queue)-1 {
-		t.Fatalf("dropped %d messages, want exactly the vote to p2", len(n.queue)-len(kept))
-	}
-	n.queue = kept
-	n.drain()
-	for p, c := range n.cores {
-		st := c.Counters()
-		if st.Applied != 1 || st.Committed != 1 || st.Open != 0 || st.Divergent != 0 {
-			t.Fatalf("replica %d: applied %d, committed %d, open %d, divergent %d; want 1, 1, 0, 0",
-				p, st.Applied, st.Committed, st.Open, st.Divergent)
+		n.drain()
+		for p, c := range n.cores {
+			st := c.Counters()
+			if st.Applied != 1 || st.Committed != 1 || st.Open != 0 || st.Divergent != 0 {
+				t.Fatalf("%v missing the vote: replica %d: applied %d, committed %d, open %d, divergent %d; want 1, 1, 0, 0",
+					missed, p, st.Applied, st.Committed, st.Open, st.Divergent)
+			}
+			switch own := p != 0 || len(missed) == 1; {
+			case own && (st.SyncDecisions != 0 || st.Rounds != 2):
+				t.Fatalf("%v missing the vote: replica %d took %d decisions from a sync push in %d rounds, want its own, in 2",
+					missed, p, st.SyncDecisions, st.Rounds)
+			case !own && st.SyncDecisions != 1:
+				t.Fatalf("%v missing the vote: replica 0 took %d decisions from a sync push, want the one it heard no ack for",
+					missed, st.SyncDecisions)
+			}
 		}
-		want := 0
-		if p == 2 {
-			want = 1
-		}
-		if st.SyncDecisions != want {
-			t.Fatalf("replica %d took %d decisions from a sync push, want %d", p, st.SyncDecisions, want)
-		}
-	}
-	// p2 went through the ack round — it heard both acks — undecided.
-	if r := n.cores[2].Counters().Rounds; r < 2 {
-		t.Fatalf("p2 closed %d rounds before the push, want the vote and ack rounds", r)
 	}
 }
 
@@ -515,6 +513,40 @@ func TestLostAckDecidesOnTheQuorum(t *testing.T) {
 	}
 }
 
+// TestNonCoordinatorDecidesOneHopAfterTheVote: Coord(1)'s vote counts as
+// its ack, so at n = 3 a non-coordinator's own ack completes a majority.
+// p1 and p2 decide the moment their vote rounds close — one hop after the
+// vote, before any ack has been delivered anywhere — and p0, whose own
+// round-2 message is its vote again, decides on the first ack it hears.
+func TestNonCoordinatorDecidesOneHopAfterTheVote(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	n.deliver() // p1, p2 join slot 1 on p0's vote
+	nulls := n.take(func(o Outbound) bool { return o.Env.Kind == KindRound && o.Env.Round == 1 })
+	for _, o := range nulls {
+		if o.To != 0 {
+			n.step(o.To, Event[string]{Kind: EvEnvelope, Env: o.Env})
+		}
+	}
+	wantOwnDecision(t, n, 1, 2)
+	wantOwnDecision(t, n, 2, 2)
+
+	for _, o := range nulls {
+		if o.To == 0 {
+			n.step(0, Event[string]{Kind: EvEnvelope, Env: o.Env})
+		}
+	}
+	if st := n.cores[0].Counters(); st.Committed != 0 || fmt.Sprint(n.cores[0].OpenRounds(nil)) != "[{1 r2}]" {
+		t.Fatalf("p0 committed %d in rounds %v before hearing an ack, want 0 in the ack round", st.Committed, n.cores[0].OpenRounds(nil))
+	}
+	acks := n.take(func(o Outbound) bool { return o.To == 0 && o.Env.Kind == KindRound && o.Env.Round == 2 })
+	if len(acks) != 2 {
+		t.Fatalf("%d acks on their way to p0, want p1's and p2's", len(acks))
+	}
+	n.step(0, Event[string]{Kind: EvEnvelope, Env: acks[0].Env})
+	wantOwnDecision(t, n, 0, 2)
+}
+
 // TestSilentReplicaCostsOneTimeoutPerSlot: p2 neither hears nor is heard
 // for the whole slot. The vote round has to time out at p0 and p1 — there
 // is no telling a silent replica from a slow one — but the ack round
@@ -553,23 +585,30 @@ func TestSilentReplicaCostsOneTimeoutPerSlot(t *testing.T) {
 // has the vote, p2's round-1 message is slow — when p0's ack arrives. The
 // jump rule closes the vote round (p1 adopts), and the ack round it enters
 // holds the buffered ack and its own: a majority. p1 decides inside that
-// one step, before the second ack is delivered.
+// one step, before p2's ack or decision push is delivered.
 func TestJumpIntoAckRoundDecidesOnEnter(t *testing.T) {
 	n := newCoreNet(t)
 	toP1 := func(o Outbound) bool { return o.To == 1 }
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
 	n.deliver() // p1, p2 join slot 1
 	slow := n.take(toP1)
-	n.deliver() // p0 and p2 close round 1 and ack
-	acks := n.take(toP1)
-	if len(slow) != 1 || len(acks) != 2 || acks[0].Env.Round != 2 || n.cores[1].OpenRounds(nil)[0].Round != 1 {
-		t.Fatalf("held back %d round-1 messages and %d acks for p1, in rounds %v; want 1 and 2, p1 in round 1",
-			len(slow), len(acks), n.cores[1].OpenRounds(nil))
+	n.deliver() // p0 and p2 close round 1 and ack; p2 decides as it enters the ack round
+	rest := n.take(toP1)
+	var ack Outbound
+	for _, o := range rest {
+		if o.Env.From == 0 && o.Env.Kind == KindRound && o.Env.Round == 2 {
+			ack = o
+		}
 	}
-	n.step(1, Event[string]{Kind: EvEnvelope, Env: acks[0].Env})
+	if len(slow) != 1 || ack.Env.Round != 2 || n.cores[1].OpenRounds(nil)[0].Round != 1 {
+		t.Fatalf("held back %d round-1 messages for p1 and p0's ack %v, p1 in rounds %v; want 1, the ack, p1 in round 1",
+			len(slow), ack.Env.Round == 2, n.cores[1].OpenRounds(nil))
+	}
+	n.step(1, Event[string]{Kind: EvEnvelope, Env: ack.Env})
 	wantOwnDecision(t, n, 1, 2)
 
-	n.queue = append(n.queue, slow[0], acks[1])
+	n.queue = append(n.queue, slow...)
+	n.queue = append(n.queue, rest...)
 	n.drain()
 	for p := range n.cores {
 		wantOwnDecision(t, n, core.ProcessID(p), 2)
@@ -649,15 +688,17 @@ func pulls(res StepResult[string], peer core.ProcessID) int {
 	return k
 }
 
-// TestEarlyVoteIsHeldUntilTheWindowReachesIt: p0 and p1 have decided
-// slots 1 and 2 and opened slot 3 while their acks to p2 are still in
-// flight, so slot 3's vote and p1's round-1 message reach p2 one slot
-// beyond its window. p2 pulls — it does lag — but keeps both, and when
-// its own run of slot 1 decides and the window slides, slot 3 opens with
-// them heard: p2 closes the vote round on the spot, acks, and decides
-// slot 3 in two rounds of its OWN instance. Every decision push to p2 is
-// lost in this test; dropping the vote instead (the parent) left p2 with
-// nothing adopted in slot 3 and only a push to learn it from.
+// TestEarlyVoteIsHeldUntilTheWindowReachesIt: p1's round-1 messages to
+// p2 are slow, so p2 sits in the vote round of slots 1 and 2 — everything
+// else for it held back too — while p1 decides both as it enters their ack
+// rounds and opens slot 3 for c, and p0 decides both on p1's acks and
+// opens slot 3 with its vote: slot 3's vote and p1's round-1 message reach
+// p2 one slot beyond its window. p2 pulls — it does lag — but keeps both,
+// and when its own run of slot 1 decides and the window slides, slot 3
+// opens with them heard: p2 closes the vote round on the spot, acks, and
+// decides slot 3 in two rounds of its OWN instance. Every decision push to
+// p2 is lost in this test; dropping the vote instead left p2 with nothing
+// adopted in slot 3 and only a push to learn it from.
 func TestEarlyVoteIsHeldUntilTheWindowReachesIt(t *testing.T) {
 	n := newCoreNet(t)
 	toP2 := func(o Outbound) bool { return o.To == 2 }
@@ -668,9 +709,11 @@ func TestEarlyVoteIsHeldUntilTheWindowReachesIt(t *testing.T) {
 		n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: uint64(i + 1), Cmd: cmd})
 	}
 	n.deliver() // p1, p2 join slots 1 and 2 on p0's votes; c waits as a forward
-	n.deliver() // round 1 closes everywhere: the acks of both slots are on their way
 	slow := n.take(toP2)
-	n.deliver() // p0, p1 decide and apply both slots and open slot 3 for c
+	n.deliver() // p0, p1 close round 1: p1 decides and applies both slots and opens slot 3 for c
+	losePushes()
+	slow = append(slow, n.take(func(o Outbound) bool { return o.To == 2 && o.Env.Slot != 3 })...)
+	n.deliver() // p1's acks reach p0: p0 decides and applies both slots and opens slot 3
 	losePushes()
 	early := n.take(toP2)
 	for _, o := range early {

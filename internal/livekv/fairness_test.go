@@ -69,8 +69,13 @@ func TestEveryNodesClientsRideEverySlot(t *testing.T) {
 		lo, hi = min(lo, perNode[i].Load()), max(hi, perNode[i].Load())
 	}
 	t.Logf("operations completed per node: %d %d %d", perNode[0].Load(), perNode[1].Load(), perNode[2].Load())
-	if float64(lo) < 0.5*float64(hi) {
-		t.Errorf("least-served node completed %d operations, most-served %d: ratio %.2f < 0.5 — a node's clients are starved",
+	// Node 0 is every slot's phase-1 coordinator, and the others' commands
+	// ride its batch a forward later: it stays the most-served node. The
+	// ratio measures 0.72–0.78 (−race included); the floor sits below that
+	// and above the 0.62–0.64 measured while the other nodes waited a hop
+	// for node 0's ack before deciding.
+	if float64(lo) < 0.7*float64(hi) {
+		t.Errorf("least-served node completed %d operations, most-served %d: ratio %.2f < 0.7 — a node's clients are starved",
 			lo, hi, float64(lo)/float64(hi))
 	}
 

@@ -273,13 +273,15 @@ func TestReplicaExploreLastVoting(t *testing.T) {
 
 // TestReplicaExploreLastVotingThree closes phase 1 at n=3, where a
 // majority is not everybody: MaxRound 4 lets the vote, ack and decide
-// rounds transition, so the closure holds every interleaving of "two
-// adopters decide on each other's acks", "the third misses the vote and
-// learns by decide message or by sync", and one crash-stop anywhere. (With
-// four rounds to a decision this scope did not close; with two it is
-// 607 828 states — 632 010 before an ack round closed on its first
-// majority.) The crash-RECOVERY twin closes too since recovery
-// resumes a slot instead of re-running it — 1 410 106 states, 2.6 min:
+// rounds transition, so the closure holds every interleaving of "an
+// adopter decides on its own ack and the coordinator's vote", "the third
+// misses the vote and adopts it from the coordinator's ack, or learns by
+// decide message or by sync", and one crash-stop anywhere. (With four
+// rounds to a decision this scope did not close; with two it is 538 646
+// states — 607 828 before the coordinator's vote counted as its ack,
+// 632 010 before an ack round closed on its first majority.) The
+// crash-RECOVERY twin closes too since recovery resumes a slot instead of
+// re-running it — 1 260 405 states, 2.4 min:
 // CI's model-check job runs it, here it is bounded, every state checked.
 // The first 150k states are where the restarted coordinator that
 // announced a decision it no longer knew was found (79k states in). A

@@ -18,19 +18,23 @@
 //
 //   - CheckFreshRetry: live.MutFreshRetry restores the pre-review retry
 //     that restarted an undecided slot with a FRESH instance, discarding
-//     LastVoting's locked (x, ts). Schedule: phase 1 decides at the
-//     coordinator alone (the one ack it needs reaches it, its own is
-//     lost), its sync push is lost, the two survivors starve past the
-//     retry budget, then run freely. Real
-//     core: the survivor's ts=1 lock steers phase 2 to the decided
-//     value. Mutant: the restart forgets the lock, phase 2 decides a
-//     different batch — a split decision the invariants flag.
+//     LastVoting's locked (x, ts). Schedule: phase 1 decides at one
+//     adopter alone (its own ack and the coordinator's vote, counted as
+//     the coordinator's ack, are a majority; every ack is lost), its sync
+//     push is lost, and the coordinator — born locked, undecided — and the
+//     third replica starve past the retry budget, then run freely. Real
+//     core: the coordinator's ts=1 lock steers phase 3 to the decided
+//     value. Mutant: the restart forgets the lock, and the fresh instance,
+//     born locked to a fresh merge, is voted and decided — a split
+//     decision the invariants flag.
 //   - CheckDrift: live.MutNoJump removes the jump rule (node.go). Two
-//     survivors of a crash run in lockstep one round apart. Real core:
-//     the laggard jumps level on the first future-round message and the
-//     pair decides. Mutant: the leader drops every stale message, no
-//     coordinator ever assembles a quorum, and the pair spins forever —
-//     the drift livelock, reported as a liveness finding.
+//     survivors of a crash run in lockstep one round apart, the phase-1
+//     coordinator behind. Real core: the laggard jumps level on the first
+//     future-round message and the pair decides in the next phase.
+//     Mutant: the leader drops every stale message — the coordinator's
+//     vote and its ack, which names the vote, alike — no coordinator ever
+//     assembles a quorum, and the pair spins forever — the drift
+//     livelock, reported as a liveness finding.
 //   - CheckStall: no core mutation — the environment escalates beyond
 //     the documented fault envelope (crash-STOP of a proposer inside
 //     the dissemination window, plus total batch loss). The decided
@@ -55,14 +59,14 @@
 // the core but a disk that lies — the state is edited on its way back:
 //
 //   - CheckForgetVote: MutForgetVote makes recovery discard the
-//     persisted locked vote. Schedule: phase 1 decides at the
-//     coordinator alone with p1 holding the (x=A, ts=1) lock, p1
-//     crash-recovers, then p1 and p2 run freely. Real core: the
+//     persisted locked vote. Schedule: phase 1 decides at p1 alone with
+//     p0, the coordinator, holding its birth lock (x=A, ts=1); p0
+//     crash-recovers, then p0 and p2 run freely. Real core: the
 //     restored lock steers the next phase back to A. Mutant: recovery
-//     comes back lockless and re-proposes from what it holds — a fresh
-//     merge of the two offered batches, any id but A — and the pair
-//     decides it against p0's applied A — the split the paper's
-//     stable-storage requirement exists to prevent.
+//     comes back lockless and reopens the slot as Coord(1), born locked
+//     to what it holds — a fresh merge of the two offered batches, any id
+//     but A — and the pair decides it against p1's applied A — the split
+//     the paper's stable-storage requirement exists to prevent.
 //   - CheckTSRegress and CheckReliveAck: MutForgetRound makes
 //     recovery drop the round saved with the vote, so the restarted
 //     replica re-runs its slot from round 1 and meets whatever of its
@@ -345,10 +349,10 @@ func (s *scen) finish() ProbeResult {
 	return res
 }
 
-// lockAtCoordinatorAlone is the opening both locked-vote probes share:
-// phase 1 (rounds 1–3, coordinator p0) driven to a decision at p0 ALONE,
-// with p1 holding the lock and p2 in the dark.
-func (s *scen) lockAtCoordinatorAlone() {
+// lockAtOneAdopter is the opening both locked-vote probes share: phase 1
+// (rounds 1–3, coordinator p0) driven to a decision at p1 ALONE, with p0
+// holding the lock undecided and p2 in the dark.
+func (s *scen) lockAtOneAdopter() {
 	// Workload: p0 proposes batch A = (1<<40)|1, p2 batch B = (3<<40)|1.
 	// A replica holding both and no lock proposes their merge under a
 	// fresh id — anything but A, which is all the bait has to be for a
@@ -360,20 +364,19 @@ func (s *scen) lockAtCoordinatorAlone() {
 	// able to re-propose B's command and to apply A).
 	s.deliverWhere(kindIs(live.KindBatch))
 
-	// Round 1 is the vote round: p0 was born committed to A, and its vote
-	// reaches p1 only; p2 stays in the dark.
+	// Round 1 is the vote round: p0 was born locked to A, x=A ts=1 — THE
+	// LOCK — and its vote reaches p1 only; p2 stays in the dark.
 	s.deliverWhere(roundAtFromTo(1, 0, 1))
 	s.dropWhere(roundAt(1))
-	s.timeout(0) // p0 adopts its own vote: x=A ts=1, acks
-	s.timeout(1) // p1 adopts the vote: x=A ts=1 — THE LOCK — and acks
-	// Round 2: p1's ack reaches p0 — with its own, a majority, and p0
-	// adopted: it decides A there and then, and applies it. p0's ack is
-	// lost, so p1, one ack short, does not; the eager decision push is
-	// lost too.
-	s.deliverWhere(roundAtFromTo(2, 1, 0))
-	s.dropWhere(roundAt(2))
-	s.timeout(0)
+	s.timeout(0) // p0 enters the ack round: its ack, the vote again, goes out
+	// p1 adopts the vote and enters the ack round, where its own ack and
+	// p0's vote, counted as p0's ack, are a majority: it decides A there
+	// and then, and applies it.
 	s.timeout(1)
+	// Round 2: every ack is lost, and p1's eager decision push with them.
+	// p0, counting itself and no ack, does not decide.
+	s.dropWhere(anyMsg)
+	s.timeout(0)
 	s.dropWhere(anyMsg)
 }
 
@@ -386,26 +389,27 @@ func CheckFreshRetry(mutated bool) ProbeResult {
 		mut = live.MutFreshRetry
 	}
 	s := newScen(3, mut, 1)
-	s.lockAtCoordinatorAlone()
+	s.lockAtOneAdopter()
 
-	// Starvation: p1 and p2 time out through dead phases (their round
+	// Starvation: p0 and p2 time out through dead phases (their round
 	// messages all lost). The real cores just climb rounds, keeping
 	// their state; mutated cores reach the retry round (10) and restart
-	// with FRESH instances — p1 forgets ts=1 and re-proposes a fresh
-	// merge of A and B, p2 re-proposes a new batch too.
+	// with FRESH instances — p0 forgets its ts=1 lock on A and, Coord(1)
+	// of the fresh instance, votes a fresh merge of A and B; p2
+	// re-proposes a new batch too.
 	for i := 0; i < 12; i++ {
-		s.timeout(1)
+		s.timeout(0)
 		s.timeout(2)
 		s.dropWhere(anyMsg)
 	}
 
-	// Free run: p1 and p2 exchange round traffic in lockstep (p0 stays
-	// silent — it is done; everything to or from it is dropped). The
-	// real pair completes a p1-coordinated phase with p1's ts=1 lock
-	// steering the vote back to A: agreement holds. The mutated pair,
-	// locks forgotten, decides one of those fresh batches — splitting
-	// from p0's applied A.
-	s.freeRunWithout(0)
+	// Free run: p0 and p2 exchange round traffic in lockstep (p1 stays
+	// silent — it is done; everything to or from it is dropped). The real
+	// pair completes a p2-coordinated phase with p0's ts=1 lock steering
+	// the vote back to A: agreement holds. The mutated pair, the lock
+	// forgotten, decides one of those fresh batches — splitting from p1's
+	// applied A.
+	s.freeRunWithout(1)
 	return s.finish()
 }
 
@@ -422,26 +426,26 @@ func CheckDrift(mutated bool) ProbeResult {
 	s.crash(2)
 
 	s.submit(0, 1, 1, 'a')
-	// p1 adopts batch A and starts; everything else in flight is lost.
+	// p1 adopts batch A and starts; everything else in flight — p0's vote
+	// included — is lost.
 	s.deliverWhere(kindIs(live.KindBatch))
 	s.dropWhere(anyMsg)
-	// Establish the drift: p0 times out once on its own, moving one
-	// round ahead of p1.
-	s.timeout(0)
+	// Establish the drift: p1 times out once on its own, moving one round
+	// ahead of p0, the coordinator. (The other way round, p0's ack would
+	// reach p1 in time and carry the vote p1 missed: p1 decides phase 1
+	// on it, drift or not.)
+	s.timeout(1)
 
-	// Lockstep: every round message delivers, then each survivor times
-	// out once. With the jump rule p1 levels up on p0's future-round
-	// message immediately and a p1-coordinated phase decides. Without
-	// it, p0 is perpetually one round ahead and drops p1's traffic as
-	// stale — no coordinator ever hears a quorum.
+	// Lockstep: every message delivers, then each survivor times out once.
+	// With the jump rule p0 levels up on p1's future-round message
+	// immediately and a p1-coordinated phase decides. Without it, p1 is
+	// perpetually one round ahead and drops p0's traffic as stale — p0's
+	// vote and its ack alike — and no coordinator ever hears a quorum.
 	const iters = 40
 	for i := 0; i < iters; i++ {
-		s.deliverWhere(kindIs(live.KindRound))
+		s.deliverWhere(anyMsg)
 		s.timeout(0)
 		s.timeout(1)
-		s.dropWhere(func(_ core.ProcessID, env live.Envelope) bool {
-			return env.Kind != live.KindRound
-		})
 	}
 
 	res := s.finish()
@@ -463,8 +467,8 @@ func CheckDrift(mutated bool) ProbeResult {
 // replicas have decided. Everything else in flight is then lost.
 func (s *scen) decideEverywhere() {
 	s.deliverWhere(kindIs(live.KindRound)) // p0's round-1 vote asks p1, p2 into the slot
-	s.deliverWhere(kindIs(live.KindRound)) // their round-1 messages: round 1 closes everywhere, all adopt and ack
-	s.deliverWhere(kindIs(live.KindRound)) // the acks: all three DECIDE slot 1; p0 applies its own batch, p1 and p2 block pulling the contents
+	s.deliverWhere(kindIs(live.KindRound)) // their round-1 messages: round 1 closes everywhere; p1 and p2 adopt, ack and DECIDE, and block pulling the contents
+	s.deliverWhere(kindIs(live.KindRound)) // the acks: p0 decides slot 1 too and applies its own batch
 	s.dropWhere(anyMsg)
 }
 
@@ -542,22 +546,22 @@ func CheckForgetVote(mutated bool) ProbeResult {
 	if mutated {
 		s.disk = MutForgetVote
 	}
-	// p0 decides A alone with p1 holding the lock (x=A, ts=1); a lockless
+	// p1 decides A alone with p0 holding the lock (x=A, ts=1); a lockless
 	// recovery re-proposes the merge of the batches it holds under a fresh
 	// id — not A: the bait.
-	s.lockAtCoordinatorAlone()
+	s.lockAtOneAdopter()
 
-	// kill -9 p1, restart from stable storage. The persisted instance
+	// kill -9 p0, restart from stable storage. The persisted instance
 	// state is the only memory of the lock; the mutant drops it.
-	s.recover(1)
+	s.recover(0)
 
-	// Free run: p1 and p2 exchange round traffic (p0 stays silent — it
-	// is done). The recovered p1 restarts slot 1 from round 1 and jumps
-	// level on p2's future-round traffic. Real pair: a p1-coordinated
-	// phase sees p1's ts=1 estimate and votes A — agreement with p0.
-	// Mutated pair: both estimates carry ts=0 and neither value is A;
-	// what decides splits from p0's applied A.
-	s.freeRunWithout(0)
+	// Free run: p0 and p2 exchange round traffic (p1 stays silent — it
+	// is done). Real pair: the recovered p0 resumes slot 1 past the last
+	// round it sent in, and a p2-coordinated phase sees p0's ts=1 estimate
+	// and votes A — agreement with p1. Mutated pair: p0 reopens slot 1
+	// from round 1 as Coord(1), born locked to a fresh merge, and votes it;
+	// what decides splits from p1's applied A.
+	s.freeRunWithout(1)
 	return s.finish()
 }
 
@@ -578,8 +582,8 @@ func CheckTSRegress(mutated bool) ProbeResult {
 	s.submit(1, 2, 1, 'b')
 	s.deliverWhere(kindIs(live.KindBatch))
 
-	// Phase 1 (rounds 1–3, coordinator p0) is lost whole: p0 adopts its
-	// own vote, (A, ts 1), and nothing else happens.
+	// Phase 1 (rounds 1–3, coordinator p0) is lost whole: p0 keeps its
+	// birth lock, (A, ts 1), and nothing else happens.
 	for r := core.Round(1); r <= 3; r++ {
 		s.dropWhere(roundAt(r))
 		all()
@@ -653,8 +657,8 @@ func CheckReliveAck(mutated bool) ProbeResult {
 	s.deliverWhere(kindIs(live.KindBatch))
 
 	// Phase 1 (rounds 1–3, coordinator p0). p0's vote ⟨A⟩ and its ack to p2
-	// are HELD UP in the network, the rest is lost: p0 alone adopts
-	// (A, ts 1), one ack short of deciding.
+	// — the vote again — are HELD UP in the network, the rest is lost: p0
+	// alone holds (A, ts 1), one ack short of deciding.
 	held := s.take(roundAtFromTo(1, 0, 2))
 	lost(1, 1)
 	held = append(held, s.take(roundAtFromTo(2, 0, 2))...)
