@@ -93,7 +93,7 @@ func runExplore(f liveFlags) error {
 	if res.Violation != nil {
 		return errVerdict{fmt.Sprintf("SAFETY VIOLATION [%s]: %s", res.Violation.Kind, res.Violation.Message)}
 	}
-	fmt.Println("safety: no reachable violation (agreement, integrity, apply-once, session order, commit monotonicity, batch GC)")
+	fmt.Println("safety: no reachable violation (agreement, integrity, apply-once, session order, commit monotonicity, batch GC, decided ⇒ held)")
 	return nil
 }
 
@@ -129,9 +129,9 @@ var mutantProbes = []mutantProbe{
 		name: "stall-window",
 		run:  modelcheck.CheckStall,
 		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation == nil && hasFinding(r, "stall-window")
+			return r.Violation != nil && r.Violation.Kind == "decided-unheld" && hasFinding(r, "stall-window")
 		},
-		desc: "proposer crash inside the dissemination window strands a decided batch",
+		desc: "round messages stripped of their batch, then a proposer crash, strand a decided batch",
 	},
 	{
 		name: "forget-vote",
@@ -177,9 +177,9 @@ var mutantProbes = []mutantProbe{
 		name: "prune-open",
 		run:  modelcheck.CheckPruneOpen,
 		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation != nil && r.Violation.Kind == "gc-needed-batch"
+			return r.Violation != nil && r.Violation.Kind == "decided-unheld"
 		},
-		desc: "pruning a fully applied proposal whose slot is still open (decided id nobody holds)",
+		desc: "pruning a fully applied proposal whose slot is still open (its coordinator decides an id it no longer holds)",
 	},
 }
 

@@ -84,14 +84,15 @@ type Persistent interface {
 	RestoreState(b []byte) error
 }
 
-// Decisive is an optional capability of an Instance for implementation
+// Settling is an optional capability of an Instance for implementation
 // layers that choose when a round's collection window closes (the live
 // round driver): its one method answers, from a partial vector msgs of
 // round-r messages, whether waiting for more is pointless. The contract:
 //
-//   - true only if Transition(r, m) leaves the instance decided, on one
-//     and the same value, for msgs and for EVERY round-r vector m that
-//     extends it — the answer may never depend on what is yet to arrive;
+//   - true only if Transition(r, m) leaves the instance in one and the
+//     same state (AppendState reads alike) for msgs and for EVERY round-r
+//     vector m that extends it — the answer may never depend on what is
+//     yet to arrive;
 //   - free of observable side effects, like Send: AppendState reads the
 //     same before and after, and the call may be repeated or skipped.
 //
@@ -99,6 +100,6 @@ type Persistent interface {
 // layer that closes a round on a true answer only hands Transition a
 // smaller HO(p, r), which every HO algorithm tolerates by construction;
 // a wrong true costs liveness alone, exactly as a short timeout would.
-type Decisive interface {
-	DecidesOn(r Round, msgs []IncomingMessage) bool
+type Settling interface {
+	SettledOn(r Round, msgs []IncomingMessage) bool
 }

@@ -25,9 +25,11 @@
 // decides on its own ack, one hop after the vote. And c's ack is its vote
 // sent again: a process that missed the vote adopts it there, counts
 // itself beside c, and decides. The decide round stays for processes that
-// missed both. Like [6], all of it assumes a process lives each round at
-// most once, across crashes too: whoever restores an instance resumes it
-// past the last round it sent in.
+// missed both. Phase 1's vote round is settled by the vote alone
+// (core.Settling): a layer that closes rounds early moves on the moment it
+// holds it, Coord(1) at entry. Like [6], all of it assumes a process lives
+// each round at most once, across crashes too: whoever restores an
+// instance resumes it past the last round it sent in.
 package lastvoting
 
 import (
@@ -106,6 +108,7 @@ var (
 	_ core.Instance    = (*Instance)(nil)
 	_ core.Recoverable = (*Instance)(nil)
 	_ core.Persistent  = (*Instance)(nil)
+	_ core.Settling    = (*Instance)(nil)
 )
 
 // X returns the current estimate (for tests).
@@ -204,27 +207,39 @@ func (i *Instance) Transition(r core.Round, msgs []core.IncomingMessage) {
 	}
 }
 
-// Implements core.Decisive for the two rounds whose transition decides on
-// something a larger vector cannot take back: the ack round once this
-// process has adopted the phase's vote — in the vote round, or in phase 1
-// from the coordinator's ack — and ackCount reaches a majority (more
-// messages are more acks at most, and x_p is fixed: phase 1 has one vote);
-// and the decide round once msgs holds the coordinator's decide message (a
-// vector has one message per sender). The vote round is deliberately
-// absent: hearing the coordinator fixes the adoption, but adopting decides
-// nothing. At n ≤ 3 the phase-1 ack round decides the moment an adopter
-// enters it, on its own ack, and the moment one that missed the vote hears
-// the coordinator's.
+// Implements core.Settling for the three rounds whose transition a
+// larger vector cannot change: phase 1's vote round once msgs holds
+// Coord(1)'s vote (the transition reads nothing else, and a vector has one
+// message per sender — Coord(1) holds its own at entry); the ack round once
+// this process has adopted the phase's vote — in the vote round, or in
+// phase 1 from the coordinator's ack — and ackCount reaches a majority
+// (more messages are more acks at most, and x_p is fixed: phase 1 has one
+// vote); and the decide round once msgs holds the coordinator's decide
+// message. Later vote rounds are deliberately absent: their coordinator's
+// ack does not name its vote, so a replica that closed the vote round
+// early could overtake the vote at a peer, whose jump rule then closes the
+// round without it. At n ≤ 3 the phase-1 ack round settles the moment an
+// adopter enters it, on its own ack, and the moment one that missed the
+// vote hears the coordinator's.
 //
 //holint:hotpath
-func (i *Instance) DecidesOn(r core.Round, msgs []core.IncomingMessage) bool {
+func (i *Instance) SettledOn(r core.Round, msgs []core.IncomingMessage) bool {
 	phase, pos := PhaseOf(r)
+	c := Coord(phase, i.n)
 	switch pos {
+	case 2:
+		if phase != 1 {
+			return false
+		}
+		for _, m := range msgs {
+			if _, ok := m.Payload.(voteMsg); ok && m.From == c {
+				return true
+			}
+		}
 	case 3:
-		acks, _, late := i.ackCount(phase, Coord(phase, i.n), msgs)
+		acks, _, late := i.ackCount(phase, c, msgs)
 		return (i.ackable || late) && quorum.ExceedsMajority(acks, i.n)
 	case 4:
-		c := Coord(phase, i.n)
 		for _, m := range msgs {
 			if _, ok := m.Payload.(decideMsg); ok && m.From == c {
 				return true

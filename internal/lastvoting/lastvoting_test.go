@@ -414,8 +414,8 @@ func TestVoteCountsAsCoordinatorAck(t *testing.T) {
 	own := []core.IncomingMessage{{From: 1, Payload: ackMsg{}}}
 	p1 := Algorithm{}.NewInstance(1, 3, 8).(*Instance)
 	p1.Transition(1, []core.IncomingMessage{{From: 0, Payload: voteMsg{V: 5}}})
-	if !p1.DecidesOn(2, own) {
-		t.Error("DecidesOn(ack round, own ack) = false at n = 3, want true")
+	if !p1.SettledOn(2, own) {
+		t.Error("SettledOn(ack round, own ack) = false at n = 3, want true")
 	}
 	p1.Transition(2, own)
 	if v, ok := p1.Decided(); !ok || v != 5 {
@@ -424,17 +424,17 @@ func TestVoteCountsAsCoordinatorAck(t *testing.T) {
 	// At n = 4 the majority is three: own ack and Coord(1) need a third.
 	q := Algorithm{}.NewInstance(1, 4, 8).(*Instance)
 	q.Transition(1, []core.IncomingMessage{{From: 0, Payload: voteMsg{V: 5}}})
-	if q.DecidesOn(2, own) {
-		t.Error("DecidesOn at n = 4 on own ack and Coord(1)'s, want false")
+	if q.SettledOn(2, own) {
+		t.Error("SettledOn at n = 4 on own ack and Coord(1)'s, want false")
 	}
 	third := append(own, core.IncomingMessage{From: 2, Payload: ackMsg{}})
-	if !q.DecidesOn(2, third) {
-		t.Error("DecidesOn at n = 4 on two acks and Coord(1)'s, want true")
+	if !q.SettledOn(2, third) {
+		t.Error("SettledOn at n = 4 on two acks and Coord(1)'s, want true")
 	}
 	// Phase 2 is as in [6]: its coordinator (p1) is counted only by its ack.
 	p2 := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
 	p2.Transition(5, []core.IncomingMessage{{From: 1, Payload: voteMsg{V: 5}}})
-	if p2.DecidesOn(6, []core.IncomingMessage{{From: 2, Payload: ackMsg{}}}) {
+	if p2.SettledOn(6, []core.IncomingMessage{{From: 2, Payload: ackMsg{}}}) {
 		t.Error("phase-2 adopter decides on its own ack alone")
 	}
 }
@@ -452,8 +452,8 @@ func TestCoordinatorAckNamesItsVote(t *testing.T) {
 	heard := []core.IncomingMessage{{From: 0, Payload: ack}}
 	missed := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
 	missed.Transition(1, nil)
-	if !missed.DecidesOn(2, heard) {
-		t.Error("DecidesOn(ack round, Coord(1)'s ack) = false for a process that missed the vote")
+	if !missed.SettledOn(2, heard) {
+		t.Error("SettledOn(ack round, Coord(1)'s ack) = false for a process that missed the vote")
 	}
 	missed.Transition(2, heard)
 	if v, ok := missed.Decided(); !ok || v != 5 || missed.x != 5 || missed.ts != 1 {
@@ -463,8 +463,8 @@ func TestCoordinatorAckNamesItsVote(t *testing.T) {
 	// At n = 4 the two are no majority: it adopts, and needs an ack beside.
 	wide := Algorithm{}.NewInstance(2, 4, 8).(*Instance)
 	wide.Transition(1, nil)
-	if !wide.DecidesOn(2, append(heard, core.IncomingMessage{From: 1, Payload: ackMsg{}})) {
-		t.Error("DecidesOn at n = 4 on Coord(1)'s ack and p1's, having missed the vote, want true")
+	if !wide.SettledOn(2, append(heard, core.IncomingMessage{From: 1, Payload: ackMsg{}})) {
+		t.Error("SettledOn at n = 4 on Coord(1)'s ack and p1's, having missed the vote, want true")
 	}
 	wide.Transition(2, heard)
 	if _, ok := wide.Decided(); ok || wide.x != 5 || wide.ts != 1 {
@@ -474,7 +474,7 @@ func TestCoordinatorAckNamesItsVote(t *testing.T) {
 	// its own ack, it has no majority.
 	deaf := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
 	deaf.Transition(1, nil)
-	if deaf.DecidesOn(2, []core.IncomingMessage{{From: 0, Payload: deaf.Send(2)}}) {
+	if deaf.SettledOn(2, []core.IncomingMessage{{From: 0, Payload: deaf.Send(2)}}) {
 		t.Error("Coord(1) decides on its own ack alone")
 	}
 	// A restarted Coord(1) has no vote to name; a later coordinator acks
@@ -490,5 +490,29 @@ func TestCoordinatorAckNamesItsVote(t *testing.T) {
 	c2.Transition(5, []core.IncomingMessage{{From: 1, Payload: voteMsg{V: 6}}})
 	if msg := c2.Send(6); msg != (ackMsg{}) {
 		t.Errorf("phase-2 coordinator ack-round send = %v, want an ack", msg)
+	}
+}
+
+func TestVoteRoundSettlesOnTheVote(t *testing.T) {
+	// Phase 1's vote round reads Coord(1)'s message and nothing else: it
+	// is settled once the vote is heard — at Coord(1) on entry, on its own
+	// vote — and by nothing else.
+	c := Algorithm{}.NewInstance(0, 3, 5).(*Instance)
+	vote := []core.IncomingMessage{{From: 0, Payload: c.Send(1)}}
+	if !c.SettledOn(1, vote) {
+		t.Error("Coord(1) is not settled on its own vote at entry")
+	}
+	p1 := Algorithm{}.NewInstance(1, 3, 8).(*Instance)
+	if p1.SettledOn(1, []core.IncomingMessage{{From: 1}, {From: 2}}) {
+		t.Error("vote round settled on two null messages, without the vote")
+	}
+	if !p1.SettledOn(1, append(vote, core.IncomingMessage{From: 1})) {
+		t.Error("vote round not settled with the vote heard")
+	}
+	// A later phase's vote round is not: its coordinator's ack does not
+	// name the vote for whoever the early close lets it overtake.
+	p2 := Algorithm{}.NewInstance(2, 3, 8).(*Instance)
+	if p2.SettledOn(5, []core.IncomingMessage{{From: 1, Payload: voteMsg{V: 6}}}) {
+		t.Error("phase-2 vote round settled on its coordinator's vote")
 	}
 }

@@ -74,10 +74,10 @@ func TestExhaustiveHeardOfSweep(t *testing.T) {
 		// The vacuity guard for the later phases: some run has all three
 		// decide in one round after phase 1, nobody having decided before.
 		states, late := 0, false
-		// DecidesOn is held to core.Decisive's contract from every state of
+		// SettledOn is held to core.Settling's contract from every state of
 		// the larger sweep (it contains the other's): that one also has the
 		// processes that resumed mid-phase, having adopted nothing.
-		contract := &decisive{alg: Algorithm{}}
+		contract := &settled{alg: Algorithm{}}
 		for in := core.Value(0); in < 8; in++ {
 			contract.inputs = []core.Value{in & 1, in >> 1 & 1, in >> 2}
 			res := sweep(t, hosweep.Sweep{Alg: Algorithm{}, Inputs: contract.inputs,
@@ -95,10 +95,10 @@ func TestExhaustiveHeardOfSweep(t *testing.T) {
 		if states != tc.states || !late {
 			t.Errorf("restarts %v: %d global states, want %d; some run first decides after phase 1: %v", tc.restarts, states, tc.states, late)
 		}
-		// Its own vacuity guard: the ack and the decide round both answered
-		// true on less than everybody, the other two rounds never.
-		if e := contract.early; tc.restarts && (contract.violation != nil || e[1] != 0 || e[2] != 0 || e[3] == 0 || e[4] == 0) {
-			t.Errorf("DecidesOn: violation %v; true on a partial vector, by position in the phase: %v, want the ack and decide rounds only",
+		// Its own vacuity guard: the vote, ack and decide rounds all answered
+		// true on less than everybody, the estimate round never.
+		if e := contract.early; tc.restarts && (contract.violation != nil || e[1] != 0 || e[2] == 0 || e[3] == 0 || e[4] == 0) {
+			t.Errorf("SettledOn: violation %v; true on a partial vector, by position in the phase: %v, want the vote, ack and decide rounds only",
 				contract.violation, e[1:])
 		}
 	}
@@ -120,14 +120,14 @@ func TestExhaustiveHeardOfSweep(t *testing.T) {
 
 // TestExhaustiveHeardOfSweepFourProcesses is the scope where Coord(1)
 // counted is not yet a majority with one ack: at n = 4 an adopter needs two
-// acks beside it. Phases 1 and 2, restarts, every input vector, DecidesOn
+// acks beside it. Phases 1 and 2, restarts, every input vector, SettledOn
 // held to its contract throughout.
 func TestExhaustiveHeardOfSweepFourProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n = 4 sweep: seconds")
 	}
 	states, phase1 := 0, false
-	contract := &decisive{alg: Algorithm{}}
+	contract := &settled{alg: Algorithm{}}
 	for in := core.Value(0); in < 16; in++ {
 		contract.inputs = []core.Value{in & 1, in >> 1 & 1, in >> 2 & 1, in >> 3}
 		res := sweep(t, hosweep.Sweep{Alg: Algorithm{}, Inputs: contract.inputs, Rounds: 7, Restarts: true,
@@ -141,7 +141,7 @@ func TestExhaustiveHeardOfSweepFourProcesses(t *testing.T) {
 		states += res.States - 1
 	}
 	if states != 161_068 || !phase1 || contract.violation != nil {
-		t.Errorf("%d global states, want 161068; some run has all four decide in phase 1's ack round: %v; DecidesOn: %v",
+		t.Errorf("%d global states, want 161068; some run has all four decide in phase 1's ack round: %v; SettledOn: %v",
 			states, phase1, contract.violation)
 	}
 }
@@ -221,12 +221,12 @@ func TestSweepRejectsTemptingVariants(t *testing.T) {
 	}
 }
 
-// decisive checks core.Decisive's contract along a sweep: visit is a
+// settled checks core.Settling's contract along a sweep: visit is a
 // hosweep Visit, and holds the contract for the round after every state it
 // sees. Whatever process and heard-of set the answer is true for, T_p^r
-// decides on that set and on every superset of it, the same value each
-// time, and asking changed nothing.
-type decisive struct {
+// leaves the same state (AppendState) on that set and on every superset of
+// it, and asking changed nothing.
+type settled struct {
 	alg    core.Algorithm
 	inputs []core.Value
 	// early counts the true answers on less than everybody by position in
@@ -235,12 +235,12 @@ type decisive struct {
 	early     [5]int
 	violation error // the first one met
 
-	sent          []core.Message
-	msgs          []core.IncomingMessage
-	before, after []byte
+	sent                 []core.Message
+	msgs                 []core.IncomingMessage
+	before, after, first []byte
 }
 
-func (d *decisive) visit(r core.Round, _, g []core.Instance) {
+func (d *settled) visit(r core.Round, _, g []core.Instance) {
 	if r++; d.violation != nil {
 		return
 	}
@@ -258,13 +258,12 @@ func (d *decisive) visit(r core.Round, _, g []core.Instance) {
 	for p, inst := range g {
 		d.before = inst.(core.Persistent).AppendState(d.before[:0])
 		for ho := core.PIDSet(0); ho < 1<<n; ho++ {
-			if !inst.(core.Decisive).DecidesOn(r, vector(ho)) {
+			if !inst.(core.Settling).SettledOn(r, vector(ho)) {
 				continue
 			}
 			if ho != core.FullSet(n) {
 				d.early[pos]++
 			}
-			var first core.Value
 			for sup := ho; sup < 1<<n; sup++ {
 				if !sup.Contains(ho) {
 					continue
@@ -272,37 +271,33 @@ func (d *decisive) visit(r core.Round, _, g []core.Instance) {
 				after := d.alg.NewInstance(core.ProcessID(p), n, d.inputs[p])
 				after.(core.Recoverable).Restore(inst.(core.Recoverable).Snapshot())
 				after.Transition(r, vector(sup))
-				v, ok := after.Decided()
-				switch {
-				case !ok:
-					d.violation = fmt.Errorf("decisive: inputs %v round %d: p%d says %v decides, and is undecided after hearing %v", d.inputs, r, p, ho, sup)
-					return
-				case sup == ho:
-					first = v
-				case v != first:
-					d.violation = fmt.Errorf("decisive: inputs %v round %d: p%d says %v decides, and decides %d on it but %d on %v", d.inputs, r, p, ho, first, v, sup)
+				d.after = after.(core.Persistent).AppendState(d.after[:0])
+				if sup == ho {
+					d.first = append(d.first[:0], d.after...)
+				} else if !bytes.Equal(d.first, d.after) {
+					d.violation = fmt.Errorf("settled: inputs %v round %d: p%d says %v settles the round, and %v leaves another state", d.inputs, r, p, ho, sup)
 					return
 				}
 			}
 		}
 		if d.after = inst.(core.Persistent).AppendState(d.after[:0]); !bytes.Equal(d.before, d.after) {
-			d.violation = fmt.Errorf("decisive: inputs %v round %d: asking p%d changed its state", d.inputs, r, p)
+			d.violation = fmt.Errorf("settled: inputs %v round %d: asking p%d changed its state", d.inputs, r, p)
 			return
 		}
 	}
 }
 
-// hasty is an Instance whose DecidesOn is replaced by decides.
+// hasty is an Instance whose SettledOn is replaced by settles.
 type hasty struct {
 	wrapped
-	decides hastyAlg
+	settles hastyAlg
 }
 
-func (i *hasty) DecidesOn(r core.Round, msgs []core.IncomingMessage) bool {
-	return i.decides(&i.Instance, r, msgs)
+func (i *hasty) SettledOn(r core.Round, msgs []core.IncomingMessage) bool {
+	return i.settles(&i.Instance, r, msgs)
 }
 
-// hastyAlg is the core.Algorithm of Instances answering DecidesOn with it.
+// hastyAlg is the core.Algorithm of Instances answering SettledOn with it.
 type hastyAlg func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool
 
 func (hastyAlg) Name() string { return "LastVoting, hasty" }
@@ -311,37 +306,50 @@ func (h hastyAlg) NewInstance(p core.ProcessID, n int, initial core.Value) core.
 	return &hasty{wrapped{Instance: *Algorithm{}.NewInstance(p, n, initial).(*Instance), step: (*Instance).Transition}, h}
 }
 
-// TestSweepRejectsHastyDecidesOn: the contract check that
-// TestExhaustiveHeardOfSweep holds DecidesOn to has teeth. The live
+// TestSweepRejectsHastySettledOn: the contract check that
+// TestExhaustiveHeardOfSweep holds SettledOn to has teeth. The live
 // driver's fourth closing rule (live/node.go) trusts a true answer to be
-// one no later message of the round can take back; each of the two
-// conditions one is tempted to drop fails that, at a pinned place.
-func TestSweepRejectsHastyDecidesOn(t *testing.T) {
+// one no later message of the round can take back; each of the conditions
+// one is tempted to drop fails that, at a pinned place.
+func TestSweepRejectsHastySettledOn(t *testing.T) {
 	for _, twin := range []struct {
 		name    string
-		decides hastyAlg
+		settles hastyAlg
 		want    string
 	}{
 		// "A majority acked, that decides": a process that missed the vote
 		// hears the same acks and decides nothing on them.
-		{"without having adopted", func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool {
+		{"ack round without having adopted", func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool {
 			adopted := *i
 			adopted.ackable = true
-			return adopted.DecidesOn(r, msgs)
-		}, "decisive: inputs [1 0 0] round 2: p0 says {2} decides, and is undecided after hearing {2}"},
+			return adopted.SettledOn(r, msgs)
+		}, "settled: inputs [1 0 0] round 2: p0 says {2} settles the round, and {0,2} leaves another state"},
 		// "My own ack is as good as a majority": with Coord(1) counted it is,
 		// in phase 1 at n = 3. Not in phase 2 — only Coord(1) is born locked,
 		// a later coordinator's ack is what says it adopted its own vote, and
-		// the second ack may never come.
-		{"on a single ack", func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool {
+		// the second ack may never come (the coordinator is caught first: the
+		// second ack would make it ready).
+		{"ack round on a single ack", func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool {
 			_, pos := PhaseOf(r)
 			return pos == 3 && i.ackable && len(msgs) > 0 && msgs[0].Payload == ackMsg{}
-		}, "decisive: inputs [1 0 0] round 6: p2 says {2} decides, and is undecided after hearing {2}"},
+		}, "settled: inputs [1 0 0] round 6: p1 says {1} settles the round, and {1,2} leaves another state"},
+		// "Nothing but the vote counts in the vote round, so any message will
+		// do": the one that counts may still be on its way.
+		{"phase-1 vote round on any message", func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool {
+			return r == 1 && len(msgs) > 0
+		}, "settled: inputs [1 0 0] round 1: p0 says {1} settles the round, and {0,1} leaves another state"},
+		// "Coord(1) settles its vote round at entry, so may Coord(φ)": not
+		// before it has heard its own vote — a coordinator that does not
+		// hear itself adopts nothing.
+		{"phase-2 vote round at the coordinator", func(i *Instance, r core.Round, msgs []core.IncomingMessage) bool {
+			phase, pos := PhaseOf(r)
+			return i.SettledOn(r, msgs) || (phase > 1 && pos == 2 && i.p == Coord(phase, i.n))
+		}, "settled: inputs [1 0 0] round 5: p1 says {} settles the round, and {1} leaves another state"},
 	} {
-		check := &decisive{alg: twin.decides, inputs: []core.Value{1, 0, 0}}
+		check := &settled{alg: twin.settles, inputs: []core.Value{1, 0, 0}}
 		sweep(t, hosweep.Sweep{Alg: check.alg, Inputs: check.inputs, Rounds: 7, Restarts: true, Visit: check.visit})
 		if got := fmt.Sprint(check.violation); got != twin.want {
-			t.Errorf("DecidesOn %s:\n got %s\nwant %s", twin.name, got, twin.want)
+			t.Errorf("SettledOn %s:\n got %s\nwant %s", twin.name, got, twin.want)
 		}
 	}
 }

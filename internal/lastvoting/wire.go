@@ -48,6 +48,24 @@ func (WireCodec) Encode(m core.Message) ([]byte, error) {
 	}
 }
 
+// Names reports the value m names, whose batch contents ride the
+// message's envelope in the live runtime: the estimate's x, the vote (in
+// phase 1 its ack, which is the vote again) and the decision. The null
+// message and the ack name nothing.
+//
+//holint:hotpath
+func (WireCodec) Names(m core.Message) (core.Value, bool) {
+	switch v := m.(type) {
+	case estimateMsg:
+		return v.X, true
+	case voteMsg:
+		return v.V, true
+	case decideMsg:
+		return v.V, true
+	}
+	return 0, false
+}
+
 // Decode parses an Encode result.
 func (WireCodec) Decode(b []byte) (core.Message, error) {
 	if len(b) < 1 {

@@ -27,8 +27,8 @@
 //     environment, never of the algorithm.
 //   - Round driver (slotRun): paces one core.Instance through rounds.
 //     Each round broadcasts S_p^r, collects round-r messages until all n
-//     arrived, those heard already decide (core.Decisive: LastVoting's
-//     majority of acks — a slot commits at the fastest quorum), any peer
+//     arrived, those heard settle the round (core.Settling: LastVoting's
+//     phase-1 vote, a majority of acks), any peer
 //     is observed already past r (the jump rule that keeps processes
 //     round-aligned — see node.go), or the timeout fires, then applies
 //     T_p^r. Messages for future rounds are buffered;
@@ -36,8 +36,8 @@
 //     as the core.Instance contract requires.
 //   - Replica: a replicated-state-machine service over a sequence of
 //     consensus slots — the live counterpart of internal/rsm. Commands
-//     are disseminated as identified batches (the decided core.Value is a
-//     batch id, unique by construction: proposer ⊕ counter; every
+//     ride the round messages as identified batches (the decided
+//     core.Value is a batch id, unique by construction: proposer ⊕ counter; every
 //     proposal merges the commands of ALL replicas its proposer has heard
 //     of, which reach it by best-effort KindForward), client sessions
 //     carry (client, seq) identities with high-water-mark dedup
@@ -70,9 +70,10 @@ import (
 type Kind uint8
 
 const (
-	// KindRound carries one consensus round message S_p^r.
+	// KindRound carries one consensus round message S_p^r and the batch
+	// riding it, if any (appendRound).
 	KindRound Kind = iota + 1
-	// KindBatch disseminates a command batch: varint batch id, then the
+	// KindBatch is the pull reply, only: varint batch id, then the
 	// BatchCodec encoding of its entries.
 	KindBatch
 	// KindBatchPull requests a batch by id (varint batch id).
@@ -120,9 +121,12 @@ type Transport interface {
 // live runtime still transmits it, because hearing a process — even with
 // a null payload — is membership in HO(p, r), which algorithms like
 // OneThirdRule count.
+// Names reports the value a message names, whose batch then rides its
+// envelope (appendRound); a codec may name nothing.
 type Codec interface {
 	Encode(m core.Message) ([]byte, error)
 	Decode(b []byte) (core.Message, error)
+	Names(m core.Message) (core.Value, bool)
 }
 
 // maxFrame bounds a single decoded envelope (and a TCP frame).

@@ -176,7 +176,7 @@ func TestMergeKeepsSessionOrder(t *testing.T) {
 				}
 			}
 			created := c.BatchesCreated()
-			bid, _ := c.propose(tc.slot, true, &res)
+			bid, _ := c.propose(tc.slot, true)
 
 			if len(tc.want) == 0 {
 				if bid != 0 {
@@ -245,11 +245,11 @@ func TestProposeHasNoProposerBias(t *testing.T) {
 		return c
 	}
 	var res StepResult[string]
-	if got, _ := load(1).propose(1, true, &res); got != batchID(1, 9) {
+	if got, _ := load(1).propose(1, true); got != batchID(1, 9) {
 		want := batchID(1, 9)
 		t.Fatalf("slot 1 proposed %#x, want p1's newest batch %#x", got, want)
 	}
-	if got, _ := load(2).propose(2, true, &res); got != batchID(2, 1) {
+	if got, _ := load(2).propose(2, true); got != batchID(2, 1) {
 		want := batchID(2, 1)
 		t.Fatalf("slot 2 proposed %#x, want p2's batch %#x", got, want)
 	}
@@ -279,7 +279,7 @@ func TestProposeHasNoProposerBias(t *testing.T) {
 		t.Fatal(err)
 	}
 	res = StepResult[string]{}
-	bid, _ := rc.propose(1, true, &res)
+	bid, _ := rc.propose(1, true)
 	got := rc.batches[bid]
 	want := ents([2]uint64{11, 1}, [2]uint64{12, 1}, [2]uint64{10, 1}, [2]uint64{10, 2})
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -359,29 +359,32 @@ func (n *coreNet) drain() {
 }
 
 // TestForwardedCommandAppliesOnce runs the three-route case end to end.
-// p1 accepts two commands while slot 1 is in flight: the first opens
+// p1 accepts two commands while slot 1 is in flight — p2's round-1
+// message asked it in, and its copy of p0's vote is slow: the first opens
 // slot 2 at once (the window has room), the second finds the window full
 // and leaves as a forward — so it reaches p0 as a forward, again inside
 // the batch p1 mints for slot 3, and p0 has merged it into its own
 // slot-3 batch by then. Every replica applies each (client, seq) fresh
-// exactly once, and the counters show the path taken. Three slots carry
-// the commands, not the two of the one-slot-at-a-time core: b no longer
-// waits for slot 1 to finish before riding slot 2, so c and d, accepted a
-// step later, find slot 2's proposals already made and take slot 3. A
-// fourth slot decides nothing fresh: p1 decides slot 1 the moment its vote
-// round closes — on its own ack and Coord(1)'s vote — and opens slot 3 for
-// c before p2's batch with d reaches it, so d opens slot 4 at p1 once slot
-// 2 applies, while p0's slot-3 batch is already committing d.
+// exactly once, and the counters show the path taken. b does not wait
+// for slot 1 to finish before riding slot 2, so c, accepted a step later,
+// finds slot 2's proposals already made and takes slot 3; d, accepted at
+// p2, which decided slot 1 the moment the vote reached it, opens slot 2
+// there and lands behind c, in slot 4.
 func TestForwardedCommandAppliesOnce(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
-	n.deliver() // p1, p2 join slot 1
+	slow := n.take(func(o Outbound) bool { return o.To == 1 })
+	n.deliver() // p2 joins slot 1 on the vote and decides it
+	for _, o := range n.take(func(o Outbound) bool { return o.To == 1 && o.Env.Kind == KindRound && o.Env.Round == 1 }) {
+		n.step(1, Event[string]{Kind: EvEnvelope, Env: o.Env}) // p2's round-1 message asks p1 into slot 1
+	}
 	n.step(1, Event[string]{Kind: EvSubmit, Client: 11, Seq: 1, Cmd: "b"})
 	n.step(1, Event[string]{Kind: EvSubmit, Client: 11, Seq: 2, Cmd: "c"})
 	n.step(2, Event[string]{Kind: EvSubmit, Client: 12, Seq: 1, Cmd: "d"})
+	n.queue = append(slow, n.queue...)
 	n.drain()
 
-	wantSlot := map[[2]uint64]uint64{{10, 1}: 1, {11, 1}: 2, {11, 2}: 3, {12, 1}: 3}
+	wantSlot := map[[2]uint64]uint64{{10, 1}: 1, {11, 1}: 2, {11, 2}: 3, {12, 1}: 4}
 	for p, c := range n.cores {
 		st := c.Counters()
 		if st.Applied != 4 || st.Committed != 4 || st.Pending != 0 || st.Open != 0 {
@@ -401,12 +404,12 @@ func TestForwardedCommandAppliesOnce(t *testing.T) {
 	if f := n.cores[0].Counters().Forwards; f != 0 {
 		t.Fatalf("p0 emitted %d forwards; it could propose its command at once", f)
 	}
-	// p0 minted b into its slot-2 batch (asked in by p1, it merged p1's
-	// batch behind its own pending a), then b again with c and d into its
-	// slot-3 batch: slot 2 had not applied, so the proposal starts at the
-	// first unapplied seq of session 11 and overlaps.
+	// p0 minted b and c into its slot-3 batch (slot 2, which decided p1's
+	// b, had not applied, so the proposal starts at the first unapplied seq
+	// of session 11 and overlaps), then c again with d into its slot-4
+	// batch.
 	if m := n.cores[0].Counters().Merged; m != 4 {
-		t.Fatalf("p0 proposed %d commands on its peers' behalf, want 4 (b for slot 2; b, c and d for slot 3)", m)
+		t.Fatalf("p0 proposed %d commands on its peers' behalf, want 4 (b and c for slot 3; c and d for slot 4)", m)
 	}
 }
 

@@ -12,24 +12,22 @@
 //   - all n round-r messages arrived (the good-period fast path: in a
 //     synchronous spell every round closes at network speed, not at the
 //     timeout — the live realization of the paper's good periods);
-//   - the messages heard so far already decide (core.Decisive): the
-//     instance says that T_p^r decides, and decides the same value, on
-//     what was heard and on every larger round-r vector, so nothing still
-//     in flight can matter. Under LastVoting that is the ack round at a
-//     process that adopted the vote, from a majority of acks on, and the
-//     decide round from the coordinator's message on: a slot commits at
-//     the pace of the fastest quorum, not of the slowest replica or the
-//     unluckiest message, and a silent replica costs a slot ONE timeout
-//     (the vote round's), not two. In phase 1 the coordinator's vote
-//     counts as its ack, so at n = 3 an adopter's own ack is a majority
-//     and its ack round closes the moment it is entered: a non-coordinator
-//     decides one hop after the vote, the coordinator on the first ack. A
-//     decider sends nothing further in the slot, so this rule makes nobody
-//     jump — but its ack still leaves as it decides, and at a slow replica
-//     it can overtake the vote, whose round the jump rule then closes
-//     without it. The coordinator's ack therefore names its vote again, so
-//     that replica adopts it in the ack round and decides there (measured:
-//     without that, the one-hop decision lost throughput on live_delay);
+//   - the messages heard so far settle the round (core.Settling): T_p^r
+//     leaves the same state on them and on every larger round-r vector,
+//     so nothing still in flight can matter. Under LastVoting that is
+//     phase 1's vote round once the vote is heard (Coord(1) at entry), the
+//     ack round at a process that adopted the vote, from a majority of acks
+//     on, and the decide round from the coordinator's message on: a slot
+//     commits at the pace of the vote and of the fastest quorum, and a
+//     silent replica costs it no timeout. At n = 3 the coordinator's vote
+//     counts as its ack, so an adopter's ack round closes as it is
+//     entered: a non-coordinator decides one hop after the vote, the
+//     coordinator on the first ack. Deciders fall silent, so this rule
+//     makes nobody jump — but the coordinator's vote and ack leave back to
+//     back, and at a slow replica the ack can overtake the vote, whose
+//     round the jump rule then closes without it: the ack names the vote
+//     again, so that replica adopts it there and decides. Both carry the
+//     vote's batch (appendRound): adopting it is holding its contents;
 //   - any peer was observed already past round r (it closed r without
 //     us; a round-r message can no longer reach it, so the driver
 //     transitions immediately and fast-forwards to the highest round
@@ -44,7 +42,7 @@
 //
 // Cutting a round short only shrinks HO(p, r), which the algorithm layer
 // already tolerates by construction — that is the entire point of the
-// abstraction. It is also why safety does not depend on what a Decisive
+// abstraction. It is also why safety does not depend on what a Settling
 // instance answers: like a timeout that is too short, a wrong answer can
 // only cost liveness (its contract has its own exhaustive check,
 // internal/lastvoting/sweep_test.go).
@@ -70,14 +68,14 @@ import (
 // heard set and deadline. prop is the batch id this replica proposed for
 // the slot (0 = the no-op) — the instance's own estimate moves on, but
 // which commands our open proposals carry is what decides whether the
-// next slot is worth opening. decisive is the instance again if it can
-// say when the heard set already decides (nil otherwise), and msgs the
-// one backing array every inbox of the run is assembled in.
+// next slot is worth opening. settling is the instance again if it can
+// say when the heard set already settles the round (nil otherwise), and
+// msgs the one backing array every inbox of the run is assembled in.
 type slotRun struct {
 	slot     uint64
 	prop     int64
 	inst     core.Instance
-	decisive core.Decisive
+	settling core.Settling
 	r        core.Round
 	heard    map[core.ProcessID]core.Message
 	future   roundBuffer
@@ -113,12 +111,12 @@ func (b roundBuffer) add(n int, from core.ProcessID, round core.Round, payload c
 // was ahead of the window (nil if nothing did): the run's future rounds,
 // the highest of them its jump target — as if delivered now, in one go.
 func newSlotRun(n int, slot uint64, inst core.Instance, prop int64, held roundBuffer) *slotRun {
-	decisive, _ := inst.(core.Decisive)
+	settling, _ := inst.(core.Settling)
 	run := &slotRun{
 		slot:     slot,
 		prop:     prop,
 		inst:     inst,
-		decisive: decisive,
+		settling: settling,
 		future:   held,
 		msgs:     make([]core.IncomingMessage, 0, n),
 	}
@@ -152,7 +150,7 @@ func (s *slotRun) deliver(n int, from core.ProcessID, round core.Round, payload 
 
 // closed reports whether the current round's collection window is over:
 // every process heard, or (jump rule, unless mutated out) a peer observed
-// past this round, or the heard set already decides. It runs after every
+// past this round, or the heard set already settles the round. It runs after every
 // delivery and after every enter, so it must not allocate.
 //
 //holint:hotpath
@@ -160,7 +158,7 @@ func (s *slotRun) closed(n int, noJump bool) bool {
 	if len(s.heard) >= n || (!noJump && s.target > s.r) {
 		return true
 	}
-	return s.decisive != nil && s.decisive.DecidesOn(s.r, s.inbox(n))
+	return s.settling != nil && s.settling.SettledOn(s.r, s.inbox(n))
 }
 
 // inbox assembles the current round's messages in process order:

@@ -16,14 +16,14 @@
 // not hold — the paper's crash-RECOVERY model, round number on stable
 // storage included (the end of this comment).
 // Quorum-durable dissemination is a corollary: propose() saves a
-// batch body in the same step that first broadcasts its id, so by the
+// batch body in the same step that first sends its id, so by the
 // time any replica can vote for the id, the contents are on the
-// proposer's disk and a recovered proposer still serves batch pulls —
-// closing the PR-5 stall window for crash-RECOVERY faults.
+// proposer's disk and a recovered proposer still serves batch pulls; a
+// batch riding a round message is saved in the step that hears it.
 //
 // What is persisted (and when):
 //
-//	SaveBatch     propose() and handleBatch(): batch contents at first sight
+//	SaveBatch     propose() and keepBatch(): batch contents at first sight
 //	              (every id that can be DECIDED is minted by propose())
 //	SaveVote      openSlot() and transitionRound(): the round about to be
 //	              entered and the instance state (the locked vote) it

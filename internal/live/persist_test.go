@@ -431,12 +431,14 @@ func TestStaleVoteDropped(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeFirstTransitionReopensFromTheSameVote: round 1's send
-// is LastVoting's phase-1 vote, and it leaves before any transition. The
-// state it was sent from must already be on disk, or the restarted
-// coordinator would reopen the slot from scratch — born committed again,
-// to whatever it proposes THEN — and phase 1 would carry two votes.
-func TestCrashBeforeFirstTransitionReopensFromTheSameVote(t *testing.T) {
+// TestCrashAfterTheOpeningStepReopensFromTheSameVote: round 1's send is
+// LastVoting's phase-1 vote, and it leaves in the step that opens the
+// slot — with the ack round's send, which repeats it: Coord(1) settles the
+// vote round on its own vote at entry. The state they were sent from must
+// be on disk when they leave, or the restarted coordinator would reopen
+// the slot from scratch — born committed again, to whatever it proposes
+// THEN — and phase 1 would carry two votes.
+func TestCrashAfterTheOpeningStepReopensFromTheSameVote(t *testing.T) {
 	dir := t.TempDir()
 	store, _, err := wal.Open(dir, wal.Options{NoSync: true})
 	if err != nil {
@@ -453,9 +455,9 @@ func TestCrashBeforeFirstTransitionReopensFromTheSameVote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// said returns what res says in slot 1's round r, which must be the
-	// only round it speaks in.
-	said := func(res StepResult[string], r core.Round) core.Message {
+	// said returns what res says in slot 1's round r; it must speak in no
+	// round outside [first, last].
+	said := func(res StepResult[string], r, first, last core.Round) core.Message {
 		t.Helper()
 		var msg core.Message
 		found := false
@@ -463,11 +465,15 @@ func TestCrashBeforeFirstTransitionReopensFromTheSameVote(t *testing.T) {
 			if o.Env.Kind != KindRound || o.Env.Slot != 1 {
 				continue
 			}
-			if o.Env.Round != r {
-				t.Fatalf("slot 1 message in round %d, want only round %d", o.Env.Round, r)
+			if o.Env.Round < first || o.Env.Round > last {
+				t.Fatalf("slot 1 message in round %d, want only rounds %d to %d", o.Env.Round, first, last)
 			}
+			if o.Env.Round != r {
+				continue
+			}
+			enc, _, _ := SplitRound(o.Env.Payload)
 			var err error
-			if msg, err = (lastvoting.WireCodec{}).Decode(o.Env.Payload); err != nil {
+			if msg, err = (lastvoting.WireCodec{}).Decode(enc); err != nil {
 				t.Fatal(err)
 			}
 			found = true
@@ -477,10 +483,11 @@ func TestCrashBeforeFirstTransitionReopensFromTheSameVote(t *testing.T) {
 		}
 		return msg
 	}
-	if vote := said(c.Step(Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"}), 1); vote == nil {
-		t.Fatal("p0 opened slot 1 without voting its proposal in round 1")
+	opened := c.Step(Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	if vote := said(opened, 1, 1, 2); vote == nil || said(opened, 2, 1, 2) != vote {
+		t.Fatal("p0 opened slot 1 without voting its proposal in round 1 and naming it again in round 2")
 	}
-	if err := store.Sync(); err != nil { // the shell's barrier before that vote leaves
+	if err := store.Sync(); err != nil { // the shell's barrier before those messages leave
 		t.Fatal(err)
 	}
 	want := c.PersistState().Votes[1]
@@ -507,9 +514,9 @@ func TestCrashBeforeFirstTransitionReopensFromTheSameVote(t *testing.T) {
 	if got := openSlots(rc); fmt.Sprint(got) != "[1]" {
 		t.Fatalf("recovered replica reopened slots %v, want [1]", got)
 	}
-	// It resumes in round 2 — round 1's send may have left — with nothing
-	// to say there: it never got to adopt its own vote.
-	if msg := said(res, 2); msg != nil {
+	// It resumes in round 3 — round 2's send may have left — with nothing
+	// to say there: a restarted coordinator is not ready to announce.
+	if msg := said(res, 3, 3, 3); msg != nil {
 		t.Fatalf("restarted Coord(1) resumed phase 1 saying %v", msg)
 	}
 	_, state, _ := splitVote(rc.PersistState().Votes[1])

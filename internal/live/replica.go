@@ -8,8 +8,9 @@
 //   - Dissemination: a proposer packs commands into a BATCH, assigns it
 //     an id that is unique by construction ((proposer+1) in the high
 //     bits, a local counter below — no hashing, no collisions), and
-//     broadcasts the contents best-effort. Batches are re-pulled on
-//     demand, so dissemination only needs fair-lossy links. Which
+//     sends the contents with its first round message of the slot, and
+//     with every one that names the batch (a vote). Batches are re-pulled
+//     on demand, so dissemination only needs fair-lossy links. Which
 //     commands: every unapplied one the proposer has heard of. A replica
 //     that accepts a command while it cannot propose (its slot window
 //     is full) FORWARDS its pending prefix to its peers at once — a
@@ -74,17 +75,15 @@
 // barrier in dispatch makes every externally visible fact durable
 // first, and a restarted replica reloads snapshot+log (the locked vote
 // of every slot that was open, decisions, dedup high-water marks, batch
-// contents) and rejoins via the ordinary sync path. The PR-5 dissemination-window stall is
-// closed for that model: a proposer's batch body is on its own disk
-// before the id is proposed, so a recovered proposer always serves the
-// pull (the model checker's CheckStallRecovery probe proves it).
-// Permanent crash-STOP of a proposer — machine gone, disk gone — in
-// the window after its batch id was decided but before its contents
-// reached any other replica still loses the only copy, and apply for
-// that slot waits (pulling) until a holder returns — the same way any
-// log-based system stalls on losing committed-but-unreplicated data;
-// the CheckStall probe keeps that residual limitation documented and
-// tested. Volatile (Persister-less) replicas keep the pre-durability
+// contents) and rejoins via the ordinary sync path. The dissemination
+// window — an id decided while its contents reached nobody but its
+// proposer — is closed: a batch rides the messages that name it and is
+// kept (and saved) in the step that hears them, so whoever decides a slot
+// in its own instance holds its contents. Only a replica that learned a
+// slot by sync pulls, and waits while every holder is down, as any log
+// waits on committed data it lacks. The model checker holds "decided ⇒
+// held" as an invariant and reaches the old stall only through a network
+// that strips riders (CheckStall). Volatile (Persister-less) replicas keep the pre-durability
 // envelope: pause/rejoin recovers, restart is data loss.
 
 package live

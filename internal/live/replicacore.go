@@ -218,7 +218,7 @@ type ReplicaCore[C any] struct {
 	// laggard's: its sender was in the deciding round with us (a quorum
 	// closes it here while the last ack is in flight) and gets the eager
 	// push. Slots learned by sync or overwritten here are not remembered,
-	// nor is a run that cannot close on a quorum (core.Decisive): short of
+	// nor is a run that cannot close on a quorum (core.Settling): short of
 	// everybody it decides on a jump or the timer, and who is late then lags.
 	ownRound [2 * window]SlotRound
 
@@ -238,10 +238,11 @@ type ReplicaCore[C any] struct {
 	held map[uint64]roundBuffer
 
 	// batchSlot is the highest unapplied slot a batch id is known to be
-	// proposed for (by this replica, or by the peer whose KindBatch named
-	// it) or decided in. Proposals of open slots overlap, so a proposal's
-	// entries can all apply through ANOTHER batch while its own slot can
-	// still decide it: such a batch is kept until that slot has applied.
+	// proposed for (by this replica, or by a peer whose round message of
+	// the slot carried it) or decided in. Proposals of open slots overlap,
+	// so a proposal's entries can all apply through ANOTHER batch while its
+	// own slot can still decide it: such a batch is kept until that slot
+	// has applied.
 	batchSlot map[int64]uint64
 
 	// restoredVotes holds crash-recovered vote records (round, instance
@@ -275,8 +276,8 @@ type ReplicaCore[C any] struct {
 	// proposal under assembly adds to them.
 	carried   map[uint64]uint64
 	uncovered int
-	// voteBuf is persistVote's encoding scratch (SaveVote does not retain it).
-	voteBuf []byte
+	// voteBuf and wire are encoding scratch: persistVote's; appendRound's, mint's.
+	voteBuf, wire []byte
 
 	stats ReplicaStats
 }
@@ -427,7 +428,7 @@ func (c *ReplicaCore[C]) handleEnvelope(env Envelope, res *StepResult[C]) {
 	case KindRound:
 		c.handleRound(env, res)
 	case KindBatch:
-		c.handleBatch(env, res)
+		c.keepBatch(env.Payload, 0)
 	case KindForward:
 		c.handleForward(env)
 	case KindBatchPull:
@@ -466,9 +467,19 @@ func (c *ReplicaCore[C]) handleEnvelope(env Envelope, res *StepResult[C]) {
 // beyond the window → we lag, pull decisions — and keep the message if its
 // slot is the next window's (hold).
 func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
-	msg, err := c.cfg.Msg.Decode(env.Payload)
+	enc, rider, ok := SplitRound(env.Payload)
+	if !ok {
+		c.stats.Malformed++
+		return
+	}
+	msg, err := c.cfg.Msg.Decode(enc)
 	if err != nil {
 		c.stats.Malformed++
+		return
+	}
+	// Keep (and save) the batch riding the message before hearing it:
+	// adopting a value and holding it are one step.
+	if len(rider) > 0 && !c.keepBatch(rider, env.Slot) {
 		return
 	}
 	// A round message for slot s says its sender's window reached s: it
@@ -522,20 +533,24 @@ func (c *ReplicaCore[C]) hold(env Envelope, msg core.Message, next uint64) {
 	}
 }
 
-// handleBatch stores a disseminated batch.
-func (c *ReplicaCore[C]) handleBatch(env Envelope, res *StepResult[C]) {
-	b := env.Payload
+// keepBatch stores a batch (varint id, entries) — a pull reply, slot 0, or
+// a round message's rider — at first sight, durably, offered unless
+// applied, and held until slot applies if slot is in the hold range (a
+// straggler keeps riders from further out unpinned, to apply once it
+// learns the decision). It reports false, counting the payload malformed,
+// if b does not parse; the id is checked before the entries are decoded.
+func (c *ReplicaCore[C]) keepBatch(b []byte, slot uint64) bool {
 	bid, n := varint(b)
 	if n <= 0 || !c.validBatchID(bid) {
 		c.stats.Malformed++
-		return
-	}
-	entries, err := c.cfg.Batch.DecodeEntries(b[n:])
-	if err != nil {
-		c.stats.Malformed++
-		return
+		return false
 	}
 	if _, ok := c.batches[bid]; !ok {
+		entries, err := c.cfg.Batch.DecodeEntries(b[n:])
+		if err != nil {
+			c.stats.Malformed++
+			return false
+		}
 		c.batches[bid] = entries
 		if c.cfg.Persist != nil {
 			c.cfg.Persist.SaveBatch(bid, b[n:])
@@ -544,27 +559,10 @@ func (c *ReplicaCore[C]) handleBatch(env Envelope, res *StepResult[C]) {
 			c.offered[bid] = struct{}{}
 		}
 	}
-	// The proposer stamps the slot it minted the batch for (a pull reply
-	// carries 0): hold the contents until that slot has applied here.
-	c.proposedFor(bid, min(env.Slot, c.stampLimit()))
-}
-
-// stampLimit is the highest slot a peer's KindBatch stamp is taken at its
-// word for. The sender minted the batch for a slot of its own window, at
-// most window past what it had applied, and a receiver in step with the
-// group has heard of those decisions give or take a window — so anything
-// further out is clamped to that. A corrupt or bogus stamp then pins its
-// batch for a few slots, not for good; a genuine one from far ahead
-// reaches a laggard, who resyncs through the log anyway and at worst
-// pulls the contents once more.
-func (c *ReplicaCore[C]) stampLimit() uint64 {
-	known := uint64(len(c.log))
-	for s := range c.decided {
-		if s > known {
-			known = s
-		}
+	if slot < uint64(len(c.log))+1+2*window {
+		c.proposedFor(bid, slot)
 	}
-	return known + 2*window
+	return true
 }
 
 // proposedFor records that slot may still decide a held batch id.
@@ -688,7 +686,7 @@ func (c *ReplicaCore[C]) transitionRound(run *slotRun, res *StepResult[C]) {
 	c.stats.Rounds++
 	if v, ok := run.inst.Decided(); ok {
 		c.closeRun(run)
-		if run.decisive != nil {
+		if run.settling != nil {
 			c.ownRound[run.slot%uint64(len(c.ownRound))] = SlotRound{Slot: run.slot, Round: r}
 		}
 		if c.eagerPush == 0 || run.slot < c.eagerPush {
@@ -707,21 +705,54 @@ func (c *ReplicaCore[C]) transitionRound(run *slotRun, res *StepResult[C]) {
 		c.openSlot(run.slot, true, res)
 		return
 	}
-	c.nextRound(run, res)
+	c.nextRound(run, 0, res)
 }
 
-// nextRound enters run's following round and broadcasts S_p^r.
-func (c *ReplicaCore[C]) nextRound(run *slotRun, res *StepResult[C]) {
+// nextRound enters run's following round and broadcasts S_p^r, mint (the
+// batch minted for the slot, or 0) riding it unless it names a batch.
+func (c *ReplicaCore[C]) nextRound(run *slotRun, mint int64, res *StepResult[C]) {
 	r := run.r + 1
 	payload := run.inst.Send(r)
 	run.enter(c.cfg.N, r, c.cfg.Self, payload)
-	b, err := c.cfg.Msg.Encode(payload)
+	b, err := c.appendRound(payload, mint)
 	if err != nil {
 		c.stats.Malformed++
 		return
 	}
 	res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
 		Slot: run.slot, Round: r, Kind: KindRound, From: c.cfg.Self, Payload: b}})
+}
+
+// appendRound encodes a KindRound payload: uvarint length, the codec's
+// encoding, then the rider — id and entries of the batch the message names
+// if held here, else of rider — assembled in scratch, copied out once.
+func (c *ReplicaCore[C]) appendRound(m core.Message, rider int64) ([]byte, error) {
+	enc, err := c.cfg.Msg.Encode(m)
+	if err != nil {
+		return nil, err
+	}
+	if v, ok := c.cfg.Msg.Names(m); ok && c.HoldsBatch(int64(v)) {
+		rider = int64(v)
+	}
+	w := append(appendUvarint(c.wire[:0], uint64(len(enc))), enc...)
+	if entries, held := c.batches[rider]; held && rider != 0 {
+		w = c.cfg.Batch.AppendEntries(appendVarint(w, rider), entries)
+	}
+	c.wire = w
+	return append([]byte(nil), w...), nil
+}
+
+// SplitRound splits a KindRound payload into the codec's encoding and the
+// rider behind it (empty if none), without copying.
+//
+//holint:hotpath
+func SplitRound(b []byte) (enc, rider []byte, ok bool) {
+	l, n := uvarint(b)
+	if n <= 0 || l > uint64(len(b)-n) {
+		return nil, nil, false
+	}
+	b = b[n:]
+	return b[:l], b[l:], true
 }
 
 // closeRounds fast-forwards run through rounds whose collection window
@@ -861,9 +892,14 @@ func (c *ReplicaCore[C]) openThrough(slot uint64, res *StepResult[C]) {
 // already — replicas would otherwise spin through empty slots.
 func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) bool {
 	vote, restored := c.restoredVotes[slot]
-	proposal, ok := c.propose(slot, asked || restored, res)
+	minted := c.batchSeq
+	proposal, ok := c.propose(slot, asked || restored)
 	if !ok {
 		return false
+	}
+	var mint int64 // a batch minted for the slot rides its first round message
+	if c.batchSeq != minted {
+		mint = proposal
 	}
 	inst := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, core.Value(proposal))
 	run := newSlotRun(c.cfg.N, slot, inst, proposal, c.held[slot])
@@ -894,7 +930,7 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 	// transition reopens the slot from what the peers were told, not from
 	// a new proposal.
 	c.persistVote(run)
-	c.nextRound(run, res)
+	c.nextRound(run, mint, res)
 	c.closeRounds(run, res)
 	return true
 }
@@ -947,7 +983,7 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 // identical contents would never be equal; and a replica asked into a
 // slot with nothing its open proposals lack re-proposes the newest of
 // those instead of minting their contents again.
-func (c *ReplicaCore[C]) propose(slot uint64, asked bool, res *StepResult[C]) (bid int64, ok bool) {
+func (c *ReplicaCore[C]) propose(slot uint64, asked bool) (bid int64, ok bool) {
 	clear(c.newest)
 	for id := range c.offered {
 		// Newest per proposer: the 40-bit counter orders one proposer's
@@ -1014,7 +1050,7 @@ func (c *ReplicaCore[C]) propose(slot uint64, asked bool, res *StepResult[C]) (b
 	case c.uncovered == 0 && reuse != 0:
 		bid = reuse
 	default:
-		bid = c.mint(slot, foreign, res)
+		bid = c.mint(foreign)
 	}
 	c.proposedFor(bid, slot)
 	return bid, true
@@ -1029,9 +1065,10 @@ func (c *ReplicaCore[C]) carry(bid int64) {
 	}
 }
 
-// mint turns the merged entries into a new batch of this proposer,
-// saved and broadcast before its id can appear in any round message.
-func (c *ReplicaCore[C]) mint(slot uint64, foreign int, res *StepResult[C]) int64 {
+// mint turns the merged entries into a new batch of this proposer, saved
+// before its id can appear in any round message; its contents leave with
+// the first one (openSlot).
+func (c *ReplicaCore[C]) mint(foreign int) int64 {
 	entries := make([]Entry[C], len(c.merged))
 	copy(entries, c.merged)
 	c.batchSeq++
@@ -1039,17 +1076,13 @@ func (c *ReplicaCore[C]) mint(slot uint64, foreign int, res *StepResult[C]) int6
 	c.batches[bid] = entries
 	c.stats.Merged += foreign
 	c.stats.Overlapped += len(entries) - c.uncovered
-	enc := c.cfg.Batch.AppendEntries(nil, entries)
 	if c.cfg.Persist != nil {
 		// Quorum-durable dissemination: the batch body is on our own
 		// disk (after the shell's sync barrier) before any peer can see
 		// — let alone vote for — its id.
-		c.cfg.Persist.SaveBatch(bid, enc)
+		c.wire = c.cfg.Batch.AppendEntries(c.wire[:0], entries)
+		c.cfg.Persist.SaveBatch(bid, c.wire)
 	}
-	// Slot tells the receivers which slot may decide this id, so they
-	// hold the contents until it has applied (see batchSlot).
-	res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
-		Slot: slot, Kind: KindBatch, From: c.cfg.Self, Payload: append(appendVarint(nil, bid), enc...)}})
 	return bid
 }
 
@@ -1404,6 +1437,12 @@ func (c *ReplicaCore[C]) DecidedUnapplied() map[uint64]int64 {
 		out[s] = b
 	}
 	return out
+}
+
+// DecidedHere reports whether this replica's own instance decided slot,
+// as far as ownRound remembers: the last few slots a settling run decided.
+func (c *ReplicaCore[C]) DecidedHere(slot uint64) bool {
+	return slot != 0 && c.ownRound[slot%uint64(len(c.ownRound))].Slot == slot
 }
 
 // HoldsBatch reports whether the core retains a batch's contents.

@@ -8,14 +8,14 @@ import (
 	"time"
 
 	"heardof/internal/core"
-	"heardof/internal/otr"
+	"heardof/internal/lastvoting"
 )
 
 // starvingLink is a sender-side filter that keeps one replica from ever
 // receiving batch contents unasked, and loses the replies to its first
-// pull: every KindBatch a proposer broadcasts (Slot names the slot it
-// was minted for) is dropped on the way to victim, and so are the first
-// `lost` pull replies (Slot 0) — one per peer.
+// pulls: every round message to victim is dropped — batches ride them —
+// so it learns each slot from a decider's sync push, with nothing to
+// apply; and so are the first `lost` pull replies — one per peer.
 type starvingLink struct {
 	Transport
 	victim core.ProcessID
@@ -24,10 +24,10 @@ type starvingLink struct {
 }
 
 func (l starvingLink) Send(to core.ProcessID, env Envelope) {
+	if to == l.victim && env.Kind == KindRound {
+		return
+	}
 	if to == l.victim && env.Kind == KindBatch {
-		if env.Slot != 0 {
-			return
-		}
 		l.mu.Lock()
 		drop := *l.lost > 0
 		if drop {
@@ -55,10 +55,11 @@ func (l pullCounter) Send(to core.ProcessID, env Envelope) {
 	l.Transport.Send(to, env)
 }
 
-// starvedGroup starts three OTR replicas whose links starve replica 2 of
-// batch contents and lose the first `lost` replies to its pulls. It returns
-// the replicas, the victim's pull count, and how many replies are still to
-// be lost.
+// starvedGroup starts three LastVoting replicas whose links starve replica
+// 2 of batch contents and lose the first `lost` replies to its pulls: p0
+// and p1 decide every slot between them, p0 the coordinator counted beside
+// p1's ack. It returns the replicas, the victim's pull count, and how many
+// replies are still to be lost.
 func starvedGroup(t *testing.T, lost int, roundTimeout, syncEvery time.Duration) (reps []*Replica[string], pulls *atomic.Int64, left func() int) {
 	t.Helper()
 	const n, victim = 3, 2
@@ -79,7 +80,7 @@ func starvedGroup(t *testing.T, lost int, roundTimeout, syncEvery time.Duration)
 		}
 		reps[p], err = NewReplica(ReplicaConfig[string]{
 			Self: core.ProcessID(p), N: n,
-			Algorithm: otr.Algorithm{}, Msg: otr.WireCodec{}, Batch: strCodec{},
+			Algorithm: lastvoting.Algorithm{}, Msg: lastvoting.WireCodec{}, Batch: strCodec{},
 			Transport:    tr,
 			RoundTimeout: roundTimeout,
 			SyncEvery:    syncEvery,

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"heardof/internal/core"
-	"heardof/internal/lastvoting"
 )
 
 // syncEnv builds a KindSync pushing the given (slot, batch id) pairs.
@@ -53,14 +52,13 @@ func servesPull(c *ReplicaCore[string], bid int64) bool {
 }
 
 // TestCommandRidesSlotOpenedWhileEarlierRuns is the point of the window:
-// p1 accepts a command while slot 1 is in flight, and instead of waiting
-// slot 1 out it opens slot 2 on the spot — before slot 1 has decided
-// anywhere — and the command applies there.
+// p1 accepts a command while slot 1 is in flight — its vote round waits
+// for Coord(1), p0, which has not even heard of the slot yet — and
+// instead of waiting slot 1 out it opens slot 2 on the spot, before slot 1
+// has decided anywhere, and the command applies there.
 func TestCommandRidesSlotOpenedWhileEarlierRuns(t *testing.T) {
 	n := newCoreNet(t)
-	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
-	n.deliver() // p1, p2 join slot 1
-
+	n.step(1, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
 	n.step(1, Event[string]{Kind: EvSubmit, Client: 11, Seq: 1, Cmd: "b"})
 	if got := openSlots(n.cores[1]); fmt.Sprint(got) != "[1 2]" {
 		t.Fatalf("p1 has slots %v open after a mid-slot submit, want [1 2]", got)
@@ -163,12 +161,10 @@ func TestOpenProposalHeldAfterItsEntriesApplied(t *testing.T) {
 		t.Fatalf("slot 2's proposal is %v (overlapped %d), want it to start at the first unapplied seq", got, c.Counters().Overlapped)
 	}
 
-	// p1 merged our forwarded commands into its own slot-1 proposal, and
-	// that is what slot 1 decides.
+	// p1 merged our forwarded commands into its own slot-1 proposal, which
+	// rides its round-1 message, and that is what slot 1 decides.
 	m := batchID(1, 1)
-	env := batchEnv(1, 1, ents([2]uint64{10, 1}, [2]uint64{10, 2}))
-	env.Slot = 1
-	c.Step(Event[string]{Kind: EvEnvelope, Env: env})
+	c.Step(Event[string]{Kind: EvEnvelope, Env: riderEnv(1, 1, 1, m, ents([2]uint64{10, 1}, [2]uint64{10, 2}))})
 	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, m})})
 	if len(res.Applied) != 2 || c.Counters().Pending != 0 {
 		t.Fatalf("slot 1 applied %+v, pending %d", res.Applied, c.Counters().Pending)
@@ -195,31 +191,43 @@ func TestOpenProposalHeldAfterItsEntriesApplied(t *testing.T) {
 	}
 }
 
-// TestBogusBatchStampDoesNotPinForever: the slot a KindBatch names comes
-// off the wire. One naming a slot no live sender could be minting for is
-// held as far as stampLimit trusts it, not until a slot that never comes.
+// TestBogusBatchStampDoesNotPinForever: the slot that keeps a batch
+// comes off the wire — the slot of the round message it rides. A rider of
+// a slot past the hold range is kept (a straggler applies it once the
+// decision reaches it) but pins nothing; one inside it keeps its batch
+// until that slot has applied and no longer; and a pull reply's Slot is
+// read by nobody.
 func TestBogusBatchStampDoesNotPinForever(t *testing.T) {
 	c := mergeCore(t, 0, 0)
-	bogus := batchEnv(1, 1, ents([2]uint64{11, 1}))
-	bogus.Slot = 1 << 60
-	c.Step(Event[string]{Kind: EvEnvelope, Env: bogus})
-	limit := c.stampLimit()
-	if got := c.batchSlot[batchID(1, 1)]; got != limit {
-		t.Fatalf("stamp %d recorded as slot %d, want it clamped to %d", bogus.Slot, got, limit)
+	x, y := batchID(1, 1), batchID(2, 1)
+	far := riderEnv(1, 1<<60, 1, x, ents([2]uint64{11, 1}))
+	c.Step(Event[string]{Kind: EvEnvelope, Env: far})
+	if !c.HoldsBatch(x) || c.batchSlot[x] != 1 {
+		t.Fatalf("far rider held %v until slot %d, want held until slot 1, which p0 opened proposing it", c.HoldsBatch(x), c.batchSlot[x])
 	}
-	// The same command commits through p2's batch in slot 1; the slots up
-	// to the limit decide the no-op.
-	c.Step(Event[string]{Kind: EvEnvelope, Env: batchEnv(2, 1, ents([2]uint64{11, 1}))})
-	c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(2, [2]int64{1, batchID(2, 1)})})
-	for slot := uint64(2); slot <= limit; slot++ {
-		if !c.HoldsBatch(batchID(1, 1)) {
-			t.Fatalf("batch dropped with slot %d unapplied, inside the slots its stamp is trusted for", slot)
+	reply := batchEnv(1, 1, ents([2]uint64{11, 1}))
+	reply.Slot = 1 << 60
+	c.Step(Event[string]{Kind: EvEnvelope, Env: reply})
+	if c.batchSlot[x] != 1 {
+		t.Fatalf("pull reply moved the stamp to slot %d", c.batchSlot[x])
+	}
+	last := uint64(2 * window) // the furthest slot a round message is held for
+	c.Step(Event[string]{Kind: EvEnvelope, Env: riderEnv(2, last, 1, y, ents([2]uint64{11, 1}))})
+	if got := c.batchSlot[y]; got != last {
+		t.Fatalf("rider of slot %d stamped %d", last, got)
+	}
+	// The command commits through x in slot 1; the slots up to the stamp
+	// decide the no-op.
+	c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, x})})
+	for slot := uint64(2); slot <= last; slot++ {
+		if !c.HoldsBatch(y) {
+			t.Fatalf("batch dropped with slot %d unapplied, inside the slots its rider stamped", slot)
 		}
 		c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(2, [2]int64{int64(slot), 0})})
 	}
-	if c.NextSlot() != limit+1 || c.HoldsBatch(batchID(1, 1)) || len(c.batchSlot) != 0 {
+	if c.NextSlot() != last+1 || c.HoldsBatch(y) || len(c.batchSlot) != 0 {
 		t.Fatalf("next slot %d, batch held %v, %d stamps kept; want %d, false, 0",
-			c.NextSlot(), c.HoldsBatch(batchID(1, 1)), len(c.batchSlot), limit+1)
+			c.NextSlot(), c.HoldsBatch(y), len(c.batchSlot), last+1)
 	}
 }
 
@@ -317,7 +325,7 @@ func TestOverlapKeepsSessionOrder(t *testing.T) {
 			}
 			bid, created := c.open[len(c.open)-1].prop, c.BatchesCreated()
 			if tc.asked {
-				bid, _ = c.propose(2, true, &res)
+				bid, _ = c.propose(2, true)
 			}
 			if bid != tc.wantID || c.BatchesCreated() != created {
 				t.Fatalf("proposal %#x (minted %d more), want %#x and nothing minted", bid, c.BatchesCreated()-created, tc.wantID)
@@ -358,11 +366,11 @@ func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 	if got := openSlots(rc); fmt.Sprint(got) != "[1 2]" {
 		t.Fatalf("recovered replica reopened slots %v, want [1 2]", got)
 	}
-	// Both runs had sent in round 1, the vote round, so the slots resume in
-	// round 2.
+	// Both runs had sent in round 2 — p0 settles the vote round on its own
+	// vote and sends its ack at once — so the slots resume in round 3.
 	for _, sr := range rc.OpenRounds(nil) {
-		if sr.Round != 2 {
-			t.Fatalf("slot %d resumed in round %d, want 2", sr.Slot, sr.Round)
+		if sr.Round != 3 {
+			t.Fatalf("slot %d resumed in round %d, want 3", sr.Slot, sr.Round)
 		}
 	}
 	// LastVoting's encoding starts with the locked vote (x, ts); the phase
@@ -407,10 +415,10 @@ func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 // TestFaultFreeSlotTakesTwoRounds: LastVoting's first coordinator votes
 // its proposal unasked in round 1 and every adopter decides on the acks
 // of round 2 — the coordinator's counted, so p1 and p2 decide on entering
-// it — so with nothing lost a slot is two rounds at every replica and 20
-// envelopes in all — the batch and the vote (2 + 2), two replicas joining
-// with their round-1 nulls (4), three acks, p0's naming its vote (6), three
-// eager decision pushes (6).
+// it — so with nothing lost a slot is two rounds at every replica and 18
+// envelopes in all: p0's vote and its ack naming the vote, sent together
+// and each carrying the batch (2 + 2), two replicas joining with their
+// round-1 nulls (4) and acking (4), three eager decision pushes (6).
 func TestFaultFreeSlotTakesTwoRounds(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
@@ -433,8 +441,38 @@ func TestFaultFreeSlotTakesTwoRounds(t *testing.T) {
 			t.Fatalf("replica %d closed %d rounds and took %d decisions from a sync; want 2 and its own", p, st.Rounds, st.SyncDecisions)
 		}
 	}
-	if envelopes != 20 || lastRound != 2 {
-		t.Fatalf("slot took %d envelopes and reached round %d, want 20 and 2", envelopes, lastRound)
+	if envelopes != 18 || lastRound != 2 {
+		t.Fatalf("slot took %d envelopes and reached round %d, want 18 and 2", envelopes, lastRound)
+	}
+}
+
+// TestVoteArrivesWithItsContents: a round message carries the batch it
+// names, so a replica that adopts the vote holds its contents in the same
+// step — p1 and p2 decide AND apply slot 1 on the vote alone — and a
+// fault-free slot sends no KindBatch and no pull.
+func TestVoteArrivesWithItsContents(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	for _, o := range n.take(func(o Outbound) bool { return o.Env.Kind == KindRound && o.Env.Round == 1 }) {
+		n.step(o.To, Event[string]{Kind: EvEnvelope, Env: o.Env})
+		if c := n.cores[o.To]; c.NextSlot() != 2 || !c.HoldsBatch(batchID(0, 1)) {
+			t.Fatalf("replica %d heard the vote and is at slot %d, holding the batch %v; want slot 1 applied",
+				o.To, c.NextSlot(), c.HoldsBatch(batchID(0, 1)))
+		}
+	}
+	for i := 0; len(n.queue) > 0; i++ {
+		for _, o := range n.queue {
+			if o.Env.Kind == KindBatch || o.Env.Kind == KindBatchPull {
+				t.Fatalf("replica %d sent a %d envelope in a fault-free slot", o.Env.From, o.Env.Kind)
+			}
+		}
+		if i > 100 {
+			t.Fatal("network never drained")
+		}
+		n.deliver()
+	}
+	for p := range n.cores {
+		wantOwnDecision(t, n, core.ProcessID(p), 2)
 	}
 }
 
@@ -449,7 +487,9 @@ func TestMissedVoteAdoptsFromTheCoordinatorsAck(t *testing.T) {
 	for _, missed := range [][]core.ProcessID{{2}, {1, 2}} {
 		n := newCoreNet(t)
 		n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
-		lost := n.take(func(o Outbound) bool { return o.Env.Kind == KindRound && slices.Contains(missed, o.To) })
+		lost := n.take(func(o Outbound) bool {
+			return o.Env.Kind == KindRound && o.Env.Round == 1 && slices.Contains(missed, o.To)
+		})
 		if len(lost) != len(missed) {
 			t.Fatalf("%v missing the vote: dropped %d messages, want exactly the vote to each", missed, len(lost))
 		}
@@ -491,21 +531,21 @@ func wantOwnDecision(t *testing.T, n *coreNet, p core.ProcessID, rounds int64) {
 	}
 }
 
-// TestLostAckDecidesOnTheQuorum: p1's ack to p0 is lost. p0 holds its own
-// ack and p2's — a majority, and it adopted the vote — so it decides in
-// its own instance there and then. No round timeout is stepped anywhere
-// in this test and nobody learns the slot by sync. (Waiting for all n, p0
-// sat in the ack round until a decider's push arrived.)
+// TestLostAckDecidesOnTheQuorum: p1's ack to p0 is lost, and its decision
+// push with it. p0 holds its own ack and p2's — a majority, and it adopted
+// the vote — so it decides in its own instance there and then. No round
+// timeout is stepped anywhere in this test and nobody learns the slot by
+// sync. (Waiting for all n, p0 sat in the ack round until a decider's push
+// arrived.)
 func TestLostAckDecidesOnTheQuorum(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
-	n.deliver() // p1, p2 join slot 1
-	n.deliver() // round 1 closes everywhere: three acks on their way
+	n.deliver() // p1, p2 join slot 1 on the vote, ack and decide: their acks and pushes on their way
 	lost := n.take(func(o Outbound) bool {
-		return o.To == 0 && o.Env.From == 1 && o.Env.Kind == KindRound && o.Env.Round == 2
+		return o.To == 0 && o.Env.From == 1 && (o.Env.Kind == KindSync || o.Env.Kind == KindRound && o.Env.Round == 2)
 	})
-	if len(lost) != 1 {
-		t.Fatalf("dropped %d messages, want exactly p1's ack to p0", len(lost))
+	if len(lost) != 2 {
+		t.Fatalf("dropped %d messages, want exactly p1's ack to p0 and its push", len(lost))
 	}
 	n.drain()
 	for p := range n.cores {
@@ -515,27 +555,25 @@ func TestLostAckDecidesOnTheQuorum(t *testing.T) {
 
 // TestNonCoordinatorDecidesOneHopAfterTheVote: Coord(1)'s vote counts as
 // its ack, so at n = 3 a non-coordinator's own ack completes a majority.
-// p1 and p2 decide the moment their vote rounds close — one hop after the
-// vote, before any ack has been delivered anywhere — and p0, whose own
-// round-2 message is its vote again, decides on the first ack it hears.
+// p1 and p2 decide the moment the vote arrives — their vote rounds settle
+// on it, one hop after the vote, before any ack has been delivered
+// anywhere and without waiting for each other's round-1 message — and p0,
+// in the ack round from the start (it settled the vote round on its own
+// vote) and whose own round-2 message is its vote again, decides on the
+// first ack it hears.
 func TestNonCoordinatorDecidesOneHopAfterTheVote(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
-	n.deliver() // p1, p2 join slot 1 on p0's vote
-	nulls := n.take(func(o Outbound) bool { return o.Env.Kind == KindRound && o.Env.Round == 1 })
-	for _, o := range nulls {
-		if o.To != 0 {
-			n.step(o.To, Event[string]{Kind: EvEnvelope, Env: o.Env})
-		}
+	if got := fmt.Sprint(n.cores[0].OpenRounds(nil)); got != "[{1 r2}]" {
+		t.Fatalf("p0 opened the slot in rounds %s, want the ack round", got)
+	}
+	votes := n.take(func(o Outbound) bool { return o.Env.Kind == KindRound && o.Env.Round == 1 })
+	for _, o := range votes {
+		n.step(o.To, Event[string]{Kind: EvEnvelope, Env: o.Env})
 	}
 	wantOwnDecision(t, n, 1, 2)
 	wantOwnDecision(t, n, 2, 2)
 
-	for _, o := range nulls {
-		if o.To == 0 {
-			n.step(0, Event[string]{Kind: EvEnvelope, Env: o.Env})
-		}
-	}
 	if st := n.cores[0].Counters(); st.Committed != 0 || fmt.Sprint(n.cores[0].OpenRounds(nil)) != "[{1 r2}]" {
 		t.Fatalf("p0 committed %d in rounds %v before hearing an ack, want 0 in the ack round", st.Committed, n.cores[0].OpenRounds(nil))
 	}
@@ -547,12 +585,11 @@ func TestNonCoordinatorDecidesOneHopAfterTheVote(t *testing.T) {
 	wantOwnDecision(t, n, 0, 2)
 }
 
-// TestSilentReplicaCostsOneTimeoutPerSlot: p2 neither hears nor is heard
-// for the whole slot. The vote round has to time out at p0 and p1 — there
-// is no telling a silent replica from a slow one — but the ack round
-// closes on the two acks there are. (It used to wait for p2's as well: two
-// timers per slot.)
-func TestSilentReplicaCostsOneTimeoutPerSlot(t *testing.T) {
+// TestSilentReplicaCostsNoTimeout: p2 neither hears nor is heard for the
+// whole slot, and no round needs its timer: the vote round settles on the
+// vote — at p0 on entry, at p1 as it arrives — and the ack round on the
+// two acks there are.
+func TestSilentReplicaCostsNoTimeout(t *testing.T) {
 	n := newCoreNet(t)
 	silence := func() {
 		n.take(func(o Outbound) bool { return o.To == 2 || o.Env.From == 2 })
@@ -566,42 +603,45 @@ func TestSilentReplicaCostsOneTimeoutPerSlot(t *testing.T) {
 		}
 		for _, p := range []core.ProcessID{0, 1} {
 			for _, sr := range n.cores[p].OpenRounds(nil) {
-				if sr.Round != 1 {
-					t.Fatalf("replica %d is stuck in round %d of slot %d: only the vote round may need its timer", p, sr.Round, sr.Slot)
-				}
 				timeouts++
 				n.step(p, Event[string]{Kind: EvRoundTimeout, Slot: sr.Slot})
 			}
 		}
 	}
-	if timeouts != 2 {
-		t.Fatalf("%d round timeouts stepped, want one each at p0 and p1", timeouts)
+	if timeouts != 0 {
+		t.Fatalf("%d round timeouts stepped, want none", timeouts)
 	}
 	wantOwnDecision(t, n, 0, 2)
 	wantOwnDecision(t, n, 1, 2)
 }
 
-// TestJumpIntoAckRoundDecidesOnEnter: p1 is still in the vote round — it
-// has the vote, p2's round-1 message is slow — when p0's ack arrives. The
-// jump rule closes the vote round (p1 adopts), and the ack round it enters
-// holds the buffered ack and its own: a majority. p1 decides inside that
-// one step, before p2's ack or decision push is delivered.
+// TestJumpIntoAckRoundDecidesOnEnter: p1 is still in the vote round —
+// p2's round-1 message asked it into the slot, its copy of the vote is
+// slow — when p0's ack arrives. The jump rule closes the vote round (p1
+// adopts nothing there), and the ack round it enters holds p0's ack, which
+// names the vote and carries its batch: p1 adopts it, counts itself beside
+// Coord(1) — a majority — and decides and applies inside that one step,
+// before p2's ack or decision push is delivered.
 func TestJumpIntoAckRoundDecidesOnEnter(t *testing.T) {
 	n := newCoreNet(t)
 	toP1 := func(o Outbound) bool { return o.To == 1 }
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
-	n.deliver() // p1, p2 join slot 1
 	slow := n.take(toP1)
-	n.deliver() // p0 and p2 close round 1 and ack; p2 decides as it enters the ack round
+	n.deliver() // p2 joins slot 1 on the vote, acks and decides
 	rest := n.take(toP1)
 	var ack Outbound
-	for _, o := range rest {
-		if o.Env.From == 0 && o.Env.Kind == KindRound && o.Env.Round == 2 {
+	for _, o := range slow {
+		if o.Env.Kind == KindRound && o.Env.Round == 2 {
 			ack = o
 		}
 	}
-	if len(slow) != 1 || ack.Env.Round != 2 || n.cores[1].OpenRounds(nil)[0].Round != 1 {
-		t.Fatalf("held back %d round-1 messages for p1 and p0's ack %v, p1 in rounds %v; want 1, the ack, p1 in round 1",
+	for _, o := range rest {
+		if o.Env.Kind == KindRound && o.Env.Round == 1 {
+			n.step(1, Event[string]{Kind: EvEnvelope, Env: o.Env}) // p2's null asks p1 into the slot
+		}
+	}
+	if len(slow) != 2 || ack.Env.Round != 2 || fmt.Sprint(n.cores[1].OpenRounds(nil)) != "[{1 r1}]" {
+		t.Fatalf("held back %d messages of p0's for p1 with its ack %v, p1 in rounds %v; want the vote and the ack, p1 in round 1",
 			len(slow), ack.Env.Round == 2, n.cores[1].OpenRounds(nil))
 	}
 	n.step(1, Event[string]{Kind: EvEnvelope, Env: ack.Env})
@@ -673,8 +713,14 @@ func TestLateRoundMessageOfTheDecidingRoundDrawsNoPush(t *testing.T) {
 
 // roundEnv builds a round message (the null payload) of a slot.
 func roundEnv(from core.ProcessID, slot uint64, round core.Round) Envelope {
-	payload, _ := lastvoting.WireCodec{}.Encode(nil)
-	return Envelope{Slot: slot, Round: round, Kind: KindRound, From: from, Payload: payload}
+	return riderEnv(from, slot, round, 0, nil)
+}
+
+// riderEnv builds a null round message of a slot carrying batch bid's
+// entries (bid 0: none), as a proposer's first round message carries its
+// fresh batch.
+func riderEnv(from core.ProcessID, slot uint64, round core.Round, bid int64, entries []Entry[string]) Envelope {
+	return Envelope{Slot: slot, Round: round, Kind: KindRound, From: from, Payload: roundPayload(nil, bid, entries)}
 }
 
 // pulls counts the KindSyncPulls a step addressed to peer.
@@ -688,17 +734,17 @@ func pulls(res StepResult[string], peer core.ProcessID) int {
 	return k
 }
 
-// TestEarlyVoteIsHeldUntilTheWindowReachesIt: p1's round-1 messages to
-// p2 are slow, so p2 sits in the vote round of slots 1 and 2 — everything
-// else for it held back too — while p1 decides both as it enters their ack
-// rounds and opens slot 3 for c, and p0 decides both on p1's acks and
-// opens slot 3 with its vote: slot 3's vote and p1's round-1 message reach
-// p2 one slot beyond its window. p2 pulls — it does lag — but keeps both,
-// and when its own run of slot 1 decides and the window slides, slot 3
-// opens with them heard: p2 closes the vote round on the spot, acks, and
-// decides slot 3 in two rounds of its OWN instance. Every decision push to
-// p2 is lost in this test; dropping the vote instead left p2 with nothing
-// adopted in slot 3 and only a push to learn it from.
+// TestEarlyVoteIsHeldUntilTheWindowReachesIt: everything for p2 about
+// slots 1 and 2 is slow, while p1 decides both as the votes reach it and
+// opens slot 3 for c, and p0 decides both on p1's acks and opens slot 3
+// with its vote: slot 3's vote, the ack that names it and p1's round-1
+// message reach p2 one slot beyond its window. p2 pulls — it does lag —
+// but keeps them, and when its own runs of slots 1 and 2 decide and the
+// window slides, slot 3 opens with them heard: p2 closes the vote round on
+// the spot, acks, and decides slot 3 in two rounds of its OWN instance.
+// Every decision push to p2 is lost in this test; dropping the vote
+// instead left p2 with nothing adopted in slot 3 and only a push to learn
+// it from.
 func TestEarlyVoteIsHeldUntilTheWindowReachesIt(t *testing.T) {
 	n := newCoreNet(t)
 	toP2 := func(o Outbound) bool { return o.To == 2 }
@@ -708,9 +754,8 @@ func TestEarlyVoteIsHeldUntilTheWindowReachesIt(t *testing.T) {
 	for i, cmd := range []string{"a", "b", "c"} {
 		n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: uint64(i + 1), Cmd: cmd})
 	}
-	n.deliver() // p1, p2 join slots 1 and 2 on p0's votes; c waits as a forward
 	slow := n.take(toP2)
-	n.deliver() // p0, p1 close round 1: p1 decides and applies both slots and opens slot 3 for c
+	n.deliver() // p1 joins slots 1 and 2 on p0's votes, decides and applies both, and opens slot 3 for c
 	losePushes()
 	slow = append(slow, n.take(func(o Outbound) bool { return o.To == 2 && o.Env.Slot != 3 })...)
 	n.deliver() // p1's acks reach p0: p0 decides and applies both slots and opens slot 3
@@ -725,9 +770,9 @@ func TestEarlyVoteIsHeldUntilTheWindowReachesIt(t *testing.T) {
 	if pulled := n.take(func(o Outbound) bool { return o.Env.From == 2 && o.Env.Kind == KindSyncPull }); len(pulled) == 0 {
 		t.Fatal("p2 kept the early messages without pulling: it does lag")
 	}
-	if st := n.cores[2].Counters(); st.HeldEarly != 2 || st.Applied != 0 || fmt.Sprint(openSlots(n.cores[2])) != "[1 2]" {
-		t.Fatalf("p2 holds %d early messages with %d applied and slots %v open; want p0's and p1's round 1 of slot 3, 0, [1 2]",
-			st.HeldEarly, st.Applied, openSlots(n.cores[2]))
+	if st := n.cores[2].Counters(); st.HeldEarly != 3 || st.Applied != 0 {
+		t.Fatalf("p2 holds %d early messages with %d applied; want p0's rounds 1 and 2 and p1's round 1 of slot 3, and 0",
+			st.HeldEarly, st.Applied)
 	}
 
 	for _, o := range slow {

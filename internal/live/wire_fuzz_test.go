@@ -28,6 +28,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) // overlong uvarint
 	f.Add(AppendEnvelope(nil, Envelope{From: core.ProcessID(core.MaxProcesses), Kind: KindRound}))
+	entry := []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}
+	f.Add(AppendEnvelope(nil, Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound, Payload: roundPayload(nil, batchID(1, 1), entry)}))
+	f.Add(AppendEnvelope(nil, Envelope{From: 1, Kind: KindBatch, Payload: strCodec{}.AppendEntries(appendVarint(nil, batchID(1, 1)), entry)}))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := DecodeEnvelope(b)
@@ -58,8 +61,12 @@ func FuzzReplicaCoreStep(f *testing.F) {
 	f.Add(uint8(99), uint64(0), uint64(0), uint8(1), []byte("junk"))
 	f.Add(uint8(KindForward), uint64(0), uint64(0), uint8(1), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // huge entry count
 	f.Add(uint8(KindForward), uint64(0), uint64(0), uint8(0), strCodec{}.AppendEntries(nil, []Entry[string]{{Client: 9, Seq: 1, Cmd: "self"}}))
-	f.Add(uint8(KindBatch), uint64(1<<62), uint64(0), uint8(1), // a stamp for a slot nobody is near
+	f.Add(uint8(KindBatch), uint64(1<<62), uint64(0), uint8(1), // a pull reply stamped for a slot nobody is near
 		strCodec{}.AppendEntries(appendVarint(nil, batchID(1, 1)), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}))
+	f.Add(uint8(KindRound), uint64(1<<62), uint64(1), uint8(1), // a rider of a slot nobody is near
+		roundPayload(nil, batchID(1, 1), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}))
+	f.Add(uint8(KindRound), uint64(1), uint64(1), uint8(2), // a rider of the slot in flight
+		roundPayload(nil, batchID(2, 1), []Entry[string]{{Client: 9, Seq: 2, Cmd: "y"}}))
 
 	f.Fuzz(func(t *testing.T, kind uint8, slot, round uint64, from uint8, payload []byte) {
 		c := newFuzzCore(t)
@@ -81,9 +88,67 @@ func FuzzReplicaCoreStep(f *testing.F) {
 			}
 		}
 		for bid, s := range c.batchSlot {
-			if s > c.stampLimit() {
-				t.Fatalf("batch %#x held until slot %d on the wire's word (limit %d)", bid, s, c.stampLimit())
+			if limit := c.NextSlot() + 2*window; s >= limit && c.decided[s] != bid {
+				t.Fatalf("batch %#x held until slot %d on a rider's word (hold range ends before %d)", bid, s, limit)
 			}
+		}
+	})
+}
+
+// roundPayload encodes an OTR round message as appendRound does, with
+// batch bid's entries riding behind it (bid 0: nothing rides). The null
+// message encodes alike under OTR and LastVoting.
+func roundPayload(m core.Message, bid int64, entries []Entry[string]) []byte {
+	enc, _ := otr.WireCodec{}.Encode(m)
+	b := append(appendUvarint(nil, uint64(len(enc))), enc...)
+	if bid != 0 {
+		b = strCodec{}.AppendEntries(appendVarint(b, bid), entries)
+	}
+	return b
+}
+
+// FuzzRoundPayload: the round payload and the batch riding behind it.
+// Whatever the bytes, the core must not panic; a payload whose length,
+// message, rider id or rider entries do not parse is counted malformed
+// and heard by nobody — the id is checked before the entries are
+// decoded, and the entries' count by the BatchCodec before it sizes
+// anything — and a well-formed one leaves its rider held.
+func FuzzRoundPayload(f *testing.F) {
+	for _, env := range coreTraffic(f) {
+		if env.Kind == KindRound {
+			f.Add(env.Payload)
+		}
+	}
+	entry := []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}
+	f.Add(roundPayload(nil, batchID(2, 1), entry))
+	f.Add(roundPayload(nil, batchID(5, 1), entry))
+	f.Add(appendUvarint(appendVarint(roundPayload(nil, 0, nil), batchID(1, 1)), 1<<40)) // a huge entry count
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})     // an overlong length
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		c := newFuzzCore(t)
+		res := c.Step(Event[string]{Kind: EvEnvelope, Env: Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound, Payload: payload}})
+		enc, rider, ok := SplitRound(payload)
+		_, err := otr.WireCodec{}.Decode(enc)
+		ok = ok && err == nil
+		var bid int64
+		if ok && len(rider) > 0 {
+			var n int
+			bid, n = varint(rider)
+			ok = n > 0 && c.validBatchID(bid)
+			if ok {
+				_, err := strCodec{}.DecodeEntries(rider[n:])
+				ok = err == nil
+			}
+		}
+		if malformed := c.Counters().Malformed != 0; malformed == ok {
+			t.Fatalf("payload %x: well-formed %v, counted malformed %v", payload, ok, malformed)
+		}
+		if !ok && (len(res.Out) != 0 || c.Counters().Open != 0 || len(c.batches) != 0) {
+			t.Fatalf("malformed payload %x had effects: %+v, %d open, %d batches", payload, res, c.Counters().Open, len(c.batches))
+		}
+		if ok && bid != 0 && !c.HoldsBatch(bid) {
+			t.Fatalf("payload %x: rider %#x not held", payload, bid)
 		}
 	})
 }
@@ -97,8 +162,15 @@ func TestMalformedPayloadsCounted(t *testing.T) {
 		name string
 		env  Envelope
 	}{
-		{"round bad tag", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound, Payload: []byte{0xFF}}},
-		{"round truncated", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound, Payload: []byte{1, 0x80}}},
+		{"round length", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound, Payload: []byte{0xFF}}},
+		{"round length past the end", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound, Payload: []byte{3, 1, 2}}},
+		{"round bad tag", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound, Payload: []byte{1, 0x80}}},
+		{"round rider id zero", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound,
+			Payload: appendVarint(roundPayload(nil, 0, nil), 0)}},
+		{"round rider of no member", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound,
+			Payload: roundPayload(nil, batchID(3, 1), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}})}},
+		{"round rider bad entries", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound,
+			Payload: appendVarint(roundPayload(nil, 0, nil), batchID(1, 7))}},
 		{"batch empty", Envelope{From: 1, Kind: KindBatch}},
 		{"batch id zero", Envelope{From: 1, Kind: KindBatch, Payload: appendVarint(nil, 0)}},
 		{"batch bad entries", Envelope{From: 1, Kind: KindBatch, Payload: appendVarint(nil, batchID(1, 7))}},

@@ -147,17 +147,19 @@ type ReplicaModel struct {
 type ReplicaViolation struct {
 	// Kind classifies the broken invariant: "agreement", "integrity",
 	// "double-apply", "commit-regression", "gc-needed-batch",
-	// "session-gap".
+	// "session-gap", "decided-unheld".
 	Kind    string
 	Message string
 }
 
 // ReplicaFinding is a non-safety observation — today only the
 // dissemination-window stall: a decided batch id whose contents no live
-// replica holds and no in-flight message carries, reachable only by
-// crash-stopping the proposer inside the window between its id deciding
-// and its contents reaching anyone (see the fault-envelope note in
-// live/replica.go). Availability, not agreement, is what is lost.
+// replica holds and no in-flight message carries. The protocol closes that
+// window — a vote travels with the batch it names, so its adopters hold
+// the contents (the decided-unheld invariant) — and only a network that
+// strips riders (StripRiders) and then a crash of the proposer reach it
+// (see the fault-envelope note in live/replica.go). Availability, not
+// agreement, is what is lost.
 type ReplicaFinding struct {
 	Kind    string
 	Message string
@@ -223,7 +225,8 @@ type rcState struct {
 }
 
 // soupMsg is one in-flight envelope with its destination. batchID is
-// pre-parsed for the GC invariant (0 when not a KindBatch).
+// pre-parsed for the GC invariant: the batch whose contents it carries — a
+// pull reply's, or a round message's rider — 0 when none.
 type soupMsg struct {
 	to      core.ProcessID
 	env     live.Envelope
@@ -296,18 +299,27 @@ func (s *rcState) put(to core.ProcessID, env live.Envelope) {
 		s.sent = append(make([]string, 0, len(s.sent)+4), s.sent...)
 		s.owns = true
 	}
-	var bid int64
-	if env.Kind == live.KindBatch {
-		if v, n := binary.Varint(env.Payload); n > 0 {
-			bid = v
-		}
-	}
-	s.soup[key] = soupMsg{to: to, env: env, batchID: bid}
+	s.soup[key] = soupMsg{to: to, env: env, batchID: carried(env)}
 	i := sort.SearchStrings(s.keys, key)
 	s.keys = append(s.keys, "")
 	copy(s.keys[i+1:], s.keys[i:])
 	s.keys[i] = key
 	s.sent = append(s.sent, key)
+}
+
+// carried returns the id of the batch whose contents env carries: a pull
+// reply's, or the rider of a round message (0 when none).
+func carried(env live.Envelope) int64 {
+	b := env.Payload
+	if env.Kind == live.KindRound {
+		_, b, _ = live.SplitRound(b)
+	} else if env.Kind != live.KindBatch {
+		return 0
+	}
+	if v, n := binary.Varint(b); n > 0 {
+		return v
+	}
+	return 0
 }
 
 // forkForStep clones the state for stepping core p: that core is deep-
@@ -414,7 +426,8 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 	// crash bookkeeping simulates it: the extra messages only add
 	// enabled deliveries, and every safety invariant here is monotone in
 	// the soup (none reads a message's absence — gc-needed-batch does,
-	// but in a monotone soup a broadcast batch stays in flight forever,
+	// but in a monotone soup a sent batch — a pull reply, or the rider of
+	// a round message — stays in flight forever,
 	// so at crashes=0 it is unreachable regardless, and with crashes it
 	// is the stall finding, whose discovery the scripted probes own).
 	// Any violation reachable from the subset state is therefore
@@ -797,6 +810,30 @@ func checkReplicaInvariants(n int, cores []*live.ReplicaCore[byte], isLive func(
 				findings["stall-window"] = f
 			}
 			f.Count++
+		}
+	}
+
+	// Decided ⇒ held: a replica whose own instance decided a slot holds
+	// the slot's batch until it has applied it. Every round message that
+	// names a batch carries it (live's appendRound), so adopting a vote and
+	// holding what it votes for are one step, and the decision's contents
+	// never hang on a separate message. Only a network that strips riders
+	// (StripRiders) breaks it — with a crash, that is the stall above.
+	for p, c := range cores {
+		if !isLive(core.ProcessID(p)) {
+			continue
+		}
+		decided := c.DecidedUnapplied()
+		slots := make([]uint64, 0, len(decided))
+		for s := range decided { //holint:allow nodeterminism key collection is sorted on the next line
+			slots = append(slots, s)
+		}
+		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+		for _, s := range slots {
+			if bid := decided[s]; bid != 0 && c.DecidedHere(s) && !c.HoldsBatch(bid) {
+				return &ReplicaViolation{Kind: "decided-unheld", Message: fmt.Sprintf(
+					"replica %d decided slot %d as batch %d in its own instance without holding it", p, s, bid)}
+			}
 		}
 	}
 	return nil

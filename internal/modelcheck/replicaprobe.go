@@ -35,12 +35,15 @@
 //     vote and its ack, which names the vote, alike — no coordinator ever
 //     assembles a quorum, and the pair spins forever — the drift
 //     livelock, reported as a liveness finding.
-//   - CheckStall: no core mutation — the environment escalates beyond
-//     the documented fault envelope (crash-STOP of a proposer inside
-//     the dissemination window, plus total batch loss). The decided
-//     batch's only copy dies with its proposer and the survivors block
-//     pulling forever: the availability stall PR 5 documented, surfaced
-//     as a finding. The control run (no crash) recovers via pulls.
+//   - CheckStall: no core mutation — the network lies (StripRiders: the
+//     round messages arrive without the batch riding them, which no link
+//     can do) and the proposer then crash-stops. The deciders hold an id
+//     without its contents — the decided-unheld invariant flags that —
+//     and the decided batch's only copy dies with its proposer: the
+//     survivors block pulling forever, the availability stall the
+//     replica's fault envelope once documented, surfaced as a finding. The control run (an honest
+//     network, the same crash) has every replica apply: the votes brought
+//     the contents, so the stall is unreachable without the lie.
 //
 // One probe covers the forward + merge proposal path:
 //
@@ -84,11 +87,11 @@
 //     pair arrives. Real core: stale rounds, p2 learns B by sync. Mutant:
 //     p2 adopts and acks phase 1 AFTER telling phase 2 it had adopted
 //     nothing, and decides A on its own ack and p0's old one.
-//   - CheckStallRecovery: CheckStall's exact window, but the proposer
+//   - CheckStallRecovery: CheckStall's lying network, but the proposer
 //     crash-RECOVERS instead of crash-stopping. Its batch hit its own
 //     disk in the same step that proposed the id (quorum-durable
 //     dissemination), so the rebooted proposer answers the survivors'
-//     pulls and everyone applies: the PR-5 stall window is closed for
+//     pulls and everyone applies: even a lost rider is only a delay for
 //     replicas running with a Persister. Contrast with CheckStall(true),
 //     where the same schedule minus the disk strands the batch forever.
 
@@ -129,6 +132,9 @@ type scen struct {
 	// disk, when set, edits the durable state a recovering replica reads
 	// back: the seeded crash-recovery bugs.
 	disk func(*wal.State)
+	// net, when set, edits every envelope on its way onto the wire: a
+	// network that lies.
+	net func(live.Envelope) live.Envelope
 }
 
 // MutForgetVote is the disk that loses every persisted vote: the
@@ -150,6 +156,21 @@ func MutForgetRound(st *wal.State) {
 			st.Votes[slot] = append([]byte{0}, vote[n:]...)
 		}
 	}
+}
+
+// StripRiders is the network that delivers a round message without the
+// batch riding it. No link can — the rider is part of the envelope's
+// payload — so the checker builds it outside the core, the way
+// MutForgetVote builds a lying disk: it is how the dissemination-window
+// stall, closed by riders, is still reached (CheckStall).
+func StripRiders(env live.Envelope) live.Envelope {
+	if env.Kind != live.KindRound {
+		return env
+	}
+	if _, rider, ok := live.SplitRound(env.Payload); ok && len(rider) > 0 {
+		env.Payload = env.Payload[:len(env.Payload)-len(rider)]
+	}
+	return env
 }
 
 // newScen builds an n-replica LastVoting group with a budget of slots.
@@ -185,6 +206,9 @@ func (s *scen) stepOn(p core.ProcessID, ev live.Event[byte]) {
 	}
 	res := s.cores[p].Step(ev)
 	for _, o := range res.Out {
+		if s.net != nil {
+			o.Env = s.net(o.Env)
+		}
 		if o.To == live.AllPeers {
 			for q := 0; q < s.n; q++ {
 				if pid := core.ProcessID(q); pid != p {
@@ -207,6 +231,19 @@ func (s *scen) crash(p core.ProcessID) { s.dead |= 1 << uint(p) }
 func (s *scen) timeoutAll() {
 	for p := 0; p < s.n; p++ {
 		s.timeout(core.ProcessID(p))
+	}
+}
+
+// timeoutIn fires the round timer of every replica whose open slot is in
+// round r: a script's lockstep through rounds, which Coord(1) enters a
+// round ahead (it settles the vote round on its own vote at entry).
+func (s *scen) timeoutIn(r core.Round) {
+	for p := 0; p < s.n; p++ {
+		for _, sr := range s.cores[p].OpenRounds(nil) {
+			if sr.Round == r {
+				s.stepOn(core.ProcessID(p), live.Event[byte]{Kind: live.EvRoundTimeout, Slot: sr.Slot})
+			}
+		}
 	}
 }
 
@@ -301,6 +338,26 @@ func (s *scen) freeRunWithout(silent core.ProcessID) {
 	}
 }
 
+// disseminate hands every replica the contents of every batch minted so
+// far, without moving any round: each replica pulls each batch from its
+// proposer and the replies are delivered. Batches otherwise travel only
+// with the round messages that name them, and the scripts below that need
+// contents everywhere before their rounds start say so with this.
+func (s *scen) disseminate() {
+	for q := 0; q < s.n; q++ {
+		for k := int64(1); k <= s.cores[q].BatchesCreated(); k++ {
+			pull := binary.AppendVarint(nil, int64(q+1)<<40|k)
+			for p := 0; p < s.n; p++ {
+				if p != q {
+					s.stepOn(core.ProcessID(q), live.Event[byte]{Kind: live.EvEnvelope, Env: live.Envelope{
+						Kind: live.KindBatchPull, From: core.ProcessID(p), Payload: pull}})
+				}
+			}
+		}
+	}
+	s.deliverWhere(kindIs(live.KindBatch))
+}
+
 // Common predicates.
 func anyMsg(core.ProcessID, live.Envelope) bool { return true }
 func kindIs(k live.Kind) func(core.ProcessID, live.Envelope) bool {
@@ -323,10 +380,7 @@ func (s *scen) finish() ProbeResult {
 	isLive := func(p core.ProcessID) bool { return s.dead&(1<<uint(p)) == 0 }
 	inFlight := func(bid int64) bool {
 		for _, o := range s.wire {
-			if o.Env.Kind != live.KindBatch || !isLive(o.To) {
-				continue
-			}
-			if v, n := binary.Varint(o.Env.Payload); n > 0 && v == bid {
+			if isLive(o.To) && carried(o.Env) == bid {
 				return true
 			}
 		}
@@ -362,19 +416,18 @@ func (s *scen) lockAtOneAdopter() {
 
 	// Dissemination: everyone holds the contents of A and B (p1 must be
 	// able to re-propose B's command and to apply A).
-	s.deliverWhere(kindIs(live.KindBatch))
+	s.disseminate()
 
 	// Round 1 is the vote round: p0 was born locked to A, x=A ts=1 — THE
-	// LOCK — and its vote reaches p1 only; p2 stays in the dark.
+	// LOCK — settled it on its own vote and sent its ack, the vote again.
+	// The vote reaches p1 only; p2 stays in the dark. p1 adopts it and
+	// enters the ack round, where its own ack and p0's vote, counted as
+	// p0's ack, are a majority: it decides A there and then, and applies
+	// it.
 	s.deliverWhere(roundAtFromTo(1, 0, 1))
 	s.dropWhere(roundAt(1))
-	s.timeout(0) // p0 enters the ack round: its ack, the vote again, goes out
-	// p1 adopts the vote and enters the ack round, where its own ack and
-	// p0's vote, counted as p0's ack, are a majority: it decides A there
-	// and then, and applies it.
-	s.timeout(1)
-	// Round 2: every ack is lost, and p1's eager decision push with them.
-	// p0, counting itself and no ack, does not decide.
+	// Round 2: every ack is lost, p0's included, and p1's eager decision
+	// push with them. p0, counting itself and no ack, does not decide.
 	s.dropWhere(anyMsg)
 	s.timeout(0)
 	s.dropWhere(anyMsg)
@@ -428,12 +481,14 @@ func CheckDrift(mutated bool) ProbeResult {
 	s.submit(0, 1, 1, 'a')
 	// p1 adopts batch A and starts; everything else in flight — p0's vote
 	// included — is lost.
-	s.deliverWhere(kindIs(live.KindBatch))
+	s.disseminate()
 	s.dropWhere(anyMsg)
-	// Establish the drift: p1 times out once on its own, moving one round
-	// ahead of p0, the coordinator. (The other way round, p0's ack would
-	// reach p1 in time and carry the vote p1 missed: p1 decides phase 1
-	// on it, drift or not.)
+	// Establish the drift: p1 times out twice on its own, moving one round
+	// ahead of p0, the coordinator — which settled its vote round at entry
+	// and sits in the ack round. (The other way round, p0's ack would reach
+	// p1 in time and carry the vote p1 missed: p1 decides phase 1 on it,
+	// drift or not.)
+	s.timeout(1)
 	s.timeout(1)
 
 	// Lockstep: every message delivers, then each survivor times out once.
@@ -466,41 +521,35 @@ func CheckDrift(mutated bool) ProbeResult {
 // coordinator, p0, has opened the slot: two rounds, and all three
 // replicas have decided. Everything else in flight is then lost.
 func (s *scen) decideEverywhere() {
-	s.deliverWhere(kindIs(live.KindRound)) // p0's round-1 vote asks p1, p2 into the slot
-	s.deliverWhere(kindIs(live.KindRound)) // their round-1 messages: round 1 closes everywhere; p1 and p2 adopt, ack and DECIDE, and block pulling the contents
-	s.deliverWhere(kindIs(live.KindRound)) // the acks: p0 decides slot 1 too and applies its own batch
+	s.deliverWhere(kindIs(live.KindRound)) // p0's vote and its ack: p1 and p2 join the slot, adopt, ack and DECIDE
+	s.deliverWhere(kindIs(live.KindRound)) // their acks: p0 decides slot 1 too and applies its own batch
 	s.dropWhere(anyMsg)
 }
 
-// CheckStall runs the dissemination-window schedule: batch contents
-// never leave the proposer, the batch ID decides everywhere anyway, and
-// then the proposer crash-stops. With crash=true the invariant engine
-// reports the stall finding (availability lost, agreement intact); with
-// crash=false the control run recovers by pulling the batch.
-func CheckStall(crash bool) ProbeResult {
+// CheckStall runs the dissemination-window schedule: the batch ID decides
+// everywhere, and then the proposer crash-stops. With strip=true the
+// network strips the batch from the round messages that name it
+// (StripRiders), so the deciders hold the id alone: the invariant engine
+// reports decided-unheld and the stall finding (availability lost,
+// agreement intact). With strip=false the same schedule is clean: the
+// vote brought the contents, and every replica applied before the crash.
+func CheckStall(strip bool) ProbeResult {
 	s := newScen(3, 0, 1)
+	if strip {
+		s.net = StripRiders
+	}
 	s.submit(0, 1, 1, 'a')
-	// THE WINDOW: batch A's contents never reach anyone.
-	s.dropWhere(kindIs(live.KindBatch))
 
 	// Phase 1 runs to a decision at all three replicas — agreement needs
 	// only the batch ID, not its contents.
 	s.decideEverywhere()
 
-	if crash {
-		// Crash-stop the only holder inside the window. The survivors'
-		// re-pulls can never be answered: the stall.
-		s.crash(0)
-		s.tick(1)
-		s.tick(2)
-		s.deliverWhere(anyMsg) // pulls die with p0
-	} else {
-		// Control: the proposer lives; pulls recover the contents.
-		s.tick(1)
-		s.tick(2)
-		s.deliverWhere(kindIs(live.KindBatchPull))
-		s.deliverWhere(kindIs(live.KindBatch))
-	}
+	// Crash-stop the proposer. Whoever lacks the contents can never have
+	// its re-pulls answered: the stall.
+	s.crash(0)
+	s.tick(1)
+	s.tick(2)
+	s.deliverWhere(anyMsg) // pulls die with p0
 	return s.finish()
 }
 
@@ -516,20 +565,29 @@ func CheckMergeSkip(mutated bool) ProbeResult {
 	}
 	s := newScen(3, mut, 3)
 
-	// p0 opens slots 1 and 2 with one command each; their contents and
-	// round-1 traffic bring p1 and p2 into both: every window is full.
+	// p0 opens slots 1 and 2 with one command each. Their votes reach p2,
+	// which decides both; p1's copies are slow, and p2's round-1 messages
+	// ask p1 into both slots: its window is full, and so is p0's, which
+	// waits in both ack rounds.
 	s.submit(0, 1, 1, 'a')
 	s.submit(0, 1, 2, 'A')
+	slow := s.take(func(to core.ProcessID, _ live.Envelope) bool { return to == 1 })
 	s.deliverWhere(anyMsg)
+	s.deliverWhere(func(to core.ProcessID, env live.Envelope) bool {
+		return to == 1 && env.Kind == live.KindRound && env.Round == 1
+	})
 
 	// p1 accepts two commands of one session with no slot to open for
-	// them, so it forwards its pending prefix — [b], then [b c].
+	// them, so it forwards its pending prefix — [b], then [b c] — and the
+	// forwards reach p0 while its window is still full.
 	s.submit(1, 2, 1, 'b')
 	s.submit(1, 2, 2, 'c')
+	s.deliverWhere(kindIs(live.KindForward))
 
 	// Free run, nothing lost: slots 1 and 2 decide everywhere, then slot 3
 	// opens with p0 (phase-1 coordinator, whose vote is its own proposal)
 	// proposing the merge of p1's forward.
+	s.wire = append(slow, s.wire...)
 	for i := 0; i < 40; i++ {
 		s.deliverWhere(anyMsg)
 	}
@@ -580,13 +638,13 @@ func CheckTSRegress(mutated bool) ProbeResult {
 	// Everyone holds both contents.
 	s.submit(0, 1, 1, 'a')
 	s.submit(1, 2, 1, 'b')
-	s.deliverWhere(kindIs(live.KindBatch))
+	s.disseminate()
 
 	// Phase 1 (rounds 1–3, coordinator p0) is lost whole: p0 keeps its
 	// birth lock, (A, ts 1), and nothing else happens.
 	for r := core.Round(1); r <= 3; r++ {
 		s.dropWhere(roundAt(r))
-		all()
+		s.timeoutIn(r)
 	}
 	// Phase 2 (rounds 4–7, coordinator p1). Round 4: p1 hears p2's
 	// estimate and its own, both ts 0 — not p0's — and votes its own B.
@@ -647,14 +705,14 @@ func CheckReliveAck(mutated bool) ProbeResult {
 	lost := func(from, to core.Round) {
 		for r := from; r <= to; r++ {
 			s.dropWhere(roundAt(r))
-			s.timeoutAll()
+			s.timeoutIn(r)
 		}
 	}
 
 	// p0 proposes batch A, p1 batch B. Everyone holds both contents.
 	s.submit(0, 1, 1, 'a')
 	s.submit(1, 2, 1, 'b')
-	s.deliverWhere(kindIs(live.KindBatch))
+	s.disseminate()
 
 	// Phase 1 (rounds 1–3, coordinator p0). p0's vote ⟨A⟩ and its ack to p2
 	// — the vote again — are HELD UP in the network, the rest is lost: p0
@@ -697,17 +755,17 @@ func CheckReliveAck(mutated bool) ProbeResult {
 }
 
 // CheckStallRecovery reruns CheckStall's dissemination-window schedule
-// with a crash-RECOVERING proposer: same window, same total batch loss
-// on the wire, but the proposer's disk holds the contents (they were
+// with a crash-RECOVERING proposer: same lying network, same total batch
+// loss on the wire, but the proposer's disk holds the contents (they were
 // persisted in the step that proposed the id), so after the reboot the
 // survivors' pulls are answered and every replica applies slot 1 — no
 // stall finding, no violation. This is the closure proof the
 // live/replica.go fault-envelope note points at.
 func CheckStallRecovery() ProbeResult {
 	s := newScen(3, 0, 1)
-	s.submit(0, 1, 1, 'a')
 	// THE WINDOW: batch A's contents never reach anyone over the wire.
-	s.dropWhere(kindIs(live.KindBatch))
+	s.net = StripRiders
+	s.submit(0, 1, 1, 'a')
 
 	// Phase 1 runs to a decision at all three replicas (id only).
 	s.decideEverywhere()
@@ -736,12 +794,14 @@ func roundOf(slot uint64) func(core.ProcessID, live.Envelope) bool {
 // CheckWindowDisjoint runs the lost-head schedule of the slot window.
 // p0 accepts two commands of one session back to back, so it opens slot
 // 1 with [a] and slot 2 while slot 1 still runs; then everything p0
-// says about slot 1 — A's contents included — is lost, the other two
-// decide slot 1 without it (the no-op), and slot 2 decides p0's
-// proposal. Real core: that proposal OVERLAPS slot 1's, [a b], so both
-// commands commit. With mutated (live.MutWindowDisjoint) it is the
-// disjoint chunk [b]: seq 2 applies, the mark passes seq 1, and a is
-// gone — a session-gap violation, the only invariant that sees it.
+// says about slot 1 — A's contents included — is lost. Slot 2's vote asks
+// the other two into both slots with p0's slot-2 proposal riding it, so
+// they propose that batch for slot 1 too and decide it there without p0,
+// and slot 2 decides it again. Real core: that proposal OVERLAPS slot
+// 1's, [a b], so both commands commit. With mutated
+// (live.MutWindowDisjoint) it is the disjoint chunk [b]: seq 2 applies,
+// the mark passes seq 1, and a is gone — a session-gap violation, the
+// only invariant that sees it.
 func CheckWindowDisjoint(mutated bool) ProbeResult {
 	var mut live.Mutation
 	if mutated {
@@ -757,8 +817,8 @@ func CheckWindowDisjoint(mutated bool) ProbeResult {
 			(env.From == 0 || to == 0)
 	}
 	s.dropWhere(lost)
-	// Slot 2's round-1 traffic asks p1 and p2 into slots 1 and 2 before
-	// any contents arrive: both propose the no-op for both.
+	// Slot 2's round-1 traffic asks p1 and p2 into slots 1 and 2, p0's
+	// slot-2 batch riding it: both propose that batch for both.
 	s.deliverWhere(kindIs(live.KindRound))
 	// Slot 2 runs with nothing lost (p0, phase-1 coordinator, votes its
 	// own proposal); slot 1 advances at p1 and p2 by timeouts, through a
@@ -775,18 +835,19 @@ func CheckWindowDisjoint(mutated bool) ProbeResult {
 
 // CheckPruneOpen runs the pruned-proposal schedule of the slot window.
 // p1 accepts two commands and opens slot 1 with A = [a] and slot 2 with
-// B = [a b]; B's contents reach p0 and p2 first, so both open slot 1
-// proposing B — and p0 is the phase-1 coordinator, whose vote is its
-// own proposal — and p1's first round message asks them into slot 2,
-// proposing B again. From there slot 2's rounds are held back while slot
-// 1 decides B and applies both commands; a third command then opens slot
-// 3, whose round traffic tells everyone that everyone has applied slot
-// 1, and the horizon prune lets go of slot 1's reference to B. Real
-// core: B is still held, because slot 2 — open, and proposed B — has not
-// applied. With mutated
-// (live.MutPruneOpen) all three replicas drop it as "fully applied and
-// undecided", slot 2 then decides B, and nobody can serve the pull: a
-// gc-needed-batch violation.
+// B = [a b]; its slot-2 round message, carrying B, reaches p0 and p2
+// first, so both open slots 1 and 2 proposing B — and p0 is the phase-1
+// coordinator, whose vote is its own proposal, in each. From there slot
+// 2's rounds are held back while slot 1 decides B and applies both
+// commands; a third command then opens slot 3, whose round traffic tells
+// everyone that everyone has applied slot 1, and the horizon prune lets go
+// of slot 1's reference to B. Real core: B is still held, because slot 2 —
+// open, and proposed B — has not applied. With mutated (live.MutPruneOpen)
+// all three replicas drop it as "fully applied and undecided". When slot
+// 2's rounds are released, p1 and p2 adopt p0's vote with the batch riding
+// it and hold B again — but p0 voted before the prune, and decides B on
+// their acks holding nothing: a decided-unheld violation (every pull reply
+// is lost from there on, so p0 stays without it).
 func CheckPruneOpen(mutated bool) ProbeResult {
 	var mut live.Mutation
 	if mutated {
@@ -795,11 +856,7 @@ func CheckPruneOpen(mutated bool) ProbeResult {
 	s := newScen(3, mut, 3)
 	s.submit(1, 2, 1, 'a')
 	s.submit(1, 2, 2, 'b')
-	s.deliverWhere(func(_ core.ProcessID, env live.Envelope) bool {
-		return env.Kind == live.KindBatch && env.Slot == 2
-	})
-	s.deliverWhere(kindIs(live.KindBatch))
-	s.deliverWhere(kindIs(live.KindRound)) // p0 and p2 join slots 1 and 2
+	s.deliverWhere(roundOf(2)) // p0 and p2 join slots 1 and 2 proposing B
 
 	notSlot2 := func(to core.ProcessID, env live.Envelope) bool { return !roundOf(2)(to, env) }
 	for i := 0; i < 8; i++ {
@@ -810,6 +867,7 @@ func CheckPruneOpen(mutated bool) ProbeResult {
 		s.deliverWhere(notSlot2) // slot 3 opens everywhere and decides
 	}
 	for i := 0; i < 12; i++ {
+		s.dropWhere(kindIs(live.KindBatch))
 		s.deliverWhere(anyMsg) // slot 2's rounds are released
 	}
 	return s.finish()

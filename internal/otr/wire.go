@@ -36,6 +36,12 @@ func (WireCodec) Encode(m core.Message) ([]byte, error) {
 	}
 }
 
+// Names reports no value for any message: every process sends its
+// estimate in every round, so carrying the named batch would ship each
+// proposal n times a round. The live runtime still sends a proposer's
+// fresh batch with its first round message of the slot.
+func (WireCodec) Names(core.Message) (core.Value, bool) { return 0, false }
+
 // Decode parses an Encode result.
 func (WireCodec) Decode(b []byte) (core.Message, error) {
 	if len(b) < 1 {
