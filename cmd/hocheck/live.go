@@ -131,7 +131,7 @@ var mutantProbes = []mutantProbe{
 		killed: func(r modelcheck.ProbeResult) bool {
 			return r.Violation != nil && r.Violation.Kind == "decided-unheld" && hasFinding(r, "stall-window")
 		},
-		desc: "round messages stripped of their batch, then a proposer crash, strand a decided batch",
+		desc: "round messages and decision pushes stripped of their batches, then a proposer crash, strand a decided batch",
 	},
 	{
 		name: "forget-vote",

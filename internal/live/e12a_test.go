@@ -21,8 +21,9 @@ import (
 // The disk arm recovers the pruned first segment from its own log and
 // only refetches the downtime backlog; the empty arm needs the whole
 // history from the survivors, but the first segment's batches no
-// longer exist anywhere — it can learn those decisions yet never apply
-// them, so it stalls at commit index 0. Recovery cost is proportional
+// longer exist anywhere — a push carries a decision only with its
+// batch, so nobody can hand it those slots and it stalls at commit
+// index 0. Recovery cost is proportional
 // to downtime with a log, and unbounded (here: impossible) without
 // one.
 func TestE12ADiskVsEmptyRejoin(t *testing.T) {

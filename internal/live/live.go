@@ -42,11 +42,11 @@
 //     of, which reach it by best-effort KindForward), client sessions
 //     carry (client, seq) identities with high-water-mark dedup
 //     so every command applies exactly once, and decided slots propagate
-//     to laggards through a pull/push sync protocol that doubles as the
-//     decide-retransmission and crash-rejoin path (and stands in for
-//     LastVoting's decide round: whoever adopted the vote decides on the
-//     acks, two rounds in, and closes its run; whoever missed the vote is
-//     pushed the decision).
+//     to laggards, each with its batch, through a pull/push sync protocol
+//     that doubles as the decide-retransmission and crash-rejoin path (and
+//     stands in for LastVoting's decide round: whoever adopted the vote
+//     decides on the acks, two rounds in, and closes its run; whoever
+//     missed the vote is pushed the decision).
 //
 // Everything here is intentionally NOT deterministic: runs race real
 // goroutines against real timers. Tests therefore assert invariants
@@ -73,13 +73,11 @@ const (
 	// KindRound carries one consensus round message S_p^r and the batch
 	// riding it, if any (appendRound).
 	KindRound Kind = iota + 1
-	// KindBatch is the pull reply, only: varint batch id, then the
-	// BatchCodec encoding of its entries.
+	// KindBatch is reserved and never sent; a replica counts one Malformed.
 	KindBatch
-	// KindBatchPull requests a batch by id (varint batch id).
-	KindBatchPull
-	// KindSync pushes decided slots to a laggard: uvarint pair count,
-	// then (uvarint slot, varint batch id) pairs.
+	_
+	// KindSync pushes decided slots to a laggard, each with its batch
+	// (SyncPairs has the encoding).
 	KindSync
 	// KindSyncPull asks peers for decisions from a slot on (uvarint
 	// first slot wanted).
@@ -131,6 +129,10 @@ type Codec interface {
 
 // maxFrame bounds a single decoded envelope (and a TCP frame).
 const maxFrame = 1 << 20
+
+// maxEnvelopeHeader bounds what AppendEnvelope writes before the payload:
+// four uvarints and the kind byte.
+const maxEnvelopeHeader = 4*binary.MaxVarintLen64 + 1
 
 // AppendEnvelope encodes env after dst: uvarint group, slot, round, from,
 // one kind byte, then the raw payload.

@@ -43,9 +43,10 @@ func forwardEnv(from core.ProcessID, entries []Entry[string]) Envelope {
 	return Envelope{Kind: KindForward, From: from, Payload: strCodec{}.AppendEntries(nil, entries)}
 }
 
-func batchEnv(from core.ProcessID, counter int64, entries []Entry[string]) Envelope {
-	payload := strCodec{}.AppendEntries(appendVarint(nil, batchID(from, counter)), entries)
-	return Envelope{Kind: KindBatch, From: from, Payload: payload}
+// offer hands c the contents of batch bid as a rider does, with no round
+// message to hear: the batch is kept, and offered unless applied.
+func offer(c *ReplicaCore[string], bid int64, entries []Entry[string]) {
+	c.keepBatch(strCodec{}.AppendEntries(appendVarint(nil, bid), entries), 0)
 }
 
 // TestMergeKeepsSessionOrder is the table the issue's safety condition
@@ -165,7 +166,7 @@ func TestMergeKeepsSessionOrder(t *testing.T) {
 			}
 			var res StepResult[string]
 			for bid, pairs := range tc.batches {
-				c.handleEnvelope(batchEnv(batchProposer(bid), batchCounter(bid), ents(pairs...)), &res)
+				offer(c, bid, ents(pairs...))
 			}
 			for from, pairs := range tc.forwards {
 				c.handleEnvelope(forwardEnv(from, ents(pairs...)), &res)
@@ -238,10 +239,9 @@ func TestProposeHasNoProposerBias(t *testing.T) {
 		for s := uint64(1); s < slot; s++ {
 			c.log = append(c.log, 0)
 		}
-		var res StepResult[string]
-		c.handleEnvelope(batchEnv(1, 9, ents([2]uint64{11, 1})), &res)
-		c.handleEnvelope(batchEnv(1, 8, ents([2]uint64{11, 1})), &res)
-		c.handleEnvelope(batchEnv(2, 1, ents([2]uint64{12, 1})), &res)
+		offer(c, batchID(1, 9), ents([2]uint64{11, 1}))
+		offer(c, batchID(1, 8), ents([2]uint64{11, 1}))
+		offer(c, batchID(2, 1), ents([2]uint64{12, 1}))
 		return c
 	}
 	var res StepResult[string]

@@ -18,8 +18,9 @@
 // Quorum-durable dissemination is a corollary: propose() saves a
 // batch body in the same step that first sends its id, so by the
 // time any replica can vote for the id, the contents are on the
-// proposer's disk and a recovered proposer still serves batch pulls; a
-// batch riding a round message is saved in the step that hears it.
+// proposer's disk and a recovered proposer still serves pushes; a
+// batch riding a round message or a push is saved in the step that hears
+// it.
 //
 // What is persisted (and when):
 //

@@ -9,14 +9,15 @@
 //     an id that is unique by construction ((proposer+1) in the high
 //     bits, a local counter below — no hashing, no collisions), and
 //     sends the contents with its first round message of the slot, and
-//     with every one that names the batch (a vote). Batches are re-pulled
-//     on demand, so dissemination only needs fair-lossy links. Which
-//     commands: every unapplied one the proposer has heard of. A replica
-//     that accepts a command while it cannot propose (its slot window
-//     is full) FORWARDS its pending prefix to its peers at once — a
-//     hint, never persisted, latest-per-sender — and every proposal
-//     MERGES own pending ∪ the peers' forwards ∪ the newest unapplied
-//     batch held from each proposer, in per-source order.
+//     with every one that names the batch (a vote); a decision push
+//     carries the batch of every slot it names, so no message names a
+//     batch it does not carry. Which commands: every unapplied one the
+//     proposer has heard of. A replica that accepts a command while it
+//     cannot propose (its slot window is full) FORWARDS its pending
+//     prefix to its peers at once — a hint, never persisted,
+//     latest-per-sender — and every proposal MERGES own pending ∪ the
+//     peers' forwards ∪ the newest unapplied batch held from each
+//     proposer, in per-source order.
 //   - Agreement: each slot runs one core.Instance (LastVoting, OTR, …)
 //     whose proposals are batch IDS (they fit core.Value), and a replica
 //     keeps a small WINDOW of slots in flight (replicacore.go's `window`):
@@ -61,10 +62,9 @@
 // the exhaustive model checker (internal/modelcheck) explores directly.
 // Replica is the production SHELL around that core — one event-loop
 // goroutine that turns transport deliveries, round-timeout fires (one
-// deadline per open slot), pull retries (at round pace, backing off to the
-// heartbeat's), and heartbeat ticks into core
-// events, steps every delivery already queued at a wakeup, makes what
-// those steps saved durable with ONE barrier, then transmits the
+// deadline per open slot), and heartbeat ticks into core events, steps
+// every delivery already queued at a wakeup, makes what those steps
+// saved durable with ONE barrier, then transmits the
 // envelopes they returned (rate-limiting targeted sync traffic), runs
 // the Apply hook for committed entries, and resolves submitter waiters.
 // Time, goroutines, and channels stop at this boundary.
@@ -79,12 +79,13 @@
 // window — an id decided while its contents reached nobody but its
 // proposer — is closed: a batch rides the messages that name it and is
 // kept (and saved) in the step that hears them, so whoever decides a slot
-// in its own instance holds its contents. Only a replica that learned a
-// slot by sync pulls, and waits while every holder is down, as any log
-// waits on committed data it lacks. The model checker holds "decided ⇒
-// held" as an invariant and reaches the old stall only through a network
-// that strips riders (CheckStall). Volatile (Persister-less) replicas keep the pre-durability
-// envelope: pause/rejoin recovers, restart is data loss.
+// in its own instance holds its contents; a decision push carries its
+// batches, kept (and saved) before the decision is, so whoever learns a
+// slot by sync holds them too. The model checker holds "decided ⇒ held"
+// as an invariant at every replica and reaches the old stall only through
+// a network that strips the batches (CheckStall). Volatile
+// (Persister-less) replicas keep the pre-durability envelope:
+// pause/rejoin recovers, restart is data loss.
 
 package live
 
@@ -504,8 +505,8 @@ func (r *Replica[C]) signalWork() {
 const maxDrain = 64
 
 // run is the replica's only goroutine: it feeds events into the core and
-// keeps the shell timers — one collection-window deadline per open slot,
-// and the missing-batch pull retry — consistent with the core's state.
+// keeps the shell's timer — one collection-window deadline per open slot —
+// consistent with the core's state.
 func (r *Replica[C]) run() {
 	in := r.cfg.Transport.Recv()
 	hb := time.NewTicker(r.cfg.SyncEvery)
@@ -515,7 +516,8 @@ func (r *Replica[C]) run() {
 	// their deadlines, and a fire times out each slot whose deadline has
 	// passed. A slot's deadline is set when the core enters a round the
 	// shell has not seen it in, and left alone otherwise.
-	roundTimer := newStoppedTimer()
+	roundTimer := time.NewTimer(time.Hour)
+	stopTimer(roundTimer)
 	defer roundTimer.Stop()
 	type deadline struct {
 		SlotRound
@@ -525,21 +527,9 @@ func (r *Replica[C]) run() {
 	var open []SlotRound
 	var armedAt time.Time // what roundTimer is set for; zero when stopped
 
-	// The pull retry is armed once per pull, not per event: under steady
-	// traffic a timer re-armed by every reconcile would never fire. It runs
-	// at round pace — a pull and its reply are one round trip, which is what
-	// RoundTimeout bounds — and doubles per consecutive re-pull of one batch
-	// until it reaches SyncEvery: from there the heartbeat's tick re-pulls.
-	retryTimer := newStoppedTimer()
-	defer retryTimer.Stop()
-	var retryFor int64 // the blocked batch retryWait belongs to
-	var retryWait time.Duration
-	retryArmed := false
-
 	reconcile := func() {
 		r.mu.Lock()
 		open = r.core.OpenRounds(open[:0])
-		blocked := r.core.Blocked()
 		r.mu.Unlock()
 		now := time.Now()
 		scratch = scratch[:0]
@@ -559,19 +549,10 @@ func (r *Replica[C]) run() {
 		deadlines, scratch = scratch, deadlines
 		if !earliest.Equal(armedAt) {
 			armedAt = earliest
-			if earliest.IsZero() {
-				stopTimer(roundTimer)
-			} else {
-				resetTimer(roundTimer, earliest.Sub(now))
+			stopTimer(roundTimer)
+			if !earliest.IsZero() {
+				roundTimer.Reset(earliest.Sub(now))
 			}
-		}
-		if blocked != retryFor {
-			retryFor, retryWait, retryArmed = blocked, r.cfg.RoundTimeout, false
-			stopTimer(retryTimer)
-		}
-		if blocked != 0 && !retryArmed && retryWait < r.cfg.SyncEvery {
-			retryArmed = true
-			resetTimer(retryTimer, retryWait)
 		}
 	}
 	reconcile()
@@ -598,10 +579,6 @@ func (r *Replica[C]) run() {
 				}
 			}
 			deadlines = kept
-		case <-retryTimer.C:
-			retryArmed = false // fired: re-arm via reconcile while still blocked
-			retryWait *= 2
-			evs = append(evs, Event[C]{Kind: EvTick})
 		case <-hb.C:
 			evs = append(evs, Event[C]{Kind: EvTick})
 		case <-r.ctx.Done():
@@ -740,17 +717,6 @@ func rateLimited(m map[core.ProcessID]syncSent, p core.ProcessID, slot uint64, n
 	return false
 }
 
-// ---------------------------------------------------------------------
-// Timer plumbing.
-
-// newStoppedTimer returns a timer that is not running and whose channel
-// is empty.
-func newStoppedTimer() *time.Timer {
-	t := time.NewTimer(time.Hour)
-	stopTimer(t)
-	return t
-}
-
 // stopTimer stops t and drains a pending fire.
 func stopTimer(t *time.Timer) {
 	if !t.Stop() {
@@ -759,10 +725,4 @@ func stopTimer(t *time.Timer) {
 		default:
 		}
 	}
-}
-
-// resetTimer (re)arms t for d from now.
-func resetTimer(t *time.Timer, d time.Duration) {
-	stopTimer(t)
-	t.Reset(d)
 }

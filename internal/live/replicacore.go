@@ -5,7 +5,8 @@
 // window early is held for its slot, not dropped), command forwarding
 // and merged proposals (every proposal carries every command its
 // proposer has heard of, so a slot commits all replicas' work whichever
-// proposal wins), batch dissemination, push/pull decision sync,
+// proposal wins), batch dissemination, push/pull decision sync (a push
+// carries the batch of every slot it names),
 // apply-side (client,seq) dedup, and batch GC against the
 // min-peer-applied horizon — lives here as
 //
@@ -141,8 +142,8 @@ const (
 	// is running (the shell's deadline for that slot passed; the checker
 	// schedules it freely). A slot that is no longer open ignores it.
 	EvRoundTimeout
-	// EvTick is the idle anti-entropy edge: re-pull a missing decided
-	// batch, or probe peers for decisions when fully idle.
+	// EvTick is the idle anti-entropy edge: probe peers for decisions
+	// while no slot runs.
 	EvTick
 	// EvNudge carries no input; it just lets the core re-run its
 	// advance fixpoint (used by the shell after Submit registered work).
@@ -209,7 +210,6 @@ type ReplicaCore[C any] struct {
 	logHash   uint64
 	hwm       map[uint64]uint64 // client → highest applied seq
 	batchSeq  int64
-	blockedOn int64  // decided batch id whose contents are being pulled
 	eagerPush uint64 // lowest own-decided slot to push once applied
 
 	// ownRound remembers the round this replica's OWN run decided a slot
@@ -403,17 +403,10 @@ func (c *ReplicaCore[C]) Accept(client, seq uint64, cmd C) (dup bool) {
 	return res.SubmitDup
 }
 
-// handleTick is the anti-entropy edge: while blocked on decided batch
-// contents it re-pulls them — whether or not later window slots are
-// running, since nothing applies until they arrive; otherwise, while
-// consensus runs it is a no-op (round pacing owns the clock), and while
-// idle it probes peers for decisions we may have missed.
+// handleTick is the anti-entropy edge: while consensus runs it is a
+// no-op (round pacing owns the clock), and while idle it probes peers for
+// decisions we may have missed.
 func (c *ReplicaCore[C]) handleTick(res *StepResult[C]) {
-	if c.blockedOn != 0 {
-		res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
-			Kind: KindBatchPull, From: c.cfg.Self, Payload: appendVarint(nil, c.blockedOn)}})
-		return
-	}
 	if len(c.open) > 0 {
 		return
 	}
@@ -427,22 +420,10 @@ func (c *ReplicaCore[C]) handleEnvelope(env Envelope, res *StepResult[C]) {
 	switch env.Kind {
 	case KindRound:
 		c.handleRound(env, res)
-	case KindBatch:
-		c.keepBatch(env.Payload, 0)
 	case KindForward:
 		c.handleForward(env)
-	case KindBatchPull:
-		if bid, n := varint(env.Payload); n > 0 {
-			if entries, ok := c.batches[bid]; ok {
-				payload := c.cfg.Batch.AppendEntries(appendVarint(nil, bid), entries)
-				res.Out = append(res.Out, Outbound{To: env.From, Env: Envelope{
-					Kind: KindBatch, From: c.cfg.Self, Payload: payload}})
-			}
-		} else {
-			c.stats.Malformed++
-		}
 	case KindSync:
-		c.handleSync(env, res)
+		c.handleSync(env)
 	case KindSyncPull:
 		if from, n := uvarint(env.Payload); n > 0 {
 			if from > 0 {
@@ -533,8 +514,8 @@ func (c *ReplicaCore[C]) hold(env Envelope, msg core.Message, next uint64) {
 	}
 }
 
-// keepBatch stores a batch (varint id, entries) — a pull reply, slot 0, or
-// a round message's rider — at first sight, durably, offered unless
+// keepBatch stores a batch (varint id, entries) — a round message's rider,
+// or a pushed decision's — at first sight, durably, offered unless
 // applied, and held until slot applies if slot is in the hold range (a
 // straggler keeps riders from further out unpinned, to apply once it
 // learns the decision). It reports false, counting the payload malformed,
@@ -611,7 +592,7 @@ func (c *ReplicaCore[C]) handleForward(env Envelope) {
 // forward costs latency only, because the commands stay in pending and
 // ride our own next proposal regardless.
 func (c *ReplicaCore[C]) forwardPending(res *StepResult[C]) {
-	if !c.unsent || (len(c.open) == 0 && c.blockedOn == 0) {
+	if !c.unsent || len(c.open) == 0 {
 		return
 	}
 	c.unsent = false
@@ -621,33 +602,58 @@ func (c *ReplicaCore[C]) forwardPending(res *StepResult[C]) {
 		Kind: KindForward, From: c.cfg.Self, Payload: c.cfg.Batch.AppendEntries(nil, c.pending[:k])}})
 }
 
-// handleSync records pushed decisions.
-func (c *ReplicaCore[C]) handleSync(env Envelope, res *StepResult[C]) {
-	b := env.Payload
-	count, n := uvarint(b)
-	if n <= 0 || count > maxSyncPairs {
-		c.stats.Malformed++
-		return
-	}
-	b = b[n:]
-	for i := uint64(0); i < count; i++ {
-		slot, n1 := uvarint(b)
-		if n1 <= 0 {
-			c.stats.Malformed++
-			return
-		}
-		bid, n2 := varint(b[n1:])
-		if n2 <= 0 {
-			c.stats.Malformed++
-			return
-		}
-		b = b[n1+n2:]
-		if slot == 0 {
-			c.stats.Malformed++
-			return
+// handleSync records pushed decisions. The batch of a slot this replica
+// has not applied and whose batch it does not hold is kept before the
+// decision is recorded, so no decision is known without its contents; any
+// other pair only has its id checked (recordDecision), its entries left
+// undecoded.
+func (c *ReplicaCore[C]) handleSync(env Envelope) {
+	if !SyncPairs(env.Payload, func(slot uint64, bid int64, pair []byte) bool {
+		if slot > uint64(len(c.log)) && bid != 0 && !c.HoldsBatch(bid) && !c.keepBatch(pair, slot) {
+			return false
 		}
 		c.recordDecision(slot, bid, true)
+		return true
+	}) {
+		c.stats.Malformed++
 	}
+}
+
+// SyncPairs walks a KindSync payload — uvarint pair count, then per slot
+// uvarint slot | uvarint len | len bytes of varint batch id ‖ BatchCodec
+// entries, which are absent exactly when the id is 0 — handing f each
+// pair's slot, id, and the len bytes (keepBatch's input), in order, until
+// f returns false. It reports false if the payload stops parsing first: a
+// count over maxSyncPairs, slot 0, a length past the end, or no id.
+//
+//holint:hotpath
+func SyncPairs(b []byte, f func(slot uint64, bid int64, pair []byte) bool) bool {
+	count, n := uvarint(b)
+	if n <= 0 || count > maxSyncPairs {
+		return false
+	}
+	b = b[n:]
+	for ; count > 0; count-- {
+		slot, n1 := uvarint(b)
+		if n1 <= 0 || slot == 0 {
+			return false
+		}
+		b = b[n1:]
+		l, n2 := uvarint(b)
+		if n2 <= 0 || l > uint64(len(b)-n2) {
+			return false
+		}
+		pair := b[n2 : n2+int(l)]
+		b = b[n2+int(l):]
+		bid, n3 := varint(pair)
+		if n3 <= 0 {
+			return false
+		}
+		if !f(slot, bid, pair) {
+			break
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------
@@ -770,33 +776,21 @@ func (c *ReplicaCore[C]) closeRounds(run *slotRun, res *StepResult[C]) {
 // ---------------------------------------------------------------------
 // The advance fixpoint: apply in order, then open.
 
-// advance applies every decided slot whose contents are at hand, in
-// slot order, then opens further window slots while there is room and
-// something to open them for, repeating until nothing changes.
+// advance applies decided slots in slot order, then opens further window
+// slots while there is room and something to open them for, repeating
+// until nothing changes. A decision arrives with its batch, so contents
+// are at hand; a slot whose batch is missing (the checker's lying network
+// strips them) just stays unapplied — applying anything else would
+// diverge.
 func (c *ReplicaCore[C]) advance(res *StepResult[C]) {
 	for {
 		progressed := false
 		for {
 			slot := uint64(len(c.log)) + 1
 			bid, ok := c.decided[slot]
-			if !ok {
+			if !ok || bid != 0 && !c.HoldsBatch(bid) {
 				break
 			}
-			if bid != 0 {
-				if _, have := c.batches[bid]; !have {
-					// Pull the missing contents; EvTick retries. The wait
-					// is deliberately unbounded: the id was DECIDED, so
-					// applying anything else would diverge (see the
-					// fault-envelope note in replica.go's package comment).
-					if c.blockedOn != bid {
-						c.blockedOn = bid
-						res.Out = append(res.Out, Outbound{To: AllPeers, Env: Envelope{
-							Kind: KindBatchPull, From: c.cfg.Self, Payload: appendVarint(nil, bid)}})
-					}
-					break
-				}
-			}
-			c.blockedOn = 0
 			c.applySlot(slot, bid, res)
 			progressed = true
 		}
@@ -1234,8 +1228,8 @@ func (c *ReplicaCore[C]) applySlot(slot uint64, bid int64, res *StepResult[C]) {
 //
 //   - A log slot past the horizon decided it. Decided batches are kept
 //     until every replica's observed commit index passes their slot: a
-//     laggard only ever pulls the batch of the slot it is applying,
-//     applied+1 ≤ horizon+1, so nothing past the horizon can be pulled
+//     laggard is only ever pushed the slots from its applied+1 on, and
+//     horizon+1 ≤ applied+1, so nothing at or below the horizon is pushed
 //     again. A peer that was never heard from — or a long-dead one —
 //     pins this horizon, trading memory for its ability to rejoin from
 //     the log; bounded-membership GC is future work. One id can be
@@ -1318,31 +1312,42 @@ func (c *ReplicaCore[C]) decisionAt(slot uint64) (int64, bool) {
 }
 
 // pushDecisions emits the decisions known here from slot `from` on —
-// the applied log, then whatever is decided but not yet applied, up to
-// the first slot this replica does not know — to one peer or everyone.
-// The shell rate-limits targeted pushes per peer by the first slot they
-// carry, the envelope's Slot (no receiver reads it; a pull's names the
-// slot it asks from, for the same reader).
+// the applied log, then whatever is decided but not yet applied — each
+// with its batch (see handleSync), to one peer or everyone. It stops at
+// the first slot this replica does not know or whose batch it does not
+// hold, at maxSyncPairs, and before the envelope would outgrow maxFrame,
+// so what it sends is a prefix the receiver can apply. The shell
+// rate-limits targeted pushes per peer by the first slot they carry, the
+// envelope's Slot (no receiver reads it; a pull's names the slot it asks
+// from, for the same reader).
 func (c *ReplicaCore[C]) pushDecisions(to core.ProcessID, from uint64, res *StepResult[C]) {
 	if from == 0 {
 		from = 1
 	}
+	var pairs []byte
 	count := uint64(0)
-	for count < maxSyncPairs {
-		if _, ok := c.decisionAt(from + count); !ok {
+	for s := from; count < maxSyncPairs; s++ {
+		bid, ok := c.decisionAt(s)
+		entries, held := c.batches[bid]
+		if !ok || bid != 0 && !held {
 			break
 		}
+		body := appendVarint(c.wire[:0], bid)
+		if bid != 0 {
+			body = c.cfg.Batch.AppendEntries(body, entries)
+		}
+		c.wire = body
+		next := appendUvarint(appendUvarint(pairs, s), uint64(len(body)))
+		if maxEnvelopeHeader+2+len(next)+len(body) > maxFrame { // 2: the count, at most maxSyncPairs
+			break
+		}
+		pairs = append(next, body...)
 		count++
 	}
 	if count == 0 {
 		return
 	}
-	payload := appendUvarint(nil, count)
-	for s := from; s < from+count; s++ {
-		bid, _ := c.decisionAt(s)
-		payload = appendUvarint(payload, s)
-		payload = appendVarint(payload, bid)
-	}
+	payload := append(appendUvarint(make([]byte, 0, 2+len(pairs)), count), pairs...)
 	res.Out = append(res.Out, Outbound{To: to, Env: Envelope{
 		Slot: from, Kind: KindSync, From: c.cfg.Self, Payload: payload}})
 }
@@ -1398,9 +1403,6 @@ func (c *ReplicaCore[C]) OpenRounds(dst []SlotRound) []SlotRound {
 	return dst
 }
 
-// Blocked returns the decided batch id apply is waiting for (0 if none).
-func (c *ReplicaCore[C]) Blocked() int64 { return c.blockedOn }
-
 // NextSeq returns the client's next fresh sequence number.
 func (c *ReplicaCore[C]) NextSeq(client uint64) uint64 {
 	if seen, ok := c.maxSeen[client]; ok {
@@ -1437,12 +1439,6 @@ func (c *ReplicaCore[C]) DecidedUnapplied() map[uint64]int64 {
 		out[s] = b
 	}
 	return out
-}
-
-// DecidedHere reports whether this replica's own instance decided slot,
-// as far as ownRound remembers: the last few slots a settling run decided.
-func (c *ReplicaCore[C]) DecidedHere(slot uint64) bool {
-	return slot != 0 && c.ownRound[slot%uint64(len(c.ownRound))].Slot == slot
 }
 
 // HoldsBatch reports whether the core retains a batch's contents.

@@ -35,7 +35,6 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 		hwm:       make(map[uint64]uint64, len(c.hwm)),
 		batchSeq:  c.batchSeq,
 		seqFloor:  c.seqFloor,
-		blockedOn: c.blockedOn,
 		eagerPush: c.eagerPush,
 		ownRound:  c.ownRound,
 
@@ -126,7 +125,6 @@ func (b roundBuffer) clone() roundBuffer {
 // merge states with different futures.
 func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	dst = appendVarint(dst, c.batchSeq)
-	dst = appendVarint(dst, c.blockedOn)
 	dst = appendUvarint(dst, c.eagerPush)
 	dst = appendUvarint(dst, c.prunedTo)
 	for _, own := range c.ownRound {

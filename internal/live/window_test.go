@@ -16,12 +16,24 @@ import (
 	"heardof/internal/core"
 )
 
-// syncEnv builds a KindSync pushing the given (slot, batch id) pairs.
-func syncEnv(from core.ProcessID, pairs ...[2]int64) Envelope {
-	payload := appendUvarint(nil, uint64(len(pairs)))
-	for _, p := range pairs {
-		payload = appendUvarint(payload, uint64(p[0]))
-		payload = appendVarint(payload, p[1])
+// pushed is one decision of a KindSync push: a slot, the batch id it
+// decided, and that batch's entries (none for the no-op, id 0).
+type pushed struct {
+	slot    uint64
+	bid     int64
+	entries []Entry[string]
+}
+
+// syncEnv builds a KindSync pushing the given decisions, each with its
+// batch, as pushDecisions encodes them.
+func syncEnv(from core.ProcessID, ds ...pushed) Envelope {
+	payload := appendUvarint(nil, uint64(len(ds)))
+	for _, d := range ds {
+		body := appendVarint(nil, d.bid)
+		if d.bid != 0 {
+			body = strCodec{}.AppendEntries(body, d.entries)
+		}
+		payload = append(appendUvarint(appendUvarint(payload, d.slot), uint64(len(body))), body...)
 	}
 	return Envelope{Kind: KindSync, From: from, Payload: payload}
 }
@@ -39,16 +51,20 @@ func openSlots(c *ReplicaCore[string]) []uint64 {
 	return slots
 }
 
-// servesPull reports whether c answers a KindBatchPull for bid.
-func servesPull(c *ReplicaCore[string], bid int64) bool {
-	res := c.Step(Event[string]{Kind: EvEnvelope, Env: Envelope{
-		Kind: KindBatchPull, From: 1, Payload: appendVarint(nil, bid)}})
-	for _, o := range res.Out {
-		if o.Env.Kind == KindBatch && o.To == 1 {
-			return true
+// pushCarries reports whether c, asked by p1 for the decisions from slot
+// from on, answers with a push that carries bid's contents.
+func pushCarries(c *ReplicaCore[string], from uint64, bid int64) bool {
+	carries := false
+	for _, o := range c.Step(Event[string]{Kind: EvEnvelope, Env: syncPullEnv(1, from)}).Out {
+		if o.Env.Kind == KindSync && o.To == 1 {
+			SyncPairs(o.Env.Payload, func(_ uint64, b int64, pair []byte) bool {
+				_, n := varint(pair)
+				carries = carries || b == bid && n < len(pair)
+				return true
+			})
 		}
 	}
-	return false
+	return carries
 }
 
 // TestCommandRidesSlotOpenedWhileEarlierRuns is the point of the window:
@@ -88,17 +104,14 @@ func TestCommandRidesSlotOpenedWhileEarlierRuns(t *testing.T) {
 func TestDecisionsOutOfOrderApplyInOrder(t *testing.T) {
 	c := mergeCore(t, 0, 0)
 	x, y := batchID(1, 1), batchID(2, 1)
-	c.Step(Event[string]{Kind: EvEnvelope, Env: batchEnv(1, 1, ents([2]uint64{11, 1}))})
-	c.Step(Event[string]{Kind: EvEnvelope, Env: batchEnv(2, 1, ents([2]uint64{12, 1}))})
-
-	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{2, y})})
+	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, pushed{2, y, ents([2]uint64{12, 1})})})
 	if len(res.Applied) != 0 || c.NextSlot() != 1 {
 		t.Fatalf("slot 2 applied before slot 1 decided: %+v", res.Applied)
 	}
 	if d := c.DecidedUnapplied(); len(d) != 1 || d[2] != y {
 		t.Fatalf("decided-unapplied = %v, want slot 2 parked", d)
 	}
-	res = c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, x})})
+	res = c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, pushed{1, x, ents([2]uint64{11, 1})})})
 	if len(res.Applied) != 2 || res.Applied[0].Slot != 1 || res.Applied[1].Slot != 2 ||
 		res.Applied[0].Entry.Client != 11 || res.Applied[1].Entry.Client != 12 {
 		t.Fatalf("applied %+v, want slot 1's command then slot 2's", res.Applied)
@@ -115,9 +128,8 @@ func TestDecisionsOutOfOrderApplyInOrder(t *testing.T) {
 // apply the later one.
 func TestBatchDecidedInTwoSlots(t *testing.T) {
 	c := mergeCore(t, 0, 0)
-	x := batchID(1, 1)
-	c.Step(Event[string]{Kind: EvEnvelope, Env: batchEnv(1, 1, ents([2]uint64{11, 1}, [2]uint64{11, 2}))})
-	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, x}, [2]int64{2, x})})
+	x, xs := batchID(1, 1), ents([2]uint64{11, 1}, [2]uint64{11, 2})
+	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, pushed{1, x, xs}, pushed{2, x, xs})})
 	fresh := 0
 	for _, ae := range res.Applied {
 		if ae.Fresh {
@@ -136,7 +148,7 @@ func TestBatchDecidedInTwoSlots(t *testing.T) {
 	// the earlier decision only.
 	c.Step(Event[string]{Kind: EvEnvelope, Env: syncPullEnv(1, 2)})
 	c.Step(Event[string]{Kind: EvEnvelope, Env: syncPullEnv(2, 2)})
-	if !servesPull(c, x) {
+	if !pushCarries(c, 2, x) {
 		t.Fatal("batch pruned with slot 1 although slot 2 decided it too and a peer has yet to apply it")
 	}
 	c.Step(Event[string]{Kind: EvEnvelope, Env: syncPullEnv(1, 3)})
@@ -165,14 +177,14 @@ func TestOpenProposalHeldAfterItsEntriesApplied(t *testing.T) {
 	// rides its round-1 message, and that is what slot 1 decides.
 	m := batchID(1, 1)
 	c.Step(Event[string]{Kind: EvEnvelope, Env: riderEnv(1, 1, 1, m, ents([2]uint64{10, 1}, [2]uint64{10, 2}))})
-	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, m})})
+	res := c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, pushed{1, m, ents([2]uint64{10, 1}, [2]uint64{10, 2})})})
 	if len(res.Applied) != 2 || c.Counters().Pending != 0 {
 		t.Fatalf("slot 1 applied %+v, pending %d", res.Applied, c.Counters().Pending)
 	}
 	if got := openSlots(c); fmt.Sprint(got) != "[2]" {
 		t.Fatalf("open slots %v, want slot 2 still running", got)
 	}
-	if !c.HoldsBatch(b) || !servesPull(c, b) {
+	if !c.HoldsBatch(b) {
 		t.Fatal("own proposal of open slot 2 pruned once its entries applied through slot 1's batch")
 	}
 	if c.HoldsBatch(a) {
@@ -180,14 +192,14 @@ func TestOpenProposalHeldAfterItsEntriesApplied(t *testing.T) {
 	}
 
 	// Slot 2 decides it after all: every entry is stale, nothing breaks.
-	res = c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{2, b})})
+	res = c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, pushed{2, b, c.batches[b]})})
 	for _, ae := range res.Applied {
 		if ae.Fresh {
 			t.Fatalf("%+v applied twice", ae.Entry)
 		}
 	}
-	if c.NextSlot() != 3 || c.Blocked() != 0 {
-		t.Fatalf("next slot %d, blocked on %#x", c.NextSlot(), c.Blocked())
+	if c.NextSlot() != 3 {
+		t.Fatalf("next slot %d, want 3", c.NextSlot())
 	}
 }
 
@@ -195,8 +207,7 @@ func TestOpenProposalHeldAfterItsEntriesApplied(t *testing.T) {
 // comes off the wire — the slot of the round message it rides. A rider of
 // a slot past the hold range is kept (a straggler applies it once the
 // decision reaches it) but pins nothing; one inside it keeps its batch
-// until that slot has applied and no longer; and a pull reply's Slot is
-// read by nobody.
+// until that slot has applied and no longer.
 func TestBogusBatchStampDoesNotPinForever(t *testing.T) {
 	c := mergeCore(t, 0, 0)
 	x, y := batchID(1, 1), batchID(2, 1)
@@ -205,12 +216,6 @@ func TestBogusBatchStampDoesNotPinForever(t *testing.T) {
 	if !c.HoldsBatch(x) || c.batchSlot[x] != 1 {
 		t.Fatalf("far rider held %v until slot %d, want held until slot 1, which p0 opened proposing it", c.HoldsBatch(x), c.batchSlot[x])
 	}
-	reply := batchEnv(1, 1, ents([2]uint64{11, 1}))
-	reply.Slot = 1 << 60
-	c.Step(Event[string]{Kind: EvEnvelope, Env: reply})
-	if c.batchSlot[x] != 1 {
-		t.Fatalf("pull reply moved the stamp to slot %d", c.batchSlot[x])
-	}
 	last := uint64(2 * window) // the furthest slot a round message is held for
 	c.Step(Event[string]{Kind: EvEnvelope, Env: riderEnv(2, last, 1, y, ents([2]uint64{11, 1}))})
 	if got := c.batchSlot[y]; got != last {
@@ -218,12 +223,12 @@ func TestBogusBatchStampDoesNotPinForever(t *testing.T) {
 	}
 	// The command commits through x in slot 1; the slots up to the stamp
 	// decide the no-op.
-	c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, x})})
+	c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, pushed{1, x, ents([2]uint64{11, 1})})})
 	for slot := uint64(2); slot <= last; slot++ {
 		if !c.HoldsBatch(y) {
 			t.Fatalf("batch dropped with slot %d unapplied, inside the slots its rider stamped", slot)
 		}
-		c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(2, [2]int64{int64(slot), 0})})
+		c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(2, pushed{slot: slot})})
 	}
 	if c.NextSlot() != last+1 || c.HoldsBatch(y) || len(c.batchSlot) != 0 {
 		t.Fatalf("next slot %d, batch held %v, %d stamps kept; want %d, false, 0",
@@ -311,14 +316,14 @@ func TestOverlapKeepsSessionOrder(t *testing.T) {
 			// Peers' batches and forwards land together, then the core advances.
 			var res StepResult[string]
 			for bid, pairs := range tc.batches {
-				c.handleEnvelope(batchEnv(batchProposer(bid), batchCounter(bid), ents(pairs...)), &res)
+				offer(c, bid, ents(pairs...))
 			}
 			for from, pairs := range tc.forwards {
 				c.handleEnvelope(forwardEnv(from, ents(pairs...)), &res)
 			}
 			c.Step(Event[string]{Kind: EvNudge})
 			if tc.decide1 != 0 {
-				c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, [2]int64{1, tc.decide1})})
+				c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, pushed{1, tc.decide1, c.batches[tc.decide1]})})
 			}
 			if got := openSlots(c); fmt.Sprint(got) != fmt.Sprint(tc.wantOpen) {
 				t.Fatalf("open slots %v, want %v", got, tc.wantOpen)
@@ -449,7 +454,7 @@ func TestFaultFreeSlotTakesTwoRounds(t *testing.T) {
 // TestVoteArrivesWithItsContents: a round message carries the batch it
 // names, so a replica that adopts the vote holds its contents in the same
 // step — p1 and p2 decide AND apply slot 1 on the vote alone — and a
-// fault-free slot sends no KindBatch and no pull.
+// fault-free slot sends round messages and decision pushes, nothing else.
 func TestVoteArrivesWithItsContents(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
@@ -462,7 +467,7 @@ func TestVoteArrivesWithItsContents(t *testing.T) {
 	}
 	for i := 0; len(n.queue) > 0; i++ {
 		for _, o := range n.queue {
-			if o.Env.Kind == KindBatch || o.Env.Kind == KindBatchPull {
+			if o.Env.Kind != KindRound && o.Env.Kind != KindSync {
 				t.Fatalf("replica %d sent a %d envelope in a fault-free slot", o.Env.From, o.Env.Kind)
 			}
 		}
@@ -697,7 +702,7 @@ func TestLateRoundMessageOfTheDecidingRoundDrawsNoPush(t *testing.T) {
 	// stands: it answers whatever the round. So does one that has decided
 	// enough slots since to have forgotten.
 	learner := mergeCore(t, 1, 0)
-	learner.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, [2]int64{1, 0})})
+	learner.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, pushed{slot: 1})})
 	forgot := n.cores[0].Clone()
 	forgot.ownRound[1] = SlotRound{Slot: 1 + uint64(len(forgot.ownRound)), Round: 2}
 	for name, c := range map[string]*ReplicaCore[string]{"learned by sync": learner, "no longer remembered": forgot} {
@@ -850,7 +855,7 @@ func TestEarlyHoldIsBounded(t *testing.T) {
 	}
 
 	// Slot 3 is decided by sync before the window reaches it.
-	c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, [2]int64{1 + window, 0})})
+	c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, pushed{slot: 1 + window})})
 	if c.held[1+window] != nil || c.held[2+window] == nil {
 		t.Fatalf("held slots after slot %d was decided by sync: %d's set %v, %d's set %v; want released, kept",
 			1+window, 1+window, c.held[1+window], 2+window, c.held[2+window])
@@ -881,7 +886,7 @@ func TestCloneCopiesHeldMessages(t *testing.T) {
 		t.Fatal("a second held message left the fingerprint unchanged")
 	}
 	// Slide the clone's window over the slot: it opens, the set is consumed.
-	d.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, [2]int64{1, 0})})
+	d.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, pushed{slot: 1})})
 	if got := fmt.Sprint(openSlots(d)); got != "[2 3]" || len(d.held) != 0 {
 		t.Fatalf("clone has slots %s open and %d held sets after slot 1 applied, want [2 3] (opened through the held slot) and 0", got, len(d.held))
 	}

@@ -30,7 +30,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(AppendEnvelope(nil, Envelope{From: core.ProcessID(core.MaxProcesses), Kind: KindRound}))
 	entry := []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}
 	f.Add(AppendEnvelope(nil, Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound, Payload: roundPayload(nil, batchID(1, 1), entry)}))
-	f.Add(AppendEnvelope(nil, Envelope{From: 1, Kind: KindBatch, Payload: strCodec{}.AppendEntries(appendVarint(nil, batchID(1, 1)), entry)}))
+	f.Add(AppendEnvelope(nil, Envelope{Slot: 1, From: 1, Kind: KindSync, Payload: syncEnv(1, pushed{1, batchID(1, 1), entry}).Payload}))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := DecodeEnvelope(b)
@@ -56,13 +56,13 @@ func FuzzReplicaCoreStep(f *testing.F) {
 		f.Add(uint8(env.Kind), env.Slot, uint64(env.Round), uint8(env.From), env.Payload)
 	}
 	f.Add(uint8(KindRound), uint64(1), uint64(1), uint8(1), []byte{0xFF})
-	f.Add(uint8(KindBatch), uint64(0), uint64(0), uint8(2), []byte(nil))
+	f.Add(uint8(KindSync), uint64(1), uint64(0), uint8(2), appendUvarint(appendUvarint(appendUvarint(nil, 1), 1), 9)) // a length past the end
 	f.Add(uint8(KindSync), uint64(0), uint64(0), uint8(1), []byte{0xFF, 0xFF, 0xFF})
 	f.Add(uint8(99), uint64(0), uint64(0), uint8(1), []byte("junk"))
 	f.Add(uint8(KindForward), uint64(0), uint64(0), uint8(1), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // huge entry count
 	f.Add(uint8(KindForward), uint64(0), uint64(0), uint8(0), strCodec{}.AppendEntries(nil, []Entry[string]{{Client: 9, Seq: 1, Cmd: "self"}}))
-	f.Add(uint8(KindBatch), uint64(1<<62), uint64(0), uint8(1), // a pull reply stamped for a slot nobody is near
-		strCodec{}.AppendEntries(appendVarint(nil, batchID(1, 1)), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}))
+	f.Add(uint8(KindSync), uint64(1<<62), uint64(0), uint8(1), // a push of a slot nobody is near, with its batch
+		syncEnv(1, pushed{1 << 62, batchID(1, 1), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}}).Payload)
 	f.Add(uint8(KindRound), uint64(1<<62), uint64(1), uint8(1), // a rider of a slot nobody is near
 		roundPayload(nil, batchID(1, 1), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}))
 	f.Add(uint8(KindRound), uint64(1), uint64(1), uint8(2), // a rider of the slot in flight
@@ -153,6 +153,63 @@ func FuzzRoundPayload(f *testing.F) {
 	})
 }
 
+// FuzzSyncPayload: a decision push and the batches it carries. Whatever
+// the bytes, the core must not panic, and it validates before it
+// allocates: the pair count against maxSyncPairs, each length against the
+// bytes that remain, the entries through the BatchCodec (which bounds its
+// own count). A push that parses is recorded pair by pair, each new slot
+// decided with its batch held; one that does not is counted malformed
+// once, the pairs before the bad one kept.
+func FuzzSyncPayload(f *testing.F) {
+	entry := []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}
+	f.Add(syncEnv(1, pushed{1, batchID(1, 1), entry}).Payload)
+	f.Add(syncEnv(1, pushed{slot: 1}, pushed{2, batchID(2, 1), entry}, pushed{3, batchID(2, 1), entry}).Payload)
+	f.Add(syncEnv(1, pushed{slot: 1}, pushed{1, batchID(2, 1), entry}).Payload) // one slot, two ids
+	f.Add(appendUvarint(nil, maxSyncPairs+1))                                   // too many pairs
+	f.Add(appendUvarint(appendUvarint(appendUvarint(nil, 1), 1), 9))            // a length past the end
+	f.Add(onePair(1, appendVarint(nil, batchID(1, 1))))                         // an id and no entries
+	f.Add(onePair(1, appendUvarint(appendVarint(nil, batchID(1, 1)), 1<<40)))   // a huge entry count
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		c := newFuzzCore(t)
+		c.Step(Event[string]{Kind: EvEnvelope, Env: Envelope{From: 1, Kind: KindSync, Payload: payload}})
+		// The oracle: decode what the core must have decoded — the batch of
+		// each pair whose id is not the no-op and not held from an earlier
+		// pair — and remember the first id each slot was pushed with.
+		held := map[int64]bool{}
+		first := map[uint64]int64{}
+		bad := false
+		ok := SyncPairs(payload, func(slot uint64, bid int64, pair []byte) bool {
+			if bid != 0 && !held[bid] {
+				_, n := varint(pair)
+				if _, err := (strCodec{}).DecodeEntries(pair[n:]); err != nil || !c.validBatchID(bid) {
+					bad = true
+					return false
+				}
+				held[bid] = true
+			}
+			if _, seen := first[slot]; !seen {
+				first[slot] = bid
+			}
+			return true
+		}) && !bad
+		if malformed := c.Counters().Malformed; malformed != 0 == ok || malformed > 1 {
+			t.Fatalf("payload %x: well-formed %v, counted malformed %d times", payload, ok, malformed)
+		}
+		for slot, bid := range first {
+			if got, known := c.decisionAt(slot); !known || got != bid || bid != 0 && !c.HoldsBatch(bid) {
+				t.Fatalf("payload %x: slot %d pushed as %#x, recorded %#x (known %v), batch held %v",
+					payload, slot, bid, got, known, c.HoldsBatch(bid))
+			}
+		}
+	})
+}
+
+// onePair encodes a KindSync payload of one pair whose len bytes are body.
+func onePair(slot uint64, body []byte) []byte {
+	return append(appendUvarint(appendUvarint(appendUvarint(nil, 1), slot), uint64(len(body))), body...)
+}
+
 // TestMalformedPayloadsCounted pins the accounting: each undecodable
 // inbound payload bumps ReplicaStats.Malformed exactly once and
 // produces no outbound traffic and no applies.
@@ -171,15 +228,16 @@ func TestMalformedPayloadsCounted(t *testing.T) {
 			Payload: roundPayload(nil, batchID(3, 1), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}})}},
 		{"round rider bad entries", Envelope{Slot: 1, Round: 1, From: 1, Kind: KindRound,
 			Payload: appendVarint(roundPayload(nil, 0, nil), batchID(1, 7))}},
-		{"batch empty", Envelope{From: 1, Kind: KindBatch}},
-		{"batch id zero", Envelope{From: 1, Kind: KindBatch, Payload: appendVarint(nil, 0)}},
-		{"batch bad entries", Envelope{From: 1, Kind: KindBatch, Payload: appendVarint(nil, batchID(1, 7))}},
-		{"batch of no member", Envelope{From: 1, Kind: KindBatch,
-			Payload: strCodec{}.AppendEntries(appendVarint(nil, batchID(3, 1)), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}})}},
-		{"batch pull empty", Envelope{From: 1, Kind: KindBatchPull}},
+		{"batch, reserved and never sent", Envelope{From: 1, Kind: KindBatch,
+			Payload: strCodec{}.AppendEntries(appendVarint(nil, batchID(1, 1)), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}})}},
 		{"sync empty", Envelope{From: 1, Kind: KindSync}},
-		{"sync slot zero", Envelope{From: 1, Kind: KindSync,
-			Payload: appendVarint(appendUvarint(appendUvarint(nil, 1), 0), 5)}},
+		{"sync too many pairs", Envelope{From: 1, Kind: KindSync, Payload: appendUvarint(nil, maxSyncPairs+1)}},
+		{"sync slot zero", Envelope{From: 1, Kind: KindSync, Payload: syncEnv(1, pushed{slot: 0}).Payload}},
+		{"sync length past the end", Envelope{From: 1, Kind: KindSync,
+			Payload: appendUvarint(appendUvarint(appendUvarint(nil, 1), 1), 9)}},
+		{"sync batch bad entries", Envelope{From: 1, Kind: KindSync, Payload: onePair(1, appendVarint(nil, batchID(1, 7)))}},
+		{"sync batch of no member", Envelope{From: 1, Kind: KindSync,
+			Payload: syncEnv(1, pushed{1, batchID(3, 1), []Entry[string]{{Client: 9, Seq: 1, Cmd: "x"}}}).Payload}},
 		{"sync pull empty", Envelope{From: 1, Kind: KindSyncPull}},
 		{"forward empty", Envelope{From: 1, Kind: KindForward}},
 		{"forward truncated", Envelope{From: 2, Kind: KindForward, Payload: appendUvarint(nil, 3)}},

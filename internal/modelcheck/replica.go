@@ -4,7 +4,8 @@
 // verdicts are this package's tests). The model is the deployed step function
 // itself, not a re-implementation: each replica is a live.ReplicaCore
 // fed the same events the production shell feeds it, so dissemination,
-// command forwarding and merged proposals, push/pull sync, apply-side
+// command forwarding and merged proposals, push/pull sync (a push carries
+// the batches of the slots it names), apply-side
 // session dedup, and batch GC are all checked as written.
 //
 // The environment is the classic asynchronous message soup: every
@@ -48,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"heardof/internal/core"
@@ -155,11 +157,12 @@ type ReplicaViolation struct {
 // ReplicaFinding is a non-safety observation — today only the
 // dissemination-window stall: a decided batch id whose contents no live
 // replica holds and no in-flight message carries. The protocol closes that
-// window — a vote travels with the batch it names, so its adopters hold
-// the contents (the decided-unheld invariant) — and only a network that
-// strips riders (StripRiders) and then a crash of the proposer reach it
-// (see the fault-envelope note in live/replica.go). Availability, not
-// agreement, is what is lost.
+// window — a vote and a decision push travel with the batches they name,
+// so whoever decides or learns a slot holds the contents (the
+// decided-unheld invariant) — and only a network that strips batches
+// (StripRiders) and then a crash of the proposer reach it (see the
+// fault-envelope note in live/replica.go). Availability, not agreement, is
+// what is lost.
 type ReplicaFinding struct {
 	Kind    string
 	Message string
@@ -224,13 +227,13 @@ type rcState struct {
 	recoveries int
 }
 
-// soupMsg is one in-flight envelope with its destination. batchID is
-// pre-parsed for the GC invariant: the batch whose contents it carries — a
-// pull reply's, or a round message's rider — 0 when none.
+// soupMsg is one in-flight envelope with its destination. batchIDs is
+// pre-parsed for the GC invariant: the batches whose contents it carries —
+// a round message's rider, a decision push's batches.
 type soupMsg struct {
-	to      core.ProcessID
-	env     live.Envelope
-	batchID int64
+	to       core.ProcessID
+	env      live.Envelope
+	batchIDs []int64
 }
 
 // soupKey canonically encodes a (destination, envelope) pair.
@@ -299,7 +302,7 @@ func (s *rcState) put(to core.ProcessID, env live.Envelope) {
 		s.sent = append(make([]string, 0, len(s.sent)+4), s.sent...)
 		s.owns = true
 	}
-	s.soup[key] = soupMsg{to: to, env: env, batchID: carried(env)}
+	s.soup[key] = soupMsg{to: to, env: env, batchIDs: carried(env)}
 	i := sort.SearchStrings(s.keys, key)
 	s.keys = append(s.keys, "")
 	copy(s.keys[i+1:], s.keys[i:])
@@ -307,19 +310,27 @@ func (s *rcState) put(to core.ProcessID, env live.Envelope) {
 	s.sent = append(s.sent, key)
 }
 
-// carried returns the id of the batch whose contents env carries: a pull
-// reply's, or the rider of a round message (0 when none).
-func carried(env live.Envelope) int64 {
-	b := env.Payload
-	if env.Kind == live.KindRound {
-		_, b, _ = live.SplitRound(b)
-	} else if env.Kind != live.KindBatch {
-		return 0
+// carried returns the ids of the batches whose contents env carries: the
+// rider of a round message, or every batch of a decision push (a pair
+// StripRiders emptied carries its id alone, and no contents).
+func carried(env live.Envelope) []int64 {
+	var ids []int64
+	switch env.Kind {
+	case live.KindRound:
+		if _, rider, ok := live.SplitRound(env.Payload); ok {
+			if v, n := binary.Varint(rider); n > 0 {
+				ids = append(ids, v)
+			}
+		}
+	case live.KindSync:
+		live.SyncPairs(env.Payload, func(_ uint64, bid int64, pair []byte) bool {
+			if _, n := binary.Varint(pair); n < len(pair) {
+				ids = append(ids, bid)
+			}
+			return true
+		})
 	}
-	if v, n := binary.Varint(b); n > 0 {
-		return v
-	}
-	return 0
+	return ids
 }
 
 // forkForStep clones the state for stepping core p: that core is deep-
@@ -426,8 +437,8 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 	// crash bookkeeping simulates it: the extra messages only add
 	// enabled deliveries, and every safety invariant here is monotone in
 	// the soup (none reads a message's absence — gc-needed-batch does,
-	// but in a monotone soup a sent batch — a pull reply, or the rider of
-	// a round message — stays in flight forever,
+	// but in a monotone soup a sent batch — the rider of a round message,
+	// or a decision push's — stays in flight forever,
 	// so at crashes=0 it is unreachable regardless, and with crashes it
 	// is the stall finding, whose discovery the scripted probes own).
 	// Any violation reachable from the subset state is therefore
@@ -612,9 +623,8 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 					visit(next, v)
 				}
 			}
-			// Anti-entropy ticks whenever they do something: a re-pull
-			// while apply is blocked, the heartbeat while idle.
-			if !halt && (len(open) == 0 || st.cores[p].Blocked() != 0) {
+			// The anti-entropy tick whenever it does something: while idle.
+			if !halt && len(open) == 0 {
 				next, v := m.step(st, pid, live.Event[byte]{Kind: live.EvTick})
 				visit(next, v)
 			}
@@ -681,7 +691,7 @@ func (m *ReplicaModel) check(st *rcState, findings map[string]*ReplicaFinding) *
 	return checkReplicaInvariants(m.N, st.cores, st.live, func(bid int64) bool {
 		//holint:allow nodeterminism existential scan; the boolean result is order-insensitive
 		for _, msg := range st.soup {
-			if msg.batchID == bid && st.live(msg.to) {
+			if st.live(msg.to) && slices.Contains(msg.batchIDs, bid) {
 				return true
 			}
 		}
@@ -813,11 +823,13 @@ func checkReplicaInvariants(n int, cores []*live.ReplicaCore[byte], isLive func(
 		}
 	}
 
-	// Decided ⇒ held: a replica whose own instance decided a slot holds
-	// the slot's batch until it has applied it. Every round message that
+	// Decided ⇒ held: a live replica holds the batch of every slot it
+	// knows decided until it has applied it. Every round message that
 	// names a batch carries it (live's appendRound), so adopting a vote and
-	// holding what it votes for are one step, and the decision's contents
-	// never hang on a separate message. Only a network that strips riders
+	// holding what it votes for are one step; a decision push carries the
+	// batches of the slots it names, kept before the decision is; and a
+	// recovered decision was saved after its batch. The decision's contents
+	// never hang on a separate message. Only a network that strips batches
 	// (StripRiders) breaks it — with a crash, that is the stall above.
 	for p, c := range cores {
 		if !isLive(core.ProcessID(p)) {
@@ -830,9 +842,9 @@ func checkReplicaInvariants(n int, cores []*live.ReplicaCore[byte], isLive func(
 		}
 		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
 		for _, s := range slots {
-			if bid := decided[s]; bid != 0 && c.DecidedHere(s) && !c.HoldsBatch(bid) {
+			if bid := decided[s]; bid != 0 && !c.HoldsBatch(bid) {
 				return &ReplicaViolation{Kind: "decided-unheld", Message: fmt.Sprintf(
-					"replica %d decided slot %d as batch %d in its own instance without holding it", p, s, bid)}
+					"replica %d knows slot %d decided as batch %d without holding it", p, s, bid)}
 			}
 		}
 	}

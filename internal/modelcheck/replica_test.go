@@ -59,10 +59,11 @@ func TestCheckDrift(t *testing.T) {
 }
 
 // TestCheckStall is the dissemination-window regression (a fault-envelope
-// limitation once, closed by riders): a network that
-// strips the batch from the round messages naming it leaves the deciders
-// with the id alone — the decided-unheld invariant — and crash-stopping
-// the proposer then surfaces as an availability finding, agreement intact.
+// limitation once, closed by riders and self-contained pushes): a network
+// that strips the batches from the round messages and pushes naming them
+// leaves the deciders with the id alone — the decided-unheld invariant —
+// and crash-stopping the proposer then surfaces as an availability
+// finding, agreement intact.
 // Under an honest network the same schedule is clean: the vote brought
 // the contents, so the stall is unreachable.
 func TestCheckStall(t *testing.T) {

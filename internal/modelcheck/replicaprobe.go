@@ -35,15 +35,16 @@
 //     vote and its ack, which names the vote, alike — no coordinator ever
 //     assembles a quorum, and the pair spins forever — the drift
 //     livelock, reported as a liveness finding.
-//   - CheckStall: no core mutation — the network lies (StripRiders: the
-//     round messages arrive without the batch riding them, which no link
-//     can do) and the proposer then crash-stops. The deciders hold an id
-//     without its contents — the decided-unheld invariant flags that —
-//     and the decided batch's only copy dies with its proposer: the
-//     survivors block pulling forever, the availability stall the
-//     replica's fault envelope once documented, surfaced as a finding. The control run (an honest
-//     network, the same crash) has every replica apply: the votes brought
-//     the contents, so the stall is unreachable without the lie.
+//   - CheckStall: no core mutation — the network lies (StripRiders: round
+//     messages and decision pushes arrive without the batches they carry,
+//     which no link can do) and the proposer then crash-stops. The
+//     deciders hold an id without its contents — the decided-unheld
+//     invariant flags that — and the decided batch's only copy dies with
+//     its proposer: the survivors can never apply, the availability stall
+//     the replica's fault envelope once documented, surfaced as a finding.
+//     The control run (an honest network, the same crash) has every
+//     replica apply: the votes brought the contents, so the stall is
+//     unreachable without the lie.
 //
 // One probe covers the forward + merge proposal path:
 //
@@ -91,15 +92,17 @@
 //     crash-RECOVERS instead of crash-stopping. Its batch hit its own
 //     disk in the same step that proposed the id (quorum-durable
 //     dissemination), so the rebooted proposer answers the survivors'
-//     pulls and everyone applies: even a lost rider is only a delay for
-//     replicas running with a Persister. Contrast with CheckStall(true),
-//     where the same schedule minus the disk strands the batch forever.
+//     idle sync pulls with a push that carries it, and everyone applies:
+//     even a lost rider is only a delay for replicas running with a
+//     Persister. Contrast with CheckStall(true), where the same schedule
+//     minus the disk strands the batch forever.
 
 package modelcheck
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"heardof/internal/core"
 	"heardof/internal/lastvoting"
@@ -159,16 +162,27 @@ func MutForgetRound(st *wal.State) {
 }
 
 // StripRiders is the network that delivers a round message without the
-// batch riding it. No link can — the rider is part of the envelope's
-// payload — so the checker builds it outside the core, the way
-// MutForgetVote builds a lying disk: it is how the dissemination-window
-// stall, closed by riders, is still reached (CheckStall).
+// batch riding it, and a decision push with each slot's batch id and no
+// contents. No link can — the batches are part of the envelope's payload
+// — so the checker builds it outside the core, the way MutForgetVote
+// builds a lying disk: it is how the dissemination-window stall, closed
+// by riders and self-contained pushes, is still reached (CheckStall).
 func StripRiders(env live.Envelope) live.Envelope {
-	if env.Kind != live.KindRound {
-		return env
-	}
-	if _, rider, ok := live.SplitRound(env.Payload); ok && len(rider) > 0 {
-		env.Payload = env.Payload[:len(env.Payload)-len(rider)]
+	switch env.Kind {
+	case live.KindRound:
+		if _, rider, ok := live.SplitRound(env.Payload); ok && len(rider) > 0 {
+			env.Payload = env.Payload[:len(env.Payload)-len(rider)]
+		}
+	case live.KindSync:
+		var pairs []byte
+		count := uint64(0)
+		live.SyncPairs(env.Payload, func(slot uint64, bid int64, _ []byte) bool {
+			id := binary.AppendVarint(nil, bid)
+			pairs = append(binary.AppendUvarint(binary.AppendUvarint(pairs, slot), uint64(len(id))), id...)
+			count++
+			return true
+		})
+		env.Payload = append(binary.AppendUvarint(nil, count), pairs...)
 	}
 	return env
 }
@@ -339,23 +353,30 @@ func (s *scen) freeRunWithout(silent core.ProcessID) {
 }
 
 // disseminate hands every replica the contents of every batch minted so
-// far, without moving any round: each replica pulls each batch from its
-// proposer and the replies are delivered. Batches otherwise travel only
-// with the round messages that name them, and the scripts below that need
-// contents everywhere before their rounds start say so with this.
+// far, without moving any round: each batch rides a null round message of
+// slot 0 — a slot before every log, so nobody hears the message and only
+// its rider is kept. Batches otherwise travel only with the messages that
+// name them, and the scripts below that need contents everywhere before
+// their rounds start say so with this.
 func (s *scen) disseminate() {
 	for q := 0; q < s.n; q++ {
+		null, err := s.cfgs[q].Msg.Encode(nil)
+		if err != nil {
+			panic(fmt.Sprintf("modelcheck: probe codec: %v", err))
+		}
 		for k := int64(1); k <= s.cores[q].BatchesCreated(); k++ {
-			pull := binary.AppendVarint(nil, int64(q+1)<<40|k)
+			bid := int64(q+1)<<40 | k
+			entries, _ := s.cores[q].EntriesOf(bid)
+			payload := append(binary.AppendUvarint(nil, uint64(len(null))), null...)
+			payload = ByteBatchCodec{}.AppendEntries(binary.AppendVarint(payload, bid), entries)
 			for p := 0; p < s.n; p++ {
 				if p != q {
-					s.stepOn(core.ProcessID(q), live.Event[byte]{Kind: live.EvEnvelope, Env: live.Envelope{
-						Kind: live.KindBatchPull, From: core.ProcessID(p), Payload: pull}})
+					s.stepOn(core.ProcessID(p), live.Event[byte]{Kind: live.EvEnvelope, Env: live.Envelope{
+						Kind: live.KindRound, From: core.ProcessID(q), Payload: payload}})
 				}
 			}
 		}
 	}
-	s.deliverWhere(kindIs(live.KindBatch))
 }
 
 // Common predicates.
@@ -380,7 +401,7 @@ func (s *scen) finish() ProbeResult {
 	isLive := func(p core.ProcessID) bool { return s.dead&(1<<uint(p)) == 0 }
 	inFlight := func(bid int64) bool {
 		for _, o := range s.wire {
-			if isLive(o.To) && carried(o.Env) == bid {
+			if isLive(o.To) && slices.Contains(carried(o.Env), bid) {
 				return true
 			}
 		}
@@ -545,11 +566,11 @@ func CheckStall(strip bool) ProbeResult {
 	s.decideEverywhere()
 
 	// Crash-stop the proposer. Whoever lacks the contents can never have
-	// its re-pulls answered: the stall.
+	// it pushed: the stall.
 	s.crash(0)
 	s.tick(1)
 	s.tick(2)
-	s.deliverWhere(anyMsg) // pulls die with p0
+	s.deliverWhere(anyMsg) // sync pulls die with p0 or find nothing to push
 	return s.finish()
 }
 
@@ -755,12 +776,13 @@ func CheckReliveAck(mutated bool) ProbeResult {
 }
 
 // CheckStallRecovery reruns CheckStall's dissemination-window schedule
-// with a crash-RECOVERING proposer: same lying network, same total batch
-// loss on the wire, but the proposer's disk holds the contents (they were
-// persisted in the step that proposed the id), so after the reboot the
-// survivors' pulls are answered and every replica applies slot 1 — no
-// stall finding, no violation. This is the closure proof the
-// live/replica.go fault-envelope note points at.
+// with a crash-RECOVERING proposer: the same lie while the slot decides,
+// the same total batch loss on the wire, but the proposer's disk holds the
+// contents (they were persisted in the step that proposed the id), so
+// after the reboot the survivors' idle sync pulls draw a push that carries
+// them and every replica applies slot 1 — no stall finding, no violation.
+// This is the closure proof the live/replica.go fault-envelope note points
+// at.
 func CheckStallRecovery() ProbeResult {
 	s := newScen(3, 0, 1)
 	// THE WINDOW: batch A's contents never reach anyone over the wire.
@@ -771,16 +793,18 @@ func CheckStallRecovery() ProbeResult {
 	s.decideEverywhere()
 
 	// kill -9 the only holder inside the window — then reboot it from
-	// its write-ahead state. The batch came back with it.
+	// its write-ahead state. The batch came back with it, and the window
+	// is over: the network stops lying.
 	s.crash(0)
 	s.recover(0)
+	s.net = nil
 
-	// The survivors' re-pulls now land on a live proposer that still
-	// holds the contents; its replies let both apply.
+	// The survivors, idle, ask for decisions; the rebooted proposer's
+	// answer carries the contents and lets both apply.
 	s.tick(1)
 	s.tick(2)
-	s.deliverWhere(kindIs(live.KindBatchPull))
-	s.deliverWhere(kindIs(live.KindBatch))
+	s.deliverWhere(kindIs(live.KindSyncPull))
+	s.deliverWhere(kindIs(live.KindSync))
 	return s.finish()
 }
 
@@ -813,8 +837,7 @@ func CheckWindowDisjoint(mutated bool) ProbeResult {
 
 	// Slot 1 is cut off at p0, both ways, for the whole run.
 	lost := func(to core.ProcessID, env live.Envelope) bool {
-		return env.Slot == 1 && (env.Kind == live.KindRound || env.Kind == live.KindBatch) &&
-			(env.From == 0 || to == 0)
+		return env.Slot == 1 && env.Kind == live.KindRound && (env.From == 0 || to == 0)
 	}
 	s.dropWhere(lost)
 	// Slot 2's round-1 traffic asks p1 and p2 into slots 1 and 2, p0's
@@ -846,8 +869,8 @@ func CheckWindowDisjoint(mutated bool) ProbeResult {
 // all three replicas drop it as "fully applied and undecided". When slot
 // 2's rounds are released, p1 and p2 adopt p0's vote with the batch riding
 // it and hold B again — but p0 voted before the prune, and decides B on
-// their acks holding nothing: a decided-unheld violation (every pull reply
-// is lost from there on, so p0 stays without it).
+// their acks holding nothing: a decided-unheld violation (every decision
+// push is lost from there on, so p0 stays without it).
 func CheckPruneOpen(mutated bool) ProbeResult {
 	var mut live.Mutation
 	if mutated {
@@ -867,7 +890,7 @@ func CheckPruneOpen(mutated bool) ProbeResult {
 		s.deliverWhere(notSlot2) // slot 3 opens everywhere and decides
 	}
 	for i := 0; i < 12; i++ {
-		s.dropWhere(kindIs(live.KindBatch))
+		s.dropWhere(kindIs(live.KindSync))
 		s.deliverWhere(anyMsg) // slot 2's rounds are released
 	}
 	return s.finish()

@@ -36,11 +36,17 @@ func (WireCodec) Encode(m core.Message) ([]byte, error) {
 	}
 }
 
-// Names reports no value for any message: every process sends its
-// estimate in every round, so carrying the named batch would ship each
-// proposal n times a round. The live runtime still sends a proposer's
-// fresh batch with its first round message of the slot.
-func (WireCodec) Names(core.Message) (core.Value, bool) { return 0, false }
+// Names reports the estimate a message carries, so the batch it stands
+// for rides with it: a process decides on the estimates it hears, and one
+// whose batch travelled apart from them could be decided without its
+// contents. Every process sends its estimate every round, so this ships a
+// proposal up to n times a round — the price of "decided ⇒ held".
+func (WireCodec) Names(m core.Message) (core.Value, bool) {
+	if v, ok := m.(message); ok {
+		return v.X, true
+	}
+	return 0, false
+}
 
 // Decode parses an Encode result.
 func (WireCodec) Decode(b []byte) (core.Message, error) {
