@@ -1,6 +1,6 @@
 // The -live mode: small-scope model checking of the live replica
 // protocol (internal/modelcheck over live.ReplicaCore), plus the
-// seeded-mutant regression probes. Exit status is the verdict: 0 means
+// seeded-mutant regression suite. Exit status is the verdict: 0 means
 // the explored scope is clean (or every requested mutant was killed),
 // 1 means a safety violation was found or a mutant survived.
 
@@ -8,6 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"strings"
 
 	"heardof/internal/core"
 	"heardof/internal/lastvoting"
@@ -77,30 +80,40 @@ func runExplore(f liveFlags) error {
 	}
 	fmt.Printf("model: live replica protocol, alg=%s n=%d slots=%d rounds=%d crash=%d recover=%d\n",
 		f.alg, f.n, f.slots, f.rounds, f.crash, f.recover)
+	return explore(os.Stdout, model)
+}
+
+// explore runs the soup exploration of a validated model and reports it.
+func explore(w io.Writer, model *modelcheck.ReplicaModel) error {
 	res, err := model.Explore()
 	if err != nil {
 		return err
 	}
 	closure := "full closure"
-	if !res.Complete {
-		closure = fmt.Sprintf("bounded at %d states", f.states)
+	switch {
+	case res.Violation != nil:
+		closure = "stopped at a violation"
+	case !res.Complete:
+		closure = fmt.Sprintf("bounded at %d states", model.MaxStates)
 	}
-	fmt.Printf("explored: %d states, %d transitions (%s), deepest commit index %d, most slots in flight %d, most round messages held early %d\n",
+	fmt.Fprintf(w, "explored: %d states, %d transitions (%s), deepest commit index %d, most slots in flight %d, most round messages held early %d\n",
 		res.States, res.Transitions, closure, res.MaxApplied, res.MaxOpen, res.MaxHeld)
 	for _, fd := range res.Findings {
-		fmt.Printf("finding: %s (%d states): %s\n", fd.Kind, fd.Count, fd.Message)
+		fmt.Fprintf(w, "finding: %s (%d states): %s\n", fd.Kind, fd.Count, fd.Message)
 	}
 	if res.Violation != nil {
 		return errVerdict{fmt.Sprintf("SAFETY VIOLATION [%s]: %s", res.Violation.Kind, res.Violation.Message)}
 	}
-	fmt.Println("safety: no reachable violation (agreement, integrity, apply-once, session order, commit monotonicity, batch GC, decided ⇒ held)")
+	fmt.Fprintln(w, "safety: no reachable violation (agreement, integrity, apply-once, session order, commit monotonicity, batch GC, decided ⇒ held)")
 	return nil
 }
 
-// mutantProbe pairs a probe with the outcome that counts as a kill.
+// mutantProbe pairs a seeded bug with the run that must kill it: a
+// scripted schedule, or a blind lock-step walk of a kill scope
+// (modelcheck.WalkStall and the rest), whose control must close.
 type mutantProbe struct {
 	name string
-	// run executes the scripted schedule; enabled seeds the bug.
+	// run executes the probe; enabled seeds the bug.
 	run func(enabled bool) modelcheck.ProbeResult
 	// killed reports whether the mutated run was flagged the right way.
 	killed func(modelcheck.ProbeResult) bool
@@ -108,88 +121,39 @@ type mutantProbe struct {
 	desc string
 }
 
-var mutantProbes = []mutantProbe{
-	{
-		name: "locked-vote",
-		run:  modelcheck.CheckFreshRetry,
-		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation != nil && r.Violation.Kind == "agreement"
-		},
-		desc: "fresh-instance slot retry discarding LastVoting's locked vote (split decision)",
-	},
-	{
-		name: "drift-livelock",
-		run:  modelcheck.CheckDrift,
-		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation == nil && hasFinding(r, "drift-livelock")
-		},
-		desc: "jump rule removed: lockstep survivors drift one round apart forever",
-	},
-	{
-		name: "stall-window",
-		run:  modelcheck.CheckStall,
-		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation != nil && r.Violation.Kind == "decided-unheld" && hasFinding(r, "stall-window")
-		},
-		desc: "round messages and decision pushes stripped of their batches, then a proposer crash, strand a decided batch",
-	},
-	{
-		name: "forget-vote",
-		run:  modelcheck.CheckForgetVote,
-		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation != nil && r.Violation.Kind == "agreement"
-		},
-		desc: "crash recovery discarding the persisted locked vote (split decision)",
-	},
-	{
-		name: "ts-regress",
-		run:  modelcheck.CheckTSRegress,
-		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation != nil && r.Violation.Kind == "agreement"
-		},
-		desc: "crash recovery discarding the round saved with the vote: an old vote re-adopted below the lock in a re-run round (lock undone)",
-	},
-	{
-		name: "relive-ack",
-		run:  modelcheck.CheckReliveAck,
-		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation != nil && r.Violation.Kind == "agreement"
-		},
-		desc: "crash recovery discarding the round saved with the vote: a phase acked in a re-run round, behind the replica's own later estimate (unlocked value decided)",
-	},
-	{
-		name: "merge-skip",
-		run:  modelcheck.CheckMergeSkip,
-		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation != nil && r.Violation.Kind == "session-gap"
-		},
-		desc: "proposal merge dropping a source's first unapplied command (lost command)",
-	},
-	{
-		name: "window-disjoint",
-		run:  modelcheck.CheckWindowDisjoint,
-		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation != nil && r.Violation.Kind == "session-gap"
-		},
-		desc: "open slots proposing disjoint chunks instead of overlapping batches (lost command)",
-	},
-	{
-		name: "prune-open",
-		run:  modelcheck.CheckPruneOpen,
-		killed: func(r modelcheck.ProbeResult) bool {
-			return r.Violation != nil && r.Violation.Kind == "decided-unheld"
-		},
-		desc: "pruning a fully applied proposal whose slot is still open (its coordinator decides an id it no longer holds)",
-	},
+func violates(kind string) func(modelcheck.ProbeResult) bool {
+	return func(r modelcheck.ProbeResult) bool { return r.Violation != nil && r.Violation.Kind == kind }
 }
 
-func hasFinding(r modelcheck.ProbeResult, kind string) bool {
-	for _, f := range r.Findings {
-		if f.Kind == kind {
-			return true
-		}
+var mutantProbes = []mutantProbe{
+	{"locked-vote", modelcheck.CheckFreshRetry, violates("agreement"),
+		"fresh-instance slot retry discarding LastVoting's locked vote (split decision)"},
+	{"drift-livelock", modelcheck.CheckDrift, func(r modelcheck.ProbeResult) bool { return r.Violation == nil && r.Has("drift-livelock") },
+		"jump rule removed: lockstep survivors drift one round apart forever"},
+	{"stall-window", modelcheck.WalkStall,
+		func(r modelcheck.ProbeResult) bool {
+			return violates("decided-unheld")(r) && r.Has("stall-window")
+		},
+		"walk: round messages and decision pushes stripped of their batches, then a proposer crash, strand a decided batch"},
+	{"forget-vote", modelcheck.WalkForgetVote,
+		violates("agreement"), "walk: crash recovery discarding the persisted locked vote (split decision)"},
+	{"forget-round", modelcheck.WalkForgetRound,
+		violates("agreement"), "walk: crash recovery discarding the round saved with the vote: the slot re-run among its old round messages (split decision)"},
+	{"merge-skip", modelcheck.WalkMergeSkip,
+		violates("session-gap"), "walk: proposal merge dropping a source's first unapplied command (lost command)"},
+	{"window-disjoint", modelcheck.CheckWindowDisjoint, violates("session-gap"),
+		"open slots proposing disjoint chunks instead of overlapping batches (lost command)"},
+	{"prune-open", modelcheck.CheckPruneOpen, violates("decided-unheld"),
+		"pruning a fully applied proposal whose slot is still open (its coordinator decides an id it no longer holds)"},
+}
+
+// mutantNames lists the -mutant values.
+func mutantNames() string {
+	var names []string
+	for _, p := range mutantProbes {
+		names = append(names, p.name)
 	}
-	return false
+	return strings.Join(names, ", ") + ", or all"
 }
 
 // runMutants runs the requested probes. A mutant counts as killed only
@@ -203,7 +167,7 @@ func runMutants(f liveFlags) error {
 		}
 	}
 	if len(selected) == 0 {
-		return fmt.Errorf("unknown -mutant %q (want locked-vote, drift-livelock, stall-window, forget-vote, ts-regress, relive-ack, merge-skip, window-disjoint, prune-open, or all)", f.mutant)
+		return fmt.Errorf("unknown -mutant %q (want %s)", f.mutant, mutantNames())
 	}
 	survived := 0
 	for _, p := range selected {

@@ -1,47 +1,31 @@
 // Package modelcheck is exhaustive small-scope model checking of the LIVE
 // replica protocol (live.ReplicaCore) — the layer ABOVE the consensus
 // algorithms, which internal/hosweep checks in lock-step (OTR's and UV's
-// verdicts are this package's tests). The model is the deployed step function
-// itself, not a re-implementation: each replica is a live.ReplicaCore
-// fed the same events the production shell feeds it, so dissemination,
-// command forwarding and merged proposals, push/pull sync (a push carries
-// the batches of the slots it names), apply-side
-// session dedup, and batch GC are all checked as written.
+// verdicts are this package's tests). The model is the deployed step
+// function itself: each replica is a live.ReplicaCore fed the events the
+// production shell feeds it, so dissemination, forwarding and merged
+// proposals, push/pull sync, apply-side session dedup and batch GC are
+// checked as written, against one set of invariants (checkReplicaInvariants).
 //
-// The environment is the classic asynchronous message soup: every
-// envelope a step emits joins a SET of in-flight messages, and the
-// explorer may deliver any soup message to its destination at any time,
-// any number of times — the soup never shrinks, so duplication and
-// arbitrary reordering come for free, and loss is simply an execution
-// that never schedules a delivery (transmission faults in the paper's
-// sense need no extra machinery). Round timeouts and anti-entropy ticks
-// are likewise free events: the explorer fires them whenever the shell
-// conceivably could. Crash-STOP of up to CrashBudget processes freezes
-// a replica permanently — strictly harsher than the paper's benign
-// crash-recovery model, where a paused process rejoins (a pause is
-// already subsumed here by schedules that simply never pick a process).
-// Crash-RECOVERY of up to RecoveryBudget processes is a separate,
-// atomic transition: the replica is replaced by ReplicaCore.Recover(),
-// which pipes PersistState through RestoreReplicaCore — the REAL
-// production recovery path, so what the model proves is that rebooting
-// from exactly the write-ahead state (stable storage kept, round
-// position, pending submissions, and peer bookkeeping lost) preserves
-// every safety invariant. The crash and the restart are collapsed into
-// one step because the downtime in between is subsumed by schedules
-// that deliver nothing to the process — the soup model gives the
-// adversary that for free.
+// Two engines walk the same state (rcState) with the same step:
 //
-// Scope bounds that keep the state space finite: MaxSlots stops new
-// consensus attempts past a slot budget (and with it bounds the slot
-// window: a budget of one slot can never have two in flight), MaxRound freezes a slot's
-// round progression (both are knobs of ReplicaCore itself, zero in
-// production), and the workload is a fixed handful of submissions. The
-// exploration is a plain depth-first reachable-state closure with
-// fingerprint dedup, checked against the safety invariants on every
-// (state, event) transition — the TLC recipe, at Go speed. (Depth
-// first, not breadth: with a state budget, going deep finds the long
-// adversarial schedules seeded mutants need, and for a full closure
-// the order is irrelevant.)
+//   - Walk (walk.go), the lock-step walk: rounds are communication-closed,
+//     so each macro-step chooses what every replica hears from every
+//     sender, then times out every round that did not close. It closes the
+//     scopes that matter and kills the lying disks and network blind.
+//   - Explore, the asynchronous message soup: every envelope joins a SET
+//     of in-flight messages that any delivery may pick, any number of times
+//     and in any order — duplication, reordering and loss for free — with
+//     round timeouts, ticks, crash-stops and reboots as free events, in a
+//     depth-first closure. It is the reference the walk is cross-checked
+//     against, and it closes small scopes in seconds.
+//
+// A crash-stop freezes a replica for good; a reboot replaces it by
+// ReplicaCore.Recover() — PersistState through RestoreReplicaCore, the
+// production recovery path — or by the same through a disk that lies.
+// MaxSlots and MaxRound (model bounds of ReplicaCore, zero in production)
+// and a fixed workload keep the state space finite. The scripted probes
+// (replicaprobe.go) kill the mutants the walk does not.
 package modelcheck
 
 import (
@@ -54,6 +38,7 @@ import (
 
 	"heardof/internal/core"
 	"heardof/internal/live"
+	"heardof/internal/wal"
 )
 
 // ByteBatchCodec serializes model batches (one-byte commands).
@@ -116,12 +101,9 @@ type ReplicaModel struct {
 	// CrashBudget is the number of crash-STOP events the adversary may
 	// spend (0 = none).
 	CrashBudget int
-	// RecoveryBudget is the number of crash-RECOVERY events the
-	// adversary may spend (0 = none): a live replica is atomically
-	// replaced by its ReplicaCore.Recover() image — the production
-	// restore-from-write-ahead-state path — losing round position,
-	// pending submissions, and peer bookkeeping but keeping the log,
-	// dedup state, held batches, and any mid-slot locked vote.
+	// RecoveryBudget is the number of reboots the adversary may spend (0 =
+	// none): a replica restarts from its write-ahead state, losing round
+	// position, pending submissions and peer bookkeeping.
 	RecoveryBudget int
 	// Algorithm and Msg pick the consensus layer (OTR or LastVoting with
 	// their wire codecs).
@@ -137,12 +119,16 @@ type ReplicaModel struct {
 	// keeps every slot's proposals unanimous, which OTR at MaxRound 2
 	// needs to decide at all.
 	MaxBatch int
-	// MaxStates bounds the exploration (default 2,000,000). Hitting the
-	// bound is not an error: the result reports Complete=false and the
-	// absence of violations holds for every state visited (bounded
-	// verification), which is how richer scopes whose reachable space
-	// exceeds any CI budget are checked.
+	// MaxStates bounds the exploration (default 2,000,000). Hitting it is
+	// not an error: the result reports Complete=false, and every state
+	// visited was checked.
 	MaxStates int
+	// disk, when set, edits the durable state a rebooting replica reads
+	// back (mutForgetVote, mutForgetRound): a disk that lies. net, when
+	// set, edits every envelope a replica sends (stripRiders): a network
+	// that lies. The kill walks (WalkStall and the rest) set them.
+	disk func(*wal.State)
+	net  func(live.Envelope) live.Envelope
 }
 
 // ReplicaViolation is a reachable safety violation of the replica layer.
@@ -154,15 +140,11 @@ type ReplicaViolation struct {
 	Message string
 }
 
-// ReplicaFinding is a non-safety observation — today only the
-// dissemination-window stall: a decided batch id whose contents no live
-// replica holds and no in-flight message carries. The protocol closes that
-// window — a vote and a decision push travel with the batches they name,
-// so whoever decides or learns a slot holds the contents (the
-// decided-unheld invariant) — and only a network that strips batches
-// (StripRiders) and then a crash of the proposer reach it (see the
-// fault-envelope note in live/replica.go). Availability, not agreement, is
-// what is lost.
+// ReplicaFinding is a non-safety observation — the dissemination-window
+// stall: a decided batch id whose contents no live replica holds and no
+// in-flight message carries, which only a network that strips batches
+// (stripRiders) and then a crash of the proposer reach. Availability, not
+// agreement, is what is lost.
 type ReplicaFinding struct {
 	Kind    string
 	Message string
@@ -214,13 +196,15 @@ type ReplicaResult struct {
 // same keys in the order the messages were sent — the order Explore
 // delivers them in; it is not part of the fingerprint. soup, keys and
 // sent are shared between states until a step actually adds a message
-// (owns tracks copy-on-write).
+// (owns tracks copy-on-write). fresh is Walk's: the keys of the envelopes
+// sent in the last macro-step (Explore leaves it empty).
 type rcState struct {
 	cores      []*live.ReplicaCore[byte]
 	coreFP     [][]byte
 	soup       map[string]soupMsg
 	keys       []string
 	sent       []string
+	fresh      []string
 	owns       bool
 	crashed    uint8
 	crashes    int
@@ -267,18 +251,20 @@ func (s *rcState) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// absorb folds a step's outbound envelopes into the soup, expanding
-// broadcasts. Messages to self never exist (the core self-delivers).
+// absorb folds a step's outbound envelopes into the soup.
 func (s *rcState) absorb(n int, self core.ProcessID, out []live.Outbound) {
 	for _, o := range out {
-		if o.To == live.AllPeers {
-			for q := 0; q < n; q++ {
-				if p := core.ProcessID(q); p != self {
-					s.put(p, o.Env)
-				}
-			}
-		} else {
-			s.put(o.To, o.Env)
+		each(n, self, o, func(to core.ProcessID) { s.put(to, o.Env) })
+	}
+}
+
+// each calls f for every destination of an envelope p sends: a broadcast
+// reaches every other replica, and nothing is sent to self (the core
+// self-delivers).
+func each(n int, p core.ProcessID, o live.Outbound, f func(core.ProcessID)) {
+	for q := 0; q < n; q++ {
+		if to := core.ProcessID(q); to != p && (o.To == live.AllPeers || o.To == to) {
+			f(to)
 		}
 	}
 }
@@ -312,7 +298,7 @@ func (s *rcState) put(to core.ProcessID, env live.Envelope) {
 
 // carried returns the ids of the batches whose contents env carries: the
 // rider of a round message, or every batch of a decision push (a pair
-// StripRiders emptied carries its id alone, and no contents).
+// stripRiders emptied carries its id alone, and no contents).
 func carried(env live.Envelope) []int64 {
 	var ids []int64
 	switch env.Kind {
@@ -333,10 +319,9 @@ func carried(env live.Envelope) []int64 {
 	return ids
 }
 
-// forkForStep clones the state for stepping core p: that core is deep-
-// copied, the rest (including the soup, copy-on-write) stay shared.
-// The caller must refresh coreFP[p] after stepping the clone.
-func (s *rcState) forkForStep(p core.ProcessID) *rcState {
+// with returns a copy of the state whose core p is c; the rest (including
+// the soup, copy-on-write) stay shared.
+func (s *rcState) with(p core.ProcessID, c *live.ReplicaCore[byte]) *rcState {
 	next := &rcState{
 		cores:      append([]*live.ReplicaCore[byte](nil), s.cores...),
 		coreFP:     append([][]byte(nil), s.coreFP...),
@@ -347,7 +332,8 @@ func (s *rcState) forkForStep(p core.ProcessID) *rcState {
 		crashes:    s.crashes,
 		recoveries: s.recoveries,
 	}
-	next.cores[p] = s.cores[p].Clone()
+	next.cores[p] = c
+	next.coreFP[p] = c.AppendFingerprint(nil)
 	return next
 }
 
@@ -386,21 +372,41 @@ func NewReplicaModel(m ReplicaModel) (*ReplicaModel, error) {
 	return &m, nil
 }
 
+// coreConfig is replica p's configuration.
+func (m *ReplicaModel) coreConfig(p core.ProcessID) live.CoreConfig[byte] {
+	return live.CoreConfig[byte]{
+		Self:      p,
+		N:         m.N,
+		Algorithm: m.Algorithm,
+		Msg:       m.Msg,
+		Batch:     ByteBatchCodec{},
+		Mutation:  m.Mutation,
+		MaxBatch:  m.MaxBatch,
+		MaxRound:  m.MaxRound,
+		MaxSlots:  m.Slots,
+	}
+}
+
+// reboot is a crash-RECOVERY of core p: the production restore path over
+// the core's write-ahead state, read back through disk if one is set.
+func (m *ReplicaModel) reboot(c *live.ReplicaCore[byte], p core.ProcessID) *live.ReplicaCore[byte] {
+	if m.disk == nil {
+		return c.Recover()
+	}
+	st := c.PersistState()
+	m.disk(st)
+	d, err := live.RestoreReplicaCore(m.coreConfig(p), st)
+	if err != nil {
+		panic(fmt.Sprintf("modelcheck: recovery of p%d failed: %v", p, err))
+	}
+	return d
+}
+
 // initialState builds the cores and submits the workload.
 func (m *ReplicaModel) initialState() (*rcState, error) {
 	st := &rcState{soup: make(map[string]soupMsg), owns: true}
 	for p := 0; p < m.N; p++ {
-		c, err := live.NewReplicaCore(live.CoreConfig[byte]{
-			Self:      core.ProcessID(p),
-			N:         m.N,
-			Algorithm: m.Algorithm,
-			Msg:       m.Msg,
-			Batch:     ByteBatchCodec{},
-			Mutation:  m.Mutation,
-			MaxBatch:  m.MaxBatch,
-			MaxRound:  m.MaxRound,
-			MaxSlots:  m.Slots,
-		})
+		c, err := live.NewReplicaCore(m.coreConfig(core.ProcessID(p)))
 		if err != nil {
 			return nil, err
 		}
@@ -412,6 +418,7 @@ func (m *ReplicaModel) initialState() (*rcState, error) {
 		}
 		c := st.cores[sub.Replica]
 		res := c.Step(live.Event[byte]{Kind: live.EvSubmit, Client: sub.Client, Seq: sub.Seq, Cmd: sub.Cmd})
+		m.lie(res.Out)
 		st.absorb(m.N, sub.Replica, res.Out)
 	}
 	for _, c := range st.cores {
@@ -421,7 +428,10 @@ func (m *ReplicaModel) initialState() (*rcState, error) {
 }
 
 // Explore runs the depth-first closure and checks every transition.
-func (m *ReplicaModel) Explore() (ReplicaResult, error) {
+func (m *ReplicaModel) Explore() (ReplicaResult, error) { return m.explore(nil) }
+
+// explore is Explore with a hook on every new state.
+func (m *ReplicaModel) explore(hook func(*rcState)) (ReplicaResult, error) {
 	var res ReplicaResult
 	start, err := m.initialState()
 	if err != nil {
@@ -440,7 +450,7 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 	// but in a monotone soup a sent batch — the rider of a round message,
 	// or a decision push's — stays in flight forever,
 	// so at crashes=0 it is unreachable regardless, and with crashes it
-	// is the stall finding, whose discovery the scripted probes own).
+	// is the stall finding, whose discovery the lock-step walk owns).
 	// Any violation reachable from the subset state is therefore
 	// reachable from the superset state via the mirrored schedule.
 	// Exploring only soup-maximal states per core configuration
@@ -499,6 +509,9 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 		frontier = append(frontier, st)
 	}
 	enqueue(start)
+	if hook != nil {
+		hook(start)
+	}
 	if v := m.check(start, findings); v != nil {
 		res.Violation = v
 		res.States = 1
@@ -522,21 +535,7 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 			halt = true
 			return
 		}
-		for _, c := range next.cores {
-			if l, _ := c.LogFingerprint(); l > res.MaxApplied {
-				res.MaxApplied = l
-			}
-			st := c.Counters()
-			if st.Merged > res.MaxMerged {
-				res.MaxMerged = st.Merged
-			}
-			if st.Open > res.MaxOpen {
-				res.MaxOpen = st.Open
-			}
-			if st.HeldEarly > res.MaxHeld {
-				res.MaxHeld = st.HeldEarly
-			}
-		}
+		res.observe(next.cores)
 		f := next.fingerprint()
 		if !seen[f] {
 			if len(seen) >= m.MaxStates {
@@ -545,6 +544,9 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 				return
 			}
 			seen[f] = true
+			if hook != nil {
+				hook(next)
+			}
 			enqueue(next)
 		}
 	}
@@ -582,18 +584,8 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 			// exactly the duplicate-delivery-after-restart hazard the
 			// invariants must survive.
 			if !halt && st.recoveries < m.RecoveryBudget {
-				next := &rcState{
-					cores:      append([]*live.ReplicaCore[byte](nil), st.cores...),
-					coreFP:     append([][]byte(nil), st.coreFP...),
-					soup:       st.soup,
-					keys:       st.keys,
-					sent:       st.sent,
-					crashed:    st.crashed,
-					crashes:    st.crashes,
-					recoveries: st.recoveries + 1,
-				}
-				next.cores[p] = st.cores[p].Recover()
-				next.coreFP[p] = next.cores[p].AppendFingerprint(nil)
+				next := st.with(pid, m.reboot(st.cores[p], pid))
+				next.recoveries++
 				visit(next, nil)
 			}
 		}
@@ -636,6 +628,19 @@ func (m *ReplicaModel) Explore() (ReplicaResult, error) {
 	return res, nil
 }
 
+// observe raises the vacuity guards to what cores reached.
+func (res *ReplicaResult) observe(cores []*live.ReplicaCore[byte]) {
+	for _, c := range cores {
+		if l, _ := c.LogFingerprint(); l > res.MaxApplied {
+			res.MaxApplied = l
+		}
+		st := c.Counters()
+		res.MaxMerged = max(res.MaxMerged, st.Merged)
+		res.MaxOpen = max(res.MaxOpen, st.Open)
+		res.MaxHeld = max(res.MaxHeld, st.HeldEarly)
+	}
+}
+
 // sortedFindings flattens a findings map in deterministic (key) order —
 // ranging the map directly would make the report order depend on map
 // iteration, the exact bug class the determinism contract bans.
@@ -652,15 +657,30 @@ func sortedFindings(findings map[string]*ReplicaFinding) []ReplicaFinding {
 	return out
 }
 
-// step forks the state, applies one event to one core, and runs the
-// transition-local checks (apply dedup, commit-index monotonicity).
+// step forks the state, applies one event to one core (stepCore), and
+// adds what it sends to the soup.
 func (m *ReplicaModel) step(st *rcState, p core.ProcessID, ev live.Event[byte]) (*rcState, *ReplicaViolation) {
-	pre := st.cores[p]
+	c, out, v := m.stepCore(st.cores[p], p, ev)
+	next := st.with(p, c)
+	next.absorb(m.N, p, out)
+	return next, v
+}
+
+// lie passes a step's envelopes through net, if one is set.
+func (m *ReplicaModel) lie(out []live.Outbound) {
+	for i := 0; m.net != nil && i < len(out); i++ {
+		out[i].Env = m.net(out[i].Env)
+	}
+}
+
+// stepCore applies one event to a clone of core p, passes what it sends
+// through net, and runs the transition-local checks (apply dedup,
+// commit-index monotonicity).
+func (m *ReplicaModel) stepCore(pre *live.ReplicaCore[byte], p core.ProcessID, ev live.Event[byte]) (*live.ReplicaCore[byte], []live.Outbound, *ReplicaViolation) {
 	preLen, _ := pre.LogFingerprint()
-	next := st.forkForStep(p)
-	res := next.cores[p].Step(ev)
-	next.coreFP[p] = next.cores[p].AppendFingerprint(nil)
-	next.absorb(m.N, p, res.Out)
+	next := pre.Clone()
+	res := next.Step(ev)
+	m.lie(res.Out)
 
 	// Double-apply: a Fresh entry must be fresh against the PRE-step
 	// high-water mark, and no (client, seq) may apply fresh twice in one
@@ -673,16 +693,16 @@ func (m *ReplicaModel) step(st *rcState, p core.ProcessID, ev live.Event[byte]) 
 		}
 		key := [2]uint64{ae.Entry.Client, ae.Entry.Seq}
 		if pre.SeqApplied(ae.Entry.Client, ae.Entry.Seq) || freshSeen[key] {
-			return next, &ReplicaViolation{Kind: "double-apply", Message: fmt.Sprintf(
+			return next, res.Out, &ReplicaViolation{Kind: "double-apply", Message: fmt.Sprintf(
 				"replica %d applied client %d seq %d fresh twice", p, ae.Entry.Client, ae.Entry.Seq)}
 		}
 		freshSeen[key] = true
 	}
-	if postLen, _ := next.cores[p].LogFingerprint(); postLen < preLen {
-		return next, &ReplicaViolation{Kind: "commit-regression", Message: fmt.Sprintf(
+	if postLen, _ := next.LogFingerprint(); postLen < preLen {
+		return next, res.Out, &ReplicaViolation{Kind: "commit-regression", Message: fmt.Sprintf(
 			"replica %d commit index regressed %d → %d", p, preLen, postLen)}
 	}
-	return next, nil
+	return next, res.Out, nil
 }
 
 // check evaluates the global safety invariants on one state, recording
@@ -700,8 +720,8 @@ func (m *ReplicaModel) check(st *rcState, findings map[string]*ReplicaFinding) *
 }
 
 // checkReplicaInvariants evaluates the replica-layer safety invariants
-// on one global state — shared by the exhaustive explorer and the
-// scripted probes. isLive reports non-crashed processes, batchInFlight
+// on one global state — shared by both engines and the scripted
+// probes. isLive reports non-crashed processes, batchInFlight
 // whether some in-flight message still carries a batch's contents to a
 // live destination, and crashes how many crash-stops the execution has
 // spent (they reclassify unavailable decided contents from a GC safety
@@ -830,7 +850,7 @@ func checkReplicaInvariants(n int, cores []*live.ReplicaCore[byte], isLive func(
 	// batches of the slots it names, kept before the decision is; and a
 	// recovered decision was saved after its batch. The decision's contents
 	// never hang on a separate message. Only a network that strips batches
-	// (StripRiders) breaks it — with a crash, that is the stall above.
+	// (stripRiders) breaks it — with a crash, that is the stall above.
 	for p, c := range cores {
 		if !isLive(core.ProcessID(p)) {
 			continue

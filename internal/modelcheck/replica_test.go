@@ -44,7 +44,7 @@ func TestCheckDrift(t *testing.T) {
 	if mutated.Violation != nil {
 		t.Fatalf("mutant produced a safety violation, want livelock finding: %+v", mutated.Violation)
 	}
-	if !hasFinding(mutated.Findings, "drift-livelock") {
+	if !mutated.Has("drift-livelock") {
 		t.Fatalf("mutant not flagged with drift-livelock: %+v", mutated)
 	}
 
@@ -56,67 +56,6 @@ func TestCheckDrift(t *testing.T) {
 	if control.Applied[0] != 1 || control.Applied[1] != 1 {
 		t.Fatalf("control: survivors applied %v, want slot 1 on both", control.Applied)
 	}
-}
-
-// TestCheckStall is the dissemination-window regression (a fault-envelope
-// limitation once, closed by riders and self-contained pushes): a network
-// that strips the batches from the round messages and pushes naming them
-// leaves the deciders with the id alone — the decided-unheld invariant —
-// and crash-stopping the proposer then surfaces as an availability
-// finding, agreement intact.
-// Under an honest network the same schedule is clean: the vote brought
-// the contents, so the stall is unreachable.
-func TestCheckStall(t *testing.T) {
-	stalled := CheckStall(true)
-	if stalled.Violation == nil || stalled.Violation.Kind != "decided-unheld" {
-		t.Fatalf("stripped riders: violation %+v, want decided-unheld and no other", stalled.Violation)
-	}
-	if !hasFinding(stalled.Findings, "stall-window") {
-		t.Fatalf("stall not flagged: %+v", stalled)
-	}
-
-	control := CheckStall(false)
-	if control.Flagged() {
-		t.Fatalf("control run flagged: violation=%+v findings=%+v",
-			control.Violation, control.Findings)
-	}
-	for p, applied := range control.Applied {
-		if applied != 1 {
-			t.Fatalf("control: replica %d applied %d slots, want 1 (all: %v)",
-				p, applied, control.Applied)
-		}
-	}
-}
-
-// TestCheckMergeSkip is the merge mutant kill: a merge that drops a
-// source's first unapplied entry but keeps the next commits a session's
-// seq 2 without its seq 1, which only the session-gap invariant
-// notices; the real merge commits both, in order, in one slot.
-func TestCheckMergeSkip(t *testing.T) {
-	mutated := CheckMergeSkip(true)
-	if mutated.Violation == nil || mutated.Violation.Kind != "session-gap" {
-		t.Fatalf("mutant not flagged as session-gap: %+v", mutated)
-	}
-	control := CheckMergeSkip(false)
-	if control.Flagged() {
-		t.Fatalf("control run flagged: violation=%+v findings=%+v",
-			control.Violation, control.Findings)
-	}
-	for p, applied := range control.Applied {
-		if applied != 3 {
-			t.Fatalf("control: replica %d applied %d slots, want 3 (all: %v)",
-				p, applied, control.Applied)
-		}
-	}
-}
-
-func hasFinding(fs []ReplicaFinding, kind string) bool {
-	for _, f := range fs {
-		if f.Kind == kind {
-			return true
-		}
-	}
-	return false
 }
 
 // TestReplicaExploreOTRClosure exhausts the full reachable space at
@@ -152,68 +91,6 @@ func TestReplicaExploreOTRClosure(t *testing.T) {
 	}
 	t.Logf("closure: %d states, %d transitions, maxApplied=%d, findings: %+v",
 		res.States, res.Transitions, res.MaxApplied, res.Findings)
-}
-
-// TestReplicaExploreOTR is the run the issue's acceptance names: n=3,
-// two slots, one crash, full asynchronous soup — zero safety
-// violations on the unmutated protocol. MaxRound 2 is where OTR
-// decides (the round-1 transition, which needs unanimous proposals —
-// hence one proposer and MaxBatch 1 so each submission rides its own
-// slot). The reachable space at this scope exceeds any CI budget even
-// with coverability pruning, so this is bounded verification: a
-// 150k-state depth-first sample, every state checked, with the
-// MaxApplied assertion proving the sample drives both slots through
-// decide and apply, and the MaxOpen assertion that it also has both in
-// flight at one replica. Most of this space decides nothing — a replica
-// asked into slot 1 before the batch reached it opens slot 2 for that
-// batch the moment it arrives (its own slot-1 proposal, the no-op, does
-// not carry it), and two OTR instances then run side by side with
-// neither able to decide — so the sample reaches both guards only
-// because Explore walks send-order deliveries before reorderings and
-// crashes (see its comment; DESIGN.md §10 has the numbers).
-func TestReplicaExploreOTR(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bounded exploration skipped in -short")
-	}
-	if raceDetectorEnabled {
-		// The explorer is single-goroutine: the race detector cannot find
-		// anything here and turns this sweep from ~30s into minutes. The
-		// CI model-check job runs the same scope race-free.
-		t.Skip("bounded exploration skipped under the race detector")
-	}
-	m, err := NewReplicaModel(ReplicaModel{
-		N:           3,
-		Slots:       2,
-		MaxRound:    2,
-		CrashBudget: 1,
-		Algorithm:   otr.Algorithm{},
-		Msg:         otr.WireCodec{},
-		MaxBatch:    1,
-		Workload: []Submission{
-			{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'},
-			{Replica: 0, Client: 2, Seq: 1, Cmd: 'b'},
-		},
-		MaxStates: 150_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Explore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil {
-		t.Fatalf("safety violation in unmutated protocol: %s: %s",
-			res.Violation.Kind, res.Violation.Message)
-	}
-	if res.MaxApplied < 2 {
-		t.Fatalf("exploration never applied both slots (maxApplied=%d)", res.MaxApplied)
-	}
-	if res.MaxOpen < 2 {
-		t.Fatalf("exploration never had both slots in flight (maxOpen=%d)", res.MaxOpen)
-	}
-	t.Logf("explored %d states (complete=%v), %d transitions, maxApplied=%d, maxOpen=%d, findings: %+v",
-		res.States, res.Complete, res.Transitions, res.MaxApplied, res.MaxOpen, res.Findings)
 }
 
 // lastVotingModel is the scope the LastVoting explorations share: one
@@ -287,12 +164,9 @@ func TestReplicaExploreLastVoting(t *testing.T) {
 // re-running it — 1 260 405 states, 2.4 min:
 // CI's model-check job runs it, here it is bounded, every state checked.
 // The first 150k states are where the restarted coordinator that
-// announced a decision it no longer knew was found (79k states in). A
-// second sample runs the same scope through phase 2 (MaxRound 8), where
-// a recovered replica resumes among estimates, votes and acks of a phase
-// that asked first. Neither sample would find recovery re-running a slot
-// from round 1 (MutForgetRound survives 1.5M states of the second):
-// that takes the two scripted schedules below.
+// announced a decision it no longer knew was found (79k states in).
+// Through phase 2 (MaxRound 8) the soup does not close; the lock-step walk
+// does (TestWalkLastVotingReboot).
 func TestReplicaExploreLastVotingThree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=3 closure skipped in -short")
@@ -302,53 +176,6 @@ func TestReplicaExploreLastVotingThree(t *testing.T) {
 	}
 	exploreClean(t, lastVotingModel(3, 4, 1, 0, 0), true)
 	exploreClean(t, lastVotingModel(3, 4, 0, 1, 150_000), false)
-	exploreClean(t, lastVotingModel(3, 8, 0, 1, 150_000), false)
-}
-
-// TestCheckForgetVote is the recovery-mutant kill: a restart that
-// discards the persisted locked vote must produce a split decision,
-// while the real recovery path — identical schedule — restores the
-// lock, steers the surviving pair back to the decided batch, and stays
-// clean.
-func TestCheckForgetVote(t *testing.T) {
-	mutated := CheckForgetVote(true)
-	if mutated.Violation == nil {
-		t.Fatalf("mutant not flagged: %+v", mutated)
-	}
-	if mutated.Violation.Kind != "agreement" {
-		t.Fatalf("expected agreement violation, got %q: %s",
-			mutated.Violation.Kind, mutated.Violation.Message)
-	}
-
-	control := CheckForgetVote(false)
-	if control.Flagged() {
-		t.Fatalf("control run flagged: violation=%+v findings=%+v",
-			control.Violation, control.Findings)
-	}
-	for p, applied := range control.Applied {
-		if applied != 1 {
-			t.Fatalf("control: replica %d applied %d slots, want 1 (all: %v)",
-				p, applied, control.Applied)
-		}
-	}
-}
-
-// TestCheckStallRecovery proves the PR-5 dissemination-window stall is
-// closed under crash-RECOVERY: the schedule that strands a decided
-// batch forever when its proposer crash-STOPS (TestCheckStall) ends
-// with every replica applied when the proposer instead reboots from
-// its write-ahead state.
-func TestCheckStallRecovery(t *testing.T) {
-	res := CheckStallRecovery()
-	if res.Flagged() {
-		t.Fatalf("recovery run flagged: violation=%+v findings=%+v",
-			res.Violation, res.Findings)
-	}
-	for p, applied := range res.Applied {
-		if applied != 1 {
-			t.Fatalf("replica %d applied %d slots, want 1 (all: %v)", p, applied, res.Applied)
-		}
-	}
 }
 
 // TestReplicaExploreOTRRecoveryClosure exhausts the reachable space
@@ -567,41 +394,4 @@ func TestReplicaExploreOTRThreeSlotClosure(t *testing.T) {
 	if res.MaxHeld < 1 || res.MaxApplied != 3 || res.MaxOpen != 2 {
 		t.Fatalf("vacuous exploration: maxHeld=%d maxApplied=%d maxOpen=%d, want ≥ 1, 3 and 2", res.MaxHeld, res.MaxApplied, res.MaxOpen)
 	}
-}
-
-// probeKillsAgreement runs a recovery probe both ways: the mutated run
-// must split a decision, the control must be clean with slot 1 applied
-// everywhere.
-func probeKillsAgreement(t *testing.T, probe func(mutated bool) ProbeResult) {
-	t.Helper()
-	mutated := probe(true)
-	if mutated.Violation == nil || mutated.Violation.Kind != "agreement" {
-		t.Fatalf("mutant not flagged as agreement: %+v", mutated)
-	}
-	control := probe(false)
-	if control.Flagged() {
-		t.Fatalf("control run flagged: violation=%+v findings=%+v", control.Violation, control.Findings)
-	}
-	for p, applied := range control.Applied {
-		if applied != 1 {
-			t.Fatalf("control: replica %d applied %d slots, want 1 (all: %v)", p, applied, control.Applied)
-		}
-	}
-}
-
-// TestRecoveredVoteNeverLowersTimestamp: a restarted replica that re-runs
-// its slot from round 1 (MutForgetRound) re-adopts an old vote of a
-// phase below its lock and hands the decision to a straggler; the real
-// recovery resumes past the last round it sent in, where that vote is a
-// stale round.
-func TestRecoveredVoteNeverLowersTimestamp(t *testing.T) {
-	probeKillsAgreement(t, CheckTSRegress)
-}
-
-// TestRecoveredReplicaNeverAcksBehindItsEstimate: the same mutant, the
-// other half of the lock argument — an ack for phase 1 sent after a
-// phase-2 estimate that said "nothing adopted", counted with a stale ack
-// into a majority for a value nobody locked.
-func TestRecoveredReplicaNeverAcksBehindItsEstimate(t *testing.T) {
-	probeKillsAgreement(t, CheckReliveAck)
 }

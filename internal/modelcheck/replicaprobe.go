@@ -1,101 +1,33 @@
-// Scripted adversary probes for the replica checker — the seeded-mutant
-// regression suite. Exhaustive exploration (replica.go) proves the
-// absence of safety violations within its bounds, but the two bugs that
-// review actually caught in internal/live are LIVENESS-shaped or live
-// deep along one adversarial schedule, where blind breadth-first search
-// is the wrong tool: a livelock is not a reachable bad state, and the
-// locked-vote split needs a ~30-event schedule that a state budget
-// drowns in. Each probe therefore drives the real live.ReplicaCore step
-// function through ONE deterministic adversarial schedule — full
-// control over which envelopes deliver, drop, or time out — and runs
-// the same invariant engine over the outcome. Every probe is its own
-// control experiment: the identical schedule runs against the mutated
-// core (the seeded bug re-enabled) and the real core, and the checker
-// must flag the former and pass the latter. A probe that fails its
-// control proves nothing about its mutant.
+// Scripted adversary probes for the replica checker: the seeded mutants
+// the lock-step walk (walk.go) does not kill, each driven through ONE
+// deterministic schedule of the real live.ReplicaCore step function — full
+// control over which envelopes deliver, drop, or time out — with the same
+// invariant engine run over the outcome. Every probe is its own control
+// experiment: the identical schedule runs against the mutated core and the
+// real core, and the checker must flag the former and pass the latter. A
+// probe that fails its control proves nothing about its mutant.
 //
-// The three probes mirror the three review findings:
-//
-//   - CheckFreshRetry: live.MutFreshRetry restores the pre-review retry
-//     that restarted an undecided slot with a FRESH instance, discarding
-//     LastVoting's locked (x, ts). Schedule: phase 1 decides at one
-//     adopter alone (its own ack and the coordinator's vote, counted as
-//     the coordinator's ack, are a majority; every ack is lost), its sync
-//     push is lost, and the coordinator — born locked, undecided — and the
-//     third replica starve past the retry budget, then run freely. Real
-//     core: the coordinator's ts=1 lock steers phase 3 to the decided
-//     value. Mutant: the restart forgets the lock, and the fresh instance,
-//     born locked to a fresh merge, is voted and decided — a split
-//     decision the invariants flag.
+//   - CheckFreshRetry: live.MutFreshRetry restarts an undecided slot with a
+//     FRESH instance after retryAfter rounds, discarding LastVoting's locked
+//     (x, ts). Schedule: phase 1 decides at one adopter alone (its own ack
+//     and the coordinator's vote, counted as the coordinator's ack, are a
+//     majority; every ack is lost), its sync push is lost, and the
+//     coordinator — born locked, undecided — and the third replica starve
+//     past the retry budget, then run freely. Real core: the coordinator's
+//     ts=1 lock steers phase 3 to the decided value. Mutant: the fresh
+//     instance, born locked to a fresh merge, is voted and decided — a split
+//     decision. (The walk finds it at round bound 13: past its budget.)
 //   - CheckDrift: live.MutNoJump removes the jump rule (node.go). Two
 //     survivors of a crash run in lockstep one round apart, the phase-1
 //     coordinator behind. Real core: the laggard jumps level on the first
 //     future-round message and the pair decides in the next phase.
-//     Mutant: the leader drops every stale message — the coordinator's
-//     vote and its ack, which names the vote, alike — no coordinator ever
-//     assembles a quorum, and the pair spins forever — the drift
-//     livelock, reported as a liveness finding.
-//   - CheckStall: no core mutation — the network lies (StripRiders: round
-//     messages and decision pushes arrive without the batches they carry,
-//     which no link can do) and the proposer then crash-stops. The
-//     deciders hold an id without its contents — the decided-unheld
-//     invariant flags that — and the decided batch's only copy dies with
-//     its proposer: the survivors can never apply, the availability stall
-//     the replica's fault envelope once documented, surfaced as a finding.
-//     The control run (an honest network, the same crash) has every
-//     replica apply: the votes brought the contents, so the stall is
-//     unreachable without the lie.
-//
-// One probe covers the forward + merge proposal path:
-//
-//   - CheckMergeSkip: live.MutMergeSkip makes propose()'s merge drop the
-//     first unapplied entry of a peer-sourced piece and keep the rest.
-//     Schedule: p1 accepts (client 2, seq 1) and (client 2, seq 2) while
-//     slots 1 and 2 fill its window and forwards both; slot 3's
-//     coordinator p0 merges the forward. Real core: p0 proposes both, in order. Mutant:
-//     p0 proposes seq 2 alone, it applies, the high-water mark passes
-//     seq 1 and that command is gone — no two replicas disagree, nothing
-//     applies twice, so only the session-gap invariant sees it.
-//
-// Three further probes cover the crash-RECOVERY fault (a kill -9 with
-// stable storage intact: live.RestoreReplicaCore, the production restore
-// path, over the core's own PersistState). Their mutants are not bits in
-// the core but a disk that lies — the state is edited on its way back:
-//
-//   - CheckForgetVote: MutForgetVote makes recovery discard the
-//     persisted locked vote. Schedule: phase 1 decides at p1 alone with
-//     p0, the coordinator, holding its birth lock (x=A, ts=1); p0
-//     crash-recovers, then p0 and p2 run freely. Real core: the
-//     restored lock steers the next phase back to A. Mutant: recovery
-//     comes back lockless and reopens the slot as Coord(1), born locked
-//     to what it holds — a fresh merge of the two offered batches, any id
-//     but A — and the pair decides it against p1's applied A — the split
-//     the paper's stable-storage requirement exists to prevent.
-//   - CheckTSRegress and CheckReliveAck: MutForgetRound makes
-//     recovery drop the round saved with the vote, so the restarted
-//     replica re-runs its slot from round 1 and meets whatever of its
-//     first run is still in the network — the recovery this repo had
-//     until PR 15. The real core resumes past the last round it sent
-//     in and never hears them. Two schedules, one per half of the lock
-//     argument. TSRegress: p1's phase-2 vote ⟨B⟩ is held up on its way to
-//     p0, phase 3 locks A at p0 and p2 (ts 3) and p2 decides it alone, p0
-//     crash-recovers, and the old ⟨B⟩ arrives. Real core: a stale round,
-//     and the next phase p0 or p1 coordinates votes A. Mutant: it is
-//     round 5 again, p0 becomes (B, ts 2) — the lock is gone, the pair
-//     decides B. ReliveAck: p0 votes A in phase 1 and adopts it alone,
-//     its vote and ack to p2 held up; p2's ts-0 estimate lets p1 vote B
-//     in phase 2, which p0 and p1 decide; p2 crash-recovers and the held
-//     pair arrives. Real core: stale rounds, p2 learns B by sync. Mutant:
-//     p2 adopts and acks phase 1 AFTER telling phase 2 it had adopted
-//     nothing, and decides A on its own ack and p0's old one.
-//   - CheckStallRecovery: CheckStall's lying network, but the proposer
-//     crash-RECOVERS instead of crash-stopping. Its batch hit its own
-//     disk in the same step that proposed the id (quorum-durable
-//     dissemination), so the rebooted proposer answers the survivors'
-//     idle sync pulls with a push that carries it, and everyone applies:
-//     even a lost rider is only a delay for replicas running with a
-//     Persister. Contrast with CheckStall(true), where the same schedule
-//     minus the disk strands the batch forever.
+//     Mutant: the leader drops every stale message and the pair spins
+//     forever — the drift livelock, a liveness finding no safety walk can
+//     report (ROADMAP: termination checking).
+//   - CheckWindowDisjoint and CheckPruneOpen: the slot window's two
+//     mutants. Each schedule loses one slot's round traffic while another
+//     slot's, from the same sender, gets through; the walk hears a sender's
+//     round messages of all slots together, so it never splits them.
 
 package modelcheck
 
@@ -107,7 +39,6 @@ import (
 	"heardof/internal/core"
 	"heardof/internal/lastvoting"
 	"heardof/internal/live"
-	"heardof/internal/wal"
 )
 
 // ProbeResult is the outcome of one scripted probe run.
@@ -123,91 +54,36 @@ type ProbeResult struct {
 // Flagged reports whether the probe surfaced anything.
 func (r ProbeResult) Flagged() bool { return r.Violation != nil || len(r.Findings) > 0 }
 
+// Has reports whether the probe found a finding of the kind.
+func (r ProbeResult) Has(kind string) bool {
+	return slices.ContainsFunc(r.Findings, func(f ReplicaFinding) bool { return f.Kind == kind })
+}
+
 // scen drives cores through a deterministic schedule. The wire is a
 // FIFO of expanded (single-destination) envelopes; the script decides
 // per message whether it delivers or drops.
 type scen struct {
 	n     int
-	cfgs  []live.CoreConfig[byte]
 	cores []*live.ReplicaCore[byte]
 	wire  []live.Outbound
 	dead  uint8
-	// disk, when set, edits the durable state a recovering replica reads
-	// back: the seeded crash-recovery bugs.
-	disk func(*wal.State)
-	// net, when set, edits every envelope on its way onto the wire: a
-	// network that lies.
-	net func(live.Envelope) live.Envelope
 }
 
-// MutForgetVote is the disk that loses every persisted vote: the
-// recovered replica restarts its slot from scratch and can help decide a
-// value a pre-crash quorum that included its vote already contradicts —
-// the split decision durability exists to prevent.
-func MutForgetVote(st *wal.State) { st.Votes = nil }
-
-// MutForgetRound is the disk that keeps each vote and loses the round
-// saved with it (the record's leading uvarint reads 0), so the slot
-// reopens at round 1 and every round it already sent in is lived a second
-// time, among the old messages still in the network: it re-adopts a vote
-// below its lock, or acks a phase behind its own later estimate — each
-// enough to decide two values.
-func MutForgetRound(st *wal.State) {
-	//holint:allow nodeterminism each record is rewritten independently of the others
-	for slot, vote := range st.Votes {
-		if _, n := binary.Uvarint(vote); n > 0 {
-			st.Votes[slot] = append([]byte{0}, vote[n:]...)
-		}
+// newScen builds an n-replica LastVoting group with a budget of slots,
+// its cores mutated with mut if mutated is set. The probes need the
+// coordinated algorithm: locked votes and coordinator quorums are what the
+// seeded bugs break.
+func newScen(n int, slots uint64, mutated bool, mut live.Mutation) *scen {
+	if !mutated {
+		mut = 0
 	}
-}
-
-// StripRiders is the network that delivers a round message without the
-// batch riding it, and a decision push with each slot's batch id and no
-// contents. No link can — the batches are part of the envelope's payload
-// — so the checker builds it outside the core, the way MutForgetVote
-// builds a lying disk: it is how the dissemination-window stall, closed
-// by riders and self-contained pushes, is still reached (CheckStall).
-func StripRiders(env live.Envelope) live.Envelope {
-	switch env.Kind {
-	case live.KindRound:
-		if _, rider, ok := live.SplitRound(env.Payload); ok && len(rider) > 0 {
-			env.Payload = env.Payload[:len(env.Payload)-len(rider)]
-		}
-	case live.KindSync:
-		var pairs []byte
-		count := uint64(0)
-		live.SyncPairs(env.Payload, func(slot uint64, bid int64, _ []byte) bool {
-			id := binary.AppendVarint(nil, bid)
-			pairs = append(binary.AppendUvarint(binary.AppendUvarint(pairs, slot), uint64(len(id))), id...)
-			count++
-			return true
-		})
-		env.Payload = append(binary.AppendUvarint(nil, count), pairs...)
-	}
-	return env
-}
-
-// newScen builds an n-replica LastVoting group with a budget of slots.
-// The probes need the coordinated algorithm: locked votes and coordinator
-// quorums are what the seeded bugs break.
-func newScen(n int, mut live.Mutation, slots uint64) *scen {
 	s := &scen{n: n}
+	m := ReplicaModel{N: n, Slots: slots, MaxRound: 64, Algorithm: lastvoting.Algorithm{}, Msg: lastvoting.WireCodec{}, Mutation: mut}
 	for p := 0; p < n; p++ {
-		cfg := live.CoreConfig[byte]{
-			Self:      core.ProcessID(p),
-			N:         n,
-			Algorithm: lastvoting.Algorithm{},
-			Msg:       lastvoting.WireCodec{},
-			Batch:     ByteBatchCodec{},
-			Mutation:  mut,
-			MaxRound:  64,
-			MaxSlots:  slots,
-		}
-		c, err := live.NewReplicaCore(cfg)
+		c, err := live.NewReplicaCore(m.coreConfig(core.ProcessID(p)))
 		if err != nil {
 			panic(fmt.Sprintf("modelcheck: probe config: %v", err))
 		}
-		s.cfgs = append(s.cfgs, cfg)
 		s.cores = append(s.cores, c)
 	}
 	return s
@@ -218,48 +94,15 @@ func (s *scen) stepOn(p core.ProcessID, ev live.Event[byte]) {
 	if s.dead&(1<<uint(p)) != 0 {
 		return
 	}
-	res := s.cores[p].Step(ev)
-	for _, o := range res.Out {
-		if s.net != nil {
-			o.Env = s.net(o.Env)
-		}
-		if o.To == live.AllPeers {
-			for q := 0; q < s.n; q++ {
-				if pid := core.ProcessID(q); pid != p {
-					s.wire = append(s.wire, live.Outbound{To: pid, Env: o.Env})
-				}
-			}
-		} else {
-			s.wire = append(s.wire, o)
-		}
+	for _, o := range s.cores[p].Step(ev).Out {
+		each(s.n, p, o, func(to core.ProcessID) { s.wire = append(s.wire, live.Outbound{To: to, Env: o.Env}) })
 	}
 }
 
 func (s *scen) submit(p core.ProcessID, client, seq uint64, cmd byte) {
 	s.stepOn(p, live.Event[byte]{Kind: live.EvSubmit, Client: client, Seq: seq, Cmd: cmd})
 }
-func (s *scen) tick(p core.ProcessID)  { s.stepOn(p, live.Event[byte]{Kind: live.EvTick}) }
 func (s *scen) crash(p core.ProcessID) { s.dead |= 1 << uint(p) }
-
-// timeoutAll fires every replica's round timer, in process order.
-func (s *scen) timeoutAll() {
-	for p := 0; p < s.n; p++ {
-		s.timeout(core.ProcessID(p))
-	}
-}
-
-// timeoutIn fires the round timer of every replica whose open slot is in
-// round r: a script's lockstep through rounds, which Coord(1) enters a
-// round ahead (it settles the vote round on its own vote at entry).
-func (s *scen) timeoutIn(r core.Round) {
-	for p := 0; p < s.n; p++ {
-		for _, sr := range s.cores[p].OpenRounds(nil) {
-			if sr.Round == r {
-				s.stepOn(core.ProcessID(p), live.Event[byte]{Kind: live.EvRoundTimeout, Slot: sr.Slot})
-			}
-		}
-	}
-}
 
 // timeout closes the current round of every slot p has open, lowest
 // first (one-slot scripts read it as "p's round timer fires").
@@ -267,26 +110,6 @@ func (s *scen) timeout(p core.ProcessID) {
 	for _, sr := range s.cores[p].OpenRounds(nil) {
 		s.stepOn(p, live.Event[byte]{Kind: live.EvRoundTimeout, Slot: sr.Slot})
 	}
-}
-
-// recover models a kill -9 followed by a restart from stable storage:
-// the core is replaced by what the production restore path builds from
-// its durable state (volatile round position, pending submissions, and
-// peer bookkeeping lost; log, dedup state, held batches, and any
-// persisted locked vote kept) — read back through s.disk, if one is set.
-// Anything a preceding crash(p) swallowed stays lost — exactly the
-// messages a down process never receives.
-func (s *scen) recover(p core.ProcessID) {
-	s.dead &^= 1 << uint(p)
-	st := s.cores[p].PersistState()
-	if s.disk != nil {
-		s.disk(st)
-	}
-	c, err := live.RestoreReplicaCore(s.cfgs[p], st)
-	if err != nil {
-		panic(fmt.Sprintf("modelcheck: recovery of p%d failed: %v", p, err))
-	}
-	s.cores[p] = c
 }
 
 // deliverWhere removes every CURRENTLY queued message matching pred, in
@@ -319,20 +142,6 @@ func (s *scen) dropWhere(pred func(to core.ProcessID, env live.Envelope) bool) {
 	s.wire = keep
 }
 
-// take removes matching queued messages and returns them: held up in
-// the network, for the script to hand back to s.wire later.
-func (s *scen) take(pred func(to core.ProcessID, env live.Envelope) bool) []live.Outbound {
-	var held []live.Outbound
-	s.dropWhere(func(to core.ProcessID, env live.Envelope) bool {
-		if pred(to, env) {
-			held = append(held, live.Outbound{To: to, Env: env})
-			return true
-		}
-		return false
-	})
-	return held
-}
-
 // freeRunWithout lets the two replicas other than silent exchange round
 // traffic in lockstep — deliver, time both out, lose everything that is
 // not round traffic between them — for long enough to finish any phase
@@ -360,7 +169,7 @@ func (s *scen) freeRunWithout(silent core.ProcessID) {
 // their rounds start say so with this.
 func (s *scen) disseminate() {
 	for q := 0; q < s.n; q++ {
-		null, err := s.cfgs[q].Msg.Encode(nil)
+		null, err := lastvoting.WireCodec{}.Encode(nil)
 		if err != nil {
 			panic(fmt.Sprintf("modelcheck: probe codec: %v", err))
 		}
@@ -424,10 +233,13 @@ func (s *scen) finish() ProbeResult {
 	return res
 }
 
-// lockAtOneAdopter is the opening both locked-vote probes share: phase 1
-// (rounds 1–3, coordinator p0) driven to a decision at p1 ALONE, with p0
-// holding the lock undecided and p2 in the dark.
-func (s *scen) lockAtOneAdopter() {
+// CheckFreshRetry runs the locked-vote-discard schedule. With mutated
+// (live.MutFreshRetry) the result must contain an agreement violation;
+// without, it must be clean with every replica applying the same batch.
+func CheckFreshRetry(mutated bool) ProbeResult {
+	s := newScen(3, 1, mutated, live.MutFreshRetry)
+	// Phase 1 (rounds 1–3, coordinator p0) is driven to a decision at p1
+	// ALONE, with p0 holding the lock undecided and p2 in the dark.
 	// Workload: p0 proposes batch A = (1<<40)|1, p2 batch B = (3<<40)|1.
 	// A replica holding both and no lock proposes their merge under a
 	// fresh id — anything but A, which is all the bait has to be for a
@@ -452,18 +264,6 @@ func (s *scen) lockAtOneAdopter() {
 	s.dropWhere(anyMsg)
 	s.timeout(0)
 	s.dropWhere(anyMsg)
-}
-
-// CheckFreshRetry runs the locked-vote-discard schedule. With mutated
-// (live.MutFreshRetry) the result must contain an agreement violation;
-// without, it must be clean with every replica applying the same batch.
-func CheckFreshRetry(mutated bool) ProbeResult {
-	var mut live.Mutation
-	if mutated {
-		mut = live.MutFreshRetry
-	}
-	s := newScen(3, mut, 1)
-	s.lockAtOneAdopter()
 
 	// Starvation: p0 and p2 time out through dead phases (their round
 	// messages all lost). The real cores just climb rounds, keeping
@@ -492,11 +292,7 @@ func CheckFreshRetry(mutated bool) ProbeResult {
 // reported as a drift-livelock finding; without, the jump rule realigns
 // the pair and both decide and apply.
 func CheckDrift(mutated bool) ProbeResult {
-	var mut live.Mutation
-	if mutated {
-		mut = live.MutNoJump
-	}
-	s := newScen(3, mut, 1)
+	s := newScen(3, 1, mutated, live.MutNoJump)
 	s.crash(2)
 
 	s.submit(0, 1, 1, 'a')
@@ -538,276 +334,6 @@ func CheckDrift(mutated bool) ProbeResult {
 	return res
 }
 
-// decideEverywhere runs the round traffic of a fault-free phase 1 whose
-// coordinator, p0, has opened the slot: two rounds, and all three
-// replicas have decided. Everything else in flight is then lost.
-func (s *scen) decideEverywhere() {
-	s.deliverWhere(kindIs(live.KindRound)) // p0's vote and its ack: p1 and p2 join the slot, adopt, ack and DECIDE
-	s.deliverWhere(kindIs(live.KindRound)) // their acks: p0 decides slot 1 too and applies its own batch
-	s.dropWhere(anyMsg)
-}
-
-// CheckStall runs the dissemination-window schedule: the batch ID decides
-// everywhere, and then the proposer crash-stops. With strip=true the
-// network strips the batch from the round messages that name it
-// (StripRiders), so the deciders hold the id alone: the invariant engine
-// reports decided-unheld and the stall finding (availability lost,
-// agreement intact). With strip=false the same schedule is clean: the
-// vote brought the contents, and every replica applied before the crash.
-func CheckStall(strip bool) ProbeResult {
-	s := newScen(3, 0, 1)
-	if strip {
-		s.net = StripRiders
-	}
-	s.submit(0, 1, 1, 'a')
-
-	// Phase 1 runs to a decision at all three replicas — agreement needs
-	// only the batch ID, not its contents.
-	s.decideEverywhere()
-
-	// Crash-stop the proposer. Whoever lacks the contents can never have
-	// it pushed: the stall.
-	s.crash(0)
-	s.tick(1)
-	s.tick(2)
-	s.deliverWhere(anyMsg) // sync pulls die with p0 or find nothing to push
-	return s.finish()
-}
-
-// CheckMergeSkip runs the forwarded-commands schedule over three slots
-// with every message delivered. With mutated (live.MutMergeSkip) slot 3
-// commits client 2's seq 2 without its seq 1 — a session-gap violation;
-// without, slot 3 commits both in order and the run is clean with every
-// replica at commit index 3.
-func CheckMergeSkip(mutated bool) ProbeResult {
-	var mut live.Mutation
-	if mutated {
-		mut = live.MutMergeSkip
-	}
-	s := newScen(3, mut, 3)
-
-	// p0 opens slots 1 and 2 with one command each. Their votes reach p2,
-	// which decides both; p1's copies are slow, and p2's round-1 messages
-	// ask p1 into both slots: its window is full, and so is p0's, which
-	// waits in both ack rounds.
-	s.submit(0, 1, 1, 'a')
-	s.submit(0, 1, 2, 'A')
-	slow := s.take(func(to core.ProcessID, _ live.Envelope) bool { return to == 1 })
-	s.deliverWhere(anyMsg)
-	s.deliverWhere(func(to core.ProcessID, env live.Envelope) bool {
-		return to == 1 && env.Kind == live.KindRound && env.Round == 1
-	})
-
-	// p1 accepts two commands of one session with no slot to open for
-	// them, so it forwards its pending prefix — [b], then [b c] — and the
-	// forwards reach p0 while its window is still full.
-	s.submit(1, 2, 1, 'b')
-	s.submit(1, 2, 2, 'c')
-	s.deliverWhere(kindIs(live.KindForward))
-
-	// Free run, nothing lost: slots 1 and 2 decide everywhere, then slot 3
-	// opens with p0 (phase-1 coordinator, whose vote is its own proposal)
-	// proposing the merge of p1's forward.
-	s.wire = append(slow, s.wire...)
-	for i := 0; i < 40; i++ {
-		s.deliverWhere(anyMsg)
-	}
-	return s.finish()
-}
-
-// CheckForgetVote runs the recovery-forgets-the-lock schedule. With
-// mutated (MutForgetVote) the result must contain an agreement
-// violation; without, the restored vote steers the surviving pair back
-// to the decided batch and the run is clean with every replica applying
-// slot 1.
-func CheckForgetVote(mutated bool) ProbeResult {
-	s := newScen(3, 0, 1)
-	if mutated {
-		s.disk = MutForgetVote
-	}
-	// p1 decides A alone with p0 holding the lock (x=A, ts=1); a lockless
-	// recovery re-proposes the merge of the batches it holds under a fresh
-	// id — not A: the bait.
-	s.lockAtOneAdopter()
-
-	// kill -9 p0, restart from stable storage. The persisted instance
-	// state is the only memory of the lock; the mutant drops it.
-	s.recover(0)
-
-	// Free run: p0 and p2 exchange round traffic (p1 stays silent — it
-	// is done). Real pair: the recovered p0 resumes slot 1 past the last
-	// round it sent in, and a p2-coordinated phase sees p0's ts=1 estimate
-	// and votes A — agreement with p1. Mutated pair: p0 reopens slot 1
-	// from round 1 as Coord(1), born locked to a fresh merge, and votes it;
-	// what decides splits from p1's applied A.
-	s.freeRunWithout(1)
-	return s.finish()
-}
-
-// CheckTSRegress runs the stale-vote-after-restart schedule. With
-// mutated (MutForgetRound) the result must contain an agreement
-// violation; without, the recovered replica is past the old vote's round
-// and the run is clean with every replica applying the batch p2 decided.
-func CheckTSRegress(mutated bool) ProbeResult {
-	s := newScen(3, 0, 1)
-	if mutated {
-		s.disk = MutForgetRound
-	}
-	all := s.timeoutAll
-
-	// p0 proposes batch A, p1 batch B; p2, hearing of A first, proposes A.
-	// Everyone holds both contents.
-	s.submit(0, 1, 1, 'a')
-	s.submit(1, 2, 1, 'b')
-	s.disseminate()
-
-	// Phase 1 (rounds 1–3, coordinator p0) is lost whole: p0 keeps its
-	// birth lock, (A, ts 1), and nothing else happens.
-	for r := core.Round(1); r <= 3; r++ {
-		s.dropWhere(roundAt(r))
-		s.timeoutIn(r)
-	}
-	// Phase 2 (rounds 4–7, coordinator p1). Round 4: p1 hears p2's
-	// estimate and its own, both ts 0 — not p0's — and votes its own B.
-	s.deliverWhere(roundAtFromTo(4, 2, 1))
-	s.dropWhere(roundAt(4))
-	all()
-	// Round 5: the vote ⟨B⟩ to p0 is HELD UP in the network; the one to
-	// p2 is lost. p1 adopts its own vote: (B, ts 2).
-	stale := s.take(roundAtFromTo(5, 1, 0))
-	for r := core.Round(5); r <= 7; r++ {
-		s.dropWhere(roundAt(r))
-		all()
-	}
-	// Phase 3 (rounds 8–11, coordinator p2). Round 8: p2 hears p0's
-	// estimate (A, ts 1) and its own — not p1's — and votes A. Round 9:
-	// the vote reaches p0; both adopt (A, ts 3) — THE LOCK. Round 10: p0's
-	// ack reaches p2, which decides A on two acks and applies it; p0, one
-	// ack short, does not, and p2's decision push is lost.
-	s.deliverWhere(roundAtFromTo(8, 0, 2))
-	s.dropWhere(roundAt(8))
-	all()
-	s.deliverWhere(roundAtFromTo(9, 2, 0))
-	s.dropWhere(roundAt(9))
-	all()
-	s.deliverWhere(roundAtFromTo(10, 0, 2))
-	s.dropWhere(roundAt(10))
-	all()
-	s.dropWhere(anyMsg)
-
-	// kill -9 p0, restart from stable storage: (A, ts 3) comes back, and
-	// slot 1 resumes past round 11 — or, mutated, reopens at round 1.
-	// Then the held vote arrives: a stale round to the real core; the
-	// mutant jumps to round 5, phase 2's vote round, and hears phase 2's
-	// coordinator say ⟨B⟩.
-	s.recover(0)
-	s.wire = append(s.wire, stale...)
-	s.deliverWhere(anyMsg)
-	s.timeout(0)
-
-	// Free run: p0 and p1 exchange round traffic (p2 stays silent — it is
-	// done). Real pair: p0 still holds (A, ts 3) against p1's (B, ts 2),
-	// so whichever of them coordinates next votes A — agreement with p2.
-	// Mutated pair: both hold (B, ts 2), and decide it.
-	s.freeRunWithout(2)
-	return s.finish()
-}
-
-// CheckReliveAck runs the ack-after-a-later-estimate schedule. With
-// mutated (MutForgetRound) the result must contain an agreement
-// violation; without, the recovered replica is past the rounds it sent
-// in and the run is clean with every replica applying the batch p0 and p2
-// decided.
-func CheckReliveAck(mutated bool) ProbeResult {
-	s := newScen(3, 0, 1)
-	if mutated {
-		s.disk = MutForgetRound
-	}
-	lost := func(from, to core.Round) {
-		for r := from; r <= to; r++ {
-			s.dropWhere(roundAt(r))
-			s.timeoutIn(r)
-		}
-	}
-
-	// p0 proposes batch A, p1 batch B. Everyone holds both contents.
-	s.submit(0, 1, 1, 'a')
-	s.submit(1, 2, 1, 'b')
-	s.disseminate()
-
-	// Phase 1 (rounds 1–3, coordinator p0). p0's vote ⟨A⟩ and its ack to p2
-	// — the vote again — are HELD UP in the network, the rest is lost: p0
-	// alone holds (A, ts 1), one ack short of deciding.
-	held := s.take(roundAtFromTo(1, 0, 2))
-	lost(1, 1)
-	held = append(held, s.take(roundAtFromTo(2, 0, 2))...)
-	lost(2, 3)
-	// Phase 2 (rounds 4–7, coordinator p1). Round 4: p1 hears p2's estimate
-	// — ts 0: p2 adopted nothing in phase 1 — and its own (B, ts 0), not
-	// p0's, and votes B. Round 5: the vote reaches p0, not p2. Round 6: p0
-	// and p1 decide B on each other's acks; their decision pushes are lost.
-	s.deliverWhere(roundAtFromTo(4, 2, 1))
-	lost(4, 4)
-	s.deliverWhere(roundAtFromTo(5, 1, 0))
-	lost(5, 5)
-	s.deliverWhere(func(to core.ProcessID, env live.Envelope) bool {
-		return roundAt(6)(to, env) && to != 2 && env.From != 2
-	})
-	lost(6, 6)
-	s.dropWhere(anyMsg)
-
-	// kill -9 p2, restart from stable storage: its ts-0 estimate comes
-	// back, and slot 1 resumes past round 7 — or, mutated, reopens at
-	// round 1. Then the held pair arrives: stale rounds to the real core;
-	// to the mutant phase 1's vote ⟨A⟩ in re-run round 1 and p0's ack in
-	// re-run round 2. It adopts, acks, and counts two acks of three: A,
-	// against the B its peers applied.
-	s.recover(2)
-	s.wire = append(s.wire, held...)
-	s.deliverWhere(anyMsg)
-	s.timeout(2)
-
-	// Nothing lost from here on: p2's round traffic for a slot its peers
-	// closed is answered with the decision.
-	for i := 0; i < 4; i++ {
-		s.deliverWhere(anyMsg)
-	}
-	return s.finish()
-}
-
-// CheckStallRecovery reruns CheckStall's dissemination-window schedule
-// with a crash-RECOVERING proposer: the same lie while the slot decides,
-// the same total batch loss on the wire, but the proposer's disk holds the
-// contents (they were persisted in the step that proposed the id), so
-// after the reboot the survivors' idle sync pulls draw a push that carries
-// them and every replica applies slot 1 — no stall finding, no violation.
-// This is the closure proof the live/replica.go fault-envelope note points
-// at.
-func CheckStallRecovery() ProbeResult {
-	s := newScen(3, 0, 1)
-	// THE WINDOW: batch A's contents never reach anyone over the wire.
-	s.net = StripRiders
-	s.submit(0, 1, 1, 'a')
-
-	// Phase 1 runs to a decision at all three replicas (id only).
-	s.decideEverywhere()
-
-	// kill -9 the only holder inside the window — then reboot it from
-	// its write-ahead state. The batch came back with it, and the window
-	// is over: the network stops lying.
-	s.crash(0)
-	s.recover(0)
-	s.net = nil
-
-	// The survivors, idle, ask for decisions; the rebooted proposer's
-	// answer carries the contents and lets both apply.
-	s.tick(1)
-	s.tick(2)
-	s.deliverWhere(kindIs(live.KindSyncPull))
-	s.deliverWhere(kindIs(live.KindSync))
-	return s.finish()
-}
-
 // roundOf matches the round traffic of one slot.
 func roundOf(slot uint64) func(core.ProcessID, live.Envelope) bool {
 	return func(_ core.ProcessID, env live.Envelope) bool {
@@ -827,11 +353,7 @@ func roundOf(slot uint64) func(core.ProcessID, live.Envelope) bool {
 // the mark passes seq 1, and a is gone — a session-gap violation, the
 // only invariant that sees it.
 func CheckWindowDisjoint(mutated bool) ProbeResult {
-	var mut live.Mutation
-	if mutated {
-		mut = live.MutWindowDisjoint
-	}
-	s := newScen(3, mut, 2)
+	s := newScen(3, 2, mutated, live.MutWindowDisjoint)
 	s.submit(0, 1, 1, 'a')
 	s.submit(0, 1, 2, 'b')
 
@@ -872,11 +394,7 @@ func CheckWindowDisjoint(mutated bool) ProbeResult {
 // their acks holding nothing: a decided-unheld violation (every decision
 // push is lost from there on, so p0 stays without it).
 func CheckPruneOpen(mutated bool) ProbeResult {
-	var mut live.Mutation
-	if mutated {
-		mut = live.MutPruneOpen
-	}
-	s := newScen(3, mut, 3)
+	s := newScen(3, 3, mutated, live.MutPruneOpen)
 	s.submit(1, 2, 1, 'a')
 	s.submit(1, 2, 2, 'b')
 	s.deliverWhere(roundOf(2)) // p0 and p2 join slots 1 and 2 proposing B
