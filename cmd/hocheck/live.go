@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"heardof/internal/core"
@@ -108,90 +109,31 @@ func explore(w io.Writer, model *modelcheck.ReplicaModel) error {
 	return nil
 }
 
-// mutantProbe pairs a seeded bug with the run that must kill it: a
-// scripted schedule, or a blind lock-step walk of a kill scope
-// (modelcheck.WalkStall and the rest), whose control must close.
-type mutantProbe struct {
-	name string
-	// run executes the probe; enabled seeds the bug.
-	run func(enabled bool) modelcheck.ProbeResult
-	// killed reports whether the mutated run was flagged the right way.
-	killed func(modelcheck.ProbeResult) bool
-	// what the mutant reintroduces, for the report.
-	desc string
-}
-
-func violates(kind string) func(modelcheck.ProbeResult) bool {
-	return func(r modelcheck.ProbeResult) bool { return r.Violation != nil && r.Violation.Kind == kind }
-}
-
-var mutantProbes = []mutantProbe{
-	{"locked-vote", modelcheck.CheckFreshRetry, violates("agreement"),
-		"fresh-instance slot retry discarding LastVoting's locked vote (split decision)"},
-	{"drift-livelock", modelcheck.CheckDrift, func(r modelcheck.ProbeResult) bool { return r.Violation == nil && r.Has("drift-livelock") },
-		"jump rule removed: lockstep survivors drift one round apart forever"},
-	{"stall-window", modelcheck.WalkStall,
-		func(r modelcheck.ProbeResult) bool {
-			return violates("decided-unheld")(r) && r.Has("stall-window")
-		},
-		"walk: round messages and decision pushes stripped of their batches, then a proposer crash, strand a decided batch"},
-	{"forget-vote", modelcheck.WalkForgetVote,
-		violates("agreement"), "walk: crash recovery discarding the persisted locked vote (split decision)"},
-	{"forget-round", modelcheck.WalkForgetRound,
-		violates("agreement"), "walk: crash recovery discarding the round saved with the vote: the slot re-run among its old round messages (split decision)"},
-	{"merge-skip", modelcheck.WalkMergeSkip,
-		violates("session-gap"), "walk: proposal merge dropping a source's first unapplied command (lost command)"},
-	{"window-disjoint", modelcheck.CheckWindowDisjoint, violates("session-gap"),
-		"open slots proposing disjoint chunks instead of overlapping batches (lost command)"},
-	{"prune-open", modelcheck.CheckPruneOpen, violates("decided-unheld"),
-		"pruning a fully applied proposal whose slot is still open (its coordinator decides an id it no longer holds)"},
-}
-
 // mutantNames lists the -mutant values.
-func mutantNames() string {
-	var names []string
-	for _, p := range mutantProbes {
-		names = append(names, p.name)
-	}
-	return strings.Join(names, ", ") + ", or all"
-}
+func mutantNames() string { return strings.Join(modelcheck.Mutants(), ", ") + ", or all" }
 
-// runMutants runs the requested probes. A mutant counts as killed only
-// when the seeded run is flagged AND the identical unmutated control
-// schedule is clean — a probe failing its control proves nothing.
+// runMutants runs the requested mutants of modelcheck's kill suite. A
+// mutant counts as killed only when the seeded run is flagged AND its
+// control is clean.
 func runMutants(f liveFlags) error {
-	var selected []mutantProbe
-	for _, p := range mutantProbes {
-		if f.mutant == "all" || f.mutant == p.name {
-			selected = append(selected, p)
+	names := modelcheck.Mutants()
+	if f.mutant != "all" {
+		if !slices.Contains(names, f.mutant) {
+			return fmt.Errorf("unknown -mutant %q (want %s)", f.mutant, mutantNames())
 		}
-	}
-	if len(selected) == 0 {
-		return fmt.Errorf("unknown -mutant %q (want %s)", f.mutant, mutantNames())
+		names = []string{f.mutant}
 	}
 	survived := 0
-	for _, p := range selected {
-		mutated := p.run(true)
-		control := p.run(false)
-		switch {
-		case !p.killed(mutated):
+	for _, name := range names {
+		report, killed := modelcheck.Kill(name)
+		if !killed {
 			survived++
-			fmt.Printf("mutant %-14s SURVIVED: checker did not flag it (%s)\n", p.name, p.desc)
-		case control.Flagged():
-			survived++
-			fmt.Printf("mutant %-14s INVALID: control run flagged too (violation=%v findings=%v)\n",
-				p.name, control.Violation, control.Findings)
-		default:
-			verdict := "finding"
-			if mutated.Violation != nil {
-				verdict = fmt.Sprintf("violation [%s]", mutated.Violation.Kind)
-			}
-			fmt.Printf("mutant %-14s killed (%s; control clean) — %s\n", p.name, verdict, p.desc)
 		}
+		fmt.Printf("mutant %-15s %s\n", name, report)
 	}
 	if survived > 0 {
-		return errVerdict{fmt.Sprintf("%d of %d mutants survived", survived, len(selected))}
+		return errVerdict{fmt.Sprintf("%d of %d mutants survived", survived, len(names))}
 	}
-	fmt.Printf("all %d mutants killed\n", len(selected))
+	fmt.Printf("all %d mutants killed\n", len(names))
 	return nil
 }

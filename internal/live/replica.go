@@ -83,7 +83,8 @@
 // batches, kept (and saved) before the decision is, so whoever learns a
 // slot by sync holds them too. The model checker holds "decided ⇒ held"
 // as an invariant at every replica and reaches the old stall only through
-// a network that strips the batches (CheckStall). Volatile
+// a network that strips the batches (stripRiders, the kill suite's
+// stall-window walk). Volatile
 // (Persister-less) replicas keep the pre-durability envelope:
 // pause/rejoin recovers, restart is data loss.
 

@@ -12,7 +12,8 @@
 //   - Walk (walk.go), the lock-step walk: rounds are communication-closed,
 //     so each macro-step chooses what every replica hears from every
 //     sender, then times out every round that did not close. It closes the
-//     scopes that matter and kills the lying disks and network blind.
+//     scopes that matter, and a communication predicate can restrict what
+//     it lets a replica hear.
 //   - Explore, the asynchronous message soup: every envelope joins a SET
 //     of in-flight messages that any delivery may pick, any number of times
 //     and in any order — duplication, reordering and loss for free — with
@@ -24,8 +25,10 @@
 // ReplicaCore.Recover() — PersistState through RestoreReplicaCore, the
 // production recovery path — or by the same through a disk that lies.
 // MaxSlots and MaxRound (model bounds of ReplicaCore, zero in production)
-// and a fixed workload keep the state space finite. The scripted probes
-// (replicaprobe.go) kill the mutants the walk does not.
+// and a fixed workload keep the state space finite. The kill suite
+// (kill.go) is the checker's own test: every seeded mutant is found by a
+// walk of a small scope under a predicate, whose control closes clean — all
+// but the one liveness bug, which a script finds (replicaprobe.go).
 package modelcheck
 
 import (
@@ -126,9 +129,13 @@ type ReplicaModel struct {
 	// disk, when set, edits the durable state a rebooting replica reads
 	// back (mutForgetVote, mutForgetRound): a disk that lies. net, when
 	// set, edits every envelope a replica sends (stripRiders): a network
-	// that lies. The kill walks (WalkStall and the rest) set them.
-	disk func(*wal.State)
-	net  func(live.Envelope) live.Envelope
+	// that lies. hears, when set, restricts what the walk lets a replica
+	// hear — a communication predicate: −1 never, +1 whenever it was sent
+	// (with the rest of its group), 0 as the walk chooses. The kill walks
+	// (kill.go) set them.
+	disk  func(*wal.State)
+	net   func(live.Envelope) live.Envelope
+	hears func(to core.ProcessID, env live.Envelope) int
 }
 
 // ReplicaViolation is a reachable safety violation of the replica layer.
@@ -721,7 +728,7 @@ func (m *ReplicaModel) check(st *rcState, findings map[string]*ReplicaFinding) *
 
 // checkReplicaInvariants evaluates the replica-layer safety invariants
 // on one global state — shared by both engines and the scripted
-// probes. isLive reports non-crashed processes, batchInFlight
+// probe. isLive reports non-crashed processes, batchInFlight
 // whether some in-flight message still carries a batch's contents to a
 // live destination, and crashes how many crash-stops the execution has
 // spent (they reclassify unavailable decided contents from a GC safety
@@ -787,8 +794,8 @@ func checkReplicaInvariants(n int, cores []*live.ReplicaCore[byte], isLive func(
 	// Session order: no apply may jump over an unapplied sequence number
 	// of its client (the jumped-over command could then never apply — the
 	// high-water mark dedups it). With each client's sequence numbers
-	// contiguous from 1 (NewReplicaModel checks the workload; the probes'
-	// are), every fresh apply raises one mark by exactly one, so the marks
+	// contiguous from 1 (NewReplicaModel checks the workload; the script's
+	// is), every fresh apply raises one mark by exactly one, so the marks
 	// must add up to the fresh-apply count.
 	for p, c := range cores {
 		if sum, fresh := c.AppliedSeqSum(), uint64(c.Counters().Committed); sum != fresh {

@@ -9,55 +9,6 @@ import (
 	"heardof/internal/otr"
 )
 
-// TestCheckFreshRetry is the locked-vote-discard mutant kill: the
-// seeded fresh-instance retry must produce a split decision the
-// invariant engine flags, and the identical schedule against the real
-// core must stay clean with every replica applying the same batch.
-func TestCheckFreshRetry(t *testing.T) {
-	mutated := CheckFreshRetry(true)
-	if mutated.Violation == nil {
-		t.Fatalf("mutant not flagged: %+v", mutated)
-	}
-	if mutated.Violation.Kind != "agreement" {
-		t.Fatalf("expected agreement violation, got %q: %s",
-			mutated.Violation.Kind, mutated.Violation.Message)
-	}
-
-	control := CheckFreshRetry(false)
-	if control.Flagged() {
-		t.Fatalf("control run flagged: violation=%+v findings=%+v",
-			control.Violation, control.Findings)
-	}
-	for p, applied := range control.Applied {
-		if applied != 1 {
-			t.Fatalf("control: replica %d applied %d slots, want 1 (all: %v)",
-				p, applied, control.Applied)
-		}
-	}
-}
-
-// TestCheckDrift is the jump-rule mutant kill: without the jump rule
-// two lockstep survivors one round apart never decide (drift-livelock
-// finding); with it they realign and both apply.
-func TestCheckDrift(t *testing.T) {
-	mutated := CheckDrift(true)
-	if mutated.Violation != nil {
-		t.Fatalf("mutant produced a safety violation, want livelock finding: %+v", mutated.Violation)
-	}
-	if !mutated.Has("drift-livelock") {
-		t.Fatalf("mutant not flagged with drift-livelock: %+v", mutated)
-	}
-
-	control := CheckDrift(false)
-	if control.Flagged() {
-		t.Fatalf("control run flagged: violation=%+v findings=%+v",
-			control.Violation, control.Findings)
-	}
-	if control.Applied[0] != 1 || control.Applied[1] != 1 {
-		t.Fatalf("control: survivors applied %v, want slot 1 on both", control.Applied)
-	}
-}
-
 // TestReplicaExploreOTRClosure exhausts the full reachable space at
 // the scope where closure is tractable: n=3, one slot, one crash, the
 // complete asynchronous soup. Complete=true here means every reachable
@@ -276,44 +227,6 @@ func TestReplicaExploreLastVotingForward(t *testing.T) {
 	}
 }
 
-// TestCheckWindowDisjoint is the overlap-rule mutant kill: proposals of
-// open slots that share no command lose the earlier one's commands
-// whenever the earlier slot decides somebody else's batch.
-func TestCheckWindowDisjoint(t *testing.T) {
-	mutated := CheckWindowDisjoint(true)
-	if mutated.Violation == nil || mutated.Violation.Kind != "session-gap" {
-		t.Fatalf("mutant not flagged as session-gap: %+v", mutated)
-	}
-	control := CheckWindowDisjoint(false)
-	if control.Flagged() {
-		t.Fatalf("control run flagged: violation=%+v findings=%+v", control.Violation, control.Findings)
-	}
-	for p, applied := range control.Applied {
-		if applied != 2 {
-			t.Fatalf("control: replica %d applied %d slots, want 2 (all: %v)", p, applied, control.Applied)
-		}
-	}
-}
-
-// TestCheckPruneOpen is the retention-rule mutant kill: a proposal whose
-// entries all applied through an overlapping batch must be kept while a
-// slot it was proposed for can still decide it.
-func TestCheckPruneOpen(t *testing.T) {
-	mutated := CheckPruneOpen(true)
-	if mutated.Violation == nil || mutated.Violation.Kind != "decided-unheld" {
-		t.Fatalf("mutant not flagged as decided-unheld: %+v", mutated)
-	}
-	control := CheckPruneOpen(false)
-	if control.Flagged() {
-		t.Fatalf("control run flagged: violation=%+v findings=%+v", control.Violation, control.Findings)
-	}
-	for p, applied := range control.Applied {
-		if applied != 3 {
-			t.Fatalf("control: replica %d applied %d slots, want 3 (all: %v)", p, applied, control.Applied)
-		}
-	}
-}
-
 // TestReplicaExploreLastVotingWindow closes the scope in which the slot
 // window actually runs: p0 accepts two commands of one session back to
 // back, so slot 2 opens — with a proposal that overlaps slot 1's — while
@@ -324,7 +237,9 @@ func TestCheckPruneOpen(t *testing.T) {
 // message. MaxOpen 2 is the vacuity guard for all of it, MaxApplied 2
 // for in-order apply behind it. n=2 because at n=3 two LastVoting
 // instances side by side leave any budget behind (400k states without
-// one apply); the n=3 window schedules are the scripted probes'.
+// one apply); at n=3 the lock-step walk closes the window's scope
+// (TestWalkLastVotingWindow) and kills its two mutants under a predicate
+// (kill.go).
 func TestReplicaExploreLastVotingWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-slot closure skipped in -short")

@@ -8,118 +8,22 @@
 // of the slot sent to it earlier, so one that re-enters a round (a reboot
 // from a disk that lost the round) meets what the network still holds of
 // it. A crash-stop or a reboot falls between a replica's save and its
-// send: the step happened, what it sent is lost.
+// send: the step happened, what it sent is lost. A communication predicate
+// (ReplicaModel's hears) restricts HO(p): a message it rules out is never
+// heard, and a group holding a message it forces is always heard.
 package modelcheck
 
 import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"slices"
 	"sort"
 
 	"heardof/internal/core"
-	"heardof/internal/lastvoting"
 	"heardof/internal/live"
-	"heardof/internal/wal"
 )
-
-// mutForgetVote is the disk that loses every persisted vote: the rebooted
-// replica reopens its slot lockless.
-func mutForgetVote(st *wal.State) { st.Votes = nil }
-
-// mutForgetRound is the disk that keeps each vote and loses the round
-// saved with it (the record's leading uvarint reads 0): the slot reopens
-// at round 1, among the old round messages still in the network.
-func mutForgetRound(st *wal.State) {
-	//holint:allow nodeterminism each record is rewritten independently of the others
-	for slot, vote := range st.Votes {
-		if _, n := binary.Uvarint(vote); n > 0 {
-			st.Votes[slot] = append([]byte{0}, vote[n:]...)
-		}
-	}
-}
-
-// stripRiders is the network that delivers a round message without the
-// batch riding it, and a decision push with each slot's batch id and no
-// contents. No link can, so the checker builds it outside the core: it is
-// how the dissemination-window stall is still reached (WalkStall).
-func stripRiders(env live.Envelope) live.Envelope {
-	switch env.Kind {
-	case live.KindRound:
-		if _, rider, ok := live.SplitRound(env.Payload); ok && len(rider) > 0 {
-			env.Payload = env.Payload[:len(env.Payload)-len(rider)]
-		}
-	case live.KindSync:
-		var pairs []byte
-		count := uint64(0)
-		live.SyncPairs(env.Payload, func(slot uint64, bid int64, _ []byte) bool {
-			id := binary.AppendVarint(nil, bid)
-			pairs = append(binary.AppendUvarint(binary.AppendUvarint(pairs, slot), uint64(len(id))), id...)
-			count++
-			return true
-		})
-		env.Payload = append(binary.AppendUvarint(nil, count), pairs...)
-	}
-	return env
-}
-
-// The blind kills, as probes: each walks the smallest scope at which the
-// walk finds its lie or mutant, and the same scope without it must close
-// clean (DESIGN.md §10). The scope is LastVoting at n=3 with one slot:
-// under a reboot at round bound 7 for the lying disks, under a crash-stop at
-// bound 4 for the stripping network, and the latter with p1 forwarding a
-// second command of its session for MutMergeSkip.
-func WalkForgetVote(enabled bool) ProbeResult {
-	return walked(rebootScope(), enabled, func(m *ReplicaModel) { m.disk = mutForgetVote })
-}
-func WalkForgetRound(enabled bool) ProbeResult {
-	return walked(rebootScope(), enabled, func(m *ReplicaModel) { m.disk = mutForgetRound })
-}
-func WalkStall(enabled bool) ProbeResult {
-	return walked(stallScope(), enabled, func(m *ReplicaModel) { m.net = stripRiders })
-}
-func WalkMergeSkip(enabled bool) ProbeResult {
-	return walked(forwardScope(), enabled, func(m *ReplicaModel) { m.Mutation = live.MutMergeSkip })
-}
-
-func rebootScope() ReplicaModel  { return lastVotingScope(1, 7, 0, 1, 0, 1) }
-func stallScope() ReplicaModel   { return lastVotingScope(1, 4, 1, 0, 0, 1) }
-func forwardScope() ReplicaModel { return lastVotingScope(1, 4, 1, 0, 1, 2) }
-
-// lastVotingScope is LastVoting at n=3 with cmds commands of one session
-// submitted at replica at.
-func lastVotingScope(slots uint64, maxRound core.Round, crashes, reboots int, at core.ProcessID, cmds uint64) ReplicaModel {
-	m := ReplicaModel{N: 3, Slots: slots, MaxRound: maxRound, CrashBudget: crashes, RecoveryBudget: reboots,
-		Algorithm: lastvoting.Algorithm{}, Msg: lastvoting.WireCodec{}}
-	for seq := uint64(1); seq <= cmds; seq++ {
-		m.Workload = append(m.Workload, Submission{Replica: at, Client: 1, Seq: seq, Cmd: byte('a' + seq - 1)})
-	}
-	return m
-}
-
-// walked walks m as a probe, with seed's bug planted when enabled. A run
-// that did not close reports a "budget" finding, so a control is clean only
-// as a full closure.
-func walked(m ReplicaModel, enabled bool, seed func(*ReplicaModel)) ProbeResult {
-	if enabled {
-		seed(&m)
-	}
-	model, err := NewReplicaModel(m)
-	var res ReplicaResult
-	if err == nil {
-		res, err = model.Walk()
-	}
-	if err != nil {
-		panic(fmt.Sprintf("modelcheck: kill scope: %v", err))
-	}
-	if !res.Complete && res.Violation == nil {
-		res.Findings = append(res.Findings, ReplicaFinding{Kind: "budget", Message: "the walk did not close", Count: res.States})
-	}
-	return ProbeResult{Violation: res.Violation, Findings: res.Findings}
-}
 
 // How a replica's macro-step ends, if not up.
 const (
@@ -349,11 +253,18 @@ func (w *walker) outcomes(st *rcState, p core.ProcessID) ([]outcome, *ReplicaVio
 		return []outcome{o}, nil
 	}
 	open := c.OpenRounds(nil)
+	hears := func(env live.Envelope) int {
+		if w.hears == nil {
+			return 0
+		}
+		return w.hears(p, env)
+	}
 	var heard []live.Envelope
 	for _, k := range st.keys {
 		msg := st.soup[k]
 		_, fresh := slices.BinarySearch(st.fresh, k)
-		if msg.to == p && (fresh || msg.env.Kind == live.KindRound && slices.Contains(open, live.SlotRound{Slot: msg.env.Slot, Round: msg.env.Round})) {
+		if msg.to == p && (fresh || msg.env.Kind == live.KindRound && slices.Contains(open, live.SlotRound{Slot: msg.env.Slot, Round: msg.env.Round})) &&
+			hears(msg.env) >= 0 {
 			heard = append(heard, msg.env)
 		}
 	}
@@ -374,9 +285,16 @@ func (w *walker) outcomes(st *rcState, p core.ProcessID) ([]outcome, *ReplicaVio
 	}
 
 	// HO(p): per sender, its round messages are heard whole or not at all,
-	// and so is the rest of what it sent.
+	// and so is the rest of what it sent; a group the predicate forces a
+	// message of is heard.
 	group := func(env live.Envelope) uint {
 		return 2*uint(env.From) + uint(b2i(env.Kind != live.KindRound))
+	}
+	var forced uint
+	for _, env := range heard {
+		if hears(env) > 0 {
+			forced |= 1 << group(env)
+		}
 	}
 	// Each group is chosen where its first message comes up, so choices
 	// that agree on a prefix share its deliveries.
@@ -391,7 +309,7 @@ func (w *walker) outcomes(st *rcState, p core.ProcessID) ([]outcome, *ReplicaVio
 		if out&g != 0 {
 			return hear(i+1, o, in, out)
 		}
-		if in&g == 0 {
+		if in&g == 0 && forced&g == 0 {
 			if v := hear(i+1, o, in, out|g); v != nil {
 				return v
 			}

@@ -1,8 +1,11 @@
 package modelcheck
 
 import (
+	"slices"
 	"testing"
 
+	"heardof/internal/core"
+	"heardof/internal/live"
 	"heardof/internal/otr"
 )
 
@@ -28,18 +31,6 @@ func walkClean(t *testing.T, m ReplicaModel, applied uint64, open int) ReplicaRe
 		t.Fatalf("vacuous walk: maxApplied=%d maxOpen=%d, want ≥ %d and ≥ %d", res.MaxApplied, res.MaxOpen, applied, open)
 	}
 	t.Logf("walk closure: %d states, %d transitions, maxApplied=%d, maxOpen=%d", res.States, res.Transitions, res.MaxApplied, res.MaxOpen)
-	return res
-}
-
-// walkKills fails unless a kill walk stops at a violation of the given
-// kind; the scope's control is walkClean's.
-func walkKills(t *testing.T, walk func(bool) ProbeResult, kind string) ProbeResult {
-	t.Helper()
-	res := walk(true)
-	if res.Violation == nil || res.Violation.Kind != kind {
-		t.Fatalf("mutant not flagged as %s: %+v", kind, res)
-	}
-	t.Logf("killed: %s", res.Violation.Message)
 	return res
 }
 
@@ -87,59 +78,53 @@ func TestWalkLastVotingWindow(t *testing.T) {
 	walkClean(t, lastVotingScope(2, 8, 0, 1, 0, 2), 2, 2)
 }
 
-// TestCheckForgetVote: a reboot from a disk that lost the votes
-// (mutForgetVote) splits a decision, found without a script: the rebooted
-// replica reopens the slot lockless and the slot is decided again, as the
-// no-op, against the decided batch. The honest disk closes the scope clean.
-func TestCheckForgetVote(t *testing.T) {
-	skipLong(t)
-	walkClean(t, rebootScope(), 1, 1)
-	walkKills(t, WalkForgetVote, "agreement")
-}
-
-// TestCheckForgetRound: a reboot from a disk that lost the round saved with
-// the vote (mutForgetRound) re-runs the slot from round 1 and hears the
-// round messages its first run was sent — round messages stay addressable
-// by (slot, round) — and splits a decision, found without a script.
-// TestCheckForgetVote closes the same scope with the honest disk.
-func TestCheckForgetRound(t *testing.T) {
-	skipLong(t)
-	walkKills(t, WalkForgetRound, "agreement")
-}
-
-// TestCheckStall: a network that strips the batches from the messages
-// naming them (stripRiders) leaves the deciders with an id alone, and a
-// crash-stop of the proposer in the same macro-step strands the batch —
-// decided-unheld, with the stall finding on the report. The honest network
-// closes the scope clean.
-func TestCheckStall(t *testing.T) {
-	walkClean(t, stallScope(), 1, 1)
-	res := walkKills(t, WalkStall, "decided-unheld")
-	if !res.Has("stall-window") {
-		t.Fatalf("no stall-window finding: %+v", res.Findings)
+// TestKill runs the kill suite, the one table hocheck -live -mutant runs:
+// every mutant is flagged its way and every control is clean. The walks
+// that take seconds are skipped under -short and the race detector.
+func TestKill(t *testing.T) {
+	for _, name := range Mutants() {
+		t.Run(name, func(t *testing.T) {
+			if slices.Contains([]string{"forget-vote", "forget-round", "window-disjoint"}, name) {
+				skipLong(t)
+			}
+			report, killed := Kill(name)
+			if !killed {
+				t.Fatal(report)
+			}
+			t.Log(report)
+		})
 	}
-}
-
-// TestCheckMergeSkip: a merge that drops a forwarded command is found
-// where a forward is heard without the round message sent before it; the
-// real merge closes the scope clean.
-func TestCheckMergeSkip(t *testing.T) {
-	walkClean(t, forwardScope(), 1, 1)
-	walkKills(t, WalkMergeSkip, "session-gap")
 }
 
 // TestWalkWithinSoup cross-checks the two engines: every tuple of core
 // fingerprints (with the crash mask) the walk reaches, the soup's closure
 // of the same scope reaches too — the walk invents no behaviour. The
 // soup's coverability pruning only skips states whose cores it has
-// already queued, so its set of core configurations is complete.
+// already queued, so its set of core configurations is complete. The OTR
+// scope is walked a second time under a predicate that cuts p1's round
+// messages and forces p2's: a predicate only takes choices away, and the
+// forcing must not add any.
 func TestWalkWithinSoup(t *testing.T) {
-	for _, m := range []ReplicaModel{
-		lastVotingModel(2, 8, 1, 0, 0),
-		{N: 3, Slots: 1, MaxRound: 2, CrashBudget: 1, Algorithm: otr.Algorithm{}, Msg: otr.WireCodec{},
-			Workload: []Submission{{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'}}},
+	cutP1ForceP2 := func(_ core.ProcessID, env live.Envelope) int {
+		switch {
+		case env.Kind != live.KindRound:
+			return 0
+		case env.From == 1:
+			return -1
+		case env.From == 2:
+			return 1
+		}
+		return 0
+	}
+	for _, scope := range []struct {
+		m     ReplicaModel
+		hears []func(core.ProcessID, live.Envelope) int
+	}{
+		{lastVotingModel(2, 8, 1, 0, 0), []func(core.ProcessID, live.Envelope) int{nil}},
+		{ReplicaModel{N: 3, Slots: 1, MaxRound: 2, CrashBudget: 1, Algorithm: otr.Algorithm{}, Msg: otr.WireCodec{},
+			Workload: []Submission{{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'}}}, []func(core.ProcessID, live.Envelope) int{nil, cutP1ForceP2}},
 	} {
-		model, err := NewReplicaModel(m)
+		model, err := NewReplicaModel(scope.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,17 +137,21 @@ func TestWalkWithinSoup(t *testing.T) {
 				}
 				set[string(k)] = true
 			})
-			if err != nil || res.Violation != nil || !res.Complete {
-				t.Fatalf("no clean closure: %v %+v", err, res)
+			if err != nil || res.Violation != nil || !res.Complete || res.MaxApplied == 0 {
+				t.Fatalf("no clean closure that applies: %v %+v", err, res)
 			}
 			return set
 		}
-		soup, walk := configs(model.explore), configs(model.walk)
-		for k := range walk { //holint:allow nodeterminism the count is order-insensitive
-			if !soup[k] {
-				t.Fatalf("%T n=%d: the walk reaches a core configuration the soup does not", m.Algorithm, m.N)
+		soup := configs(model.explore)
+		for _, hears := range scope.hears {
+			model.hears = hears
+			walk := configs(model.walk)
+			for k := range walk { //holint:allow nodeterminism the count is order-insensitive
+				if !soup[k] {
+					t.Fatalf("%T n=%d (restricted %v): the walk reaches a core configuration the soup does not", model.Algorithm, model.N, hears != nil)
+				}
 			}
+			t.Logf("%T n=%d (restricted %v): walk %d core configurations ⊆ soup %d", model.Algorithm, model.N, hears != nil, len(walk), len(soup))
 		}
-		t.Logf("%T n=%d: walk %d core configurations ⊆ soup %d", m.Algorithm, m.N, len(walk), len(soup))
 	}
 }
