@@ -97,8 +97,8 @@ func explore(w io.Writer, model *modelcheck.ReplicaModel) error {
 	case !res.Complete:
 		closure = fmt.Sprintf("bounded at %d states", model.MaxStates)
 	}
-	fmt.Fprintf(w, "explored: %d states, %d transitions (%s), deepest commit index %d, most slots in flight %d, most round messages held early %d\n",
-		res.States, res.Transitions, closure, res.MaxApplied, res.MaxOpen, res.MaxHeld)
+	fmt.Fprintf(w, "explored: %d states, %d transitions (%s), deepest commit index %d, most slots in flight %d, most slots joined %d\n",
+		res.States, res.Transitions, closure, res.MaxApplied, res.MaxOpen, res.MaxJoined)
 	for _, fd := range res.Findings {
 		fmt.Fprintf(w, "finding: %s (%d states): %s\n", fd.Kind, fd.Count, fd.Message)
 	}

@@ -267,18 +267,18 @@ func run() error {
 // node of a deployment once traffic quiesces (the smoke scripts diff
 // them); divergent must be 0 always; sync/pending/batches,
 // forwards/merged, open/overlapped (the slot window: slots in flight
-// now, entries re-minted while an open proposal carried them) and held
-// (round messages that arrived a window early and were kept for their
-// slot: this node was a hop behind) are node-local. New fields go at the
+// now, entries re-minted while an open proposal carried them) and joined
+// (slots opened beyond this node's window because a peer's round message
+// named them: this node was a hop behind) are node-local. New fields go at the
 // END of the line: readers scan the prefix they know (hoperf does).
 func writeStats(w io.Writer, nd *livekv.Node) {
 	for _, st := range nd.Status() {
 		h := fnv.New64a()
 		io.WriteString(h, st.Fingerprint)
-		fmt.Fprintf(w, "node %d group %d slots=%d log=%#x state=%#x applied=%d committed=%d divergent=%d sync=%d pending=%d batches=%d forwards=%d merged=%d open=%d overlapped=%d held=%d\n",
+		fmt.Fprintf(w, "node %d group %d slots=%d log=%#x state=%#x applied=%d committed=%d divergent=%d sync=%d pending=%d batches=%d forwards=%d merged=%d open=%d overlapped=%d joined=%d\n",
 			nd.Self(), st.Group, st.LogLen, st.LogHash, h.Sum64(), st.Applied,
 			st.Stats.Committed, st.Stats.Divergent, st.Stats.SyncDecisions,
 			st.Stats.Pending, st.Stats.BatchesHeld, st.Stats.Forwards, st.Stats.Merged,
-			st.Stats.Open, st.Stats.Overlapped, st.Stats.HeldEarly)
+			st.Stats.Open, st.Stats.Overlapped, st.Stats.Joined)
 	}
 }

@@ -62,7 +62,8 @@ import (
 // slotRun is the round-driver state of one consensus slot: the instance,
 // the current round's partial heard-of set, buffered future-round
 // messages, and the highest peer round observed (the jump target). A
-// replica runs up to `window` of them side by side (replicacore.go):
+// replica runs up to `window` of them side by side, and as many again that
+// it joined (replicacore.go):
 // rounds are communication-closed per INSTANCE, so nothing orders the
 // rounds of different slots, and each run keeps its own round position,
 // heard set and deadline. prop is the batch id this replica proposed for
@@ -83,50 +84,36 @@ type slotRun struct {
 	msgs     []core.IncomingMessage
 }
 
-// roundBuffer keeps decoded round messages of rounds not entered yet, the
+// roundBuffer keeps a run's decoded messages of rounds not entered yet, the
 // first per (round, sender) — the paper's msgsRcv, which never discards a
-// message of a round r_p has not reached: a run's future rounds and, before
-// the run exists, what a slot ahead of the window was sent
-// (ReplicaCore.held).
+// message of a round r_p has not reached.
 type roundBuffer map[core.Round]map[core.ProcessID]core.Message
 
-// add buffers a message and reports whether it is the first of its round
-// and sender.
-func (b roundBuffer) add(n int, from core.ProcessID, round core.Round, payload core.Message) bool {
+// add buffers a message unless one of its round and sender is buffered.
+func (b roundBuffer) add(n int, from core.ProcessID, round core.Round, payload core.Message) {
 	fr := b[round]
 	if fr == nil {
 		fr = make(map[core.ProcessID]core.Message, n)
 		b[round] = fr
 	}
-	if _, dup := fr[from]; dup {
-		return false
+	if _, dup := fr[from]; !dup {
+		fr[from] = payload
 	}
-	fr[from] = payload
-	return true
 }
 
 // newSlotRun opens a slot's one instance, of a group of n, at round 0; the
 // caller advances into round 1 with enter (recovery first moves r to the
-// last round the slot sent in). held is what arrived for the slot while it
-// was ahead of the window (nil if nothing did): the run's future rounds,
-// the highest of them its jump target — as if delivered now, in one go.
-func newSlotRun(n int, slot uint64, inst core.Instance, prop int64, held roundBuffer) *slotRun {
+// last round the slot sent in).
+func newSlotRun(n int, slot uint64, inst core.Instance, prop int64) *slotRun {
 	settling, _ := inst.(core.Settling)
-	run := &slotRun{
+	return &slotRun{
 		slot:     slot,
 		prop:     prop,
 		inst:     inst,
 		settling: settling,
-		future:   held,
+		future:   make(roundBuffer),
 		msgs:     make([]core.IncomingMessage, 0, n),
 	}
-	if held == nil {
-		run.future = make(roundBuffer)
-	}
-	for r := range held {
-		run.target = max(run.target, r)
-	}
-	return run
 }
 
 // deliver records one decoded round message. It reports whether the

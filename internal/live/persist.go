@@ -45,8 +45,8 @@
 // only to never REUSE a sequence number a lost forward may have carried
 // — see seqFloor in RestoreReplicaCore), peer commit-index
 // observations (re-learned from traffic), which slot each held batch
-// was proposed for (recovery assumes the furthest one the window
-// allows), and heard sets.
+// was proposed for (recovery assumes the furthest one a join allows),
+// and heard sets.
 //
 // The round position IS persisted, with the vote: the paper's
 // crash-recovery algorithms keep r_p on stable storage, so that no round
@@ -163,11 +163,11 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 	}
 	// Which slot a held batch was proposed for died with the crash, and a
 	// peer may yet vote for its id: hold each as if proposed for the
-	// furthest slot the window allowed. (Everything that made a proposal
+	// furthest slot a join allowed. (Everything that made a proposal
 	// of ours visible was synced after the applies before it, so the
 	// recovered log is at least as long as the one it was proposed from.)
 	for bid := range c.batches {
-		c.proposedFor(bid, uint64(len(c.log))+window)
+		c.proposedFor(bid, uint64(len(c.log))+2*window)
 	}
 	// Forwards are the one way a command leaves this replica with nothing
 	// about it on disk, so a pre-crash (client, seq) may still sit in the
@@ -197,8 +197,8 @@ func RestoreReplicaCore[C any](cfg CoreConfig[C], st *wal.State) (*ReplicaCore[C
 	for slot, vote := range st.Votes {
 		_, decided := c.decided[slot]
 		switch {
-		case slot > applied+window:
-			return nil, fmt.Errorf("live: recovered vote for slot %d beyond the window of %d slots after %d applied", slot, window, applied)
+		case slot > applied+2*window:
+			return nil, fmt.Errorf("live: recovered vote for slot %d beyond the join range of %d slots after %d applied", slot, 2*window, applied)
 		case slot <= applied || decided || len(vote) == 0:
 			continue // stale
 		}

@@ -52,7 +52,7 @@
 // an old slot reveals a laggard (unless it is of the round this replica
 // decided the slot in: that sender is no further behind than the eager
 // push on its way to it), and any for a future slot reveals that WE lag
-// (the message itself is kept if its slot is the next window's); both
+// (if the slot is at most a window beyond ours, we also join it); both
 // trigger a push or pull of the decision log, rate-limited where it
 // repeats itself. A replica paused mid-round therefore rejoins by
 // replaying decisions, not consensus.
@@ -164,16 +164,17 @@ type ReplicaStats struct {
 	// a peer's batch rather than from its own pending queue.
 	Merged int
 	// Open counts the slots in flight right now: running consensus
-	// instances of the slot window (at most `window`).
+	// instances of the slot window (at most `window`) and of the slots
+	// joined beyond it (at most `window` more).
 	Open int
 	// Overlapped counts entries this replica minted into a batch while an
 	// open proposal of its own already carried them — the price of
 	// overlapping proposals: apply-side dedup drops them again unless the
 	// earlier slot decided someone else's batch.
 	Overlapped int
-	// HeldEarly counts round messages that arrived for a slot one window
-	// ahead of this replica's and were held for it instead of dropped.
-	HeldEarly int
+	// Joined counts slots this replica opened beyond its own window
+	// because a peer's round message named them.
+	Joined int
 }
 
 // ReplicaConfig parameterizes one process's replica of one group.

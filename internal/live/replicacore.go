@@ -2,7 +2,7 @@
 // that makes the live replica a PROTOCOL — the slot window (up to
 // `window` consensus instances in flight, applied strictly in order),
 // round-message delivery into each slot's instance (one that arrives a
-// window early is held for its slot, not dropped), command forwarding
+// window early opens its slot: the replica joins it), command forwarding
 // and merged proposals (every proposal carries every command its
 // proposer has heard of, so a slot commits all replicas' work whichever
 // proposal wins), batch dissemination, push/pull decision sync (a push
@@ -222,20 +222,12 @@ type ReplicaCore[C any] struct {
 	// everybody it decides on a jump or the timer, and who is late then lags.
 	ownRound [2 * window]SlotRound
 
-	// open holds the running instances by ascending slot, all inside the
-	// window applied+1 … applied+window. Slots open in order, so every
-	// slot between the applied log and an open one is open or decided.
+	// open holds the running instances by ascending slot: those this
+	// replica opened, inside the window applied+1 … applied+window, and
+	// those it joined, up to a window beyond (handleRound). Slots open in
+	// order, so every slot between the applied log and an open one is open
+	// or decided.
 	open []*slotRun
-
-	// held keeps the round messages of slots one window AHEAD of the window
-	// (next+window … next+2·window−1: a peer is a hop ahead of this replica)
-	// until advance slides the window over the slot and opens it with them —
-	// Algorithm 2 never discards a message of a round not reached yet, and
-	// dropping the vote of the slot the peers just opened would make this
-	// replica late for that slot and so for the next. Volatile like a run's
-	// future rounds; at most heldRounds·(N−1) messages per slot; a slot
-	// decided first (by sync) releases its set.
-	held map[uint64]roundBuffer
 
 	// batchSlot is the highest unapplied slot a batch id is known to be
 	// proposed for (by this replica, or by a peer whose round message of
@@ -300,11 +292,6 @@ func (c *ReplicaCore[C]) validBatchID(bid int64) bool {
 	return int(p) >= 0 && int(p) < c.cfg.N && batchCounter(bid) > 0
 }
 
-// heldRounds is the highest round held for a slot ahead of the window: a
-// slot with nothing lost is two rounds, and twice that is all a sender can
-// park here per slot.
-const heldRounds core.Round = 4
-
 // maxSyncPairs caps decisions per sync push.
 const maxSyncPairs = 128
 
@@ -335,7 +322,6 @@ func NewReplicaCore[C any](cfg CoreConfig[C]) (*ReplicaCore[C], error) {
 		decided:       make(map[uint64]int64),
 		maxSeen:       make(map[uint64]uint64),
 		hwm:           make(map[uint64]uint64),
-		held:          make(map[uint64]roundBuffer),
 		batchSlot:     make(map[int64]uint64),
 		restoredVotes: make(map[uint64][]byte),
 		peerApplied:   make(map[core.ProcessID]uint64),
@@ -438,15 +424,15 @@ func (c *ReplicaCore[C]) handleEnvelope(env Envelope, res *StepResult[C]) {
 	}
 }
 
-// handleRound classifies a consensus message by slot: inside the window
-// → that slot's running instance, opened on the spot (with every slot
-// below it) if this replica had no reason to open it yet, so the message
-// that announces a slot is also heard in it; decided here, applied or
-// not → the sender lags, push decisions — unless the message is of the
-// round our own run decided the slot in, or an earlier one (ownRound):
-// only a LATER round says its sender went on without the decision;
-// beyond the window → we lag, pull decisions — and keep the message if its
-// slot is the next window's (hold).
+// handleRound classifies a consensus message by slot: inside the window,
+// or up to a window beyond it (a peer a hop ahead: this replica joins the
+// slot its peers opened, and pulls) → that slot's running instance, opened
+// on the spot (with every slot below it) if this replica had no reason to
+// open it yet, so the message that announces a slot is also heard in it;
+// decided here, applied or not → the sender lags, push decisions — unless
+// the message is of the round our own run decided the slot in, or an
+// earlier one (ownRound): only a LATER round says its sender went on
+// without the decision; further out → we lag, pull decisions only.
 func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	enc, rider, ok := SplitRound(env.Payload)
 	if !ok {
@@ -463,17 +449,19 @@ func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	if len(rider) > 0 && !c.keepBatch(rider, env.Slot) {
 		return
 	}
-	// A round message for slot s says its sender's window reached s: it
-	// has applied at least s−window.
-	if env.Slot > window {
-		c.notePeerApplied(env.From, env.Slot-window)
+	// A round message for slot s says its sender opened s, by its own
+	// window or by joining from a window behind: it has applied at least
+	// s−2·window.
+	if env.Slot > 2*window {
+		c.notePeerApplied(env.From, env.Slot-2*window)
 	}
 	next := uint64(len(c.log)) + 1
 	if env.Slot >= next+window { // we lag
-		c.hold(env, msg, next)
 		res.Out = append(res.Out, Outbound{To: env.From, Env: Envelope{
 			Slot: next, Kind: KindSyncPull, From: c.cfg.Self, Payload: appendUvarint(nil, next)}})
-		return
+		if env.Slot >= next+2*window {
+			return
+		}
 	}
 	if _, decided := c.decided[env.Slot]; decided || env.Slot < next {
 		if own := c.ownRound[env.Slot%uint64(len(c.ownRound))]; own.Slot != env.Slot || env.Round > own.Round {
@@ -494,29 +482,9 @@ func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	}
 }
 
-// hold keeps a round message of an undecided slot in the window after the
-// current one: the first per (slot, sender, round), rounds 1 … heldRounds,
-// senders of the group — which is the bound. Holding is only delay: the
-// message is heard when its slot opens exactly as if it arrived then.
-func (c *ReplicaCore[C]) hold(env Envelope, msg core.Message, next uint64) {
-	if _, decided := c.decided[env.Slot]; decided || env.Slot >= next+2*window ||
-		env.Round < 1 || env.Round > heldRounds ||
-		env.From == c.cfg.Self || int(env.From) < 0 || int(env.From) >= c.cfg.N {
-		return
-	}
-	h := c.held[env.Slot]
-	if h == nil {
-		h = make(roundBuffer)
-		c.held[env.Slot] = h
-	}
-	if h.add(c.cfg.N, env.From, env.Round, msg) {
-		c.stats.HeldEarly++
-	}
-}
-
 // keepBatch stores a batch (varint id, entries) — a round message's rider,
 // or a pushed decision's — at first sight, durably, offered unless
-// applied, and held until slot applies if slot is in the hold range (a
+// applied, and held until slot applies if slot is in the join range (a
 // straggler keeps riders from further out unpinned, to apply once it
 // learns the decision). It reports false, counting the payload malformed,
 // if b does not parse; the id is checked before the entries are decoded.
@@ -802,9 +770,9 @@ func (c *ReplicaCore[C]) advance(res *StepResult[C]) {
 			c.eagerPush = 0
 			c.pushDecisions(AllPeers, from, res)
 		}
-		for c.hasWork() || c.heldFrom(uint64(len(c.log))+1) {
-			slot := c.frontier()
-			if slot == 0 || !c.openSlot(slot, c.recoveredFrom(slot) || c.heldFrom(slot), res) {
+		for c.hasWork() {
+			slot := c.frontier(uint64(len(c.log)) + window)
+			if slot == 0 || !c.openSlot(slot, c.recoveredFrom(slot), res) {
 				break
 			}
 			progressed = true
@@ -842,24 +810,11 @@ func (c *ReplicaCore[C]) recoveredFrom(slot uint64) bool {
 	return false
 }
 
-// heldFrom reports whether round messages are held for slot or a later
-// slot of the window: the group is deciding it, so it opens asked — as a
-// round message arriving now would have it (openThrough).
-func (c *ReplicaCore[C]) heldFrom(slot uint64) bool {
-	for ; slot <= uint64(len(c.log))+window; slot++ {
-		if c.held[slot] != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// frontier returns the lowest window slot that is neither running nor
-// decided — the one slot that may open next — or 0 when the window (or
-// the model's slot budget) has no room.
-func (c *ReplicaCore[C]) frontier() uint64 {
-	next := uint64(len(c.log)) + 1
-	for slot := next; slot < next+window; slot++ {
+// frontier returns the lowest slot from the first unapplied one through
+// last that is neither running nor decided — the one slot that may open
+// next — or 0 when there is none (or the model's slot budget ends first).
+func (c *ReplicaCore[C]) frontier(last uint64) uint64 {
+	for slot := uint64(len(c.log)) + 1; slot <= last; slot++ {
 		if c.cfg.MaxSlots > 0 && slot > c.cfg.MaxSlots {
 			break // model bound: no consensus beyond the slot budget
 		}
@@ -870,10 +825,14 @@ func (c *ReplicaCore[C]) frontier() uint64 {
 	return 0
 }
 
-// openThrough opens every window slot up to and including slot: a peer's
-// round traffic shows the group is deciding it, and slots open in order.
+// openThrough opens every slot up to and including slot: a peer's round
+// traffic shows the group is deciding it, and slots open in order. slot
+// may lie up to a window beyond this replica's own (the join).
 func (c *ReplicaCore[C]) openThrough(slot uint64, res *StepResult[C]) {
-	for f := c.frontier(); f != 0 && f <= slot; f = c.frontier() {
+	for f := c.frontier(slot); f != 0; f = c.frontier(slot) {
+		if f > uint64(len(c.log))+window {
+			c.stats.Joined++
+		}
 		c.openSlot(f, true, res)
 	}
 }
@@ -896,8 +855,7 @@ func (c *ReplicaCore[C]) openSlot(slot uint64, asked bool, res *StepResult[C]) b
 		mint = proposal
 	}
 	inst := c.cfg.Algorithm.NewInstance(c.cfg.Self, c.cfg.N, core.Value(proposal))
-	run := newSlotRun(c.cfg.N, slot, inst, proposal, c.held[slot])
-	delete(c.held, slot)
+	run := newSlotRun(c.cfg.N, slot, inst, proposal)
 	if restored {
 		// Crash recovery: re-install the persisted instance state — the
 		// locked vote — over the fresh proposal, and resume PAST the last
@@ -994,9 +952,10 @@ func (c *ReplicaCore[C]) propose(slot uint64, asked bool) (bid int64, ok bool) {
 			c.carry(run.prop)
 		}
 	}
-	for s := uint64(len(c.log)) + 1; s <= uint64(len(c.log))+window; s++ {
-		// A decided slot waiting its turn to apply commits its batch for
-		// certain: nothing in it is a reason to open another slot.
+	for s := uint64(len(c.log)) + 1; s <= uint64(len(c.log))+2*window; s++ {
+		// A decided slot waiting its turn to apply, inside the window or
+		// the join range, commits its batch for certain: nothing in it is
+		// a reason to open another slot.
 		c.carry(c.decided[s])
 	}
 	c.merged = c.merged[:0]
@@ -1168,7 +1127,6 @@ func (c *ReplicaCore[C]) recordDecision(slot uint64, bid int64, viaSync bool) {
 		c.closeRun(run)
 	}
 	delete(c.restoredVotes, slot)
-	delete(c.held, slot)
 }
 
 // applySlot commits slot's batch: apply fresh entries in order under

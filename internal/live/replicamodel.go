@@ -38,7 +38,6 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 		eagerPush: c.eagerPush,
 		ownRound:  c.ownRound,
 
-		held:          make(map[uint64]roundBuffer, len(c.held)),
 		batchSlot:     make(map[int64]uint64, len(c.batchSlot)),
 		restoredVotes: make(map[uint64][]byte, len(c.restoredVotes)),
 		peerApplied:   make(map[core.ProcessID]uint64, len(c.peerApplied)),
@@ -54,9 +53,6 @@ func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 	}
 	for k, v := range c.logRefs {
 		d.logRefs[k] = v
-	}
-	for k, v := range c.held {
-		d.held[k] = v.clone()
 	}
 	for k, v := range c.batchSlot {
 		d.batchSlot[k] = v
@@ -95,8 +91,8 @@ func (c *ReplicaCore[C]) cloneSlotRun(s *slotRun) *slotRun {
 		panic(fmt.Sprintf("live: model checking requires a core.Recoverable algorithm, got %T", s.inst))
 	}
 	rec.Restore(src.Snapshot())
-	d := newSlotRun(c.cfg.N, s.slot, inst, s.prop, s.future.clone())
-	d.r, d.target, d.heard = s.r, s.target, maps.Clone(s.heard)
+	d := newSlotRun(c.cfg.N, s.slot, inst, s.prop)
+	d.r, d.target, d.heard, d.future = s.r, s.target, maps.Clone(s.heard), s.future.clone()
 	return d
 }
 
@@ -120,9 +116,8 @@ func (b roundBuffer) clone() roundBuffer {
 // run, which unapplied slot each batch id was proposed for (it decides
 // what the pruner may drop), the votes recovery has yet to re-install,
 // the rounds own runs decided in (they decide which late round message
-// is answered), and the round messages held for slots ahead of the window
-// (they are heard when the slot opens). Leaving any of them out would
-// merge states with different futures.
+// is answered). Leaving any of them out would merge states with different
+// futures.
 func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	dst = appendVarint(dst, c.batchSeq)
 	dst = appendUvarint(dst, c.eagerPush)
@@ -225,19 +220,6 @@ func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 		dst = appendUvarint(dst, run.slot)
 		dst = appendVarint(dst, run.prop)
 		dst = c.appendRun(dst, run)
-	}
-
-	// Held rounds are encoded whole: the highest one becomes the run's jump
-	// target, whatever the round bound.
-	slots = slots[:0]
-	for s := range c.held {
-		slots = append(slots, s)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	dst = appendUvarint(dst, uint64(len(slots)))
-	for _, s := range slots {
-		dst = appendUvarint(dst, s)
-		dst = c.appendRounds(dst, c.held[s], 0)
 	}
 	return dst
 }

@@ -205,7 +205,7 @@ func TestOpenProposalHeldAfterItsEntriesApplied(t *testing.T) {
 
 // TestBogusBatchStampDoesNotPinForever: the slot that keeps a batch
 // comes off the wire — the slot of the round message it rides. A rider of
-// a slot past the hold range is kept (a straggler applies it once the
+// a slot past the join range is kept (a straggler applies it once the
 // decision reaches it) but pins nothing; one inside it keeps its batch
 // until that slot has applied and no longer.
 func TestBogusBatchStampDoesNotPinForever(t *testing.T) {
@@ -216,7 +216,7 @@ func TestBogusBatchStampDoesNotPinForever(t *testing.T) {
 	if !c.HoldsBatch(x) || c.batchSlot[x] != 1 {
 		t.Fatalf("far rider held %v until slot %d, want held until slot 1, which p0 opened proposing it", c.HoldsBatch(x), c.batchSlot[x])
 	}
-	last := uint64(2 * window) // the furthest slot a round message is held for
+	last := uint64(2 * window) // the furthest slot a round message opens
 	c.Step(Event[string]{Kind: EvEnvelope, Env: riderEnv(2, last, 1, y, ents([2]uint64{11, 1}))})
 	if got := c.batchSlot[y]; got != last {
 		t.Fatalf("rider of slot %d stamped %d", last, got)
@@ -712,9 +712,9 @@ func TestLateRoundMessageOfTheDecidingRoundDrawsNoPush(t *testing.T) {
 	}
 }
 
-// The tests below are the hold: a round message for a slot one window
-// ahead of this replica's is kept for the slot instead of dropped
-// (handleRound, hold), and heard when the window reaches it.
+// The tests below are the join: a round message for a slot up to a window
+// beyond this replica's opens every slot through it (handleRound,
+// openThrough), and the message is heard in its run at once.
 
 // roundEnv builds a round message (the null payload) of a slot.
 func roundEnv(from core.ProcessID, slot uint64, round core.Round) Envelope {
@@ -739,141 +739,92 @@ func pulls(res StepResult[string], peer core.ProcessID) int {
 	return k
 }
 
-// TestEarlyVoteIsHeldUntilTheWindowReachesIt: everything for p2 about
-// slots 1 and 2 is slow, while p1 decides both as the votes reach it and
-// opens slot 3 for c, and p0 decides both on p1's acks and opens slot 3
-// with its vote: slot 3's vote, the ack that names it and p1's round-1
-// message reach p2 one slot beyond its window. p2 pulls — it does lag —
-// but keeps them, and when its own runs of slots 1 and 2 decide and the
-// window slides, slot 3 opens with them heard: p2 closes the vote round on
-// the spot, acks, and decides slot 3 in two rounds of its OWN instance.
-// Every decision push to p2 is lost in this test; dropping the vote
-// instead left p2 with nothing adopted in slot 3 and only a push to learn
-// it from.
-func TestEarlyVoteIsHeldUntilTheWindowReachesIt(t *testing.T) {
+// TestCoordinatorBehindVotesOnAPeersFirstMessage: p1 decides slots 1 and 2
+// as p0's votes reach it and opens slot 3 for c, while p0, the coordinator,
+// still waits for the acks. p1's round-1 message of slot 3 reaches p0 one
+// window ahead: p0 pulls — it does lag — and in the same step joins slot 3
+// and sends its vote, instead of waiting for its own decisions of slots 1
+// and 2 to slide its window.
+func TestCoordinatorBehindVotesOnAPeersFirstMessage(t *testing.T) {
 	n := newCoreNet(t)
-	toP2 := func(o Outbound) bool { return o.To == 2 }
-	losePushes := func() {
-		n.take(func(o Outbound) bool { return o.To == 2 && o.Env.Kind == KindSync })
-	}
 	for i, cmd := range []string{"a", "b", "c"} {
 		n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: uint64(i + 1), Cmd: cmd})
 	}
-	slow := n.take(toP2)
-	n.deliver() // p1 joins slots 1 and 2 on p0's votes, decides and applies both, and opens slot 3 for c
-	losePushes()
-	slow = append(slow, n.take(func(o Outbound) bool { return o.To == 2 && o.Env.Slot != 3 })...)
-	n.deliver() // p1's acks reach p0: p0 decides and applies both slots and opens slot 3
-	losePushes()
-	early := n.take(toP2)
-	for _, o := range early {
-		if o.Env.Kind == KindRound && o.Env.Slot != 3 {
-			t.Fatalf("unexpected round message for p2: slot %d round %d", o.Env.Slot, o.Env.Round)
+	n.deliver() // p1 and p2 decide slots 1 and 2 on p0's votes, apply both, and open slot 3 for c
+	toP0 := n.take(func(o Outbound) bool { return o.To == 0 })
+	var first Envelope
+	for _, o := range toP0 {
+		if o.Env.Kind == KindRound && o.Env.From == 1 && o.Env.Slot == 3 && o.Env.Round == 1 {
+			first = o.Env
 		}
-		n.step(2, Event[string]{Kind: EvEnvelope, Env: o.Env})
 	}
-	if pulled := n.take(func(o Outbound) bool { return o.Env.From == 2 && o.Env.Kind == KindSyncPull }); len(pulled) == 0 {
-		t.Fatal("p2 kept the early messages without pulling: it does lag")
+	if first.Slot != 3 || n.cores[0].NextSlot() != 1 {
+		t.Fatalf("setup: p1 sent no round-1 message of slot 3, or p0 applied %d slots", n.cores[0].NextSlot()-1)
 	}
-	if st := n.cores[2].Counters(); st.HeldEarly != 3 || st.Applied != 0 {
-		t.Fatalf("p2 holds %d early messages with %d applied; want p0's rounds 1 and 2 and p1's round 1 of slot 3, and 0",
-			st.HeldEarly, st.Applied)
-	}
-
-	for _, o := range slow {
-		n.step(2, Event[string]{Kind: EvEnvelope, Env: o.Env})
-	}
-	for i := 0; len(n.queue) > 0; i++ {
-		if i > 100 {
-			t.Fatal("network never drained")
+	before := len(n.queue)
+	n.step(0, Event[string]{Kind: EvEnvelope, Env: first})
+	votes, pulled := 0, 0
+	for _, o := range n.queue[before:] {
+		if o.Env.Kind == KindRound && o.Env.Slot == 3 && o.Env.Round == 1 {
+			votes++
+		} else if o.Env.Kind == KindSyncPull && o.To == 1 {
+			pulled++
 		}
-		losePushes()
-		n.deliver()
 	}
+	if votes != 2 || pulled != 1 {
+		t.Fatalf("p0 one slot behind: sent %d copies of its slot-3 vote and %d pulls to p1; want the vote to both peers and one pull in the same step", votes, pulled)
+	}
+	if st := n.cores[0].Counters(); st.Joined != 1 || fmt.Sprint(openSlots(n.cores[0])) != "[1 2 3]" {
+		t.Fatalf("p0 joined %d slots with %v open, want 1 and [1 2 3]", st.Joined, openSlots(n.cores[0]))
+	}
+	for _, o := range toP0 {
+		if o.Env.Kind != KindRound || o.Env.From != 1 || o.Env.Slot != 3 || o.Env.Round != 1 {
+			n.step(0, Event[string]{Kind: EvEnvelope, Env: o.Env})
+		}
+	}
+	n.drain()
 	for p, c := range n.cores {
-		st := c.Counters()
-		if st.Applied != 3 || st.Committed != 3 || st.Open != 0 || st.Divergent != 0 {
+		if st := c.Counters(); st.Applied != 3 || st.Committed != 3 || st.Open != 0 || st.Divergent != 0 {
 			t.Fatalf("replica %d: applied %d, committed %d, open %d, divergent %d; want 3, 3, 0, 0",
 				p, st.Applied, st.Committed, st.Open, st.Divergent)
 		}
-		if st.Rounds != 6 || st.SyncDecisions != 0 {
-			t.Fatalf("replica %d closed %d rounds and took %d decisions from a sync; want two rounds per slot, all its own",
-				p, st.Rounds, st.SyncDecisions)
-		}
 	}
 }
 
-// TestEarlyHoldIsBounded: what is held is the first message per (slot,
-// sender, round) for the window after this one, rounds 1 … heldRounds,
-// from a peer of the group — at most window·N·heldRounds in all, whatever
-// arrives. A slot decided by sync first releases its set, and the set is
-// volatile: nothing of it survives a restart.
-func TestEarlyHoldIsBounded(t *testing.T) {
+// TestJoinReachesOneWindowOut: a round message for the last slot of the
+// window after this one opens every slot through it; one for the slot
+// after that opens nothing and draws only the pull. The votes of joined
+// slots survive a restart like any other.
+func TestJoinReachesOneWindowOut(t *testing.T) {
 	c := mergeCore(t, 2, 0)
-	held := func() int { return c.Counters().HeldEarly }
-	step := func(env Envelope) StepResult[string] {
-		t.Helper()
-		res := c.Step(Event[string]{Kind: EvEnvelope, Env: env})
-		if pulls(res, env.From) != 1 {
-			t.Fatalf("slot %d round %d from %d drew %d sync pulls, want 1: early or not, this replica lags", env.Slot, env.Round, env.From, pulls(res, env.From))
-		}
-		return res
+	res := c.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(0, 1+2*window, 1)})
+	if len(res.Out) != 1 || pulls(res, 0) != 1 || len(c.open) != 0 || c.Counters().Joined != 0 {
+		t.Fatalf("two windows out: %d envelopes, %d pulls, %d slots open, %d joined; want the pull alone",
+			len(res.Out), pulls(res, 0), len(c.open), c.Counters().Joined)
 	}
-	step(roundEnv(0, 1+2*window, 1)) // two windows out
-	step(roundEnv(7, 1+window, 1))   // nobody of this group
-	step(roundEnv(2, 1+window, 1))   // "ourselves"
-	if held() != 0 {
-		t.Fatalf("%d messages held, want none of those", held())
-	}
-	step(roundEnv(0, 1+window, 1))
-	step(roundEnv(0, 1+window, 1)) // a duplicate
-	if held() != 1 {
-		t.Fatalf("%d messages held after a message and its duplicate, want 1", held())
-	}
-	for r := core.Round(0); r < 50; r++ { // a flood from one sender
-		step(roundEnv(1, 2+window, r))
-	}
-	if want := 1 + int(heldRounds); held() != want {
-		t.Fatalf("%d messages held after one sender's flood, want %d: rounds 1 … %d of it", held(), want, heldRounds)
-	}
-	for slot := uint64(1); slot < 10; slot++ {
-		for from := core.ProcessID(-1); from < 5; from++ {
-			for r := core.Round(0); r < 10; r++ {
-				c.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(from, slot, r)})
-			}
+	res = c.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(0, 2*window, 1)})
+	rounds := 0
+	for _, o := range res.Out {
+		if o.Env.Kind == KindRound {
+			rounds++
 		}
 	}
-	total := 0
-	for _, rounds := range c.held {
-		for _, fr := range rounds {
-			total += len(fr)
-		}
+	if pulls(res, 0) != 1 || rounds != 2*window || len(c.open) != 2*window || c.Counters().Joined != window {
+		t.Fatalf("last slot of the next window: %d pulls, %d round messages, %d slots open, %d joined; want 1, %d, %d, %d",
+			pulls(res, 0), rounds, len(c.open), c.Counters().Joined, 2*window, 2*window, window)
 	}
-	if bound := window * (c.cfg.N - 1) * int(heldRounds); total != bound || len(c.open) != window {
-		t.Fatalf("%d messages held with %d slots open, want the bound of %d (every peer, every held round, both slots) and %d",
-			total, len(c.open), bound, window)
+	if heard := len(c.runFor(2 * window).heard); heard != 2 {
+		t.Fatalf("joined slot's run heard %d messages, want the peer's and its own", heard)
 	}
-
-	// Slot 3 is decided by sync before the window reaches it.
-	c.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, pushed{slot: 1 + window})})
-	if c.held[1+window] != nil || c.held[2+window] == nil {
-		t.Fatalf("held slots after slot %d was decided by sync: %d's set %v, %d's set %v; want released, kept",
-			1+window, 1+window, c.held[1+window], 2+window, c.held[2+window])
-	}
-	before := held()
-	step(roundEnv(0, 1+window, 1))
-	if held() != before {
-		t.Fatal("a round message of a decided slot was held")
-	}
-	if rc := c.Recover(); len(rc.held) != 0 || rc.Counters().Open != 0 {
-		t.Fatalf("%d held slots and %d open runs survived the crash", len(rc.held), rc.Counters().Open)
+	if rc := c.Recover(); fmt.Sprint(rc.DecidedUnapplied()) != "map[]" || len(rc.restoredVotes) != 2*window {
+		t.Fatalf("recovered %d votes, want one per open slot (%d)", len(rc.restoredVotes), 2*window)
 	}
 }
 
-// TestCloneCopiesHeldMessages: the checker forks a core per explored
-// event, so a clone must own its held set — and the fingerprint must tell
-// two held sets apart.
-func TestCloneCopiesHeldMessages(t *testing.T) {
+// TestCloneIsIndependentAcrossAJoinedRun: the checker forks a core per
+// explored event, so a clone must own its joined runs — and the
+// fingerprint must tell their heard sets apart.
+func TestCloneIsIndependentAcrossAJoinedRun(t *testing.T) {
 	c := mergeCore(t, 2, 0)
 	c.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(0, 1+window, 1)})
 	fp := string(c.AppendFingerprint(nil))
@@ -881,16 +832,64 @@ func TestCloneCopiesHeldMessages(t *testing.T) {
 	if got := string(d.AppendFingerprint(nil)); got != fp {
 		t.Fatal("a clone's fingerprint differs from the original's")
 	}
-	d.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(1, 1+window, 1)})
+	d.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(1, 1+window, 2)})
 	if got := string(d.AppendFingerprint(nil)); got == fp {
-		t.Fatal("a second held message left the fingerprint unchanged")
+		t.Fatal("a message heard in the clone's joined run left the fingerprint unchanged")
 	}
-	// Slide the clone's window over the slot: it opens, the set is consumed.
 	d.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, pushed{slot: 1})})
-	if got := fmt.Sprint(openSlots(d)); got != "[2 3]" || len(d.held) != 0 {
-		t.Fatalf("clone has slots %s open and %d held sets after slot 1 applied, want [2 3] (opened through the held slot) and 0", got, len(d.held))
+	if got := fmt.Sprint(openSlots(d)); got != "[2 3]" {
+		t.Fatalf("clone has slots %s open after slot 1 applied, want [2 3]", got)
 	}
-	if got := string(c.AppendFingerprint(nil)); got != fp || len(c.held[1+window][1]) != 1 {
+	run := c.runFor(1 + window)
+	if got := string(c.AppendFingerprint(nil)); got != fp || fmt.Sprint(openSlots(c)) != "[1 2 3]" ||
+		run.r != 1 || len(run.heard) != 2 || len(run.future) != 0 {
 		t.Fatal("stepping the clone changed the original")
+	}
+}
+
+// TestJoinedPeerKeepsItsBatches: a round message for slot s proves only
+// that its sender applied s−2·window — it may have joined s from a window
+// behind. p0 has applied slots 1 … 4 and p1 has too; p2, at slot 1, joins
+// slot 4 on p1's round message. Its round messages must not move p0's
+// horizon past slot 1, whose batch p2 then pulls and applies.
+func TestJoinedPeerKeepsItsBatches(t *testing.T) {
+	p0, p2 := mergeCore(t, 0, 0), mergeCore(t, 2, 0)
+	x, xs := batchID(1, 1), ents([2]uint64{11, 1})
+	p0.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(1, pushed{1, x, xs}, pushed{slot: 2}, pushed{slot: 3}, pushed{slot: 4})})
+	p0.Step(Event[string]{Kind: EvEnvelope, Env: syncPullEnv(1, 5)})
+	if p0.NextSlot() != 5 || !p0.HoldsBatch(x) {
+		t.Fatalf("setup: p0 at slot %d, holds slot 1's batch %v", p0.NextSlot(), p0.HoldsBatch(x))
+	}
+	joined := p2.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(1, 2*window, 1)})
+	if p2.Counters().Joined != window {
+		t.Fatalf("p2 joined %d slots, want %d", p2.Counters().Joined, window)
+	}
+	var pull Envelope
+	for _, o := range joined.Out {
+		if o.Env.Kind == KindRound {
+			p0.Step(Event[string]{Kind: EvEnvelope, Env: o.Env})
+		} else if o.Env.Kind == KindSyncPull {
+			pull = o.Env
+		}
+	}
+	if pa := p0.peerApplied[2]; pa > 0 {
+		t.Fatalf("p0 took p2's round message of slot %d for %d applied slots, more than the %d it proves", 2*window, pa, 0)
+	}
+	if !p0.HoldsBatch(x) {
+		t.Fatal("p0 pruned slot 1's batch while p2, which joined a slot ahead, had yet to apply it")
+	}
+	var applied []AppliedEntry[string]
+	for _, o := range p0.Step(Event[string]{Kind: EvEnvelope, Env: pull}).Out {
+		if o.Env.Kind == KindSync && o.To == 2 {
+			applied = append(applied, p2.Step(Event[string]{Kind: EvEnvelope, Env: o.Env}).Applied...)
+		}
+	}
+	if p2.NextSlot() != 5 || len(applied) != 1 || applied[0].Entry.Client != 11 || !applied[0].Fresh {
+		t.Fatalf("p2 at slot %d applied %+v, want slot 1's command and slots 1 … 4", p2.NextSlot(), applied)
+	}
+	// Past two windows the inference still moves the horizon.
+	p0.Step(Event[string]{Kind: EvEnvelope, Env: roundEnv(2, 4+2*window, 1)})
+	if pa := p0.peerApplied[2]; pa != 4 {
+		t.Fatalf("a round message of slot %d set p2's applied count to %d, want 4", 4+2*window, pa)
 	}
 }

@@ -89,7 +89,7 @@ func FuzzReplicaCoreStep(f *testing.F) {
 		}
 		for bid, s := range c.batchSlot {
 			if limit := c.NextSlot() + 2*window; s >= limit && c.decided[s] != bid {
-				t.Fatalf("batch %#x held until slot %d on a rider's word (hold range ends before %d)", bid, s, limit)
+				t.Fatalf("batch %#x held until slot %d on a rider's word (join range ends before %d)", bid, s, limit)
 			}
 		}
 	})

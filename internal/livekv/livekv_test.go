@@ -105,6 +105,52 @@ func TestClusterConcurrentMixedLoadUnderLoss(t *testing.T) {
 	}
 }
 
+// TestClusterConvergesUnderLossAndDelay runs closed-loop clients through
+// loss and a variable delay, where replicas often hear a peer's round
+// message a window ahead and join its slot: every op must complete, and
+// once the faults stop every replica must reach the same log. A batch
+// pruned while a replica that had just joined a slot still needed it
+// stalls that replica for good, and its clients' ops time out.
+func TestClusterConvergesUnderLossAndDelay(t *testing.T) {
+	c := startCluster(t, Config{Replicas: 3, Groups: 2, RoundTimeout: 5 * time.Millisecond}, 4)
+	for i := 0; i < c.N(); i++ {
+		c.Faults(i).SetLoss(0.10)
+		c.Faults(i).SetDelay(0, 500*time.Microsecond)
+	}
+	const clients = 16
+	stop := time.Now().Add(3 * time.Second)
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			nd := c.Node(cl % c.N())
+			for i := 0; time.Now().Before(stop); i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				err := nd.Put(ctx, fmt.Sprintf("client-%d-%d", cl, i%8), fmt.Sprintf("v%d", i))
+				cancel()
+				if err != nil {
+					errs <- fmt.Errorf("client %d op %d: %w", cl, i, err)
+					return
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for i := 0; i < c.N(); i++ {
+		c.Faults(i).SetLoss(0)
+		c.Faults(i).SetDelay(0, 0)
+	}
+	if err := c.ConvergedWithin(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClusterPauseRejoin is the fault-injection coverage the live layer
 // exists for: one node is paused mid-run (it neither sends nor hears —
 // the live analogue of a crash with running timers), the survivors keep

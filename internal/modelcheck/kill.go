@@ -74,7 +74,7 @@ var mutants = []mutant{
 	{"window-disjoint", "walk: open slots proposing disjoint chunks instead of overlapping batches (lost command)",
 		walked(windowScope(), 2, 2, mutation(live.MutWindowDisjoint)), violates("session-gap")},
 	{"prune-open", "walk: pruning a fully applied proposal whose slot is still open (a later phase decides an id nobody holds)",
-		walked(pruneOpenScope(), 3, 2, mutation(live.MutPruneOpen)), violates("decided-unheld")},
+		walked(pruneOpenScope(), 2, 2, mutation(live.MutPruneOpen)), violates("decided-unheld")},
 }
 
 // Mutants lists the kill suite's mutants by name, in the order it runs.
@@ -209,33 +209,31 @@ func windowScope() ReplicaModel {
 	return m
 }
 
-// pruneOpenScope runs three slots through three phases with `a`, `b` and
-// `c` of one session at p1, two to a batch: p1 opens slot 1 with A = [a]
-// and slot 2 with B = [a b]. The predicate: p1's slot-1 proposal is never
-// heard and its slot-2 proposal always, so p0 and p2 join both slots
-// proposing B; slot 2's other round messages of phases 1 and 2 are never
-// heard, and the round messages of slots 1 and 3 always. So slot 1 decides
-// B, slot 3 decides [c] and its round messages move every horizon past
-// slot 1 while slot 2 is still open, proposed B — and the phase-3 round
-// messages of slot 2, heard as the walk chooses, decide B again. Whoever
-// let go of B then decides an id it does not hold.
+// pruneOpenScope runs two slots through two phases, two commands to a
+// batch. p1 opens slot 1 with A = [a] and slot 2 with B = [a b], and with
+// its window full forwards [a b] ahead of c; p2 opens both slots for x and
+// y of its own session. The predicate: p0 hears p1's forward and nothing
+// else, and its round messages of slot 1 are always heard. So p0 opens
+// slot 1 alone, mints P = [a b] from the forward and, as Coord(1), votes
+// it: slot 1 decides P, and B's entries have all applied through another
+// batch while slot 2 — which p1 and p2 run without p0 — is still open with
+// p1's estimate B. p1 coordinates phase 2 and votes B, so whoever let go
+// of B then decides an id it does not hold.
 func pruneOpenScope() ReplicaModel {
-	m := lastVotingScope(3, 12, 0, 0, 1, 3)
+	m := lastVotingScope(2, 7, 0, 0, 1, 3)
 	m.MaxBatch = 2
-	m.hears = func(_ core.ProcessID, env live.Envelope) int {
+	m.Workload = append(m.Workload,
+		Submission{Replica: 2, Client: 2, Seq: 1, Cmd: 'x'}, Submission{Replica: 2, Client: 2, Seq: 2, Cmd: 'y'})
+	m.hears = func(to core.ProcessID, env live.Envelope) int {
 		switch {
-		case env.Kind != live.KindRound:
-			return 0
-		case env.Slot == 1 && env.Round == 1 && env.From == 1:
-			return -1
-		case env.Slot == 2 && env.Round == 1 && env.From == 1:
+		case to == 0 && env.Kind == live.KindForward:
 			return 1
-		case env.Slot == 2 && env.Round < 8:
+		case to == 0:
 			return -1
-		case env.Slot == 2:
-			return 0
+		case env.From == 0 && env.Kind == live.KindRound && env.Slot == 1:
+			return 1
 		}
-		return 1
+		return 0
 	}
 	return m
 }

@@ -179,10 +179,11 @@ type ReplicaResult struct {
 	// consensus instances ever overlapped and nothing about overlapping
 	// proposals, out-of-order decisions or per-slot votes was exercised.
 	MaxOpen int
-	// MaxHeld is the most round messages any replica had held for slots
-	// ahead of its window by any explored state — the guard for the hold:
-	// 0 (any scope with Slots ≤ the window) means no state kept one.
-	MaxHeld int
+	// MaxJoined is the most slots any replica had joined beyond its own
+	// window by any explored state — the guard for the join: 0 (any scope
+	// with Slots ≤ the window) means no replica opened a slot on a peer's
+	// round message from a window behind.
+	MaxJoined int
 	// Complete reports whether the reachable space was exhausted. False
 	// means the MaxStates budget cut the run: every visited state was
 	// still checked, so a clean incomplete run is a bounded-verification
@@ -644,7 +645,7 @@ func (res *ReplicaResult) observe(cores []*live.ReplicaCore[byte]) {
 		st := c.Counters()
 		res.MaxMerged = max(res.MaxMerged, st.Merged)
 		res.MaxOpen = max(res.MaxOpen, st.Open)
-		res.MaxHeld = max(res.MaxHeld, st.HeldEarly)
+		res.MaxJoined = max(res.MaxJoined, st.Joined)
 	}
 }
 

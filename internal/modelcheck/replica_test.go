@@ -279,13 +279,13 @@ func TestReplicaExploreLastVotingWindow(t *testing.T) {
 		res.States, res.Transitions, res.MaxOpen, res.MaxApplied, res.Findings)
 }
 
-// TestReplicaExploreOTRThreeSlotClosure is the hold's scope. Every scope
+// TestReplicaExploreOTRThreeSlotClosure is the join's scope. Every scope
 // above has Slots ≤ the window, so none of their states can receive a
 // round message for a slot ahead of it; with three slots, a replica still
 // on slot 1 gets slot 3's round messages from a peer that has applied
-// slot 1, keeps them (live.ReplicaCore's held set: cloned, fingerprinted,
-// heard when the slot opens) and later opens slot 3 with them. n=2 closes
-// this in seconds, under a crash; MaxHeld is the vacuity guard. The round
+// slot 1, and joins slot 3 on the spot (live.ReplicaCore opens every slot
+// through it, beyond its own window). n=2 closes this in seconds, under a
+// crash; MaxJoined is the vacuity guard. The round
 // bound is 3: a replica learns of a slot's batch only from the round
 // message it rides, so with one round per slot whoever holds the batch
 // has heard the message that decides it, and nobody is ever a window
@@ -306,7 +306,7 @@ func TestReplicaExploreOTRThreeSlotClosure(t *testing.T) {
 			{Replica: 0, Client: 3, Seq: 1, Cmd: 'c'},
 		},
 	}, true)
-	if res.MaxHeld < 1 || res.MaxApplied != 3 || res.MaxOpen != 2 {
-		t.Fatalf("vacuous exploration: maxHeld=%d maxApplied=%d maxOpen=%d, want ≥ 1, 3 and 2", res.MaxHeld, res.MaxApplied, res.MaxOpen)
+	if res.MaxJoined < 1 || res.MaxApplied != 3 || res.MaxOpen != 2 {
+		t.Fatalf("vacuous exploration: maxJoined=%d maxApplied=%d maxOpen=%d, want ≥ 1, 3 and 2", res.MaxJoined, res.MaxApplied, res.MaxOpen)
 	}
 }
