@@ -21,7 +21,9 @@
 //	PUT    /kv/{key}   body = value; returns after the write committed
 //	GET    /kv/{key}   linearizable read through the replicated log
 //	DELETE /kv/{key}   replicated deletion
-//	GET    /healthz    liveness probe
+//	GET    /healthz    liveness probe: 503 naming the node, the group
+//	                   and the error once a durability failure has
+//	                   halted a group's replica
 //	GET    /stats      per-group counters, decision-log and state
 //	                   fingerprints (what the smoke jobs diff across
 //	                   nodes to prove zero divergence)
@@ -222,6 +224,12 @@ func run() error {
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		for _, nd := range serve {
+			if err := nd.Err(); err != nil {
+				http.Error(w, fmt.Sprintf("node %d: %v", nd.Self(), err), http.StatusServiceUnavailable)
+				return
+			}
+		}
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {

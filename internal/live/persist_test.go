@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -625,4 +626,68 @@ func TestRoundSendsWaitForTheirVoteRecord(t *testing.T) {
 		}
 		b.mu.Unlock()
 	}
+}
+
+// failingDisk is a Persister whose every Sync fails.
+type failingDisk struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingDisk) SaveBatch(int64, []byte)                    {}
+func (failingDisk) SaveVote(uint64, []byte)                    {}
+func (failingDisk) SaveDecision(uint64, int64)                 {}
+func (failingDisk) SaveApplied(uint64, int64, []wal.ClientSeq) {}
+func (failingDisk) Sync() error                                { return errDiskFull }
+func (failingDisk) Snapshot(*wal.State) error                  { return errDiskFull }
+
+// TestHaltReleasesWaiters: a replica whose disk refuses a Sync halts, and a
+// halted replica is a stopped one — the submission that hit the failing
+// barrier gets its waiter closed without a value at once, not when someone
+// calls Stop, and Err names the failure. Its two peers are a majority and
+// keep committing without it.
+func TestHaltReleasesWaiters(t *testing.T) {
+	const n = 3
+	net, err := NewChanNetwork(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	reps := make([]*Replica[string], n)
+	for p := range reps {
+		cfg := ReplicaConfig[string]{
+			Self: core.ProcessID(p), N: n,
+			Algorithm:    lastvoting.Algorithm{},
+			Msg:          lastvoting.WireCodec{},
+			Batch:        strCodec{},
+			Transport:    net.Transport(core.ProcessID(p)),
+			RoundTimeout: time.Millisecond,
+		}
+		if p == 0 {
+			cfg.Persist = failingDisk{}
+		}
+		if reps[p], err = NewReplica(cfg); err != nil {
+			t.Fatal(err)
+		}
+		reps[p].Start()
+		defer reps[p].Stop()
+	}
+	ch, _ := reps[0].SubmitNext(1, "lost")
+	select {
+	case res, ok := <-ch:
+		if ok {
+			t.Fatalf("halted replica resolved its waiter with %+v; want it closed without a value", res)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("waiter still open 1s after the failing Sync: the halt did not release it")
+	}
+	if err := reps[0].Err(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Err() = %v, want %v", err, errDiskFull)
+	}
+	if ch, seq := reps[0].SubmitNext(1, "late"); seq != 0 {
+		t.Fatalf("halted replica accepted a submission at seq %d", seq)
+	} else if _, ok := <-ch; ok {
+		t.Fatal("halted replica resolved a late submission")
+	}
+	kept, _ := reps[1].SubmitNext(2, "kept")
+	waitApplied(t, kept, 10*time.Second, "survivors' command")
 }

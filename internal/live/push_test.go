@@ -78,36 +78,6 @@ func TestStarvedReplicaAppliesFromPushesAlone(t *testing.T) {
 	}
 }
 
-// TestSyncLimiterIsKeyedOnProgress: a targeted sync message that starts
-// beyond everything sent to the peer so far always goes; only a repeat —
-// the same first slot or an earlier one — waits out syncRateLimit, and an
-// admitted repeat does not lower the mark. Peers do not share a limiter.
-func TestSyncLimiterIsKeyedOnProgress(t *testing.T) {
-	m := make(map[core.ProcessID]syncSent)
-	t0 := time.Unix(1, 0)
-	for i, tc := range []struct {
-		peer    core.ProcessID
-		slot    uint64
-		after   time.Duration
-		limited bool
-	}{
-		{1, 5, 0, false},                                    // nothing sent yet
-		{1, 5, time.Millisecond, true},                      // a repeat
-		{1, 6, time.Millisecond, false},                     // news, inside the same interval
-		{1, 7, time.Millisecond, false},                     // and again
-		{1, 6, 2 * time.Millisecond, true},                  // behind the mark
-		{2, 6, 2 * time.Millisecond, false},                 // another peer
-		{1, 5, time.Millisecond + syncRateLimit, false},     // a repeat, an interval after the last send
-		{1, 7, 2*time.Millisecond + syncRateLimit, true},    // the mark stayed at 7
-		{1, 8, 2*time.Millisecond + syncRateLimit, false},   // news
-		{1, 8, 2*time.Millisecond + 2*syncRateLimit, false}, // a repeat, an interval later
-	} {
-		if got := rateLimited(m, tc.peer, tc.slot, t0.Add(tc.after)); got != tc.limited {
-			t.Fatalf("step %d: message for peer %d from slot %d at +%v limited = %v, want %v", i, tc.peer, tc.slot, tc.after, got, tc.limited)
-		}
-	}
-}
-
 // TestPushCarriesItsBatches: p2 loses every round message — p0's vote and
 // its ack with them — so it neither adopts the vote nor holds the batch.
 // The eager push of the first decider carries the batch, and p2 applies

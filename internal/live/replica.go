@@ -53,9 +53,8 @@
 // decided the slot in: that sender is no further behind than the eager
 // push on its way to it), and any for a future slot reveals that WE lag
 // (if the slot is at most a window beyond ours, we also join it); both
-// trigger a push or pull of the decision log, rate-limited where it
-// repeats itself. A replica paused mid-round therefore rejoins by
-// replaying decisions, not consensus.
+// trigger a push or pull of the decision log. A replica paused mid-round
+// therefore rejoins by replaying decisions, not consensus.
 //
 // ALL of the above is protocol logic, and none of it lives in this
 // file: it is ReplicaCore (replicacore.go), a pure step function that
@@ -64,9 +63,10 @@
 // goroutine that turns transport deliveries, round-timeout fires (one
 // deadline per open slot), and heartbeat ticks into core events, steps
 // every delivery already queued at a wakeup, makes what those steps
-// saved durable with ONE barrier, then transmits the
-// envelopes they returned (rate-limiting targeted sync traffic), runs
-// the Apply hook for committed entries, and resolves submitter waiters.
+// saved durable with ONE barrier, runs the Apply hook for committed
+// entries, resolves submitter waiters, and then transmits every envelope
+// the steps returned, as they returned it: a lost or repeated envelope is
+// a transmission fault, which the core absorbs and the checker covers.
 // Time, goroutines, and channels stop at this boundary.
 //
 // Fault envelope: transmission faults of any rate and crash-RECOVERY
@@ -226,17 +226,6 @@ type ReplicaConfig[C any] struct {
 	SnapshotEvery int
 }
 
-// syncRateLimit is the minimum interval between targeted sync messages
-// to one peer that tell it nothing new (see rateLimited).
-const syncRateLimit = 20 * time.Millisecond
-
-// syncSent is one peer's limiter state for one kind of targeted sync
-// message: the highest first slot sent to it, and when the last one left.
-type syncSent struct {
-	slot uint64
-	at   time.Time
-}
-
 // waiterKey identifies a submission.
 type waiterKey struct{ client, seq uint64 }
 
@@ -254,9 +243,6 @@ type Replica[C any] struct {
 
 	snapLast   uint64 // applied-slot count at the last snapshot
 	persistErr error  // first durability failure; the replica halts on it
-
-	lastPush map[core.ProcessID]syncSent // targeted sync-push rate limiter
-	lastPull map[core.ProcessID]syncSent // targeted sync-pull rate limiter
 
 	// One wakeup's joint step output, reused across wakeups. Only the
 	// event loop touches them, under mu while the steps run.
@@ -303,11 +289,9 @@ func NewReplica[C any](cfg ReplicaConfig[C]) (*Replica[C], error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica[C]{
 		cfg: cfg, ctx: ctx, cancel: cancel,
-		core:     rc,
-		waiters:  make(map[waiterKey]chan ApplyResult),
-		lastPush: make(map[core.ProcessID]syncSent),
-		lastPull: make(map[core.ProcessID]syncSent),
-		workCh:   make(chan struct{}, 1),
+		core:    rc,
+		waiters: make(map[waiterKey]chan ApplyResult),
+		workCh:  make(chan struct{}, 1),
 	}
 	if cfg.Recovered != nil {
 		// Catch the application up with the protocol log: re-apply the
@@ -344,12 +328,18 @@ func (r *Replica[C]) Start() {
 }
 
 // Stop halts the replica (it does not close the transport) and releases
-// every outstanding waiter with a zero ApplyResult.
+// every outstanding waiter: each closes without a value.
 func (r *Replica[C]) Stop() {
 	r.cancel()
 	r.wg.Wait()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.releaseWaiters()
+}
+
+// releaseWaiters closes every outstanding waiter. Callers hold mu and have
+// cancelled the loop, so stopped() keeps new waiters from being installed.
+func (r *Replica[C]) releaseWaiters() {
 	for k, ch := range r.waiters {
 		close(ch)
 		delete(r.waiters, k)
@@ -415,9 +405,9 @@ func (r *Replica[C]) SubmitNext(client uint64, cmd C) (<-chan ApplyResult, uint6
 }
 
 // stopped reports whether Stop (or a durability failure) has cancelled the
-// event loop. Callers hold mu: Stop sweeps the waiters under mu after
-// cancelling, so a waiter installed once this reads true would never be
-// closed.
+// event loop. Callers hold mu: Stop and halt sweep the waiters under mu
+// after cancelling, so a waiter installed once this reads true would never
+// be closed.
 func (r *Replica[C]) stopped() bool { return r.ctx.Err() != nil }
 
 // supersede installs a waiter, closing any previous waiter of the same
@@ -443,13 +433,6 @@ func (r *Replica[C]) LogHash() (uint64, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.core.LogFingerprint()
-}
-
-// DecisionLog copies the applied decisions (for tests).
-func (r *Replica[C]) DecisionLog() []int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.core.DecisionLogCopy()
 }
 
 // Checkpoint takes a durability snapshot now — protocol state plus the
@@ -609,8 +592,8 @@ func (r *Replica[C]) run() {
 // effects: the durability barrier FIRST — one Sync makes everything the
 // steps saved durable before any of their output becomes visible — then
 // the Apply hook and waiter resolution for committed entries (under mu,
-// in commit order), then transmission of the steps' envelopes with
-// repeated targeted sync traffic rate-limited per peer. Steps that produced
+// in commit order), then transmission of every envelope the steps
+// returned, in order and unfiltered. Steps that produced
 // neither envelopes nor applies made nothing visible, so their saves
 // stay buffered for the next barrier. A durability failure halts the
 // replica — acknowledging or gossiping state the disk refused would turn
@@ -654,27 +637,8 @@ func (r *Replica[C]) dispatch(evs []Event[C]) {
 			}
 		}
 	}
-	send := out[:0]
-	if len(out) > 0 {
-		now := time.Now()
-		for _, o := range out {
-			if o.To != AllPeers {
-				switch o.Env.Kind {
-				case KindSync:
-					if rateLimited(r.lastPush, o.To, o.Env.Slot, now) {
-						continue
-					}
-				case KindSyncPull:
-					if rateLimited(r.lastPull, o.To, o.Env.Slot, now) {
-						continue
-					}
-				}
-			}
-			send = append(send, o)
-		}
-	}
 	r.mu.Unlock()
-	for _, o := range send {
+	for _, o := range out {
 		if o.To == AllPeers {
 			r.broadcast(o.Env)
 		} else {
@@ -683,14 +647,16 @@ func (r *Replica[C]) dispatch(evs []Event[C]) {
 	}
 }
 
-// halt records the first durability failure and stops the replica.
-// Callers hold mu; halt releases it.
+// halt records the first durability failure and stops the replica as Stop
+// does: the loop ends and every outstanding waiter is released. Callers
+// hold mu; halt releases it.
 func (r *Replica[C]) halt(err error) {
 	if r.persistErr == nil {
 		r.persistErr = err
 	}
-	r.mu.Unlock()
 	r.cancel()
+	r.releaseWaiters()
+	r.mu.Unlock()
 }
 
 // broadcast sends env to every peer but self.
@@ -700,23 +666,6 @@ func (r *Replica[C]) broadcast(env Envelope) {
 			r.cfg.Transport.Send(p, env)
 		}
 	}
-}
-
-// rateLimited checks and updates a per-peer limiter for a targeted sync
-// message whose first slot is slot (the core stamps it on the envelope).
-// It is keyed on progress, not on the clock alone: a message that starts
-// beyond everything sent to the peer so far is news — a straggler that
-// lost the eager push of two slots inside one interval is answered for
-// both — and only a repeat for the same or an earlier slot waits out
-// syncRateLimit: per peer, one message per interval plus one per slot of
-// progress. Callers hold mu.
-func rateLimited(m map[core.ProcessID]syncSent, p core.ProcessID, slot uint64, now time.Time) bool {
-	last := m[p]
-	if slot <= last.slot && now.Sub(last.at) < syncRateLimit {
-		return true
-	}
-	m[p] = syncSent{slot: max(slot, last.slot), at: now}
-	return false
 }
 
 // stopTimer stops t and drains a pending fire.

@@ -1274,10 +1274,9 @@ func (c *ReplicaCore[C]) decisionAt(slot uint64) (int64, bool) {
 // with its batch (see handleSync), to one peer or everyone. It stops at
 // the first slot this replica does not know or whose batch it does not
 // hold, at maxSyncPairs, and before the envelope would outgrow maxFrame,
-// so what it sends is a prefix the receiver can apply. The shell
-// rate-limits targeted pushes per peer by the first slot they carry, the
-// envelope's Slot (no receiver reads it; a pull's names the slot it asks
-// from, for the same reader).
+// so what it sends is a prefix the receiver can apply. The envelope's Slot
+// is the first slot it carries (a pull's names the slot it asks from): no
+// receiver reads it, and hoperf's tracer files the send under it.
 func (c *ReplicaCore[C]) pushDecisions(to core.ProcessID, from uint64, res *StepResult[C]) {
 	if from == 0 {
 		from = 1

@@ -85,8 +85,9 @@ func (c *Cluster) Faults(i int) *live.Faults { return c.faults[i] }
 
 // ConvergedWithin polls until every node agrees — per group: equal
 // decision-log lengths and hashes, equal state-machine fingerprints, and
-// zero divergent observations everywhere — or the deadline passes, in
-// which case it reports the first disagreement it was still seeing.
+// zero divergent observations and no halted replica anywhere — or the
+// deadline passes, in which case it reports the first disagreement it was
+// still seeing.
 // Submissions must have quiesced first (decided slots still propagate to
 // laggards; new submissions would keep the logs moving).
 func (c *Cluster) ConvergedWithin(d time.Duration) error {
@@ -110,6 +111,9 @@ func (c *Cluster) converged() error {
 	for i, nd := range c.nodes {
 		sts := nd.Status()
 		for g, st := range sts {
+			if st.Err != nil {
+				return fmt.Errorf("node %d group %d halted: %w", i, g, st.Err)
+			}
 			if st.Stats.Divergent != 0 {
 				return fmt.Errorf("node %d group %d observed %d divergent decisions", i, g, st.Stats.Divergent)
 			}

@@ -49,13 +49,10 @@ type Config struct {
 	// together.
 	Algorithm core.Algorithm
 	Msg       live.Codec
-	// Router routes keys to groups; nil means shard.HashRouter{}.
-	Router shard.Router
-	// RoundTimeout, MaxBatch, SyncEvery tune the live replicas; zero
-	// values take the live package defaults.
+	// RoundTimeout and MaxBatch tune the live replicas; zero values take
+	// the live package defaults.
 	RoundTimeout time.Duration
 	MaxBatch     int
-	SyncEvery    time.Duration
 	// OpTimeout bounds one Put/Get when the caller's context has no
 	// earlier deadline (default 10s).
 	OpTimeout time.Duration
@@ -87,9 +84,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Msg == nil {
 		return cfg, errors.New("livekv: Algorithm set without its wire codec")
-	}
-	if cfg.Router == nil {
-		cfg.Router = shard.HashRouter{}
 	}
 	if cfg.OpTimeout <= 0 {
 		cfg.OpTimeout = 10 * time.Second
@@ -162,7 +156,6 @@ func NewNode(cfg Config, self core.ProcessID, tr live.Transport) (*Node, error) 
 			},
 			RoundTimeout: cfg.RoundTimeout,
 			MaxBatch:     cfg.MaxBatch,
-			SyncEvery:    cfg.SyncEvery,
 		}
 		if cfg.DataDir != "" {
 			store, st, err := wal.Open(
@@ -252,7 +245,7 @@ func (nd *Node) Close() error {
 // internal/shard, so a simulated and a live deployment with the same
 // Groups place every key identically.
 func (nd *Node) GroupFor(key string) int {
-	return nd.cfg.Router.Shard(shard.StringKey(key), nd.cfg.Groups)
+	return shard.HashRouter{}.Shard(shard.StringKey(key), nd.cfg.Groups)
 }
 
 // do replicates one command through its owning group and waits for the
@@ -309,7 +302,8 @@ type GroupStatus struct {
 	LogLen      uint64
 	LogHash     uint64
 	Fingerprint string
-	Applied     int // commands applied to the state machine
+	Applied     int   // commands applied to the state machine
+	Err         error // the durability failure that halted the group, if any
 }
 
 // Status reports every group's replica counters, decision-log
@@ -330,9 +324,22 @@ func (nd *Node) Status() []GroupStatus {
 			LogHash:     logHash,
 			Fingerprint: fp,
 			Applied:     applied,
+			Err:         gr.rep.Err(),
 		}
 	}
 	return out
+}
+
+// Err names the first group whose replica a durability failure halted, or
+// returns nil while every group runs. It reads no state-machine contents,
+// so a health probe can call it on every request.
+func (nd *Node) Err() error {
+	for g, gr := range nd.groups {
+		if err := gr.rep.Err(); err != nil {
+			return fmt.Errorf("group %d halted: %w", g, err)
+		}
+	}
+	return nil
 }
 
 // Self returns this node's process id.

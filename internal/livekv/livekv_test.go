@@ -2,13 +2,18 @@ package livekv
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"heardof/internal/core"
 	"heardof/internal/live"
+	"heardof/internal/wal"
 )
 
 // startCluster builds and starts an in-process cluster, cleaning up with
@@ -209,6 +214,175 @@ func TestClusterPauseRejoin(t *testing.T) {
 		if !ok || v != fmt.Sprintf("v%d", i) {
 			t.Fatalf("k%02d = %q/%v after rejoin, want v%d", i, v, ok, i)
 		}
+	}
+}
+
+// TestClusterCatchUpUnderLoad: node 2 is paused for two seconds while
+// sixteen closed-loop clients on nodes 0 and 1 keep committing — thousands
+// of slots, a catch-up of many maxSyncPairs-sized pushes, where
+// TestClusterPauseRejoin's pause holds ten commands — and is unpaused with
+// the load still running. It must reach the log length the survivors had
+// when the pause ended within 10 s, and once the load stops the cluster
+// converges with no divergent decision.
+func TestClusterCatchUpUnderLoad(t *testing.T) {
+	c := startCluster(t, Config{Replicas: 3, Groups: 1, RoundTimeout: time.Millisecond}, 4)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	logLen := func(i int) uint64 {
+		n, _ := c.Node(i).Replica(0).LogHash()
+		return n
+	}
+
+	var (
+		stop    atomic.Bool
+		wg      sync.WaitGroup
+		errOnce sync.Once
+		loadErr error
+	)
+	for cl := 0; cl < 16; cl++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nd := c.Node(cl % 2)
+			for i := 0; !stop.Load(); i++ {
+				if err := nd.Put(ctx, fmt.Sprintf("c%02d-%02d", cl, i%64), fmt.Sprint(i)); err != nil {
+					errOnce.Do(func() { loadErr = fmt.Errorf("client %d op %d: %w", cl, i, err) })
+					return
+				}
+			}
+		}()
+	}
+	endLoad := func() {
+		stop.Store(true)
+		wg.Wait()
+		if loadErr != nil {
+			t.Fatal(loadErr)
+		}
+	}
+
+	c.Faults(2).SetPaused(true)
+	time.Sleep(2 * time.Second)
+	target := max(logLen(0), logLen(1))
+	c.Faults(2).SetPaused(false)
+	unpaused, behind := time.Now(), target-logLen(2)
+	for logLen(2) < target {
+		if time.Since(unpaused) > 10*time.Second {
+			endLoad()
+			t.Fatalf("node 2 at %d of the survivors' %d slots 10s after the unpause (%d behind at it)", logLen(2), target, behind)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	caughtUp := time.Since(unpaused)
+	endLoad()
+	if behind < 2*128 {
+		t.Fatalf("vacuous: node 2 was only %d slots behind at the unpause, fewer than two full pushes", behind)
+	}
+	t.Logf("node 2 caught up %d slots in %v under load", behind, caughtUp)
+	if err := c.ConvergedWithin(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.N(); i++ {
+		if d := c.Node(i).Status()[0].Stats.Divergent; d != 0 {
+			t.Fatalf("node %d observed %d divergent decisions — split decision", i, d)
+		}
+	}
+}
+
+// TestCheckpointLeavesNoTail is the graceful-shutdown path (hoserve's
+// SIGTERM): on a durable 3-node, 2-group cluster, Checkpoint every node and
+// Close. Every store then opens with an empty log tail and an application
+// snapshot that covers its whole decision log, and a cluster restarted on
+// the same directories reads back every key.
+func TestCheckpointLeavesNoTail(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Replicas: 3, Groups: 2, RoundTimeout: time.Millisecond, DataDir: dir, NoFsync: true}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const keys = 24
+
+	c, err := NewCluster(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	for i := 0; i < keys; i++ {
+		if err := c.Node(i%3).Put(ctx, fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i)); err != nil {
+			c.Close()
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if err := c.ConvergedWithin(10 * time.Second); err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	for i := 0; i < c.N(); i++ {
+		if err := c.Node(i).Checkpoint(); err != nil {
+			c.Close()
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	c.Close()
+
+	for p := 0; p < cfg.Replicas; p++ {
+		for g := 0; g < cfg.Groups; g++ {
+			store, st, err := wal.Open(filepath.Join(dir, fmt.Sprintf("node-%d", p), fmt.Sprintf("group-%d", g)), wal.Options{NoSync: true})
+			if err != nil {
+				t.Fatalf("node %d group %d: %v", p, g, err)
+			}
+			store.Close()
+			if len(st.Tail) != 0 || st.AppSlots != uint64(len(st.Log)) || len(st.Log) == 0 {
+				t.Errorf("node %d group %d after checkpoint: tail %d, app snapshot at %d of %d slots; want an empty tail and the snapshot at the log's end",
+					p, g, len(st.Tail), st.AppSlots, len(st.Log))
+			}
+		}
+	}
+
+	c = startCluster(t, cfg, 6)
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("k%02d", i)
+		v, ok, err := c.Node(i%3).Get(ctx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || v != fmt.Sprintf("v%d", i) {
+			t.Fatalf("%s = %q/%v after the restart, want v%d", k, v, ok, i)
+		}
+	}
+}
+
+// TestHaltedGroupFailsFast: node 0's group-0 store is closed before the
+// node starts, so the replica's first durability barrier fails and it
+// halts. A write through node 0 to a group-0 key then fails at once rather
+// than waiting out its deadline, Node.Err and GroupStatus.Err name the
+// group, group 1 is unaffected, and the other two nodes still commit to
+// group 0.
+func TestHaltedGroupFailsFast(t *testing.T) {
+	c, err := NewCluster(Config{Replicas: 3, Groups: 2, RoundTimeout: time.Millisecond, DataDir: t.TempDir(), NoFsync: true}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Node(0).groups[0].store.Close()
+	c.Start()
+	t.Cleanup(c.Close)
+	key := "k"
+	for i := 0; c.Node(0).GroupFor(key) != 0; i++ {
+		key = fmt.Sprintf("k%d", i)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := c.Node(0).Put(ctx, key, "lost"); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("put through the halted group returned %v after %v; want a prompt failure", err, time.Since(start))
+	}
+	if err := c.Node(0).Err(); err == nil || !strings.Contains(err.Error(), "group 0 halted") {
+		t.Fatalf("Node.Err() = %v, want group 0 named", err)
+	}
+	if st := c.Node(0).Status(); st[0].Err == nil || st[1].Err != nil {
+		t.Fatalf("GroupStatus.Err = %v, %v; want group 0 halted and group 1 running", st[0].Err, st[1].Err)
+	}
+	if err := c.Node(1).Put(ctx, key, "kept"); err != nil {
+		t.Fatalf("the survivors did not commit to group 0: %v", err)
 	}
 }
 
