@@ -48,13 +48,13 @@
 // keep every source's order: see propose() in replicacore.go.
 //
 // Decided slots spread through a sync protocol that doubles as the
-// decide-retransmission and the crash-rejoin path: a round message for
-// an old slot reveals a laggard (unless it is of the round this replica
-// decided the slot in: that sender is no further behind than the eager
-// push on its way to it), and any for a future slot reveals that WE lag
-// (if the slot is at most a window beyond ours, we also join it); both
-// trigger a push or pull of the decision log. A replica paused mid-round
-// therefore rejoins by replaying decisions, not consensus.
+// decide-retransmission and the crash-rejoin path: a replica whose own
+// instance decides a slot pushes the decision to every peer in that step;
+// a round message for a slot decided here draws a push to its sender,
+// whatever its round; and one for a future slot reveals that WE lag (if
+// the slot is at most a window beyond ours, we also join it) and draws a
+// pull of the decision log. A replica paused mid-round therefore rejoins
+// by replaying decisions, not consensus.
 //
 // ALL of the above is protocol logic, and none of it lives in this
 // file: it is ReplicaCore (replicacore.go), a pure step function that

@@ -198,29 +198,18 @@ type StepResult[C any] struct {
 type ReplicaCore[C any] struct {
 	cfg CoreConfig[C]
 
-	pending   []Entry[C]
-	unsent    bool // pending grew since its prefix last left in a batch or a forward
-	batches   map[int64][]Entry[C]
-	logRefs   map[int64]int      // held batch id → unpruned log slots that decided it (retention anchor)
-	offered   map[int64]struct{} // held batches not yet fully applied
-	decided   map[uint64]int64   // slot → batch id, not yet applied
-	maxSeen   map[uint64]uint64  // client → highest accepted seq
-	seqFloor  uint64             // NextSeq's base for clients maxSeen has no entry for (persist.go)
-	log       []int64            // applied decisions; log[i] decided slot i+1
-	logHash   uint64
-	hwm       map[uint64]uint64 // client → highest applied seq
-	batchSeq  int64
-	eagerPush uint64 // lowest own-decided slot to push once applied
-
-	// ownRound remembers the round this replica's OWN run decided a slot
-	// in, for the last few such slots (slot s at index s mod its length). A
-	// round message of the slot from that round or an earlier one is no
-	// laggard's: its sender was in the deciding round with us (a quorum
-	// closes it here while the last ack is in flight) and gets the eager
-	// push. Slots learned by sync or overwritten here are not remembered,
-	// nor is a run that cannot close on a quorum (core.Settling): short of
-	// everybody it decides on a jump or the timer, and who is late then lags.
-	ownRound [2 * window]SlotRound
+	pending  []Entry[C]
+	unsent   bool // pending grew since its prefix last left in a batch or a forward
+	batches  map[int64][]Entry[C]
+	logRefs  map[int64]int      // held batch id → unpruned log slots that decided it (retention anchor)
+	offered  map[int64]struct{} // held batches not yet fully applied
+	decided  map[uint64]int64   // slot → batch id, not yet applied
+	maxSeen  map[uint64]uint64  // client → highest accepted seq
+	seqFloor uint64             // NextSeq's base for clients maxSeen has no entry for (persist.go)
+	log      []int64            // applied decisions; log[i] decided slot i+1
+	logHash  uint64
+	hwm      map[uint64]uint64 // client → highest applied seq
+	batchSeq int64
 
 	// open holds the running instances by ascending slot: those this
 	// replica opened, inside the window applied+1 … applied+window, and
@@ -429,10 +418,10 @@ func (c *ReplicaCore[C]) handleEnvelope(env Envelope, res *StepResult[C]) {
 // slot its peers opened, and pulls) → that slot's running instance, opened
 // on the spot (with every slot below it) if this replica had no reason to
 // open it yet, so the message that announces a slot is also heard in it;
-// decided here, applied or not → the sender lags, push decisions — unless
-// the message is of the round our own run decided the slot in, or an
-// earlier one (ownRound): only a LATER round says its sender went on
-// without the decision; further out → we lag, pull decisions only.
+// decided here, applied or not → push the decisions to the sender, whatever
+// the message's round (an answer to a sender that has the decision already
+// is a duplicate, which the receiver drops); further out → we lag, pull
+// decisions only.
 func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 	enc, rider, ok := SplitRound(env.Payload)
 	if !ok {
@@ -464,9 +453,7 @@ func (c *ReplicaCore[C]) handleRound(env Envelope, res *StepResult[C]) {
 		}
 	}
 	if _, decided := c.decided[env.Slot]; decided || env.Slot < next {
-		if own := c.ownRound[env.Slot%uint64(len(c.ownRound))]; own.Slot != env.Slot || env.Round > own.Round {
-			c.pushDecisions(env.From, env.Slot, res)
-		}
+		c.pushDecisions(env.From, env.Slot, res)
 		return
 	}
 	run := c.runFor(env.Slot)
@@ -660,13 +647,8 @@ func (c *ReplicaCore[C]) transitionRound(run *slotRun, res *StepResult[C]) {
 	c.stats.Rounds++
 	if v, ok := run.inst.Decided(); ok {
 		c.closeRun(run)
-		if run.settling != nil {
-			c.ownRound[run.slot%uint64(len(c.ownRound))] = SlotRound{Slot: run.slot, Round: r}
-		}
-		if c.eagerPush == 0 || run.slot < c.eagerPush {
-			c.eagerPush = run.slot
-		}
 		c.recordDecision(run.slot, int64(v), false)
+		c.pushDecisions(AllPeers, run.slot, res)
 		return
 	}
 	// The transition may have adopted or locked a vote: persist the
@@ -761,14 +743,6 @@ func (c *ReplicaCore[C]) advance(res *StepResult[C]) {
 			}
 			c.applySlot(slot, bid, res)
 			progressed = true
-		}
-		if c.eagerPush != 0 && uint64(len(c.log)) >= c.eagerPush {
-			// Eager push: peers that lost the deciding round learn the
-			// outcome now instead of at the next sync trigger — together
-			// with every later slot this replica already knows decided.
-			from := c.eagerPush
-			c.eagerPush = 0
-			c.pushDecisions(AllPeers, from, res)
 		}
 		for c.hasWork() {
 			slot := c.frontier(uint64(len(c.log)) + window)
@@ -1276,8 +1250,12 @@ func (c *ReplicaCore[C]) decisionAt(slot uint64) (int64, bool) {
 // hold, at maxSyncPairs, and before the envelope would outgrow maxFrame,
 // so what it sends is a prefix the receiver can apply. The envelope's Slot
 // is the first slot it carries (a pull's names the slot it asks from): no
-// receiver reads it, and hoperf's tracer files the send under it.
+// receiver reads it, and hoperf's tracer files the send under it. A group
+// of one has no peer to push to, and builds nothing.
 func (c *ReplicaCore[C]) pushDecisions(to core.ProcessID, from uint64, res *StepResult[C]) {
+	if c.cfg.N == 1 {
+		return
+	}
 	if from == 0 {
 		from = 1
 	}

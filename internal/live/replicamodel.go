@@ -22,21 +22,19 @@ import (
 // after creation. The merge scratch is not state and starts empty.
 func (c *ReplicaCore[C]) Clone() *ReplicaCore[C] {
 	d := &ReplicaCore[C]{
-		cfg:       c.cfg,
-		pending:   append([]Entry[C](nil), c.pending...),
-		unsent:    c.unsent,
-		batches:   make(map[int64][]Entry[C], len(c.batches)),
-		logRefs:   make(map[int64]int, len(c.logRefs)),
-		offered:   make(map[int64]struct{}, len(c.offered)),
-		decided:   make(map[uint64]int64, len(c.decided)),
-		maxSeen:   make(map[uint64]uint64, len(c.maxSeen)),
-		log:       append([]int64(nil), c.log...),
-		logHash:   c.logHash,
-		hwm:       make(map[uint64]uint64, len(c.hwm)),
-		batchSeq:  c.batchSeq,
-		seqFloor:  c.seqFloor,
-		eagerPush: c.eagerPush,
-		ownRound:  c.ownRound,
+		cfg:      c.cfg,
+		pending:  append([]Entry[C](nil), c.pending...),
+		unsent:   c.unsent,
+		batches:  make(map[int64][]Entry[C], len(c.batches)),
+		logRefs:  make(map[int64]int, len(c.logRefs)),
+		offered:  make(map[int64]struct{}, len(c.offered)),
+		decided:  make(map[uint64]int64, len(c.decided)),
+		maxSeen:  make(map[uint64]uint64, len(c.maxSeen)),
+		log:      append([]int64(nil), c.log...),
+		logHash:  c.logHash,
+		hwm:      make(map[uint64]uint64, len(c.hwm)),
+		batchSeq: c.batchSeq,
+		seqFloor: c.seqFloor,
 
 		batchSlot:     make(map[int64]uint64, len(c.batchSlot)),
 		restoredVotes: make(map[uint64][]byte, len(c.restoredVotes)),
@@ -114,18 +112,11 @@ func (b roundBuffer) clone() roundBuffer {
 // state — the first feeds the next proposal, the second decides whether
 // a step emits a forward — and so are the window's additions: every open
 // run, which unapplied slot each batch id was proposed for (it decides
-// what the pruner may drop), the votes recovery has yet to re-install,
-// the rounds own runs decided in (they decide which late round message
-// is answered). Leaving any of them out would merge states with different
-// futures.
+// what the pruner may drop) and the votes recovery has yet to re-install.
+// Leaving any of them out would merge states with different futures.
 func (c *ReplicaCore[C]) AppendFingerprint(dst []byte) []byte {
 	dst = appendVarint(dst, c.batchSeq)
-	dst = appendUvarint(dst, c.eagerPush)
 	dst = appendUvarint(dst, c.prunedTo)
-	for _, own := range c.ownRound {
-		dst = appendUvarint(dst, own.Slot)
-		dst = appendUvarint(dst, uint64(own.Round))
-	}
 	slots := make([]uint64, 0, len(c.restoredVotes)+len(c.decided))
 	for s := range c.restoredVotes {
 		slots = append(slots, s)

@@ -420,10 +420,14 @@ func TestCrashWithTwoSlotsOpenRestoresBothVotes(t *testing.T) {
 // TestFaultFreeSlotTakesTwoRounds: LastVoting's first coordinator votes
 // its proposal unasked in round 1 and every adopter decides on the acks
 // of round 2 — the coordinator's counted, so p1 and p2 decide on entering
-// it — so with nothing lost a slot is two rounds at every replica and 18
+// it — so with nothing lost a slot is two rounds at every replica and 26
 // envelopes in all: p0's vote and its ack naming the vote, sent together
 // and each carrying the batch (2 + 2), two replicas joining with their
-// round-1 nulls (4) and acking (4), three eager decision pushes (6).
+// round-1 nulls (4) and acking (4), three decision pushes sent as each
+// replica decides (6), and 8 answers to round messages that reach a
+// replica after it decided: p0's ack at p1 and at p2 (2), p1's null and
+// ack at p2 (2), p2's null and ack at p0 and at p1 (4). p1's reach p0
+// before it decides — its ack is what decides it — and draw none.
 func TestFaultFreeSlotTakesTwoRounds(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
@@ -446,8 +450,8 @@ func TestFaultFreeSlotTakesTwoRounds(t *testing.T) {
 			t.Fatalf("replica %d closed %d rounds and took %d decisions from a sync; want 2 and its own", p, st.Rounds, st.SyncDecisions)
 		}
 	}
-	if envelopes != 18 || lastRound != 2 {
-		t.Fatalf("slot took %d envelopes and reached round %d, want 18 and 2", envelopes, lastRound)
+	if envelopes != 26 || lastRound != 2 {
+		t.Fatalf("slot took %d envelopes and reached round %d, want 26 and 2", envelopes, lastRound)
 	}
 }
 
@@ -540,14 +544,23 @@ func wantOwnDecision(t *testing.T, n *coreNet, p core.ProcessID, rounds int64) {
 // push with it. p0 holds its own ack and p2's — a majority, and it adopted
 // the vote — so it decides in its own instance there and then. No round
 // timeout is stepped anywhere in this test and nobody learns the slot by
-// sync. (Waiting for all n, p0 sat in the ack round until a decider's push
-// arrived.)
+// sync: p1's answer to p0's ack, queued behind p2's ack, arrives after p0
+// has decided. (Waiting for all n, p0 sat in the ack round until a
+// decider's push arrived.)
 func TestLostAckDecidesOnTheQuorum(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
 	n.deliver() // p1, p2 join slot 1 on the vote, ack and decide: their acks and pushes on their way
+	pushes := 0
 	lost := n.take(func(o Outbound) bool {
-		return o.To == 0 && o.Env.From == 1 && (o.Env.Kind == KindSync || o.Env.Kind == KindRound && o.Env.Round == 2)
+		if o.To != 0 || o.Env.From != 1 {
+			return false
+		}
+		if o.Env.Kind == KindSync {
+			pushes++
+			return pushes == 1 // p1's decision push; the second is its answer to p0's ack
+		}
+		return o.Env.Kind == KindRound && o.Env.Round == 2
 	})
 	if len(lost) != 2 {
 		t.Fatalf("dropped %d messages, want exactly p1's ack to p0 and its push", len(lost))
@@ -660,13 +673,12 @@ func TestJumpIntoAckRoundDecidesOnEnter(t *testing.T) {
 	}
 }
 
-// TestLateRoundMessageOfTheDecidingRoundDrawsNoPush: with rounds closing
-// on a quorum, the last ack of a slot routinely reaches a replica that
-// has just decided it. That is no laggard — it was in the deciding round
-// with us and the eager push is on its way to it — so it is not answered;
-// a message of a LATER round (its sender went on without the decision)
-// is, and so is any round of a slot this replica did not decide itself.
-func TestLateRoundMessageOfTheDecidingRoundDrawsNoPush(t *testing.T) {
+// TestLateRoundMessageDrawsOnePush: a round message for a slot decided
+// here draws exactly one decision push to its sender, whatever its round —
+// the last ack of the deciding round as much as a laggard's message from a
+// later one — and whether this replica's own run decided the slot or it
+// learned it by sync.
+func TestLateRoundMessageDrawsOnePush(t *testing.T) {
 	n := newCoreNet(t)
 	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
 	var ack Envelope // some round-2 message of slot 1, for its payload
@@ -679,36 +691,68 @@ func TestLateRoundMessageOfTheDecidingRoundDrawsNoPush(t *testing.T) {
 		n.deliver()
 	}
 	wantOwnDecision(t, n, 0, 2)
-	pushes := func(c *ReplicaCore[string], round core.Round) int {
-		env := ack
-		env.From, env.Round = 2, round
-		k := 0
-		for _, o := range c.Step(Event[string]{Kind: EvEnvelope, Env: env}).Out {
-			if o.Env.Kind == KindSync && o.To == 2 && o.Env.Slot == 1 {
-				k++
-			}
-		}
-		return k
+	learner := mergeCore(t, 1, 0)
+	learner.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0,
+		pushed{slot: 1, bid: batchID(0, 1), entries: []Entry[string]{{Client: 10, Seq: 1, Cmd: "a"}}})})
+	if learner.NextSlot() != 2 {
+		t.Fatalf("the learner is at slot %d after the push, want slot 1 applied", learner.NextSlot())
 	}
 	for _, tc := range []struct {
-		round core.Round
-		want  int
-	}{{1, 0}, {2, 0}, {3, 1}, {7, 1}} {
-		if got := pushes(n.cores[0], tc.round); got != tc.want {
-			t.Errorf("a round-%d message of a slot decided in round 2 drew %d decision pushes, want %d", tc.round, got, tc.want)
+		how string
+		c   *ReplicaCore[string]
+	}{{"decided by its own run", n.cores[0]}, {"learned by sync", learner}} {
+		for _, round := range []core.Round{1, 2, 3, 7} {
+			env := ack
+			env.From, env.Round = 2, round
+			out := tc.c.Step(Event[string]{Kind: EvEnvelope, Env: env}).Out
+			if len(out) != 1 || out[0].Env.Kind != KindSync || out[0].To != 2 || out[0].Env.Slot != 1 {
+				t.Errorf("slot %s: a round-%d message from p2 drew %v, want one decision push to p2", tc.how, round, out)
+			}
 		}
 	}
-	// A replica that learned the slot by sync cannot tell where the sender
-	// stands: it answers whatever the round. So does one that has decided
-	// enough slots since to have forgotten.
-	learner := mergeCore(t, 1, 0)
-	learner.Step(Event[string]{Kind: EvEnvelope, Env: syncEnv(0, pushed{slot: 1})})
-	forgot := n.cores[0].Clone()
-	forgot.ownRound[1] = SlotRound{Slot: 1 + uint64(len(forgot.ownRound)), Round: 2}
-	for name, c := range map[string]*ReplicaCore[string]{"learned by sync": learner, "no longer remembered": forgot} {
-		if got := pushes(c, 2); got != 1 {
-			t.Errorf("slot %s: a round-2 message drew %d decision pushes, want 1", name, got)
+}
+
+// pushedSlots lists the slots the KindSync envelopes among out carry, one
+// list per push.
+func pushedSlots(out []Outbound) [][]uint64 {
+	var pushes [][]uint64
+	for _, o := range out {
+		if o.Env.Kind != KindSync {
+			continue
 		}
+		var slots []uint64
+		SyncPairs(o.Env.Payload, func(slot uint64, _ int64, _ []byte) bool {
+			slots = append(slots, slot)
+			return true
+		})
+		pushes = append(pushes, slots)
+	}
+	return pushes
+}
+
+// TestDecisionIsAnnouncedWhenMade: a replica pushes a decision of its own
+// run to every peer in the step that makes it, whether or not the slot can
+// apply yet. p1 hears p0's slot-2 vote first: it opens slots 1 and 2,
+// decides slot 2 and pushes slot 2 in that step, with slot 1 still open. When slot 1's
+// vote arrives it decides slot 1, and that push carries slots 1 and 2.
+func TestDecisionIsAnnouncedWhenMade(t *testing.T) {
+	n := newCoreNet(t)
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 1, Cmd: "a"})
+	n.step(0, Event[string]{Kind: EvSubmit, Client: 10, Seq: 2, Cmd: "b"})
+	votes := n.take(func(o Outbound) bool { return o.To == 1 && o.Env.Kind == KindRound && o.Env.Round == 1 })
+	if len(votes) != 2 || votes[0].Env.Slot != 1 || votes[1].Env.Slot != 2 {
+		t.Fatalf("p0 sent p1 %d votes, want one for slot 1 and one for slot 2", len(votes))
+	}
+	p1 := n.cores[1]
+	res := p1.Step(Event[string]{Kind: EvEnvelope, Env: votes[1].Env})
+	if got := fmt.Sprint(pushedSlots(res.Out)); got != "[[2]]" || fmt.Sprint(openSlots(p1)) != "[1]" {
+		t.Fatalf("slot 2's vote drew pushes of slots %s with slots %v open; want one push of slot 2, slot 1 open",
+			got, openSlots(p1))
+	}
+	res = p1.Step(Event[string]{Kind: EvEnvelope, Env: votes[0].Env})
+	if got := fmt.Sprint(pushedSlots(res.Out)); got != "[[1 2]]" || p1.NextSlot() != 3 {
+		t.Fatalf("slot 1's vote drew pushes of slots %s and left p1 at slot %d; want one push of slots 1 and 2, both applied",
+			got, p1.NextSlot())
 	}
 }
 

@@ -112,9 +112,8 @@ func TestReplicaExploreLastVoting(t *testing.T) {
 // states — 607 828 before the coordinator's vote counted as its ack,
 // 632 010 before an ack round closed on its first majority.) The
 // crash-RECOVERY twin closes too since recovery resumes a slot instead of
-// re-running it, and both closures are asserted complete: 51 305 and
-// 112 087 states, the whole test ≈ 30 s on a 2-core host (CI's
-// model-check job runs the twin through hocheck as well). The reboot
+// re-running it, and both closures are asserted complete: 46 021 and
+// 101 068 states, the whole test ≈ 25 s on a 2-core host. The reboot
 // scope is where the restarted coordinator that announced a decision it
 // no longer knew was found. Through phase 2 (MaxRound 8) the soup does
 // not close; the lock-step walk does (TestWalkLastVotingReboot).
@@ -228,8 +227,8 @@ func TestReplicaExploreLastVotingForward(t *testing.T) {
 }
 
 // TestReplicaExploreLastVotingWindow closes the scope in which the slot
-// window actually runs: p0 accepts two commands of one session back to
-// back, so slot 2 opens — with a proposal that overlaps slot 1's — while
+// window actually runs: p0 accepts two commands back to back — of one
+// session, and (hocheck's workload for this scope) of two — so slot 2 opens — with a proposal that overlaps slot 1's — while
 // slot 1 is still in round 1, and from there the adversary interleaves
 // the two instances' rounds, timeouts (one per open slot) and decisions
 // freely: slot 2 deciding first and waiting its turn, one batch id
@@ -247,36 +246,27 @@ func TestReplicaExploreLastVotingWindow(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("two-slot closure skipped under the race detector (single-goroutine explorer)")
 	}
-	m, err := NewReplicaModel(ReplicaModel{
-		N:           2,
-		Slots:       2,
-		MaxRound:    4,
-		CrashBudget: 1,
-		Algorithm:   lastvoting.Algorithm{},
-		Msg:         lastvoting.WireCodec{},
-		Workload: []Submission{
-			{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'},
-			{Replica: 0, Client: 1, Seq: 2, Cmd: 'b'},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		workload []Submission
+	}{
+		{"one session", []Submission{{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'}, {Replica: 0, Client: 1, Seq: 2, Cmd: 'b'}}},
+		// hocheck's workload: one command each from two clients.
+		{"two sessions", []Submission{{Replica: 0, Client: 1, Seq: 1, Cmd: 'a'}, {Replica: 0, Client: 2, Seq: 1, Cmd: 'b'}}},
+	} {
+		res := exploreClean(t, ReplicaModel{
+			N:           2,
+			Slots:       2,
+			MaxRound:    4,
+			CrashBudget: 1,
+			Algorithm:   lastvoting.Algorithm{},
+			Msg:         lastvoting.WireCodec{},
+			Workload:    tc.workload,
+		}, true)
+		if res.MaxOpen != 2 || res.MaxApplied != 2 {
+			t.Fatalf("%s: vacuous exploration: maxOpen=%d maxApplied=%d, want 2 and 2", tc.name, res.MaxOpen, res.MaxApplied)
+		}
 	}
-	res, err := m.Explore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil {
-		t.Fatalf("safety violation in unmutated protocol: %s: %s", res.Violation.Kind, res.Violation.Message)
-	}
-	if !res.Complete {
-		t.Fatalf("expected full closure at this scope, stopped after %d states", res.States)
-	}
-	if res.MaxOpen != 2 || res.MaxApplied != 2 {
-		t.Fatalf("vacuous exploration: maxOpen=%d maxApplied=%d, want 2 and 2", res.MaxOpen, res.MaxApplied)
-	}
-	t.Logf("window closure: %d states, %d transitions, maxOpen=%d, maxApplied=%d, findings: %+v",
-		res.States, res.Transitions, res.MaxOpen, res.MaxApplied, res.Findings)
 }
 
 // TestReplicaExploreOTRThreeSlotClosure is the join's scope. Every scope

@@ -384,6 +384,7 @@ func (s *Sim) recover(p core.ProcessID, t Time) {
 // pop per call is what keeps RunUntilTime/RunUntil honest: their time
 // bound is re-checked against the heap head before every pop, so a no-op
 // event inside the bound can never drag execution past it.
+//
 //holint:hotpath
 func (s *Sim) processEvent() bool {
 	if s.queue.len() == 0 {
